@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lint bench-smoke bench-serve live-smoke chaos trace-smoke fleet-smoke check-smoke restart-smoke cluster-smoke ci clean
+.PHONY: all build test race lint bench-smoke bench-check bench-serve live-smoke chaos trace-smoke fleet-smoke check-smoke restart-smoke cluster-smoke ci clean
 
 all: build
 
@@ -27,6 +27,14 @@ lint:
 # byte-identically to the serial path.
 bench-smoke:
 	$(GO) test -run TestPaperTables -short -v ./internal/experiments
+
+# benchmark/ is a module of its own (BENCHMARK.json's driver), so the
+# root build and test never compile it: vet it and run its self-tests
+# (one quick pass per workload, < 10 s) so that an API change under
+# internal/ that breaks it fails here, not at the next measurement.
+bench-check:
+	$(GO) -C benchmark vet .
+	$(GO) -C benchmark test .
 
 # The code-server gate: allocation regressions on the serve hot path
 # (pooled copy/payload buffers) plus the load-generator smoke, which
@@ -111,7 +119,8 @@ cluster-smoke:
 	$(GO) test -race -run 'TestClusterServeAndFetch' -v ./cmd/nonstrict
 	$(GO) test -race -run 'TestFleetClusterKill|TestBenchClusterSmoke' -v ./internal/fleet
 
-ci: build lint test race bench-smoke bench-serve live-smoke chaos trace-smoke fleet-smoke check-smoke restart-smoke cluster-smoke
+ci: build lint test race bench-smoke bench-check bench-serve live-smoke chaos trace-smoke fleet-smoke check-smoke restart-smoke cluster-smoke
 
 clean:
 	$(GO) clean ./...
+	rm -f BENCH_serve.json BENCH_fleet.json BENCH_cluster.json

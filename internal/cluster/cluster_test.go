@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -120,7 +121,9 @@ func TestClusterColdStormSingleBuild(t *testing.T) {
 // TestPeerFillRejectsCorruptTransfer pins the verification boundary: a
 // peer that serves corrupted bytes must not get them published or
 // persisted — the fill fails closed and the node falls back to a local
-// build, still answering its client correctly.
+// build, still answering its client correctly. A peer still running the
+// release whose unit table was JSON is the same case: its table does not
+// parse, so a mixed-version cluster degrades to local builds.
 func TestPeerFillRejectsCorruptTransfer(t *testing.T) {
 	apps := testApps(t)
 	ring, err := NewRing([]string{"good", "evil"}, 0, 0xBAD)
@@ -146,52 +149,66 @@ func TestPeerFillRejectsCorruptTransfer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	evil := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/apps/"+app+"/app.toc" {
-			w.Write(art.TOC)
-			return
-		}
-		// Corrupt one byte INSIDE a unit payload, where the checksum
-		// sweep must catch it (header bytes are not unit-covered).
-		bad := append([]byte(nil), art.Data...)
-		bad[units[0].Off] ^= 0xFF
-		w.Write(bad)
-	}))
-	defer evil.Close()
+	// Corrupt one byte INSIDE a unit payload, where the checksum sweep
+	// must catch it (header bytes are not unit-covered).
+	badData := append([]byte(nil), art.Data...)
+	badData[units[0].Off] ^= 0xFF
+	jsonTOC, err := json.Marshal(units)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name      string
+		data, toc []byte
+	}{
+		{"corrupt-payload", badData, art.TOC},
+		{"json-table-from-older-peer", art.Data, jsonTOC},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			evil := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if r.URL.Path == "/apps/"+app+"/app.toc" {
+					w.Write(tc.toc)
+					return
+				}
+				w.Write(tc.data)
+			}))
+			defer evil.Close()
 
-	node, err := NewNode(NodeConfig{
-		Name:  "good",
-		Ring:  ring,
-		Peers: map[string]string{"evil": evil.URL},
-		Server: server.Config{
-			Apps:  []string{app},
-			Order: server.OrderStatic,
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ns := httptest.NewServer(node.Handler())
-	defer ns.Close()
+			node, err := NewNode(NodeConfig{
+				Name:  "good",
+				Ring:  ring,
+				Peers: map[string]string{"evil": evil.URL},
+				Server: server.Config{
+					Apps:  []string{app},
+					Order: server.OrderStatic,
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ns := httptest.NewServer(node.Handler())
+			defer ns.Close()
 
-	resp, err := http.Get(ns.URL + "/apps/" + app + "/app")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	got, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, art.Data) {
-		t.Fatal("node served bytes that differ from the real artifact")
-	}
-	if n := node.FallbackBuilds(); n != 1 {
-		t.Fatalf("fallback builds = %d, want 1 (corrupt fill must fail closed into a local build)", n)
-	}
-	cs := node.Server().CacheStats()
-	if cs.PeerFills != 0 || cs.Builds != 1 {
-		t.Fatalf("counters after corrupt fill: builds=%d peer_fills=%d, want 1/0", cs.Builds, cs.PeerFills)
+			resp, err := http.Get(ns.URL + "/apps/" + app + "/app")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			got, err := io.ReadAll(resp.Body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, art.Data) {
+				t.Fatal("node served bytes that differ from the real artifact")
+			}
+			if n := node.FallbackBuilds(); n != 1 {
+				t.Fatalf("fallback builds = %d, want 1 (corrupt fill must fail closed into a local build)", n)
+			}
+			cs := node.Server().CacheStats()
+			if cs.PeerFills != 0 || cs.Builds != 1 {
+				t.Fatalf("counters after corrupt fill: builds=%d peer_fills=%d, want 1/0", cs.Builds, cs.PeerFills)
+			}
+		})
 	}
 }
 

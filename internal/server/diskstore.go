@@ -71,7 +71,12 @@ type artHeader struct {
 }
 
 const (
-	storeMagic     = "NSARTv1\n"
+	// storeMagic names the record layout and the encoding of the unit
+	// table inside it: load verifies the table by digest only, so a
+	// change to stream.MarshalTOC's format needs a new magic, which
+	// sends older records down the quarantine-and-rebuild path. v1 held
+	// a JSON table.
+	storeMagic     = "NSARTv2\n"
 	storeExt       = ".art"
 	storeTmpPrefix = ".tmp-"
 	quarantineDir  = "quarantine"

@@ -3,10 +3,16 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
+	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"net"
 	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -266,5 +272,100 @@ func TestRestartRevalidation(t *testing.T) {
 	}
 	if st := cs.cur.Load().CacheStats(); st.Builds != 0 {
 		t.Fatalf("restarted server ran %d builds, want 0", st.Builds)
+	}
+}
+
+// TestRestartOverStoreFromBeforeBinaryTable boots a server on a store
+// directory written before the unit table became binary: a record with
+// the old magic whose table is JSON, every checksum and digest in it
+// correct. The store verifies a table by digest only, so serving that
+// record would hand clients a table they reject. It must instead be
+// quarantined and rebuilt once — the stream, and so its ETag, identical
+// (a client holding the old ETag revalidates or resumes across the
+// upgrade), the table parseable — and the rebuilt record must serve the
+// next restart with no build at all.
+func TestRestartOverStoreFromBeforeBinaryTable(t *testing.T) {
+	dir := t.TempDir()
+	ctx := context.Background()
+	k := Key{App: benchApp, Order: OrderStatic}
+	want, err := Build(ctx, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The record the parent commit would have written: same stream, the
+	// table as JSON, under the v1 magic.
+	units, err := stream.ParseTOC(want.TOC)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jsonTOC, err := json.Marshal(units)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old, err := OpenDiskStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := old.Put(storeArt(k.App, k.Order, want.Data, jsonTOC)); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, storeFiles(t, dir)[0])
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	copy(raw, "NSARTv1\n")
+	headEnd := len(storeMagic) + 4 + int(binary.LittleEndian.Uint32(raw[len(storeMagic):])) + 4
+	binary.LittleEndian.PutUint32(raw[headEnd-4:], crc32.Checksum(raw[:headEnd-4], storeCRCTable))
+	binary.LittleEndian.PutUint32(raw[len(raw)-4:], crc32.Checksum(raw[:len(raw)-4], storeCRCTable))
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	boot := func() *Server {
+		s, err := New(Config{Apps: []string{benchApp}, StoreDir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	get := func(s *Server, path string) (*http.Response, []byte) {
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("GET %s = %d", path, rec.Code)
+		}
+		return rec.Result(), rec.Body.Bytes()
+	}
+
+	s := boot()
+	resp, body := get(s, "/apps/"+benchApp+"/app")
+	if resp.Header.Get("ETag") != want.ETag || !bytes.Equal(body, want.Data) {
+		t.Fatalf("stream after upgrade: ETag %s, want %s (bytes equal: %v)",
+			resp.Header.Get("ETag"), want.ETag, bytes.Equal(body, want.Data))
+	}
+	resp, body = get(s, "/apps/"+benchApp+"/app.toc")
+	if _, err := stream.ParseTOC(body); err != nil {
+		t.Fatalf("table after upgrade: %v", err)
+	}
+	if ct := resp.Header.Get("Content-Type"); ct != "application/octet-stream" {
+		t.Errorf("table served as %q", ct)
+	}
+	if !bytes.Equal(body, want.TOC) {
+		t.Error("table after upgrade differs from a fresh build's")
+	}
+	if st, cs := s.Store().Stats(), s.CacheStats(); st.Quarantined != 1 || cs.Builds != 1 || cs.StoreHits != 0 || st.Puts != 1 {
+		t.Fatalf("upgrade boot: store %+v, cache builds=%d store_hits=%d; want 1 quarantine, 1 build, 1 put, 0 store hits",
+			st, cs.Builds, cs.StoreHits)
+	}
+
+	s = boot()
+	if resp, _ := get(s, "/apps/"+benchApp+"/app"); resp.Header.Get("ETag") != want.ETag {
+		t.Fatalf("second boot: ETag %s, want %s", resp.Header.Get("ETag"), want.ETag)
+	}
+	if st, cs := s.Store().Stats(), s.CacheStats(); st.Quarantined != 0 || cs.Builds != 0 || cs.StoreHits != 1 {
+		t.Fatalf("second boot: store %+v, cache builds=%d store_hits=%d; want 0 quarantines, 0 builds, 1 store hit",
+			st, cs.Builds, cs.StoreHits)
 	}
 }

@@ -267,14 +267,14 @@ func (s *Server) serveArtifact(w http.ResponseWriter, r *http.Request, name stri
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	data, etag, ctype := art.Data, art.ETag, "application/octet-stream"
+	data, etag := art.Data, art.ETag
 	if toc {
-		data, etag, ctype = art.TOC, art.TOCETag, "application/json"
+		data, etag = art.TOC, art.TOCETag
 	}
 	h := w.Header()
 	h.Set("ETag", etag)
 	h.Set("Cache-Control", "public, max-age=31536000, immutable")
-	h.Set("Content-Type", ctype)
+	h.Set("Content-Type", "application/octet-stream")
 	rw := w
 	if s.rate > 0 {
 		rw = &pacedWriter{rw: w, rate: s.rate, ctx: r.Context()}

@@ -381,3 +381,35 @@ func TestServerConfigValidation(t *testing.T) {
 		t.Error("unmounted app warmed")
 	}
 }
+
+// TestNewArtifactRejectsTableOverrunningStream: the unit table stores
+// lengths only, so the one piece of geometry ParseTOC cannot check — that
+// the ranges it derives lie inside the stream they describe — is checked
+// where table and stream first meet. Neither a table claiming more bytes
+// than the stream has nor a stream cut short of its table is published.
+func TestNewArtifactRejectsTableOverrunningStream(t *testing.T) {
+	k := Key{App: "Hanoi", Order: OrderStatic}
+	art, err := Build(context.Background(), k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewArtifact(k, art.Data, art.TOC); err != nil {
+		t.Fatalf("intact artifact rejected: %v", err)
+	}
+
+	units, err := stream.ParseTOC(art.TOC)
+	if err != nil {
+		t.Fatal(err)
+	}
+	units[len(units)-1].Len += 100 // the last length moves no other offset
+	long, err := stream.MarshalTOC(units)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewArtifact(k, art.Data, long); err == nil || !strings.Contains(err.Error(), "outside") {
+		t.Errorf("table overrunning the stream: err = %v, want a range error", err)
+	}
+	if _, err := NewArtifact(k, art.Data[:len(art.Data)-1], art.TOC); err == nil || !strings.Contains(err.Error(), "outside") {
+		t.Errorf("stream one byte short of its table: err = %v, want a range error", err)
+	}
+}

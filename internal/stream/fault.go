@@ -41,8 +41,9 @@ type Fault struct {
 	// of each request (0 = never). The corrupted positions and masks are
 	// functions of (Seed, byte position), so identical requests corrupt
 	// identically. Requests for ".toc" paths are exempt: the unit table
-	// is JSON with no per-byte checksum, so positional corruption of it
-	// is unrecoverable by construction — its failure mode is FlakyTOC.
+	// carries one whole-table checksum and has no repair path, so
+	// positional corruption of it (identical on every retry) is
+	// unrecoverable by construction — its failure mode is FlakyTOC.
 	CorruptEvery int64
 	// StallAfter stalls the response after N body bytes on each request
 	// (0 = never): the bytes so far are flushed, then the handler hangs —
@@ -59,8 +60,8 @@ type Fault struct {
 	// all requests) with a garbage 206: a Content-Range that does not
 	// match the requested offset and seeded junk bytes (0 = never).
 	// Requests for ".toc" paths are exempt and do not advance the
-	// counter: the unit table has no per-byte checksum, so a garbaged
-	// resume of it would fail the whole run undiagnosably and mask the
+	// counter: the unit table has no per-unit repair, so a garbaged
+	// resume of it would fail the whole run and mask the
 	// repair behaviour the schedule is meant to exercise — its failure
 	// mode is FlakyTOC.
 	GarbageRangeEvery int64

@@ -3,6 +3,7 @@ package stream
 import (
 	"bytes"
 	"encoding/binary"
+	"reflect"
 	"testing"
 )
 
@@ -81,17 +82,17 @@ func FuzzLoaderLoad(f *testing.F) {
 
 func FuzzParseTOC(f *testing.F) {
 	_, _, _, w := plan(f, "Hanoi")
-	good, err := MarshalTOC(w.TOC())
-	if err != nil {
-		f.Fatal(err)
-	}
+	good := mustMarshal(f, w.TOC())
+	body := good[:len(good)-tocSumSize]
 	f.Add(good)
-	f.Add([]byte("[]"))
-	f.Add([]byte("null"))
+	f.Add(mustMarshal(f, nil))                        // zero units
+	f.Add(mustMarshal(f, w.TOC()[:2]))                // one class, one body
+	f.Add(good[:len(good)/3])                         // torn
+	f.Add(sealTOC(body[: len(body)/3 : len(body)/3])) // torn, checksum valid
+	f.Add(sealTOC(append(tocHead(1<<40), body[tocHeaderSize+1:]...)))
+	f.Add(sealTOC(appendEntry(tocHead(1), MaxClasses+1, KindBody, "A", maxUnitSize+1, 1<<40, "m")))
+	f.Add(sealTOC(append(append([]byte(nil), body...), 0))) // trailing byte
 	f.Add([]byte(`[{"class":0,"kind":0,"body":-1,"off":31,"len":1}]`))
-	f.Add([]byte(`[{"class":-1,"kind":9,"body":5,"off":-7,"len":-1}]`))
-	f.Add(good[:len(good)/3]) // torn JSON
-	f.Add(bytes.Replace(good, []byte(`"off"`), []byte(`"OFF"`), 1))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		toc, err := ParseTOC(data)
@@ -113,6 +114,15 @@ func FuzzParseTOC(f *testing.F) {
 				t.Fatalf("entry %d: offset %d accepted after end %d", i, u.Off, prevEnd)
 			}
 			prevEnd = u.Off + int64(u.Len)
+		}
+		// ...and be a table MarshalTOC would write: the two sides agree
+		// on what a well-formed table is.
+		again, err := MarshalTOC(toc)
+		if err != nil {
+			t.Fatalf("accepted a table MarshalTOC refuses: %v", err)
+		}
+		if back, err := ParseTOC(again); err != nil || !reflect.DeepEqual(back, toc) {
+			t.Fatalf("re-encoded table parses differently (err %v)", err)
 		}
 	})
 }

@@ -16,7 +16,6 @@
 package stream
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -200,23 +199,23 @@ func (w *Writer) Size() int64 {
 // virtual file).
 type UnitInfo struct {
 	// Class is the unit's class index within the stream.
-	Class int `json:"class"`
+	Class int
 	// ClassName is the class's name.
-	ClassName string `json:"class_name"`
+	ClassName string
 	// Kind is KindGlobal or KindBody.
-	Kind byte `json:"kind"`
+	Kind byte
 	// Body is the body index within the class; -1 for global units.
-	Body int `json:"body"`
+	Body int
 	// Method is the delivered method; zero for global units.
-	Method classfile.Ref `json:"method"`
+	Method classfile.Ref
 	// Off is the stream offset of the unit's payload (its 13-byte header
 	// immediately precedes it).
-	Off int64 `json:"off"`
+	Off int64
 	// Len is the payload length in bytes, header excluded.
-	Len int `json:"len"`
+	Len int
 	// CRC is the CRC32C of the payload, so a demand-fetched unit is
 	// verified end to end before installation.
-	CRC uint32 `json:"crc"`
+	CRC uint32
 }
 
 // TOC returns the per-unit offset table of the planned stream.
@@ -232,47 +231,6 @@ func (w *Writer) TOC() []UnitInfo {
 		off += int64(len(u.data))
 	}
 	return toc
-}
-
-// MarshalTOC serializes a unit table for transport (the serve command
-// publishes it next to the stream).
-func MarshalTOC(toc []UnitInfo) ([]byte, error) { return json.Marshal(toc) }
-
-// ParseTOC inverts MarshalTOC and validates the table's geometry. The
-// demand-fetch path turns every entry into a byte-range request and
-// installs the reply, so a hostile or damaged table must not be trusted
-// blindly: entries must describe contiguous, in-bounds, monotonically
-// increasing unit ranges exactly as the writer lays them out, with
-// well-formed kind, class, and body fields.
-func ParseTOC(data []byte) ([]UnitInfo, error) {
-	var toc []UnitInfo
-	if err := json.Unmarshal(data, &toc); err != nil {
-		return nil, fmt.Errorf("stream: bad unit table: %w", err)
-	}
-	next := int64(streamHeaderSize + headerSize)
-	for i, u := range toc {
-		switch {
-		case u.Kind != KindGlobal && u.Kind != KindBody:
-			return nil, fmt.Errorf("stream: unit table entry %d: unknown kind %d", i, u.Kind)
-		case u.Class < 0 || u.Class > MaxClasses:
-			return nil, fmt.Errorf("stream: unit table entry %d: class index %d out of range", i, u.Class)
-		case u.Kind == KindGlobal && u.Body != -1:
-			return nil, fmt.Errorf("stream: unit table entry %d: global unit with body index %d", i, u.Body)
-		case u.Kind == KindBody && u.Body < 0:
-			return nil, fmt.Errorf("stream: unit table entry %d: body unit with body index %d", i, u.Body)
-		case u.Len <= 0 || u.Len > maxUnitSize:
-			return nil, fmt.Errorf("stream: unit table entry %d: payload length %d out of range", i, u.Len)
-		case u.Off != next:
-			// Catches overlapping, out-of-bounds, and non-monotonic
-			// ranges at once: the writer emits units back to back, so
-			// each payload must start exactly one header past the end of
-			// the previous payload.
-			return nil, fmt.Errorf("stream: unit table entry %d: payload at offset %d, want %d (overlapping, out-of-bounds, or non-monotonic range)",
-				i, u.Off, next)
-		}
-		next = u.Off + int64(u.Len) + headerSize
-	}
-	return toc, nil
 }
 
 // ErrBadStream wraps framing and consistency failures.
