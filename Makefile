@@ -19,6 +19,10 @@ lint:
 	$(GO) vet ./...
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed on:" >&2; echo "$$out" >&2; exit 1; fi
+	@# The serving path must not depend on the paper-table harness: a
+	@# cold build once ran the whole evaluation because it did.
+	@if $(GO) list -deps ./internal/server ./internal/cluster ./internal/live | grep -qx nonstrict/internal/experiments; then \
+		echo "internal/server, internal/cluster or internal/live depends on internal/experiments" >&2; exit 1; fi
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; else \
 		echo "staticcheck not installed; skipping (CI runs it)"; fi

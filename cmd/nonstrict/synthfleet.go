@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"flag"
 	"fmt"
@@ -11,11 +10,8 @@ import (
 	"strings"
 	"time"
 
-	"nonstrict/internal/cfg"
 	"nonstrict/internal/fleet"
-	"nonstrict/internal/jir"
-	"nonstrict/internal/reorder"
-	"nonstrict/internal/restructure"
+	"nonstrict/internal/pipeline"
 	"nonstrict/internal/stream"
 	"nonstrict/internal/synth"
 )
@@ -53,31 +49,14 @@ func cmdSynth(args []string, out io.Writer) error {
 		"app", "classes", "methods", "exec", "code B", "stream B", "units", "instr")
 	for i, app := range apps {
 		info := infos[i]
-		prog, err := jir.Compile(app.IR)
+		st, err := pipeline.Build(context.Background(), app, pipeline.OrderStatic)
 		if err != nil {
-			return err
-		}
-		ix := prog.IndexMethods()
-		graphs, err := cfg.BuildAll(ix)
-		if err != nil {
-			return err
-		}
-		o, err := reorder.Static(ix, graphs)
-		if err != nil {
-			return err
-		}
-		w, err := stream.NewWriter(restructure.Apply(prog, ix, o), ix, o)
-		if err != nil {
-			return err
-		}
-		var buf bytes.Buffer
-		if _, err := w.WriteTo(&buf); err != nil {
 			return err
 		}
 		fmt.Fprintf(out, "%-16s %7d %7d %4d/%-5d %10d %10d %10d %6d\n",
 			info.Name, info.Classes, info.Methods,
 			info.ExecutedTrain, info.ExecutedTest,
-			info.CodeBytes, buf.Len(), w.Units(), info.TestInstrs)
+			info.CodeBytes, len(st.Data), len(st.Units), info.TestInstrs)
 	}
 	fmt.Fprintf(out, "\n%d apps generated from seed %d; self-checks ran at generation time\n", len(apps), *seed)
 	return nil

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"net"
@@ -16,7 +17,7 @@ import (
 	"time"
 
 	"nonstrict"
-	"nonstrict/internal/jir"
+	"nonstrict/internal/pipeline"
 	"nonstrict/internal/stream"
 )
 
@@ -53,25 +54,17 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	prog, err := jir.Compile(app.IR)
+	st, err := pipeline.Build(context.Background(), app, pipeline.OrderStatic)
 	if err != nil {
 		log.Fatal(err)
 	}
-	order, ix, err := nonstrict.PredictStatic(prog)
-	if err != nil {
-		log.Fatal(err)
-	}
-	rp, _ := nonstrict.Restructure(prog, ix, order)
-	writer, err := stream.NewWriter(rp, ix, order)
-	if err != nil {
-		log.Fatal(err)
-	}
+	rp := st.Program
 
 	// Server: the interleaved virtual file at ~8 KB/s.
 	mux := http.NewServeMux()
 	mux.HandleFunc("/app", func(w http.ResponseWriter, req *http.Request) {
 		fl, _ := w.(http.Flusher)
-		if _, err := writer.WriteTo(&throttleWriter{w: w, fl: fl, rate: 8 * 1024}); err != nil {
+		if _, err := (&throttleWriter{w: w, fl: fl, rate: 8 * 1024}).Write(st.Data); err != nil {
 			log.Printf("serve: %v", err)
 		}
 	})
@@ -123,7 +116,7 @@ func main() {
 	}
 
 	fmt.Printf("streamed %d classes (%d units, %d bytes) over HTTP in %v\n",
-		len(rp.Classes), writer.Units(), loader.Consumed(), total.Round(time.Millisecond))
+		len(rp.Classes), len(st.Units), loader.Consumed(), total.Round(time.Millisecond))
 	fmt.Printf("program verified incrementally, executed %d instructions, self-check ok\n\n", m.Steps())
 	fmt.Printf("%-22s %12s %14s %10s\n", "method", "non-strict", "strict (file)", "earlier")
 	for i, a := range ready {

@@ -90,16 +90,46 @@ func All() []*App {
 	return out
 }
 
+// Names returns the names All would construct, in the same order, without
+// constructing anything.
+func Names() []string {
+	mu.RLock()
+	defer mu.RUnlock()
+	var out []string
+	for _, name := range tableOrder {
+		if _, ok := builders[name]; ok {
+			out = append(out, name)
+		}
+	}
+	return out
+}
+
+// Check returns nil if ByName would resolve name and ByName's error if
+// not, without constructing the app — building an IR to validate a name
+// costs milliseconds and megabytes.
+func Check(name string) error {
+	_, err := builder(name)
+	return err
+}
+
 // ByName returns the named benchmark (case-sensitive, as in Table 1) or
 // registered synthetic app.
 func ByName(name string) (*App, error) {
+	f, err := builder(name)
+	if err != nil {
+		return nil, err
+	}
+	return f(), nil
+}
+
+func builder(name string) (func() *App, error) {
 	mu.RLock()
 	f, ok := builders[name]
 	mu.RUnlock()
-	if ok {
-		return f(), nil
+	if !ok {
+		return nil, fmt.Errorf("apps: unknown benchmark %q", name)
 	}
-	return nil, fmt.Errorf("apps: unknown benchmark %q", name)
+	return f, nil
 }
 
 // checkGlobal compares one global field against an expected value.

@@ -1,6 +1,7 @@
 package apps
 
 import (
+	"fmt"
 	"testing"
 
 	"nonstrict/internal/jir"
@@ -86,5 +87,44 @@ func TestAppDeterminism(t *testing.T) {
 func TestByNameUnknown(t *testing.T) {
 	if _, err := ByName("NotAnApp"); err == nil {
 		t.Error("unknown app accepted")
+	}
+}
+
+// countedRuns makes the name TestNamesAndCheckConstructNothing registers
+// unique per run: the registry is process-global and has no removal.
+var countedRuns int
+
+// TestNamesAndCheckConstructNothing: Names lists what All constructs,
+// Check answers what ByName resolves — registered non-paper apps included
+// — and neither runs a builder.
+func TestNamesAndCheckConstructNothing(t *testing.T) {
+	built := 0
+	countedRuns++
+	name := fmt.Sprintf("apps-test-counted-%d", countedRuns)
+	if err := Register(name, func() *App { built++; return &App{Name: name} }); err != nil {
+		t.Fatal(err)
+	}
+	var all []string
+	for _, a := range All() {
+		all = append(all, a.Name)
+	}
+	names := Names()
+	if len(names) != len(all) {
+		t.Fatalf("Names() = %v, All() constructs %v", names, all)
+	}
+	for i := range all {
+		if names[i] != all[i] {
+			t.Fatalf("Names() = %v, All() constructs %v", names, all)
+		}
+		if err := Check(all[i]); err != nil {
+			t.Errorf("Check(%q) = %v", all[i], err)
+		}
+	}
+	if err := Check(name); err != nil || built != 0 {
+		t.Errorf("Check(%q) = %v after %d constructions, want nil after 0", name, err, built)
+	}
+	_, want := ByName("NoSuchApp")
+	if err := Check("NoSuchApp"); err == nil || err.Error() != want.Error() {
+		t.Errorf("Check's error %v is not ByName's %v", err, want)
 	}
 }

@@ -1,7 +1,7 @@
 package check
 
 import (
-	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"strings"
@@ -9,11 +9,8 @@ import (
 	"time"
 
 	"nonstrict/internal/apps"
-	"nonstrict/internal/cfg"
 	"nonstrict/internal/classfile"
-	"nonstrict/internal/jir"
-	"nonstrict/internal/reorder"
-	"nonstrict/internal/restructure"
+	"nonstrict/internal/pipeline"
 	"nonstrict/internal/stream"
 	"nonstrict/internal/synth"
 )
@@ -197,30 +194,12 @@ func buildFixture() (*loaderFixture, error) {
 	if err != nil {
 		return nil, fmt.Errorf("check: generating fixture app: %w", err)
 	}
-	prog, err := jir.Compile(app.IR)
+	st, err := pipeline.Build(context.Background(), app, pipeline.OrderStatic)
 	if err != nil {
-		return nil, fmt.Errorf("check: compiling fixture app: %w", err)
-	}
-	ix := prog.IndexMethods()
-	graphs, err := cfg.BuildAll(ix)
-	if err != nil {
-		return nil, err
-	}
-	ord, err := reorder.Static(ix, graphs)
-	if err != nil {
-		return nil, err
-	}
-	rp := restructure.Apply(prog, ix, ord)
-	w, err := stream.NewWriter(rp, ix, ord)
-	if err != nil {
-		return nil, err
-	}
-	var buf bytes.Buffer
-	if _, err := w.WriteTo(&buf); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("check: building fixture stream: %w", err)
 	}
 	fx := &loaderFixture{
-		app: app, rp: rp, data: buf.Bytes(), toc: w.TOC(),
+		app: app, rp: st.Program, data: st.Data, toc: st.Units,
 		className: make(map[int]string),
 		bodies:    make(map[int]int),
 		unitHdr:   stream.UnitHeaderSize,

@@ -20,7 +20,7 @@ import (
 	"nonstrict/internal/cfg"
 	"nonstrict/internal/classfile"
 	"nonstrict/internal/datapart"
-	"nonstrict/internal/jir"
+	"nonstrict/internal/pipeline"
 	"nonstrict/internal/reorder"
 	"nonstrict/internal/restructure"
 	"nonstrict/internal/sim"
@@ -100,60 +100,38 @@ func Load(app *apps.App) (*Bench, error) {
 	return LoadCtx(context.Background(), app)
 }
 
-// LoadCtx is Load with cancellation: the pipeline checks ctx between its
-// stages (compile, profile runs, per-order preparation) and abandons the
-// load once ctx is done.
+// LoadCtx is Load with cancellation: every pipeline stage checks ctx
+// before it starts and abandons the load once ctx is done.
+//
+// The stages are the serving path's (pipeline.Build), so a served stream
+// and a paper table derive an order from one definition. What the
+// evaluation adds on top: the second profiled run, the segment trace of
+// the test run, and the partition and layouts of each predictor's
+// restructured program.
 func LoadCtx(ctx context.Context, app *apps.App) (*Bench, error) {
-	if err := ctx.Err(); err != nil {
+	r, err := pipeline.Compile(ctx, app)
+	if err != nil {
 		return nil, err
 	}
-	prog, err := jir.Compile(app.IR)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: %s: %w", app.Name, err)
-	}
-	ln, err := vm.Link(prog)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: %s: %w", app.Name, err)
-	}
-	ix := ln.Index()
-
-	if err := ctx.Err(); err != nil {
+	if err := r.Link(ctx); err != nil {
 		return nil, err
 	}
-	testM, err := ln.Run(vm.Options{Args: app.Args(false), Trace: true})
+	testM, err := r.Profile(ctx, false, true)
 	if err != nil {
-		return nil, fmt.Errorf("experiments: %s test run: %w", app.Name, err)
-	}
-	if err := app.Check(testM, false); err != nil {
-		return nil, fmt.Errorf("experiments: %s test self-check: %w", app.Name, err)
-	}
-	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	trainM, err := ln.Run(vm.Options{Args: app.Args(true)})
+	trainM, err := r.Profile(ctx, true, false)
 	if err != nil {
-		return nil, fmt.Errorf("experiments: %s train run: %w", app.Name, err)
+		return nil, err
 	}
-	if err := app.Check(trainM, true); err != nil {
-		return nil, fmt.Errorf("experiments: %s train self-check: %w", app.Name, err)
+	if err := r.Static(ctx); err != nil {
+		return nil, err
 	}
-
-	graphs, err := cfg.BuildAll(ix)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: %s: %w", app.Name, err)
-	}
-	scg, err := reorder.Static(ix, graphs)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: %s: %w", app.Name, err)
-	}
-	trainOrd := reorder.FromProfile(ix, trainM.Profile().FirstUse, scg)
-	testOrd := reorder.FromProfile(ix, testM.Profile().FirstUse, scg)
-
 	b := &Bench{
 		App:          app,
-		Prog:         prog,
-		Ix:           ix,
-		Graphs:       graphs,
+		Prog:         r.Prog,
+		Ix:           r.Ix,
+		Graphs:       r.Graphs,
 		TestProfile:  testM.Profile(),
 		TrainProfile: trainM.Profile(),
 		TestTrace:    testM.Trace(),
@@ -161,29 +139,35 @@ func LoadCtx(ctx context.Context, app *apps.App) (*Bench, error) {
 		TrainMachine: trainM,
 		byOrder:      make(map[OrderKind]*prepared, 3),
 	}
-	for kind, ord := range map[OrderKind]*reorder.Order{SCG: scg, Train: trainOrd, Test: testOrd} {
-		if err := ctx.Err(); err != nil {
+	for kind, prof := range []*vm.Profile{SCG: nil, Train: b.TrainProfile, Test: b.TestProfile} {
+		ord, err := r.Order(ctx, prof)
+		if err != nil {
 			return nil, err
 		}
-		if err := ord.Validate(ix); err != nil {
-			return nil, fmt.Errorf("experiments: %s %v order: %w", app.Name, kind, err)
-		}
-		rp := restructure.Apply(prog, ix, ord)
-		part, err := datapart.Compute(rp)
+		rp, err := r.Restructure(ctx, ord)
 		if err != nil {
-			return nil, fmt.Errorf("experiments: %s %v partition: %w", app.Name, kind, err)
+			return nil, err
 		}
-		if err := part.Check(rp); err != nil {
-			return nil, fmt.Errorf("experiments: %s %v partition: %w", app.Name, kind, err)
+		p, err := prepare(ord, rp)
+		if err != nil {
+			return nil, fmt.Errorf("experiments: %s %v: %w", app.Name, OrderKind(kind), err)
 		}
-		b.byOrder[kind] = &prepared{
-			order: ord,
-			prog:  rp,
-			lay:   restructure.ComputeLayouts(rp),
-			part:  part,
-		}
+		b.byOrder[OrderKind(kind)] = p
 	}
 	return b, nil
+}
+
+// prepare derives what the transfer engines need from a restructured
+// program: its data partition (checked) and stream layouts.
+func prepare(ord *reorder.Order, rp *classfile.Program) (*prepared, error) {
+	part, err := datapart.Compute(rp)
+	if err != nil {
+		return nil, fmt.Errorf("partition: %w", err)
+	}
+	if err := part.Check(rp); err != nil {
+		return nil, fmt.Errorf("partition: %w", err)
+	}
+	return &prepared{order: ord, prog: rp, lay: restructure.ComputeLayouts(rp), part: part}, nil
 }
 
 // Prepared exposes the restructured artifacts for one predictor.
@@ -246,15 +230,11 @@ func (b *Bench) prepareOrder(ord *reorder.Order) (*prepared, error) {
 	if err := ord.Validate(b.Ix); err != nil {
 		return nil, fmt.Errorf("experiments: %s: %w", b.App.Name, err)
 	}
-	rp := restructure.Apply(b.Prog, b.Ix, ord)
-	part, err := datapart.Compute(rp)
+	p, err := prepare(ord, restructure.Apply(b.Prog, b.Ix, ord))
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %s: %w", b.App.Name, err)
 	}
-	if err := part.Check(rp); err != nil {
-		return nil, fmt.Errorf("experiments: %s: %w", b.App.Name, err)
-	}
-	return &prepared{order: ord, prog: rp, lay: restructure.ComputeLayouts(rp), part: part}, nil
+	return p, nil
 }
 
 // SimulateOrder runs one configuration under an explicit first-use order

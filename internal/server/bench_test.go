@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -116,6 +117,23 @@ func BenchmarkColdServe(b *testing.B) {
 		b.StartTimer()
 		n, _ := fetchStream(b, ts.URL+"/apps/"+benchApp+"/app", end)
 		b.SetBytes(n)
+	}
+}
+
+// BenchmarkBuild is the cold build alone, per order policy: no HTTP, no
+// cache, one app.
+func BenchmarkBuild(b *testing.B) {
+	for _, order := range allOrders {
+		b.Run(order, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				art, err := Build(context.Background(), Key{App: benchApp, Order: order})
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.SetBytes(int64(len(art.Data)))
+			}
+		})
 	}
 }
 

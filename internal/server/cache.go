@@ -9,6 +9,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"nonstrict/internal/pipeline"
 )
 
 // DefaultCacheBytes is the artifact cache's byte budget when Config
@@ -44,8 +46,12 @@ type Artifact struct {
 	// Units is the stream's unit count.
 	Units int
 	// BuildTime is how long the compile → predict → restructure →
-	// serialize pipeline took for this artifact.
+	// serialize pipeline took for this artifact: the sum of Stages.
 	BuildTime time.Duration
+	// Stages splits BuildTime by pipeline stage. It describes the build
+	// that ran in this process and is not persisted: an artifact reloaded
+	// from a store or filled from a peer carries zeros.
+	Stages pipeline.Durations
 	// PeerFilled marks an artifact whose bytes were transferred from a
 	// cluster peer instead of produced by the local build pipeline. The
 	// cache counts such flights under PeerFills, never Builds, so the
@@ -150,6 +156,7 @@ type Cache struct {
 	peerFills                       atomic.Int64
 	buildErrors                     atomic.Int64
 	buildNanos                      atomic.Int64
+	stageNanos                      [pipeline.NumStages]atomic.Int64
 	shed                            atomic.Int64
 	storeHits, storeMisses          atomic.Int64
 }
@@ -340,6 +347,10 @@ func (c *Cache) runBuild(k Key, f *flight, br *Breaker) {
 			c.buildNanos.Add(int64(time.Since(start)))
 			if f.err != nil {
 				c.buildErrors.Add(1)
+			} else {
+				for s, d := range f.art.Stages {
+					c.stageNanos[s].Add(int64(d))
+				}
 			}
 		}
 		if br != nil {
@@ -411,6 +422,19 @@ func (c *Cache) insertLocked(k Key, art *Artifact) {
 		c.bytes -= e.art.size()
 		c.evictions.Add(1)
 	}
+}
+
+// BuildStages splits Stats().BuildSeconds by pipeline stage, as far as the
+// published artifacts say (Artifact.Stages). The sum stays below
+// BuildSeconds: that also covers failed builds, builds whose artifact
+// carries no stage times, and the work around the stages (constructing
+// the app, hashing, the store probe and write-back).
+func (c *Cache) BuildStages() pipeline.Durations {
+	var d pipeline.Durations
+	for s := range d {
+		d[s] = time.Duration(c.stageNanos[s].Load())
+	}
+	return d
 }
 
 // Stats snapshots the cache counters.

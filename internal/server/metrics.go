@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"nonstrict/internal/pipeline"
 	"nonstrict/internal/stream"
 )
 
@@ -78,6 +79,9 @@ func (m *Metrics) handler() http.Handler {
 		counter("nonstrict_http_not_modified_total", "Conditional requests answered 304 from a matching ETag.", m.notModified.Load())
 		counter("nonstrict_bytes_served_total", "Response body bytes written, faults included.", m.bytesServed.Load())
 		gauge("nonstrict_active_streams", "In-flight responses.", m.activeStreams.Load())
+		// Stages before the total: a build adds its wall-clock time first,
+		// so a scrape never shows the stages summing past the total.
+		stages := m.cache.BuildStages()
 		cs := m.cache.Stats()
 		counter("nonstrict_cache_hits_total", "Requests answered from a resident artifact (zero pipeline work).", cs.Hits)
 		counter("nonstrict_cache_misses_total", "Requests that found no resident artifact.", cs.Misses)
@@ -86,6 +90,10 @@ func (m *Metrics) handler() http.Handler {
 		counter("nonstrict_cache_evictions_total", "Artifacts evicted to fit the byte budget.", cs.Evictions)
 		counter("nonstrict_cache_build_errors_total", "Builds that failed (error or panic) and published no artifact.", cs.BuildErrors)
 		fmt.Fprintf(&b, "# HELP nonstrict_cache_build_seconds_total Wall-clock seconds spent building artifacts.\n# TYPE nonstrict_cache_build_seconds_total counter\nnonstrict_cache_build_seconds_total %g\n", cs.BuildSeconds)
+		fmt.Fprintf(&b, "# HELP nonstrict_build_stage_seconds_total The part of nonstrict_cache_build_seconds_total spent inside each pipeline stage.\n# TYPE nonstrict_build_stage_seconds_total counter\n")
+		for s, d := range stages {
+			fmt.Fprintf(&b, "nonstrict_build_stage_seconds_total{stage=%q} %g\n", pipeline.Stage(s), d.Seconds())
+		}
 		counter("nonstrict_cache_shed_total", "Requests refused by admission control (queue bound or open breaker).", cs.Shed)
 		counter("nonstrict_cache_breaker_trips_total", "Circuit-breaker trips across all keys.", cs.BreakerTrips)
 		counter("nonstrict_store_hits_total", "Cache misses satisfied from the persistent artifact store (no build).", cs.StoreHits)

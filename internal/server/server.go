@@ -29,12 +29,7 @@ import (
 	"time"
 
 	"nonstrict/internal/apps"
-	"nonstrict/internal/cfg"
-	"nonstrict/internal/classfile"
-	"nonstrict/internal/experiments"
-	"nonstrict/internal/jir"
-	"nonstrict/internal/reorder"
-	"nonstrict/internal/restructure"
+	"nonstrict/internal/pipeline"
 	"nonstrict/internal/stream"
 )
 
@@ -43,12 +38,13 @@ import (
 const (
 	// OrderStatic is the §4.1 static call-graph first-use prediction:
 	// computable from the program alone, no profiling run.
-	OrderStatic = "scg"
+	OrderStatic = pipeline.OrderStatic
 	// OrderTrain and OrderTest are the §4.2 profile-guided predictions;
-	// building them executes the benchmark on the corresponding input,
-	// which is exactly the kind of cost the cache exists to pay once.
-	OrderTrain = "train"
-	OrderTest  = "test"
+	// building one executes the benchmark once on the corresponding
+	// input, which is exactly the kind of cost the cache exists to pay
+	// once.
+	OrderTrain = pipeline.OrderTrain
+	OrderTest  = pipeline.OrderTest
 )
 
 // Config configures one code server.
@@ -114,9 +110,7 @@ func New(c Config) (*Server, error) {
 	}
 	names := c.Apps
 	if names == nil {
-		for _, a := range apps.All() {
-			names = append(names, a.Name)
-		}
+		names = apps.Names()
 	}
 	s := &Server{
 		order:   c.Order,
@@ -125,13 +119,13 @@ func New(c Config) (*Server, error) {
 		mounted: make(map[string]bool, len(names)),
 	}
 	for _, n := range names {
-		if _, err := apps.ByName(n); err != nil {
+		if err := apps.Check(n); err != nil {
 			return nil, err
 		}
 		s.mounted[n] = true
 	}
 	if c.DefaultApp != "" && !s.mounted[c.DefaultApp] {
-		if _, err := apps.ByName(c.DefaultApp); err != nil {
+		if err := apps.Check(c.DefaultApp); err != nil {
 			return nil, err
 		}
 		s.apps = append(s.apps, c.DefaultApp)
@@ -358,73 +352,28 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(out)
 }
 
-// Build runs the full artifact pipeline for one key: compile the app,
-// predict its first-use order under the key's policy, restructure,
-// serialize the interleaved stream, and precompute the marshaled unit
-// table and content-addressed validators. This is the expensive function
-// the cache exists to run exactly once per key.
+// Build runs the artifact pipeline for one key — pipeline.Build's stages
+// for the key's order policy — and derives the content-addressed
+// validators. This is the expensive function the cache exists to run
+// exactly once per key.
 func Build(ctx context.Context, k Key) (*Artifact, error) {
 	app, err := apps.ByName(k.App)
 	if err != nil {
 		return nil, err
 	}
-	start := time.Now()
-	var (
-		rp *classfile.Program
-		ix *classfile.Index
-		o  *reorder.Order
-	)
-	switch k.Order {
-	case OrderStatic:
-		prog, err := jir.Compile(app.IR)
-		if err != nil {
-			return nil, err
-		}
-		ix = prog.IndexMethods()
-		graphs, err := cfg.BuildAll(ix)
-		if err != nil {
-			return nil, err
-		}
-		if o, err = reorder.Static(ix, graphs); err != nil {
-			return nil, err
-		}
-		rp = restructure.Apply(prog, ix, o)
-	case OrderTrain, OrderTest:
-		b, err := experiments.LoadCtx(ctx, app)
-		if err != nil {
-			return nil, err
-		}
-		kind := experiments.Train
-		if k.Order == OrderTest {
-			kind = experiments.Test
-		}
-		ord, prepared, _, _ := b.Prepared(kind)
-		o, rp, ix = ord, prepared, b.Ix
-	default:
-		return nil, fmt.Errorf("server: unknown order policy %q", k.Order)
-	}
-	w, err := stream.NewWriter(rp, ix, o)
+	st, err := pipeline.Build(ctx, app, k.Order)
 	if err != nil {
 		return nil, err
 	}
-	var buf bytes.Buffer
-	buf.Grow(int(w.Size()))
-	if _, err := w.WriteTo(&buf); err != nil {
-		return nil, err
-	}
-	toc, err := stream.MarshalTOC(w.TOC())
-	if err != nil {
-		return nil, err
-	}
-	data := buf.Bytes()
 	return &Artifact{
 		Key:       k,
-		Data:      data,
-		TOC:       toc,
-		ETag:      etagFor(data),
-		TOCETag:   etagFor(toc),
-		Units:     w.Units(),
-		BuildTime: time.Since(start),
+		Data:      st.Data,
+		TOC:       st.TOC,
+		ETag:      etagFor(st.Data),
+		TOCETag:   etagFor(st.TOC),
+		Units:     len(st.Units),
+		BuildTime: st.Stages.Total(),
+		Stages:    st.Stages,
 	}, nil
 }
 

@@ -6,64 +6,11 @@ import (
 	"encoding/json"
 	"hash/crc32"
 	"math"
-	"reflect"
 	"strings"
-	"sync"
 	"testing"
 
-	"nonstrict/internal/apps"
 	"nonstrict/internal/classfile"
-	"nonstrict/internal/experiments"
-	"nonstrict/internal/synth"
 )
-
-// realTable is the unit table of one real stream plan.
-type realTable struct {
-	name   string // "Jess/Train"
-	paper  bool   // one of the six paper apps, not a synthetic one
-	order  experiments.OrderKind
-	toc    []UnitInfo
-	stream int64 // the stream's size in bytes
-}
-
-// realTables returns Writer.TOC() for the six paper apps under each of
-// the three predictors, then a seeded synthetic suite under SCG.
-var realTables = sync.OnceValues(func() ([]realTable, error) {
-	suite, _, err := synth.Suite(7, 4, synth.Params{})
-	if err != nil {
-		return nil, err
-	}
-	var out []realTable
-	paper := apps.All()
-	for i, app := range append(paper, suite...) {
-		b, err := experiments.Load(app)
-		if err != nil {
-			return nil, err
-		}
-		kinds := []experiments.OrderKind{experiments.SCG, experiments.Train, experiments.Test}
-		if i >= len(paper) {
-			kinds = kinds[:1]
-		}
-		for _, k := range kinds {
-			o, rp, _, _ := b.Prepared(k)
-			w, err := NewWriter(rp, b.Ix, o)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, realTable{app.Name + "/" + k.String(), i < len(paper), k, w.TOC(), w.Size()})
-		}
-	}
-	return out, nil
-})
-
-func mustTables(t testing.TB) []realTable {
-	t.Helper()
-	tables, err := realTables()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return tables
-}
 
 func mustMarshal(t testing.TB, toc []UnitInfo) []byte {
 	t.Helper()
@@ -72,62 +19,6 @@ func mustMarshal(t testing.TB, toc []UnitInfo) []byte {
 		t.Fatal(err)
 	}
 	return data
-}
-
-// TestParseTOCRoundTrip: ParseTOC(MarshalTOC(t)) is t for every real table —
-// which includes the offsets, stored nowhere and rebuilt from lengths.
-func TestParseTOCRoundTrip(t *testing.T) {
-	for _, rt := range mustTables(t) {
-		got, err := ParseTOC(mustMarshal(t, rt.toc))
-		if err != nil {
-			t.Fatalf("%s: %v", rt.name, err)
-		}
-		if !reflect.DeepEqual(got, rt.toc) {
-			t.Errorf("%s: parsed table differs from Writer.TOC()", rt.name)
-		}
-		if last := got[len(got)-1]; last.Off+int64(last.Len) != rt.stream {
-			t.Errorf("%s: table ends at %d, stream at %d", rt.name, last.Off+int64(last.Len), rt.stream)
-		}
-	}
-}
-
-// TestTOCSizeBudget pins what the encoding is for: the table is fetched
-// strictly before the stream, so it must stay a small fraction of it.
-func TestTOCSizeBudget(t *testing.T) {
-	for _, k := range []experiments.OrderKind{experiments.SCG, experiments.Train, experiments.Test} {
-		var table, stream int64
-		for _, rt := range mustTables(t) {
-			if rt.paper && rt.order == k {
-				table += int64(len(mustMarshal(t, rt.toc)))
-				stream += rt.stream
-			}
-		}
-		if ratio := float64(table) / float64(stream); ratio > 0.06 {
-			t.Errorf("%v: %d table bytes for %d stream bytes = %.3f, budget 0.06", k, table, stream, ratio)
-		}
-	}
-}
-
-// TestParseTOCAllocs pins the parse cost the way TestDiscardNZeroAlloc
-// pins the copy path: constant in the unit count.
-func TestParseTOCAllocs(t *testing.T) {
-	for _, rt := range mustTables(t) {
-		if rt.name != "Jess/SCG" {
-			continue
-		}
-		data := mustMarshal(t, rt.toc)
-		allocs := testing.AllocsPerRun(20, func() {
-			if _, err := ParseTOC(data); err != nil {
-				t.Fatal(err)
-			}
-		})
-		t.Logf("ParseTOC: %d units, %d table bytes, %.0f allocations", len(rt.toc), len(data), allocs)
-		if allocs > 8 {
-			t.Errorf("ParseTOC of %d units: %.0f allocations, budget 8", len(rt.toc), allocs)
-		}
-		return
-	}
-	t.Fatal("no Jess/SCG table")
 }
 
 // Hand encoders for hostile tables: MarshalTOC refuses to write them.
@@ -168,7 +59,8 @@ func sealTOC(b []byte) []byte {
 // three carries a valid table checksum, so it is the structural check
 // that has to catch it.
 func TestParseTOCRejectsBadGeometry(t *testing.T) {
-	good := mustTables(t)[0].toc
+	_, _, _, w := plan(t, "BIT")
+	good := w.TOC()
 	if good[0].Kind != KindGlobal || good[1].Kind != KindBody || len(good) < 3 {
 		t.Fatal("expected a global unit, then a body unit, then more")
 	}
@@ -288,7 +180,8 @@ func TestParseTOCRejectsBadGeometry(t *testing.T) {
 // bare prefix must be rejected; so must a prefix re-sealed with a valid
 // checksum, which the structural checks alone have to catch.
 func TestParseTOCTruncation(t *testing.T) {
-	good := mustMarshal(t, mustTables(t)[0].toc)
+	_, _, _, w := plan(t, "BIT")
+	good := mustMarshal(t, w.TOC())
 	if _, err := ParseTOC(good); err != nil {
 		t.Fatal(err)
 	}

@@ -45,12 +45,12 @@ import (
 	"io"
 
 	"nonstrict/internal/apps"
-	"nonstrict/internal/cfg"
 	"nonstrict/internal/classfile"
 	"nonstrict/internal/datapart"
 	"nonstrict/internal/experiments"
 	"nonstrict/internal/live"
 	"nonstrict/internal/obs"
+	"nonstrict/internal/pipeline"
 	"nonstrict/internal/reorder"
 	"nonstrict/internal/restructure"
 	"nonstrict/internal/sim"
@@ -198,11 +198,7 @@ func Verify(p *Program) error { return verify.VerifyProgram(p) }
 // PredictStatic computes the static call-graph first-use order (§4.1).
 func PredictStatic(p *Program) (*Order, *Index, error) {
 	ix := p.IndexMethods()
-	graphs, err := cfg.BuildAll(ix)
-	if err != nil {
-		return nil, nil, err
-	}
-	o, err := reorder.Static(ix, graphs)
+	_, o, err := pipeline.Static(ix)
 	if err != nil {
 		return nil, nil, err
 	}
