@@ -17,6 +17,8 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sort"
+
+	"nonstrict/internal/xrand"
 )
 
 // DefaultVNodes is the virtual-node count per physical node when a
@@ -78,7 +80,7 @@ func NewRing(names []string, vnodes int, seed uint64) (*Ring, error) {
 }
 
 // hash maps a string to a ring position: FNV-64a over the seed and the
-// bytes, then a splitmix64 finalizer so nearby inputs (node#0, node#1)
+// bytes, then the splitmix64 finalizer so nearby inputs (node#0, node#1)
 // land far apart.
 func (r *Ring) hash(s string) uint64 {
 	h := fnv.New64a()
@@ -86,13 +88,7 @@ func (r *Ring) hash(s string) uint64 {
 	binary.LittleEndian.PutUint64(seed[:], r.seed)
 	h.Write(seed[:])
 	h.Write([]byte(s))
-	x := h.Sum64()
-	x ^= x >> 30
-	x *= 0xBF58476D1CE4E5B9
-	x ^= x >> 27
-	x *= 0x94D049BB133111EB
-	x ^= x >> 31
-	return x
+	return xrand.Mix64(h.Sum64())
 }
 
 // Nodes returns the member names in sorted order.

@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"net"
@@ -9,14 +8,14 @@ import (
 	"sync"
 	"time"
 
-	"nonstrict/internal/classfile"
+	"nonstrict/internal/live"
 	"nonstrict/internal/stream"
 	"nonstrict/internal/xrand"
 )
 
-// client is one simulated mobile user: a real HTTP client over a shaped
-// in-process connection, streaming the app through a real verifying
-// loader while replaying the app's need trace.
+// client is one simulated mobile user: the shipping client session
+// (live.Session) over a shaped in-process connection, with the app's
+// need trace replayed through the session's gate where the VM would be.
 type client struct {
 	id    int
 	seed  uint64
@@ -24,16 +23,6 @@ type client struct {
 	link  stream.LinkClass
 	model *appModel
 	dial  func(context.Context) (net.Conn, error)
-
-	fc  *stream.FetchClient
-	toc []stream.UnitInfo
-
-	mu          sync.Mutex
-	cond        *sync.Cond
-	classReady  map[string]bool
-	methodReady map[classfile.Ref]bool
-	streamErr   error
-	done        bool
 }
 
 // clientResult is what one client contributes to the aggregate.
@@ -52,10 +41,8 @@ type clientResult struct {
 // run executes the client's whole session. Every error path degrades to
 // a counted failure — one wedged client must never take the fleet down.
 func (c *client) run(ctx context.Context) *clientResult {
-	res := &clientResult{}
 	fail := func(err error) *clientResult {
-		res.failed, res.err = true, err
-		return res
+		return &clientResult{failed: true, err: fmt.Errorf("fleet client %d: %w", c.id, err)}
 	}
 
 	// One transport per client: its connections are shaped with the
@@ -78,270 +65,56 @@ func (c *client) run(ctx context.Context) *clientResult {
 		MaxIdleConnsPerHost: 2,
 	}
 	defer tr.CloseIdleConnections()
-	c.fc = &stream.FetchClient{
-		HTTP:       &http.Client{Transport: tr},
-		JitterSeed: c.seed ^ 0xF7,
-	}
-	c.cond = sync.NewCond(&c.mu)
-	c.classReady = make(map[string]bool)
-	c.methodReady = make(map[classfile.Ref]bool)
-
-	base := "http://fleet/apps/" + c.model.name
-	start := time.Now()
 
 	// The session opens like a real one: unit table first, then the
-	// interleaved stream.
-	var tocBuf bytes.Buffer
-	if _, err := c.fc.Fetch(ctx, base+"/app.toc", &tocBuf); err != nil {
-		return fail(fmt.Errorf("fleet client %d: toc: %w", c.id, err))
-	}
-	toc, err := stream.ParseTOC(tocBuf.Bytes())
+	// interleaved stream. The client's clock starts before both.
+	base := "http://fleet/apps/" + c.model.name
+	start := time.Now()
+	s, err := live.Open(ctx, live.Options{
+		URL:         base + "/app",
+		TOCURL:      base + "/app.toc",
+		Name:        c.model.name,
+		MainClass:   c.model.mainClass,
+		Client:      &stream.FetchClient{HTTP: &http.Client{Transport: tr}, JitterSeed: c.seed ^ 0xF7},
+		GateTimeout: c.cfg.GateTimeout,
+	}, nil)
 	if err != nil {
-		return fail(fmt.Errorf("fleet client %d: %w", c.id, err))
+		return fail(err)
 	}
-	c.toc = toc
 
-	loader := stream.NewLoader(c.model.name, c.model.mainClass, nil)
-	loader.Repair = func(req stream.RepairRequest) ([]byte, error) {
-		return c.repairUnit(ctx, base+"/app", req)
-	}
-	sctx, scancel := context.WithCancel(ctx)
-	defer scancel()
-	loadDone := make(chan struct{})
-	go func() {
-		defer close(loadDone)
-		err := func() error {
-			body, err := c.fc.Open(sctx, base+"/app")
-			if err != nil {
-				return err
-			}
-			defer body.Close()
-			return loader.Load(body, c.onEvent)
-		}()
-		c.mu.Lock()
-		c.done = true
-		if err != nil && sctx.Err() == nil {
-			c.streamErr = err
-		}
-		c.mu.Unlock()
-		c.cond.Broadcast()
-	}()
-
-	// Replay the need trace. Whether a need is a mispredict is decided
-	// by the positional model (deterministic in seed and config); how
-	// long it stalls is measured from the actual transfer.
+	// Replay the need trace: each need crosses the gate the VM's first
+	// invocation would, then "executes" for a seeded think time.
 	think := xrand.New(c.seed ^ 0x7E)
-	satisfied := make(map[classfile.Ref]bool, len(c.model.needs))
-	classHave := make(map[string]bool)
-	cursor := 0
-	var stall time.Duration
+	var first time.Duration
 	for _, ref := range c.model.needs {
-		res.needs++
-		nb := time.Now()
-		next, inOrder := c.scan(cursor, ref, satisfied)
-		if inOrder {
-			// Predicted order delivers this method next: ride the main
-			// stream, blocking at the gate like vm.AwaitMethod.
-			if err := c.waitReady(ref); err != nil {
-				scancel()
-				<-loadDone
-				return fail(fmt.Errorf("fleet client %d: %w", c.id, err))
-			}
-			// Everything before the matched unit has installed; the
-			// skipped prefix is globals only, now known present.
-			for i := cursor; i < next; i++ {
-				if c.toc[i].Kind == stream.KindGlobal {
-					classHave[c.toc[i].ClassName] = true
-				}
-			}
-			cursor = next + 1
-		} else {
-			res.mispredicts++
-			if err := c.demand(ctx, base+"/app", loader, ref, classHave, res); err != nil {
-				scancel()
-				<-loadDone
-				return fail(fmt.Errorf("fleet client %d: %w", c.id, err))
-			}
+		if err := s.AwaitMethod(ref); err != nil {
+			s.Close(true) // the gate's error is the session's
+			return fail(err)
 		}
-		satisfied[ref] = true
-		stall += time.Since(nb)
-		if res.firstInvocation == 0 {
-			res.firstInvocation = time.Since(start)
+		if first == 0 {
+			first = time.Since(start)
 		}
 		sleepScaled(ctx, thinkTime(think, c.cfg.ThinkMean), c.cfg.TimeScale)
 	}
-	execDone := time.Since(start)
-
-	// Drain the remaining stream (the cold tail), bounded like live's
-	// post-execution drain.
-	drain := time.NewTimer(c.cfg.GateTimeout)
-	defer drain.Stop()
-	select {
-	case <-loadDone:
-	case <-drain.C:
-		scancel()
-		<-loadDone
-		return fail(fmt.Errorf("fleet client %d: stream drain exceeded %v", c.id, c.cfg.GateTimeout))
-	case <-ctx.Done():
-		scancel()
-		<-loadDone
-		return fail(ctx.Err())
+	st, err := s.Close(false)
+	if err == nil {
+		err = ctx.Err() // a canceled fleet's truncated sessions are not results
 	}
-	c.mu.Lock()
-	serr := c.streamErr
-	c.mu.Unlock()
-	if serr != nil {
-		return fail(fmt.Errorf("fleet client %d: stream: %w", c.id, serr))
-	}
-
-	res.streamBytes = loader.Consumed()
-	integ := loader.Integrity()
-	res.corruptUnits, res.repaired = integ.CorruptUnits, integ.Repaired
-	res.fetch = c.fc.Stats()
-	if execDone > 0 {
-		o := 1 - float64(stall)/float64(execDone)
-		if o < 0 {
-			o = 0
-		}
-		if o > 1 {
-			o = 1
-		}
-		res.overlap = o
-	}
-	return res
-}
-
-// scan is the positional order model: from cursor, find the need's body
-// unit, skipping globals and bodies already satisfied (in stream order
-// those bytes are consumed or were demanded — either way execution does
-// not wait on them). If any unsatisfied body intervenes, the predicted
-// order was wrong for this need. Returns the matched index and whether
-// the need is in predicted order.
-func (c *client) scan(cursor int, ref classfile.Ref, satisfied map[classfile.Ref]bool) (int, bool) {
-	for i := cursor; i < len(c.toc); i++ {
-		u := c.toc[i]
-		if u.Kind == stream.KindGlobal {
-			continue
-		}
-		if u.Method == ref {
-			return i, true
-		}
-		if !satisfied[u.Method] {
-			return i, false
-		}
-	}
-	return len(c.toc), false
-}
-
-// onEvent publishes loader progress to the gate.
-func (c *client) onEvent(e stream.Event) {
-	c.mu.Lock()
-	switch e.Kind {
-	case stream.ClassLinked:
-		c.classReady[e.Class] = true
-	case stream.MethodReady:
-		c.methodReady[e.Method] = true
-	}
-	c.mu.Unlock()
-	c.cond.Broadcast()
-}
-
-// waitReady blocks until ref's body and class have arrived and
-// verified, bounded by the configured gate timeout.
-func (c *client) waitReady(ref classfile.Ref) error {
-	expired := false
-	t := time.AfterFunc(c.cfg.GateTimeout, func() {
-		c.mu.Lock()
-		expired = true
-		c.mu.Unlock()
-		c.cond.Broadcast()
-	})
-	defer t.Stop()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for !(c.methodReady[ref] && c.classReady[ref.Class]) {
-		if c.streamErr != nil {
-			return c.streamErr
-		}
-		if c.done {
-			return fmt.Errorf("stream ended without delivering %v", ref)
-		}
-		if expired {
-			return fmt.Errorf("gate: %v not available after %v", ref, c.cfg.GateTimeout)
-		}
-		c.cond.Wait()
-	}
-	return nil
-}
-
-// demand pulls a mispredicted method's bytes with verified range
-// requests: the class's global unit first when the positional model
-// says the stream has not delivered it, then the body. Both feed the
-// loader, whose install is exactly-once, so racing the main stream is
-// safe. The fetch set is decided positionally, never from loader state,
-// keeping demand counts and bytes deterministic.
-func (c *client) demand(ctx context.Context, url string, loader *stream.Loader, ref classfile.Ref, classHave map[string]bool, res *clientResult) error {
-	var bodyU, globalU *stream.UnitInfo
-	for i := range c.toc {
-		u := &c.toc[i]
-		if u.Kind == stream.KindGlobal && u.ClassName == ref.Class {
-			globalU = u
-		}
-		if u.Kind == stream.KindBody && u.Method == ref {
-			bodyU = u
-			break
-		}
-	}
-	if bodyU == nil {
-		return fmt.Errorf("method %v is not in the unit table", ref)
-	}
-	if !classHave[ref.Class] {
-		if globalU == nil {
-			return fmt.Errorf("class %q has no global unit", ref.Class)
-		}
-		if err := c.fetchAndFeed(ctx, url, loader, globalU, res); err != nil {
-			return err
-		}
-		classHave[ref.Class] = true
-	}
-	return c.fetchAndFeed(ctx, url, loader, bodyU, res)
-}
-
-// fetchAndFeed range-fetches one unit (verified against the unit
-// table's checksum) and installs it.
-func (c *client) fetchAndFeed(ctx context.Context, url string, loader *stream.Loader, u *stream.UnitInfo, res *clientResult) error {
-	res.demands++
-	payload, _, err := c.fc.FetchRangeVerified(ctx, url, u.Off, int64(u.Len), u.CRC)
 	if err != nil {
-		return fmt.Errorf("demand fetch of unit at %d: %w", u.Off, err)
+		return fail(err)
 	}
-	res.demandBytes += int64(len(payload))
-	body := -1
-	if u.Kind == stream.KindBody {
-		body = u.Body
+	return &clientResult{
+		needs:           int64(len(st.Waits)),
+		mispredicts:     int64(st.Mispredicts),
+		demands:         int64(st.DemandFetches),
+		streamBytes:     st.StreamBytes,
+		demandBytes:     st.DemandBytes,
+		corruptUnits:    st.Integrity.CorruptUnits,
+		repaired:        st.Integrity.Repaired,
+		fetch:           st.Transfer,
+		firstInvocation: first,
+		overlap:         st.Overlap(),
 	}
-	evs, err := loader.FeedDemand(u.Class, u.Kind, body, payload, u.CRC)
-	if err != nil {
-		return err
-	}
-	for _, e := range evs {
-		c.onEvent(e)
-	}
-	return nil
-}
-
-// repairUnit is the loader's Repair hook: re-fetch a corrupt unit's
-// bytes so server-side chaos heals instead of failing the client.
-func (c *client) repairUnit(ctx context.Context, url string, req stream.RepairRequest) ([]byte, error) {
-	for i := range c.toc {
-		u := &c.toc[i]
-		if u.Class == req.Class && u.Kind == req.Kind &&
-			(req.Kind == stream.KindGlobal || u.Body == req.Body) {
-			p, _, err := c.fc.FetchRangeVerified(ctx, url, u.Off, int64(u.Len), u.CRC)
-			return p, err
-		}
-	}
-	return nil, fmt.Errorf("corrupt unit (class %d, body %d) is not in the unit table", req.Class, req.Body)
 }
 
 // thinkTime draws one simulated execute interval from [mean/2, 3·mean/2).

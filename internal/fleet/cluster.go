@@ -6,7 +6,6 @@ import (
 	"os"
 	"time"
 
-	"nonstrict/internal/apps"
 	"nonstrict/internal/cluster"
 	"nonstrict/internal/server"
 )
@@ -53,17 +52,9 @@ func runCluster(ctx context.Context, cfg Config) (*Report, error) {
 	if err := h.Prewarm(ctx, cfg.Apps); err != nil {
 		return nil, err
 	}
-	models := make(map[string]*appModel, len(cfg.Apps))
-	for _, name := range cfg.Apps {
-		app, err := apps.ByName(name)
-		if err != nil {
-			return nil, err
-		}
-		m, err := buildModel(app)
-		if err != nil {
-			return nil, err
-		}
-		models[name] = m
+	models, err := buildModels(ctx, cfg.Apps)
+	if err != nil {
+		return nil, err
 	}
 
 	ln := newMemListener()
@@ -94,31 +85,14 @@ func runCluster(ctx context.Context, cfg Config) (*Report, error) {
 	}
 	var killAt time.Duration
 	var connsKilled int
-	killDone := make(chan struct{})
-	runOver := make(chan struct{})
 	if victim >= 0 {
-		go func() {
-			defer close(killDone)
-			target := int(cfg.Cluster.KillAfterFraction * float64(cfg.Clients))
-			for agg.completed() < target {
-				select {
-				case <-runOver:
-					return
-				case <-ctx.Done():
-					return
-				case <-time.After(100 * time.Microsecond):
-				}
-			}
+		agg.onFraction(cfg.Cluster.KillAfterFraction, cfg.Clients, func() {
 			connsKilled = h.Kill(victim)
 			killAt = time.Since(start)
-		}()
-	} else {
-		close(killDone)
+		})
 	}
 
 	driveClients(ctx, cfg, agg, models, ln, sem)
-	close(runOver)
-	<-killDone
 
 	per := h.Stats()
 	rep := agg.report(cfg, sumCacheStats(per), time.Since(start))

@@ -243,6 +243,9 @@ func scalingPhase(t *testing.T, names []string, seed uint64) ([]ScalingPoint, fl
 		}
 		wall := time.Since(begin)
 		h.Close()
+		if bytes == 0 {
+			t.Errorf("scaling rung of %d nodes served nothing", nodes)
+		}
 		ladder = append(ladder, ScalingPoint{
 			Nodes:             nodes,
 			Streams:           streams,
@@ -303,6 +306,10 @@ func killPhase(t *testing.T, names []string) *ClusterReport {
 	}
 	if cr.KilledNode == "" || cr.ConnsKilled == 0 {
 		t.Errorf("the kill did not land mid-stream: %+v", cr)
+	}
+	if cr.FallbackBuilds != 0 || len(cr.PerNode) != cr.Nodes {
+		t.Errorf("%d fallback builds in a prewarmed cluster, %d per-node blocks for %d nodes",
+			cr.FallbackBuilds, len(cr.PerNode), cr.Nodes)
 	}
 	return cr
 }

@@ -3,26 +3,29 @@
 // evaluation lacks. The server is the production internal/server
 // handler mounted on an in-process net.Pipe listener; every client is a
 // real HTTP client whose connections are shaped by a stream.LinkClass
-// schedule (modem, T1, LTE-class bursty loss, satellite latency), whose
-// stream flows through the real stream.Loader with verification and
-// repair, and whose demand fetches are real byte-range requests.
+// schedule (modem, T1, LTE-class bursty loss, satellite latency), and
+// its session is the one that ships: live.Session — unit table, stream,
+// verifying loader with repair, the availability gate with its deadline
+// and demand policy, byte-range demand fetches, degradation to demand
+// fetching when the stream dies, bounded drain. The fleet has no client
+// logic of its own to drift from it.
 //
 // What a client does NOT do is execute bytecode: at fleet scale the VM
 // is replaced by a need trace — the method first-use order measured
-// from one real test-input execution of the app — replayed with seeded
-// think time. Whether a need is a mispredict is decided positionally
-// against the unit table (would the predicted order have made this need
-// wait behind other methods' bytes?), so mispredict, demand-fetch, and
-// byte counts depend only on (seed, config), while latency and overlap
-// are measured from the actual transfer. Reports land in
-// BENCH_fleet.json; Canonical() strips the wall-clock fields for
+// from one real test-input execution of the app — replayed through the
+// session's gate with seeded think time. Needs and stream bytes
+// therefore depend only on (seed, config); everything else — whether a
+// need found the stream about to deliver it or was demand-fetched, how
+// many bytes that cost, latency, overlap — is what the shipping client
+// did on that link in that run, so mispredict rates differ by link
+// (a slow link leaves the stream further behind execution). Reports
+// land in BENCH_fleet.json; Canonical() strips the measured fields for
 // determinism checks.
 package fleet
 
 import (
 	"context"
 	"errors"
-	"fmt"
 	"net"
 	"net/http"
 	"os"
@@ -32,10 +35,9 @@ import (
 
 	"nonstrict/internal/apps"
 	"nonstrict/internal/classfile"
-	"nonstrict/internal/jir"
+	"nonstrict/internal/pipeline"
 	"nonstrict/internal/server"
 	"nonstrict/internal/stream"
-	"nonstrict/internal/vm"
 	"nonstrict/internal/xrand"
 )
 
@@ -70,9 +72,10 @@ type Config struct {
 	// Workers bounds concurrently active clients (default 128), keeping
 	// memory flat while the total client count scales arbitrarily.
 	Workers int
-	// GateTimeout bounds each in-order wait and the final stream drain,
-	// in wall-clock time (default 30s). A wedged transfer fails the
-	// client instead of hanging the fleet.
+	// GateTimeout bounds each gate wait and the final stream drain, in
+	// wall-clock time (default 30s; it is the session's
+	// live.Options.GateTimeout). A wedged transfer fails the client
+	// instead of hanging the fleet.
 	GateTimeout time.Duration
 	// CacheBytes bounds the server's artifact cache (0 = server default).
 	CacheBytes int64
@@ -181,29 +184,35 @@ type appModel struct {
 	needs     []classfile.Ref
 }
 
-// buildModel executes the app once on its test input to measure the
-// need trace — the same first-use order the VM would demand if it were
-// executing at the client.
-func buildModel(app *apps.App) (*appModel, error) {
-	prog, err := jir.Compile(app.IR)
-	if err != nil {
-		return nil, fmt.Errorf("fleet: %s: %w", app.Name, err)
+// buildModels executes each app once on its test input (self-checked)
+// to measure its need trace — the same first-use order the VM would
+// demand if it were executing at the client.
+func buildModels(ctx context.Context, names []string) (map[string]*appModel, error) {
+	models := make(map[string]*appModel, len(names))
+	for _, name := range names {
+		app, err := apps.ByName(name)
+		if err != nil {
+			return nil, err
+		}
+		r, err := pipeline.Compile(ctx, app)
+		if err != nil {
+			return nil, err
+		}
+		if err := r.Link(ctx); err != nil {
+			return nil, err
+		}
+		m, err := r.Profile(ctx, false, false)
+		if err != nil {
+			return nil, err
+		}
+		fu := m.Profile().FirstUse
+		needs := make([]classfile.Ref, len(fu))
+		for i, id := range fu {
+			needs[i] = r.Ix.Ref(id)
+		}
+		models[name] = &appModel{name: app.Name, mainClass: app.IR.Main, needs: needs}
 	}
-	ln, err := vm.Link(prog)
-	if err != nil {
-		return nil, fmt.Errorf("fleet: %s: %w", app.Name, err)
-	}
-	m, err := ln.Run(vm.Options{Args: app.Args(false)})
-	if err != nil {
-		return nil, fmt.Errorf("fleet: %s: test run: %w", app.Name, err)
-	}
-	ix := ln.Index()
-	fu := m.Profile().FirstUse
-	needs := make([]classfile.Ref, len(fu))
-	for i, id := range fu {
-		needs[i] = ix.Ref(id)
-	}
-	return &appModel{name: app.Name, mainClass: app.IR.Main, needs: needs}, nil
+	return models, nil
 }
 
 // memListener is an in-process net.Listener over net.Pipe: the server
@@ -360,20 +369,14 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	// Prebuild every artifact and measure every need trace up front:
 	// builds are then a deterministic len(apps), and client metrics
 	// never include compile time.
-	models := make(map[string]*appModel, len(cfg.Apps))
 	for _, name := range cfg.Apps {
 		if _, err := srv.Warm(ctx, name); err != nil {
 			return nil, err
 		}
-		app, err := apps.ByName(name)
-		if err != nil {
-			return nil, err
-		}
-		m, err := buildModel(app)
-		if err != nil {
-			return nil, err
-		}
-		models[name] = m
+	}
+	models, err := buildModels(ctx, cfg.Apps)
+	if err != nil {
+		return nil, err
 	}
 
 	agg := newAggregator(cfg.Links)
@@ -386,21 +389,8 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	// crosses the restart mid-session.
 	var restart *RestartReport
 	var restartErr error
-	restartDone := make(chan struct{})
-	runOver := make(chan struct{})
 	if cfg.Restart.Enabled {
-		go func() {
-			defer close(restartDone)
-			target := int(cfg.Restart.AfterFraction * float64(cfg.Clients))
-			for agg.completed() < target {
-				select {
-				case <-runOver:
-					return
-				case <-ctx.Done():
-					return
-				case <-time.After(100 * time.Microsecond):
-				}
-			}
+		agg.onFraction(cfg.Restart.AfterFraction, cfg.Clients, func() {
 			next, err := boot()
 			if err != nil {
 				restartErr = err
@@ -414,14 +404,10 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 				KillAtMs:      float64(time.Since(start)) / float64(time.Millisecond),
 				ConnsKilled:   killed,
 			}
-		}()
-	} else {
-		close(restartDone)
+		})
 	}
 
 	driveClients(ctx, cfg, agg, models, ln, sem)
-	close(runOver)
-	<-restartDone
 	if restartErr != nil {
 		return nil, restartErr
 	}
@@ -487,16 +473,10 @@ func driveClients(ctx context.Context, cfg Config, agg *aggregator, models map[s
 	wg.Wait()
 }
 
-// clientSeed derives a per-client seed stream (splitmix64 finalizer),
-// so client i's schedule is independent of every other client's and of
-// how many there are.
+// clientSeed derives a per-client seed stream, so client i's schedule
+// is independent of every other client's and of how many there are.
 func clientSeed(seed, i uint64) uint64 {
-	x := seed + (i+1)*0x9E3779B97F4A7C15
-	x ^= x >> 30
-	x *= 0xBF58476D1CE4E5B9
-	x ^= x >> 27
-	x *= 0x94D049BB133111EB
-	x ^= x >> 31
+	x := xrand.Mix64(seed + (i+1)*0x9E3779B97F4A7C15)
 	if x == 0 {
 		x = 1
 	}
@@ -523,6 +503,11 @@ type aggregator struct {
 	links []stream.LinkClass
 	per   []*linkAgg
 	done  int // clients finished (success or failure)
+
+	// fire runs once, on the goroutine of the client whose completion
+	// makes done reach fireAt (see onFraction).
+	fireAt int
+	fire   func()
 }
 
 type linkAgg struct {
@@ -544,12 +529,14 @@ func newAggregator(links []stream.LinkClass) *aggregator {
 	return &aggregator{links: links, per: per}
 }
 
-// completed reports how many clients have finished, successfully or
-// not — the restart trigger's progress signal.
-func (a *aggregator) completed() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.done
+// onFraction arranges the mid-run event of the restart and node-kill
+// scenarios: f runs exactly when the given fraction of the fleet (at
+// least one client) has finished, on the finishing client's goroutine
+// and before that client counts as returned — so the event always lands
+// while the rest of the fleet is still running, and driveClients does
+// not return before f has. Call it before the clients start.
+func (a *aggregator) onFraction(fraction float64, clients int, f func()) {
+	a.fireAt, a.fire = max(int(fraction*float64(clients)), 1), f
 }
 
 // outcomes returns total finished clients and how many of them failed.
@@ -576,9 +563,16 @@ func (a *aggregator) allFirstMs() []float64 {
 
 func (a *aggregator) add(link int, r *clientResult) {
 	a.mu.Lock()
-	defer a.mu.Unlock()
 	a.done++
-	la := a.per[link]
+	fire := a.done == a.fireAt && a.fire != nil
+	a.per[link].add(r)
+	a.mu.Unlock()
+	if fire {
+		a.fire()
+	}
+}
+
+func (la *linkAgg) add(r *clientResult) {
 	la.clients++
 	if r.failed {
 		la.failures++

@@ -3,6 +3,9 @@ package fleet
 import (
 	"bytes"
 	"context"
+	"fmt"
+	"net/http"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -141,10 +144,10 @@ func TestFleetSeedChangesSchedule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Positional counts are schedule-independent (that is the point of
-	// the model), so compare the measured wall-clock behaviour instead:
-	// with different link jitter and think schedules, identical total
-	// latency sums to the nanosecond would be astronomically unlikely.
+	// Needs and stream bytes are schedule-independent, so compare the
+	// measured wall-clock behaviour instead: with different link jitter
+	// and think schedules, identical total latency sums to the nanosecond
+	// would be astronomically unlikely.
 	sum := func(r *Report) float64 {
 		var s float64
 		for _, l := range r.Links {
@@ -198,6 +201,77 @@ func TestFleetServerChaos(t *testing.T) {
 	}
 	if repaired == 0 {
 		t.Fatal("no units were repaired; the chaos schedule did not exercise the repair path")
+	}
+}
+
+// TestFleetClientDegrades kills one client's stream for good partway
+// through — the initial response dies after two units and every resume
+// is refused — while the unit table and bounded byte ranges stay
+// reachable. The client runs the shipping session, so it must finish the
+// whole need trace by demand fetch and count as a success, not a
+// failure.
+func TestFleetClientDegrades(t *testing.T) {
+	cfg := fastConfig(t, 1).withDefaults()
+	cfg.Apps = cfg.Apps[:1]
+	ctx := context.Background()
+	srv, err := server.New(server.Config{Apps: cfg.Apps, Order: cfg.Order})
+	if err != nil {
+		t.Fatal(err)
+	}
+	art, err := server.Build(ctx, server.Key{App: cfg.Apps[0], Order: cfg.Order})
+	if err != nil {
+		t.Fatal(err)
+	}
+	toc, err := stream.ParseTOC(art.TOC)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cut := int(toc[2].Off) - stream.UnitHeaderSize // start of the third unit's header
+	models, err := buildModels(ctx, cfg.Apps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	model := models[cfg.Apps[0]]
+
+	ln := newMemListener()
+	hs := &http.Server{Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		rng := r.Header.Get("Range")
+		switch {
+		case !strings.HasSuffix(r.URL.Path, "/app") || (rng != "" && !strings.HasSuffix(rng, "-")):
+			// The unit table and bounded ranges (the demand path): served.
+			srv.Handler().ServeHTTP(w, r)
+		case rng != "":
+			// An open-ended range is a main-stream resume: gone for good.
+			http.Error(w, "stream withdrawn", http.StatusGone)
+		default:
+			w.Header().Set("Content-Length", fmt.Sprint(len(art.Data)))
+			w.Write(art.Data[:cut])
+			w.(http.Flusher).Flush()
+			panic(http.ErrAbortHandler)
+		}
+	})}
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		hs.Serve(ln)
+	}()
+	defer func() {
+		hs.Close()
+		ln.Close()
+		<-served
+	}()
+
+	c := &client{seed: clientSeed(cfg.Seed, 0), cfg: &cfg, link: cfg.Links[0], model: model, dial: ln.dial}
+	res := c.run(ctx)
+	if res.failed {
+		t.Fatalf("a dead stream with the demand path intact failed the client: %v", res.err)
+	}
+	if res.needs != int64(len(model.needs)) {
+		t.Errorf("%d of %d needs released", res.needs, len(model.needs))
+	}
+	if res.streamBytes >= int64(len(art.Data)) || res.demands == 0 || res.mispredicts == 0 {
+		t.Errorf("stream bytes %d of %d, %d demand fetches, %d mispredicts: the stream did not die or the demand path did not carry the run",
+			res.streamBytes, len(art.Data), res.demands, res.mispredicts)
 	}
 }
 

@@ -23,20 +23,24 @@ type Quantiles struct {
 
 // LinkReport aggregates every client that ran on one link class.
 //
-// Two kinds of fields coexist. Counting fields (Needs, Mispredicts,
-// DemandFetches, StreamBytes, DemandBytes, Failures) are decided by the
-// deterministic positional model against the unit table, so they depend
-// only on (seed, config) — never on scheduling. Wall-clock fields
-// (latency quantiles, overlap, transfer retries) measure the actual run
-// and vary run to run; Canonical zeroes them.
+// Two kinds of fields coexist. Clients, Failures, Needs and StreamBytes
+// depend only on (seed, config) in a clean run — never on scheduling.
+// Everything else is measured: what the shipping client session
+// (live.Session) did on that link in this run — whether a need found
+// the stream about to deliver it or demand-fetched it, how long it
+// waited, what the transport retried — and varies run to run; Canonical
+// zeroes those fields.
 type LinkReport struct {
 	Link     string `json:"link"`
 	Clients  int    `json:"clients"`
 	Failures int    `json:"failures"`
-	// Needs counts first-invocation demands across the link's clients;
-	// Mispredicts is the subset the predicted stream order would have
-	// made wait behind other methods' bytes, each of which issued
-	// demand fetches (DemandFetches counts the range requests).
+	// Needs counts first invocations (gate crossings) across the link's
+	// clients. Mispredicts is the subset whose bytes the session's gate
+	// demand-fetched because the stream, where it stood at that moment,
+	// would have delivered other methods first (live.Stats.Mispredicts,
+	// summed); DemandFetches counts the range requests they issued and
+	// DemandBytes the payload bytes those brought. A slower link leaves
+	// the stream further behind execution, so these depend on the link.
 	Needs          int64   `json:"needs"`
 	Mispredicts    int64   `json:"mispredicts"`
 	MispredictRate float64 `json:"mispredict_rate"`
@@ -176,6 +180,7 @@ func (r *Report) Canonical() *Report {
 	for i := range c.Links {
 		l := &c.Links[i]
 		l.Requests, l.Retries, l.Resumes = 0, 0, 0
+		l.Mispredicts, l.MispredictRate, l.DemandFetches, l.DemandBytes = 0, 0, 0, 0
 		l.CorruptUnits, l.Repaired = 0, 0
 		l.FirstInvocationMs = Quantiles{}
 		l.MeanOverlap = 0

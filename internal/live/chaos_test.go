@@ -400,11 +400,8 @@ func TestDemandFetchSurvivesSplicedCorruption(t *testing.T) {
 	srv := httptest.NewServer(mux)
 	t.Cleanup(srv.Close)
 
-	rt := &runtime{
-		opts:   Options{URL: srv.URL + "/app"},
-		client: fastClient(),
-		ctx:    context.Background(),
-	}
+	rt := newSession(Options{URL: srv.URL + "/app", Client: fastClient()})
+	rt.ctx = context.Background()
 	payload, err := rt.fetchUnit(u)
 	if err != nil {
 		t.Fatalf("fetchUnit under %d poisonings: %v", poisonings, err)

@@ -81,7 +81,7 @@ func (c *fakeClock) Advance(d time.Duration) {
 	c.timers = keep
 	c.mu.Unlock()
 	for _, t := range due {
-		t.f() // outside c.mu: callbacks take the runtime's lock
+		t.f() // outside c.mu: callbacks take the session's lock
 	}
 }
 
@@ -103,24 +103,21 @@ func (c *fakeClock) activeTimers() int {
 	return n
 }
 
-// gateRuntime builds the minimal runtime a gate wait needs, on a fake
+// gateSession builds the minimal session a gate wait needs, on a fake
 // clock, with no stream behind it (so nothing ever becomes ready
 // except by the test's hand).
-func gateRuntime(fc *fakeClock, timeout time.Duration) *runtime {
-	rt := &runtime{
-		opts:        Options{GateTimeout: timeout},
-		classReady:  map[string]bool{},
-		methodReady: map[classfile.Ref]bool{},
-		demanded:    map[classfile.Ref]bool{},
-		classDem:    map[string]bool{},
-		methodsAt:   map[classfile.Ref]time.Duration{},
-		classesAt:   map[string]time.Duration{},
-		now:         fc.Now,
-		afterFunc:   fc.AfterFunc,
-	}
-	rt.start = fc.Now()
-	rt.cond = sync.NewCond(&rt.mu)
-	return rt
+func gateSession(fc *fakeClock, timeout time.Duration) *Session {
+	s := newSession(Options{GateTimeout: timeout})
+	s.now, s.afterFunc = fc.Now, fc.AfterFunc
+	s.start = fc.Now()
+	return s
+}
+
+// arrive marks ref's body and class arrived now, as the loader's events
+// would.
+func arrive(s *Session, ref classfile.Ref) {
+	s.arrive(ref, 0)
+	s.arrive(classfile.Ref{Class: ref.Class}, 0)
 }
 
 // settle gives the parked goroutine a moment to process a wakeup, then
@@ -146,7 +143,7 @@ func settle(errc <-chan error) (error, bool) {
 // and only timer armed.
 func TestGateDeadlineImmuneToWallClockSteps(t *testing.T) {
 	fc := newFakeClock()
-	rt := gateRuntime(fc, 30*time.Second)
+	rt := gateSession(fc, 30*time.Second)
 	ref := classfile.Ref{Class: "Main", Name: "main"}
 
 	errc := make(chan error, 1)
@@ -198,7 +195,7 @@ func TestGateDeadlineImmuneToWallClockSteps(t *testing.T) {
 // and record a Wait whose transfer/repair/gate parts sum to the wait.
 func TestGateReleaseStopsTimerAndAttributesWait(t *testing.T) {
 	fc := newFakeClock()
-	rt := gateRuntime(fc, 30*time.Second)
+	rt := gateSession(fc, 30*time.Second)
 	ref := classfile.Ref{Class: "Main", Name: "main"}
 
 	errc := make(chan error, 1)
@@ -211,13 +208,7 @@ func TestGateReleaseStopsTimerAndAttributesWait(t *testing.T) {
 	}
 
 	fc.Advance(10 * time.Second)
-	rt.mu.Lock()
-	rt.methodReady[ref] = true
-	rt.classReady[ref.Class] = true
-	rt.methodsAt[ref] = rt.sinceStart()
-	rt.classesAt[ref.Class] = rt.sinceStart()
-	rt.mu.Unlock()
-	rt.cond.Broadcast()
+	arrive(rt, ref)
 
 	select {
 	case err := <-errc:
@@ -256,7 +247,7 @@ func TestGateReleaseStopsTimerAndAttributesWait(t *testing.T) {
 // readiness.
 func TestGateDisabledDeadlineArmsNothing(t *testing.T) {
 	fc := newFakeClock()
-	rt := gateRuntime(fc, -1)
+	rt := gateSession(fc, -1)
 	ref := classfile.Ref{Class: "Main", Name: "main"}
 
 	errc := make(chan error, 1)
@@ -271,11 +262,7 @@ func TestGateDisabledDeadlineArmsNothing(t *testing.T) {
 		t.Fatalf("disabled deadline armed %d timers, want 0", got)
 	}
 
-	rt.mu.Lock()
-	rt.methodReady[ref] = true
-	rt.classReady[ref.Class] = true
-	rt.mu.Unlock()
-	rt.cond.Broadcast()
+	arrive(rt, ref)
 	select {
 	case err := <-errc:
 		if err != nil {

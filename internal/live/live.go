@@ -7,17 +7,15 @@
 // availability gate until the loader fires MethodReady; a method wanted
 // out of predicted order is demand-fetched through a byte-range request
 // against the writer's unit table (§5.1's misprediction correction
-// applied to the §5.2 virtual file). The runtime records wall-clock
-// first-invocation latencies and overlap statistics, the measured
-// counterparts of the cycle simulator's predictions.
+// applied to the §5.2 virtual file). Everything but the VM is a Session
+// (session.go), which any executor can drive through its gate — Run
+// puts the VM behind it, the fleet a need-trace replay. The session
+// records wall-clock first-invocation latencies and overlap statistics,
+// the measured counterparts of the cycle simulator's predictions.
 package live
 
 import (
-	"bytes"
 	"context"
-	"errors"
-	"fmt"
-	"sync"
 	"time"
 
 	"nonstrict/internal/classfile"
@@ -25,17 +23,6 @@ import (
 	"nonstrict/internal/stream"
 	"nonstrict/internal/vm"
 )
-
-// DefaultGateTimeout bounds each availability-gate wait when Options
-// leaves GateTimeout zero. A transfer that stops making progress —
-// stalled connection, endlessly trickling retries — would otherwise park
-// the VM forever; the deadline turns that hang into a clean
-// per-invocation error.
-const DefaultGateTimeout = 30 * time.Second
-
-// ErrGateTimeout marks a gate wait that exceeded its deadline: the
-// method or class never became available within Options.GateTimeout.
-var ErrGateTimeout = errors.New("live: gate deadline exceeded")
 
 // Options configures one overlapped run.
 type Options struct {
@@ -190,72 +177,6 @@ func (s *Stats) Attributions() []Attribution {
 	return out
 }
 
-// runtime is the shared state between the transfer, demand, and VM
-// goroutines. Its mutex orders strictly before the loader's: gate waits
-// hold rt.mu and may query the loader, while event delivery and demand
-// feeding take the loader's lock first and rt.mu only after release.
-type runtime struct {
-	opts   Options
-	ctx    context.Context // canceled when the run is abandoned
-	client *stream.FetchClient
-	loader *stream.Loader
-	lv     *vm.LiveLinked
-	toc    []stream.UnitInfo
-	obs    *obs.Recorder
-	start  time.Time
-
-	// now and afterFunc are the gate's time sources, injectable for
-	// deterministic deadline tests; nil means the real clock. The gate
-	// treats now as advisory wall time (measurement only) and afterFunc
-	// as the sole monotonic authority for deadlines — see AwaitMethod.
-	now       func() time.Time
-	afterFunc func(time.Duration, func()) gateTimer
-
-	mu          sync.Mutex
-	cond        *sync.Cond
-	classReady  map[string]bool
-	methodReady map[classfile.Ref]bool
-	demanded    map[classfile.Ref]bool // method demand launched
-	classDem    map[string]bool        // class-global demand launched
-	methodsAt   map[classfile.Ref]time.Duration
-	classesAt   map[string]time.Duration
-	repairSpans []span // completed integrity-repair windows, in order
-	err         error
-	degraded    error // main stream died but the demand path can finish the run
-	done        bool  // main stream fully consumed (or failed)
-	transferEnd time.Duration
-
-	waits       []Wait
-	stall       time.Duration
-	demands     int
-	mispredicts int
-	refetches   int
-}
-
-// gateTimer is the slice of *time.Timer the gate needs, so tests can
-// substitute a hand-cranked clock.
-type gateTimer interface{ Stop() bool }
-
-// span is a half-open window [From, To) measured from run start.
-type span struct{ From, To time.Duration }
-
-func (rt *runtime) clockNow() time.Time {
-	if rt.now != nil {
-		return rt.now()
-	}
-	return time.Now()
-}
-
-func (rt *runtime) armGate(d time.Duration, f func()) gateTimer {
-	if rt.afterFunc != nil {
-		return rt.afterFunc(d, f)
-	}
-	return time.AfterFunc(d, f)
-}
-
-// sinceStart is the run clock: elapsed time since Run began.
-func (rt *runtime) sinceStart() time.Duration { return rt.clockNow().Sub(rt.start) }
-
 // attributeWait splits one gate wait [began, woke) into its transfer /
 // repair / gate components. ready is when the awaited bytes became
 // usable; repairs are the completed repair windows. The three parts sum
@@ -289,547 +210,32 @@ func attributeWait(began, woke, ready time.Duration, repairs []span) (transfer, 
 	return transfer, repair, gate
 }
 
+// span is a half-open window [From, To) measured from run start.
+type span struct{ From, To time.Duration }
+
 // Run executes the program at opts.URL while it streams in, returning
-// the finished machine and the measured overlap statistics. The machine
-// is valid (with partial profile) even when err is non-nil.
+// the finished machine and the measured overlap statistics: a Session
+// with the VM's incremental linker behind it. The machine is valid
+// (with partial profile) even when err is non-nil.
 func Run(ctx context.Context, opts Options) (*vm.Machine, *Stats, error) {
-	client := opts.Client
-	if client == nil {
-		client = &stream.FetchClient{}
+	s := newSession(opts)
+	lv := vm.NewLive(opts.Name, opts.MainClass, s)
+	if err := s.open(ctx, lv.AddClass); err != nil {
+		return nil, nil, err
 	}
-	rt := &runtime{
-		opts:        opts,
-		client:      client,
-		loader:      stream.NewLoader(opts.Name, opts.MainClass, nil),
-		obs:         opts.Obs,
-		classReady:  make(map[string]bool),
-		methodReady: make(map[classfile.Ref]bool),
-		demanded:    make(map[classfile.Ref]bool),
-		classDem:    make(map[string]bool),
-		methodsAt:   make(map[classfile.Ref]time.Duration),
-		classesAt:   make(map[string]time.Duration),
-	}
-	rt.cond = sync.NewCond(&rt.mu)
-	rt.loader.Obs = opts.Obs
-	rt.lv = vm.NewLive(opts.Name, opts.MainClass, rt)
-
-	if opts.TOCURL != "" {
-		var buf bytes.Buffer
-		if _, err := client.Fetch(ctx, opts.TOCURL, &buf); err != nil {
-			return nil, nil, fmt.Errorf("live: fetching unit table: %w", err)
-		}
-		toc, err := stream.ParseTOC(buf.Bytes())
-		if err != nil {
-			return nil, nil, err
-		}
-		rt.toc = toc
-		// With a unit table in hand, a corrupt main-stream unit can be
-		// healed by re-fetching just its bytes instead of failing the
-		// transfer.
-		rt.loader.Repair = rt.repairUnit
-	}
-
-	tctx, tcancel := context.WithCancel(ctx)
-	defer tcancel()
-	rt.ctx = tctx
-	rt.start = rt.clockNow()
-	transferDone := make(chan struct{})
-	go func() {
-		defer close(transferDone)
-		rt.transferLoop(tctx)
-	}()
-
 	runOpts := opts.Run
-	if rt.obs != nil {
+	if s.obs != nil {
 		inner := runOpts.OnFirstUse
 		runOpts.OnFirstUse = func(ref classfile.Ref) {
-			rt.obs.Emit(obs.FirstInvocation, ref.String(), 0, 0)
+			s.obs.Emit(obs.FirstInvocation, ref.String(), 0, 0)
 			if inner != nil {
 				inner(ref)
 			}
 		}
 	}
-	m, runErr := rt.lv.Run(runOpts)
-	execDone := rt.sinceStart()
-	if runErr != nil {
-		tcancel() // abandon whatever is still streaming
-	}
-	// Bound the post-execution drain: a tail that stalls without failing
-	// must not hang the run after execution already finished.
-	if d := gateTimeout(opts.GateTimeout); d > 0 {
-		drain := time.NewTimer(d)
-		select {
-		case <-transferDone:
-			drain.Stop()
-		case <-drain.C:
-			tcancel()
-			<-transferDone
-		}
-	} else {
-		<-transferDone
-	}
-
-	rt.mu.Lock()
-	st := &Stats{
-		Transfer:      client.Stats(),
-		StreamBytes:   rt.loader.Consumed(),
-		DemandBytes:   rt.loader.DemandBytes(),
-		DemandFetches: rt.demands,
-		Mispredicts:   rt.mispredicts,
-		ExecDone:      execDone,
-		TransferDone:  rt.transferEnd,
-		StallTime:     rt.stall,
-		Waits:         rt.waits,
-		Classes:       rt.lv.Classes(),
-		Methods:       rt.lv.Methods(),
-		Integrity:     rt.loader.Integrity(),
-		Refetches:     rt.refetches,
-	}
-	if rt.degraded != nil {
-		st.Degraded = rt.degraded.Error()
-	}
-	rt.mu.Unlock()
-	if len(st.Waits) > 0 {
-		st.FirstRunnable = st.Waits[0].At + st.Waits[0].Wait
-	}
+	m, runErr := lv.Run(runOpts)
+	// Execution is over, so a failure in the never-executed tail (the
+	// error Close reports) cannot change its result.
+	st, _ := s.Close(runErr != nil)
 	return m, st, runErr
-}
-
-// transferLoop streams the virtual file into the loader until EOF or
-// failure, then marks the runtime done and wakes every gate waiter.
-// When the stream dies with a transport or integrity failure and a unit
-// table is available, the failure degrades instead of killing the run:
-// the remaining units are simply demand-fetched — strict fetching of
-// whatever non-strict delivery could not provide.
-func (rt *runtime) transferLoop(ctx context.Context) {
-	err := func() error {
-		body, err := rt.client.Open(ctx, rt.opts.URL)
-		if err != nil {
-			return err
-		}
-		defer body.Close()
-		return rt.loader.Load(body, func(e stream.Event) {
-			if herr := rt.handleEvent(e); herr != nil {
-				rt.fail(herr)
-			}
-		})
-	}()
-	rt.mu.Lock()
-	rt.done = true
-	rt.transferEnd = rt.sinceStart()
-	if err != nil && ctx.Err() == nil {
-		if rt.toc != nil && degradable(err) {
-			if rt.degraded == nil {
-				rt.degraded = fmt.Errorf("live: transfer: %w", err)
-				rt.obs.Emit(obs.Degraded, err.Error(), 0, 0)
-			}
-		} else if rt.err == nil {
-			rt.err = fmt.Errorf("live: transfer: %w", err)
-		}
-	}
-	rt.mu.Unlock()
-	rt.cond.Broadcast()
-}
-
-// degradable reports whether a stream failure leaves the demand path
-// usable: the link or the bytes failed, but the unit table still
-// describes every unit, so byte-range fetches can finish the program.
-// Anything else (a verification failure, a malformed class) is a
-// property of the program itself and re-fetching cannot fix it.
-func degradable(err error) bool {
-	return errors.Is(err, stream.ErrFetchFailed) ||
-		errors.Is(err, stream.ErrBadStream) ||
-		errors.Is(err, stream.ErrStreamIntegrity)
-}
-
-// handleEvent publishes one loader event to the gate. AddClass runs
-// before the class is marked ready, so a waiter released by AwaitClass
-// always finds the class registered in the link state.
-func (rt *runtime) handleEvent(e stream.Event) error {
-	switch e.Kind {
-	case stream.ClassLinked:
-		c := rt.loader.LoadedClass(e.Class)
-		if c == nil {
-			return fmt.Errorf("live: loader fired ClassLinked for unknown class %q", e.Class)
-		}
-		if err := rt.lv.AddClass(c); err != nil {
-			return err
-		}
-		rt.mu.Lock()
-		if !rt.classReady[e.Class] {
-			rt.classReady[e.Class] = true
-			if rt.classesAt != nil {
-				rt.classesAt[e.Class] = rt.sinceStart()
-			}
-		}
-		rt.mu.Unlock()
-		rt.cond.Broadcast()
-	case stream.MethodReady:
-		rt.mu.Lock()
-		if !rt.methodReady[e.Method] {
-			rt.methodReady[e.Method] = true
-			if rt.methodsAt != nil {
-				rt.methodsAt[e.Method] = rt.sinceStart()
-			}
-		}
-		rt.mu.Unlock()
-		rt.cond.Broadcast()
-	}
-	return nil
-}
-
-// fail records the first terminal error and wakes all gate waiters.
-func (rt *runtime) fail(err error) {
-	rt.mu.Lock()
-	if rt.err == nil {
-		rt.err = err
-	}
-	rt.mu.Unlock()
-	rt.cond.Broadcast()
-}
-
-// gateTimeout resolves an Options.GateTimeout value: zero means the
-// default, negative disables the deadline.
-func gateTimeout(d time.Duration) time.Duration {
-	if d == 0 {
-		return DefaultGateTimeout
-	}
-	if d < 0 {
-		return 0
-	}
-	return d
-}
-
-// gateBudget arms the deadline for one gate wait: a single timer for
-// the wait's whole budget, armed once at entry, that flips *expired
-// under rt.mu and broadcasts. The returned stop releases the timer.
-//
-// The budget is deliberately a DURATION handed to one timer, never an
-// absolute deadline re-derived from the clock. The previous
-// implementation re-armed a fresh timer on every spurious wakeup with
-// the remaining budget recomputed by wall-clock subtraction; any step
-// between the clock readings — a suspended host, NTP slew, a VM
-// migration — inflated or collapsed the remaining budget, so the
-// deadline could fire arbitrarily early or never. A duration-based
-// timer tracks the monotonic clock, and because the budget is never
-// recomputed, a wall step cannot touch it.
-//
-// The expired flag is written under rt.mu before the broadcast, so the
-// wakeup cannot be missed: if the waiter has not parked yet it still
-// holds rt.mu and the callback blocks until cond.Wait releases it.
-func (rt *runtime) gateBudget(expired *bool) (stop func()) {
-	d := gateTimeout(rt.opts.GateTimeout)
-	if d <= 0 {
-		return func() {}
-	}
-	t := rt.armGate(d, func() {
-		rt.mu.Lock()
-		*expired = true
-		rt.mu.Unlock()
-		rt.cond.Broadcast()
-	})
-	return func() { t.Stop() }
-}
-
-// AwaitMethod implements vm.Gate: it blocks until ref's body has
-// arrived and verified (and its class is linked — a demand-raced
-// MethodReady can otherwise outrun ClassLinked delivery), launching a
-// demand fetch when the stream will not deliver ref next. The wait is
-// bounded by Options.GateTimeout, so a transfer that silently stops
-// making progress surfaces as ErrGateTimeout rather than a hang.
-func (rt *runtime) AwaitMethod(ref classfile.Ref) error {
-	began := rt.clockNow()
-	expired := false
-	stop := rt.gateBudget(&expired)
-	defer stop()
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	blocked := false
-	for !(rt.methodReady[ref] && rt.classReady[ref.Class]) {
-		if rt.err != nil {
-			return rt.err
-		}
-		launched := rt.maybeDemandMethod(ref)
-		if rt.done && !launched && !rt.demanded[ref] {
-			if rt.degraded != nil {
-				return fmt.Errorf("live: method %v unavailable after stream failure: %w", ref, rt.degraded)
-			}
-			return fmt.Errorf("live: method %v never arrived and cannot be demanded", ref)
-		}
-		if expired {
-			return fmt.Errorf("%w: method %v not available after %v", ErrGateTimeout, ref, gateTimeout(rt.opts.GateTimeout))
-		}
-		if !blocked {
-			blocked = true
-			rt.obs.Emit(obs.GateBlock, ref.String(), 0, 0)
-		}
-		rt.cond.Wait()
-	}
-	woke := rt.clockNow()
-	w := woke.Sub(began)
-	if w < 0 {
-		w = 0 // injected clocks may be coarse or stepped
-	}
-	at := began.Sub(rt.start)
-	transfer, repair, gate := attributeWait(at, at+w, rt.methodReadyAt(ref), rt.repairSpans)
-	rt.stall += w
-	rt.waits = append(rt.waits, Wait{
-		Method:   ref,
-		At:       at,
-		Wait:     w,
-		Transfer: transfer,
-		Repair:   repair,
-		Gate:     gate,
-		Demand:   rt.demanded[ref],
-	})
-	if blocked {
-		rt.obs.Emit(obs.GateUnblock, ref.String(), 0, w)
-	}
-	return nil
-}
-
-// methodReadyAt is when both of ref's gate conditions (body verified,
-// class linked) held, measured from run start. Caller holds rt.mu.
-func (rt *runtime) methodReadyAt(ref classfile.Ref) time.Duration {
-	ready := rt.methodsAt[ref]
-	if c := rt.classesAt[ref.Class]; c > ready {
-		ready = c
-	}
-	return ready
-}
-
-// AwaitClass implements vm.Gate: it blocks until the class's global
-// data has linked, demand-fetching the global unit when it is out of
-// predicted order. Bounded by Options.GateTimeout like AwaitMethod.
-func (rt *runtime) AwaitClass(class string) error {
-	began := rt.clockNow()
-	expired := false
-	stop := rt.gateBudget(&expired)
-	defer stop()
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	blocked := false
-	for !rt.classReady[class] {
-		if rt.err != nil {
-			return rt.err
-		}
-		launched := rt.maybeDemandClass(class)
-		if rt.done && !launched && !rt.classDem[class] {
-			if rt.degraded != nil {
-				return fmt.Errorf("live: class %q unavailable after stream failure: %w", class, rt.degraded)
-			}
-			return fmt.Errorf("live: class %q never arrived and cannot be demanded", class)
-		}
-		if expired {
-			return fmt.Errorf("%w: class %q not available after %v", ErrGateTimeout, class, gateTimeout(rt.opts.GateTimeout))
-		}
-		if !blocked {
-			blocked = true
-			rt.obs.Emit(obs.GateBlock, "class "+class, 0, 0)
-		}
-		rt.cond.Wait()
-	}
-	w := rt.clockNow().Sub(began)
-	if w < 0 {
-		w = 0
-	}
-	rt.stall += w
-	if blocked {
-		rt.obs.Emit(obs.GateUnblock, "class "+class, 0, w)
-	}
-	return nil
-}
-
-// maybeDemandMethod decides whether ref is out of predicted order — the
-// next body unit the main stream will deliver is a different method —
-// and if so launches a demand fetch. Reports whether a fetch was
-// launched. Caller holds rt.mu.
-func (rt *runtime) maybeDemandMethod(ref classfile.Ref) bool {
-	if rt.toc == nil || rt.demanded[ref] {
-		return false
-	}
-	if !rt.done && !rt.outOfOrder(func(u stream.UnitInfo) bool { return u.Method == ref }) {
-		return false // arriving next anyway; cheaper to wait
-	}
-	rt.demanded[ref] = true
-	rt.mispredicts++
-	rt.obs.Emit(obs.DemandIssue, ref.String(), 0, 0)
-	go rt.demandMethod(ref)
-	return true
-}
-
-// maybeDemandClass is maybeDemandMethod for a class's global unit.
-// Caller holds rt.mu.
-func (rt *runtime) maybeDemandClass(class string) bool {
-	if rt.toc == nil || rt.classDem[class] {
-		return false
-	}
-	match := func(u stream.UnitInfo) bool { return u.Kind == stream.KindGlobal && u.ClassName == class }
-	if !rt.done && !rt.outOfOrder(match) {
-		return false
-	}
-	rt.classDem[class] = true
-	rt.mispredicts++
-	rt.obs.Emit(obs.DemandIssue, "class "+class, 0, 0)
-	go rt.demandClass(class)
-	return true
-}
-
-// outOfOrder reports whether the first not-yet-consumed unit matching
-// the predicate is NOT the very next unit of its kind the stream will
-// deliver — i.e. waiting for the main stream would first sit through
-// other units. A matching global unit immediately before the matching
-// body does not count as out of order. Caller holds rt.mu.
-func (rt *runtime) outOfOrder(match func(stream.UnitInfo) bool) bool {
-	cursor := rt.loader.UnitsConsumed()
-	if cursor >= len(rt.toc) {
-		return true // stream exhausted without a match
-	}
-	// Skip the in-flight prefix that precedes the awaited unit only if
-	// it is this unit's own class global; anything else means the
-	// prediction put other work first.
-	for i := cursor; i < len(rt.toc); i++ {
-		u := rt.toc[i]
-		if match(u) {
-			return false
-		}
-		if u.Kind == stream.KindBody {
-			return true
-		}
-		// A global unit for some class: in order only when the awaited
-		// unit follows immediately (checked on the next iteration).
-	}
-	return true
-}
-
-// demandMethod pulls ref's body (and, if needed, its class's global
-// unit first) out of the stream with range requests and feeds them to
-// the loader. Runs on its own goroutine, holding no locks.
-func (rt *runtime) demandMethod(ref classfile.Ref) {
-	var bodyU *stream.UnitInfo
-	for i := range rt.toc {
-		if rt.toc[i].Kind == stream.KindBody && rt.toc[i].Method == ref {
-			bodyU = &rt.toc[i]
-			break
-		}
-	}
-	if bodyU == nil {
-		rt.fail(fmt.Errorf("live: method %v is not in the unit table", ref))
-		return
-	}
-	if rt.loader.LoadedClass(ref.Class) == nil {
-		if err := rt.fetchGlobal(ref.Class); err != nil {
-			rt.fail(err)
-			return
-		}
-	}
-	began := rt.sinceStart()
-	payload, err := rt.fetchUnit(*bodyU)
-	if err != nil {
-		rt.fail(err)
-		return
-	}
-	evs, err := rt.loader.FeedDemand(bodyU.Class, stream.KindBody, bodyU.Body, payload, bodyU.CRC)
-	if err != nil {
-		rt.fail(err)
-		return
-	}
-	rt.deliver(evs)
-	rt.obs.Emit(obs.DemandDone, ref.String(), int64(len(payload)), rt.sinceStart()-began)
-}
-
-// demandClass pulls a class's global unit out of the stream.
-func (rt *runtime) demandClass(class string) {
-	if rt.loader.LoadedClass(class) != nil {
-		// The main stream won the race; the waiter is already released.
-		return
-	}
-	if err := rt.fetchGlobal(class); err != nil {
-		rt.fail(err)
-	}
-}
-
-// fetchGlobal range-fetches and feeds one class's global-data unit.
-func (rt *runtime) fetchGlobal(class string) error {
-	for _, u := range rt.toc {
-		if u.Kind != stream.KindGlobal || u.ClassName != class {
-			continue
-		}
-		began := rt.sinceStart()
-		payload, err := rt.fetchUnit(u)
-		if err != nil {
-			return err
-		}
-		evs, err := rt.loader.FeedDemand(u.Class, stream.KindGlobal, -1, payload, u.CRC)
-		if err != nil {
-			return err
-		}
-		rt.deliver(evs)
-		rt.obs.Emit(obs.DemandDone, "class "+class, int64(len(payload)), rt.sinceStart()-began)
-		return nil
-	}
-	return fmt.Errorf("live: class %q is not in the unit table", class)
-}
-
-// fetchUnit range-fetches one unit's payload, verified against the
-// unit table's checksum by the client: a payload spliced together
-// across a reconnect that fails verification is discarded and
-// re-fetched from the range start (the last verified byte), never
-// installed and never resumed from the unverified splice point.
-func (rt *runtime) fetchUnit(u stream.UnitInfo) ([]byte, error) {
-	rt.mu.Lock()
-	rt.demands++
-	rt.mu.Unlock()
-	p, attempts, err := rt.client.FetchRangeVerified(rt.ctx, rt.opts.URL, u.Off, int64(u.Len), u.CRC)
-	if attempts > 1 {
-		rt.mu.Lock()
-		rt.refetches += attempts - 1
-		rt.mu.Unlock()
-	}
-	if err != nil {
-		return nil, fmt.Errorf("live: demand fetch of unit at %d: %w", u.Off, err)
-	}
-	return p, nil
-}
-
-// repairUnit is the loader's Repair hook: the main stream delivered a
-// unit whose payload failed its checksum, so re-fetch just that unit's
-// bytes with a range request against the unit table. The loader
-// re-verifies the returned payload, so this only has to deliver bytes.
-func (rt *runtime) repairUnit(req stream.RepairRequest) ([]byte, error) {
-	var u *stream.UnitInfo
-	for i := range rt.toc {
-		t := &rt.toc[i]
-		if t.Class == req.Class && t.Kind == req.Kind &&
-			(req.Kind == stream.KindGlobal || t.Body == req.Body) {
-			u = t
-			break
-		}
-	}
-	if u == nil {
-		return nil, fmt.Errorf("live: corrupt %d-byte unit (class %d, body %d) is not in the unit table",
-			req.Len, req.Class, req.Body)
-	}
-	began := rt.sinceStart()
-	rt.mu.Lock()
-	rt.refetches++
-	rt.mu.Unlock()
-	p, _, err := rt.client.FetchRangeVerified(rt.ctx, rt.opts.URL, u.Off, int64(u.Len), u.CRC)
-	if err != nil {
-		return nil, fmt.Errorf("live: repair fetch of unit at %d: %w", u.Off, err)
-	}
-	rt.mu.Lock()
-	rt.repairSpans = append(rt.repairSpans, span{From: began, To: rt.sinceStart()})
-	rt.mu.Unlock()
-	return p, nil
-}
-
-// deliver publishes demand-path loader events.
-func (rt *runtime) deliver(evs []stream.Event) {
-	for _, e := range evs {
-		if err := rt.handleEvent(e); err != nil {
-			rt.fail(err)
-			return
-		}
-	}
 }

@@ -204,12 +204,12 @@ func TestLiveUnderFaults(t *testing.T) {
 	}
 }
 
-// TestLiveDemandFetch makes the main stream crawl while demand fetches
-// stay fast, so execution outruns the predicted order and must pull
-// methods by byte range.
-func TestLiveDemandFetch(t *testing.T) {
-	p := plan(t, "Hanoi")
-	want := reference(t, p)
+// crawlServer publishes p like serve, except that the initial
+// full-stream request trickles out while Range requests (demand
+// fetches, repairs, resumes) are answered at full speed — so whatever
+// executes outruns the predicted order.
+func crawlServer(t *testing.T, p planned, f stream.Fault) *httptest.Server {
+	t.Helper()
 	mux := http.NewServeMux()
 	mux.HandleFunc("/app", func(w http.ResponseWriter, r *http.Request) {
 		if r.Header.Get("Range") != "" {
@@ -236,8 +236,18 @@ func TestLiveDemandFetch(t *testing.T) {
 	mux.HandleFunc("/app.toc", func(w http.ResponseWriter, r *http.Request) {
 		http.ServeContent(w, r, "app.toc.json", time.Time{}, bytes.NewReader(p.toc))
 	})
-	srv := httptest.NewServer(mux)
-	defer srv.Close()
+	srv := httptest.NewServer(f.Wrap(mux))
+	t.Cleanup(srv.Close)
+	return srv
+}
+
+// TestLiveDemandFetch makes the main stream crawl while demand fetches
+// stay fast, so execution outruns the predicted order and must pull
+// methods by byte range.
+func TestLiveDemandFetch(t *testing.T) {
+	p := plan(t, "Hanoi")
+	want := reference(t, p)
+	srv := crawlServer(t, p, stream.Fault{})
 
 	m, st, err := Run(context.Background(), Options{
 		URL:       srv.URL + "/app",

@@ -136,7 +136,9 @@ func (f Fault) seed() uint64 {
 }
 
 // corruptMask returns the nonzero XOR mask for the body byte at pos —
-// a cheap position-keyed hash (splitmix64 finalizer) of the seed.
+// a cheap position-keyed hash of the seed (the splitmix64 finalizer cut
+// off after its second multiply, so not xrand.Mix64: the masks are
+// pinned by the chaos schedules).
 func (f Fault) corruptMask(pos int64) byte {
 	x := f.seed() ^ uint64(pos)*0x9E3779B97F4A7C15
 	x ^= x >> 30

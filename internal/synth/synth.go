@@ -515,14 +515,9 @@ func RegisterSuite(seed uint64, n int, base Params) ([]string, []*Info, error) {
 }
 
 // mix perturbs a seed so distinct generator stages draw from distinct
-// streams (splitmix64 finalizer).
+// streams.
 func mix(seed uint64, salt uint64) uint64 {
-	x := seed ^ salt*0x9E3779B97F4A7C15
-	x ^= x >> 30
-	x *= 0xBF58476D1CE4E5B9
-	x ^= x >> 27
-	x *= 0x94D049BB133111EB
-	x ^= x >> 31
+	x := xrand.Mix64(seed ^ salt*0x9E3779B97F4A7C15)
 	if x == 0 {
 		x = salt
 	}

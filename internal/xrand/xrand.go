@@ -15,6 +15,19 @@ func New(seed uint64) *Rand {
 	return &Rand{s: seed}
 }
 
+// Mix64 is the splitmix64 finalizer, a bijection on uint64 whose output
+// bits each depend on every input bit. It is the one way the repository
+// turns structured input — a seed plus an index, a hash of a name — into
+// an independent seed or a well-spread position.
+func Mix64(x uint64) uint64 {
+	x ^= x >> 30
+	x *= 0xBF58476D1CE4E5B9
+	x ^= x >> 27
+	x *= 0x94D049BB133111EB
+	x ^= x >> 31
+	return x
+}
+
 // Uint64 returns the next 64 random bits.
 func (r *Rand) Uint64() uint64 {
 	r.s ^= r.s >> 12

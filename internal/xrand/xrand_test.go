@@ -70,3 +70,20 @@ func TestBytes(t *testing.T) {
 		t.Errorf("only %d distinct byte values in 256 draws", len(distinct))
 	}
 }
+
+// TestMix64 pins the finalizer to splitmix64's published constants:
+// 0xe220a8397b1dcdaf is that generator's first output from seed 0. The
+// fleet's client seeds, synth's stage seeds and the ring's placement are
+// all functions of these bits.
+func TestMix64(t *testing.T) {
+	for in, want := range map[uint64]uint64{
+		0:                  0,
+		1:                  0x5692161d100b05e5,
+		0x9E3779B97F4A7C15: 0xe220a8397b1dcdaf,
+		^uint64(0):         0xb4d055fcf2cbbd7b,
+	} {
+		if got := Mix64(in); got != want {
+			t.Errorf("Mix64(%#x) = %#x, want %#x", in, got, want)
+		}
+	}
+}
