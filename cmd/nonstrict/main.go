@@ -81,9 +81,9 @@ commands:
                        measured shape (-seed, -n, plus structure knobs:
                        -classes, -methods, -fanout, -hot, -exec, -data)
   fleet [flags]        replay thousands of simulated clients against the
-                       in-process server over seeded link models and
-                       write BENCH_fleet.json (-apps, -clients, -links,
-                       -seed, -duration, -order, -scale, -out)
+                       in-process server over seeded link models
+                       (-apps, -clients, -links, -seed, -duration,
+                       -order, -scale; -out FILE writes the JSON report)
   check [flags]        run the concurrency-soundness checker: exhaustive
                        interleaving enumeration of the cache and loader
                        state machines against their executable specs

@@ -132,14 +132,10 @@ func cmdServe(ctx context.Context, args []string, out io.Writer) error {
 		return err
 	case <-ctx.Done():
 		// Graceful drain: stop admitting work (readyz fails, new builds
-		// shed), persist the store manifest while streams finish, then
-		// give in-flight responses -drain-timeout to complete.
+		// shed), then give in-flight responses -drain-timeout to complete.
 		// hs.Shutdown already closes the listener before waiting, so no
 		// new connection lands after this line.
 		srv.BeginDrain()
-		if err := srv.PersistManifest(); err != nil {
-			fmt.Fprintf(out, "drain: manifest write failed: %v\n", err)
-		}
 		sctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 		defer cancel()
 		serr := hs.Shutdown(sctx)

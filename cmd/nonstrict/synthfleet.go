@@ -62,8 +62,8 @@ func cmdSynth(args []string, out io.Writer) error {
 	return nil
 }
 
-// cmdFleet runs a fleet sweep against the in-process server and writes
-// BENCH_fleet.json.
+// cmdFleet runs a fleet sweep against the in-process server and prints
+// the per-link table; -out also writes the JSON report.
 func cmdFleet(ctx context.Context, args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("fleet", flag.ContinueOnError)
 	appsFlag := fs.String("apps", "6", "N (generate N synthetic apps) or comma-separated registered app names")
@@ -75,7 +75,7 @@ func cmdFleet(ctx context.Context, args []string, out io.Writer) error {
 	scale := fs.Float64("scale", 50, "time scale: divide every simulated sleep by this")
 	think := fs.Duration("think", 2*time.Millisecond, "mean simulated execute time between needs")
 	workers := fs.Int("workers", 0, "max concurrently active clients (0 = default)")
-	outPath := fs.String("out", "BENCH_fleet.json", "report path (empty = stdout only)")
+	outPath := fs.String("out", "", "also write the JSON report ("+fleet.Schema+") to this path")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -129,16 +129,16 @@ func cmdFleet(ctx context.Context, args []string, out io.Writer) error {
 	fmt.Fprintf(out, "cache: %d builds, %d hits; run took %.0fms at %gx time scale\n",
 		rep.Cache.Builds, rep.Cache.Hits, rep.DurationMs, rep.TimeScale)
 
+	if *outPath == "" {
+		return nil
+	}
 	js, err := rep.JSON()
 	if err != nil {
 		return err
 	}
-	js = append(js, '\n')
-	if *outPath != "" {
-		if err := os.WriteFile(*outPath, js, 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "wrote %s\n", *outPath)
+	if err := os.WriteFile(*outPath, append(js, '\n'), 0o644); err != nil {
+		return err
 	}
+	fmt.Fprintf(out, "wrote %s\n", *outPath)
 	return nil
 }

@@ -48,45 +48,13 @@ func CheckCache(opts CacheOptions) (*CacheReport, error) {
 	}
 	scenarios := CacheScenarios(opts.Ops, opts.Keys, opts.Full)
 	rep := &CacheReport{Scenarios: len(scenarios)}
-	var mu sync.Mutex
-	var firstErr error
-	stop := make(chan struct{})
-	var stopOnce sync.Once
-	work := make(chan *CacheScenario)
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for sc := range work {
-				n, err := enumerateCache(sc, opts.MaxSchedules, func(cs CacheSchedule) error {
-					return runCacheSchedule(sc, cs)
-				})
-				mu.Lock()
-				rep.Schedules += n
-				if err != nil && firstErr == nil {
-					firstErr = err
-				}
-				mu.Unlock()
-				if err != nil {
-					stopOnce.Do(func() { close(stop) })
-					return
-				}
-			}
-		}()
-	}
-	for _, sc := range scenarios {
-		select {
-		case work <- sc:
-		case <-stop:
-		}
-		if firstErr != nil {
-			break
-		}
-	}
-	close(work)
-	wg.Wait()
-	return rep, firstErr
+	var err error
+	rep.Schedules, err = forEachScenario(scenarios, func(sc *CacheScenario) (int, error) {
+		return enumerateCache(sc, opts.MaxSchedules, func(cs CacheSchedule) error {
+			return runCacheSchedule(sc, cs)
+		})
+	})
+	return rep, err
 }
 
 // cacheKey maps a scenario key index to a real cache key.

@@ -46,6 +46,7 @@ package check
 
 import (
 	"fmt"
+	"sync"
 	"time"
 )
 
@@ -53,6 +54,49 @@ import (
 // implementation. A schedule that trips it has lost a wakeup — the
 // "every waiter eventually unblocks" invariant rendered as a timeout.
 const watchdog = 10 * time.Second
+
+// scenarioWorkers is how many scenarios the enumerators walk at once.
+const scenarioWorkers = 8
+
+// forEachScenario runs walk over the scenarios on a pool of workers and
+// returns the schedule counts walk reported, summed, and the first
+// error any call returned. An error stops the walk: no worker takes
+// another scenario, and each leaves after the one it is on.
+func forEachScenario[S any](scenarios []S, walk func(S) (schedules int, err error)) (int, error) {
+	var (
+		mu       sync.Mutex // guards everything below
+		next     int        // index of the first scenario not yet taken
+		total    int
+		firstErr error
+		wg       sync.WaitGroup
+	)
+	for w := 0; w < scenarioWorkers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				mu.Lock()
+				if firstErr != nil || next == len(scenarios) {
+					mu.Unlock()
+					return
+				}
+				sc := scenarios[next]
+				next++
+				mu.Unlock()
+
+				n, err := walk(sc)
+				mu.Lock()
+				total += n
+				if err != nil && firstErr == nil {
+					firstErr = err
+				}
+				mu.Unlock()
+			}
+		}()
+	}
+	wg.Wait()
+	return total, firstErr
+}
 
 // errClass buckets an operation's error for spec comparison: the spec
 // predicts the class of error, not its exact text.

@@ -1,8 +1,43 @@
 package check
 
 import (
+	"errors"
+	"sync/atomic"
 	"testing"
 )
+
+// TestForEachScenarioStopsOnError drives the enumerators' shared pool
+// with a walk that fails on one scenario: the pool must come back with
+// that error, having walked the failing scenario and everything taken
+// before it but not the whole list — and, under -race, with every read
+// of what the workers write under their lock.
+func TestForEachScenarioStopsOnError(t *testing.T) {
+	const total, failAt = 500, 40
+	boom := errors.New("scenario 40 diverged")
+	scenarios := make([]int, total)
+	for i := range scenarios {
+		scenarios[i] = i
+	}
+	var walked atomic.Int64
+	n, err := forEachScenario(scenarios, func(sc int) (int, error) {
+		walked.Add(1)
+		if sc == failAt {
+			return 1, boom
+		}
+		return 1, nil
+	})
+	if err != boom {
+		t.Fatalf("err = %v, want the failing scenario's error", err)
+	}
+	if int64(n) != walked.Load() || n <= failAt || n >= total {
+		t.Fatalf("counted %d schedules over %d walks, want both in (%d, %d)", n, walked.Load(), failAt, total)
+	}
+
+	n, err = forEachScenario(scenarios, func(int) (int, error) { return 2, nil })
+	if err != nil || n != 2*total {
+		t.Fatalf("clean walk = %d schedules, %v; want %d, nil", n, err, 2*total)
+	}
+}
 
 // TestCacheInterleavings is the exhaustive cache gate: every schedule
 // of 3 concurrent Gets over 2 keys — each op in turn the faulty build

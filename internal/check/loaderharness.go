@@ -57,45 +57,12 @@ func CheckLoader(opts LoaderOptions) (*LoaderReport, error) {
 			rep.Demands = len(sc.Demands)
 		}
 	}
-	var mu sync.Mutex
-	var firstErr error
-	stop := make(chan struct{})
-	var stopOnce sync.Once
-	work := make(chan *LoaderScenario)
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for sc := range work {
-				n, err := enumerateLoader(fx, sc, opts.MaxSchedules, func(ls LoaderSchedule) error {
-					return runLoaderSchedule(fx, sc, ls)
-				})
-				mu.Lock()
-				rep.Schedules += n
-				if err != nil && firstErr == nil {
-					firstErr = err
-				}
-				mu.Unlock()
-				if err != nil {
-					stopOnce.Do(func() { close(stop) })
-					return
-				}
-			}
-		}()
-	}
-	for _, sc := range scenarios {
-		select {
-		case work <- sc:
-		case <-stop:
-		}
-		if firstErr != nil {
-			break
-		}
-	}
-	close(work)
-	wg.Wait()
-	return rep, firstErr
+	rep.Schedules, err = forEachScenario(scenarios, func(sc *LoaderScenario) (int, error) {
+		return enumerateLoader(fx, sc, opts.MaxSchedules, func(ls LoaderSchedule) error {
+			return runLoaderSchedule(fx, sc, ls)
+		})
+	})
+	return rep, err
 }
 
 // LoaderScenarios generates the configurations the enumerator explores:

@@ -14,8 +14,8 @@ import (
 
 // HarnessConfig configures an in-process cluster: N real nodes on
 // loopback listeners plus a router over them. Tests, the fleet
-// simulator's cluster scenario, and the scaling benchmark all boot
-// through it.
+// simulator's cluster scenario, and benchmark/'s cluster-route workload
+// all boot through it.
 type HarnessConfig struct {
 	// Nodes is the member count (default 3).
 	Nodes int
@@ -27,9 +27,6 @@ type HarnessConfig struct {
 	// and StoreDir is treated as a root under which each node gets its
 	// own subdirectory.
 	Server server.Config
-	// EgressBytesPerSec caps each node's outbound bandwidth (0 = no
-	// cap); see EgressLimiter.
-	EgressBytesPerSec int
 	// RouterCooldown overrides the router's down-node cooldown.
 	RouterCooldown time.Duration
 	// FillTimeout overrides the nodes' peer-fill budget.
@@ -91,7 +88,6 @@ func NewHarness(c HarnessConfig) (*Harness, error) {
 		h.lns[i] = ln
 		h.urls[name] = "http://" + ln.Addr().String()
 	}
-	lim := func() *EgressLimiter { return NewEgressLimiter(c.EgressBytesPerSec) }
 	for i, name := range names {
 		sc := c.Server
 		if sc.StoreDir != "" {
@@ -118,7 +114,7 @@ func NewHarness(c HarnessConfig) (*Harness, error) {
 		h.conns[i] = make(map[net.Conn]struct{})
 		idx := i
 		hs := &http.Server{
-			Handler: lim().Wrap(node.Handler()),
+			Handler: node.Handler(),
 			ConnState: func(conn net.Conn, st http.ConnState) {
 				h.mu.Lock()
 				switch st {

@@ -43,9 +43,11 @@ func testApps(t *testing.T) []string {
 func TestClusterColdStormSingleBuild(t *testing.T) {
 	apps := testApps(t)
 	h, err := NewHarness(HarnessConfig{
-		Nodes:  3,
-		Seed:   0x57A8,
-		Server: server.Config{Apps: apps, Order: server.OrderStatic},
+		Nodes: 3,
+		Seed:  0x57A8,
+		// Each node over its own crash-safe store, as deployed: a peer
+		// fill is also a store Put.
+		Server: server.Config{Apps: apps, Order: server.OrderStatic, StoreDir: t.TempDir()},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -142,7 +142,7 @@ func (n *Node) Stats() NodeStats {
 }
 
 // NodeStats is one node's block in cluster reports. The JSON tags are
-// part of the BENCH_cluster.json schema.
+// part of the fleet report's schema (its cluster block).
 type NodeStats struct {
 	Name           string            `json:"name"`
 	Cache          server.CacheStats `json:"cache"`

@@ -94,6 +94,10 @@ func (r *Ring) hash(s string) uint64 {
 // Nodes returns the member names in sorted order.
 func (r *Ring) Nodes() []string { return append([]string(nil), r.names...) }
 
+// VNodes returns the virtual-node count per member in effect: the
+// configured value, or DefaultVNodes where that was zero.
+func (r *Ring) VNodes() int { return r.vnodes }
+
 // Owner returns the node that owns key: the first virtual node at or
 // after the key's position, wrapping at the top of the ring.
 func (r *Ring) Owner(key string) string {

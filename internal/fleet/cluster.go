@@ -27,10 +27,9 @@ func runCluster(ctx context.Context, cfg Config) (*Report, error) {
 		storeRoot = d
 	}
 	h, err := cluster.NewHarness(cluster.HarnessConfig{
-		Nodes:             cfg.Cluster.Nodes,
-		VNodes:            cfg.Cluster.VNodes,
-		Seed:              cfg.Cluster.RingSeed,
-		EgressBytesPerSec: cfg.Cluster.EgressBytesPerSec,
+		Nodes:  cfg.Cluster.Nodes,
+		VNodes: cfg.Cluster.VNodes,
+		Seed:   cfg.Cluster.RingSeed,
 		Server: server.Config{
 			Apps:       cfg.Apps,
 			Order:      cfg.Order,
@@ -99,7 +98,7 @@ func runCluster(ctx context.Context, cfg Config) (*Report, error) {
 	builds, fills, fallbacks := h.ClusterBuilds()
 	cr := &ClusterReport{
 		Nodes:          cfg.Cluster.Nodes,
-		VNodes:         cfg.Cluster.VNodes,
+		VNodes:         h.Ring().VNodes(),
 		RingSeed:       cfg.Cluster.RingSeed,
 		Keys:           len(cfg.Apps),
 		ClusterBuilds:  builds,

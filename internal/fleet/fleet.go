@@ -18,9 +18,9 @@
 // need found the stream about to deliver it or was demand-fetched, how
 // many bytes that cost, latency, overlap — is what the shipping client
 // did on that link in that run, so mispredict rates differ by link
-// (a slow link leaves the stream further behind execution). Reports
-// land in BENCH_fleet.json; Canonical() strips the measured fields for
-// determinism checks.
+// (a slow link leaves the stream further behind execution).
+// Canonical() strips the measured fields of a Report for determinism
+// checks.
 package fleet
 
 import (
@@ -117,10 +117,6 @@ type ClusterFleetConfig struct {
 	// crash-safe artifact store. Empty = a private temp dir, removed
 	// after the run.
 	StoreRoot string
-	// EgressBytesPerSec caps each node's outbound bandwidth (0 = no
-	// cap); the scaling benchmark sets it so in-process nodes model
-	// fixed per-node serving capacity.
-	EgressBytesPerSec int
 }
 
 // RestartConfig configures the mid-run server crash-restart.

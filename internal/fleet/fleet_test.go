@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math"
 	"net/http"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"nonstrict/internal/cluster"
 	"nonstrict/internal/server"
 	"nonstrict/internal/stream"
 	"nonstrict/internal/synth"
@@ -19,6 +21,13 @@ import (
 // app registry is process-global) and returns its names.
 var testApps = sync.OnceValues(func() ([]string, error) {
 	names, _, err := synth.RegisterSuite(0xF1EE7, 4, synth.Params{Name: "fleettest"})
+	return names, err
+})
+
+// benchApps is the larger suite the restart scenario runs over,
+// registered once per test binary like testApps.
+var benchApps = sync.OnceValues(func() ([]string, error) {
+	names, _, err := synth.RegisterSuite(0xBE9C4, 8, synth.Params{Name: "fleetbench"})
 	return names, err
 })
 
@@ -42,24 +51,20 @@ func fastConfig(t *testing.T, clients int) Config {
 	}
 }
 
-// TestFleetRuns drives a small fleet end to end and checks the report's
-// internal consistency.
-func TestFleetRuns(t *testing.T) {
-	rep, err := Run(context.Background(), fastConfig(t, 24))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.SchemaVersion != Schema {
-		t.Fatalf("schema %q", rep.SchemaVersion)
-	}
-	if len(rep.Links) != 2 {
-		t.Fatalf("%d link reports, want 2", len(rep.Links))
+// checkLinks asserts what must hold of every link block whatever the
+// topology: the clients are all accounted for and finished clean, work
+// was recorded, the first-invocation quantiles are positive, ordered
+// and finite, and the measured rates are fractions.
+func checkLinks(t *testing.T, rep *Report, links, clients int) {
+	t.Helper()
+	if len(rep.Links) != links {
+		t.Fatalf("%d link reports, want %d", len(rep.Links), links)
 	}
 	total := 0
 	for _, l := range rep.Links {
 		total += l.Clients
 		if l.Failures != 0 {
-			t.Fatalf("link %s: %d failed clients", l.Link, l.Failures)
+			t.Fatalf("link %s: %d failed clients: %v", l.Link, l.Failures, l.Errors)
 		}
 		if l.Needs == 0 || l.StreamBytes == 0 {
 			t.Fatalf("link %s: no work recorded: %+v", l.Link, l)
@@ -71,16 +76,29 @@ func TestFleetRuns(t *testing.T) {
 			t.Fatalf("link %s: %d mispredicts but no demand fetches", l.Link, l.Mispredicts)
 		}
 		q := l.FirstInvocationMs
-		if q.P50 <= 0 || q.P99 < q.P50 || q.P999 < q.P99 {
+		if !(q.P50 > 0 && q.P99 >= q.P50 && q.P999 >= q.P99 && q.Max >= q.P999) || math.IsInf(q.Max, 0) {
 			t.Fatalf("link %s: bad latency quantiles %+v", l.Link, q)
 		}
 		if l.MeanOverlap < 0 || l.MeanOverlap > 1 {
 			t.Fatalf("link %s: overlap %v outside [0,1]", l.Link, l.MeanOverlap)
 		}
 	}
-	if total != 24 {
-		t.Fatalf("%d clients reported, want 24", total)
+	if total != clients {
+		t.Fatalf("%d clients reported, want %d", total, clients)
 	}
+}
+
+// TestFleetRuns drives a small fleet end to end and checks the report's
+// internal consistency.
+func TestFleetRuns(t *testing.T) {
+	rep, err := Run(context.Background(), fastConfig(t, 24))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.SchemaVersion != Schema {
+		t.Fatalf("schema %q", rep.SchemaVersion)
+	}
+	checkLinks(t, rep, 2, 24)
 	// Every artifact was prebuilt exactly once. Validate is the
 	// topology-aware form of the old builds == apps assertion (a cluster
 	// run bounds cluster-wide builds by the key count instead).
@@ -102,7 +120,7 @@ func TestFleetRuns(t *testing.T) {
 }
 
 // TestFleetDeterministic is the satellite determinism contract: same
-// seed and config → identical BENCH_fleet.json modulo wall-clock
+// seed and config → identical fleet report modulo wall-clock
 // fields, no matter how goroutines interleaved.
 func TestFleetDeterministic(t *testing.T) {
 	cfg := fastConfig(t, 16)
@@ -275,23 +293,32 @@ func TestFleetClientDegrades(t *testing.T) {
 	}
 }
 
-// TestFleetRestart is the fleet-scale crash-restart scenario: after a
-// quarter of the clients finish, the server dies mid-stream for
-// everyone else and a fresh incarnation boots over the same persistent
-// store. Every client must still finish clean — resuming through
-// verified ranges — and the restarted server must serve entirely from
-// the store, with zero rebuilds.
+// scenarioLinks are the link classes the restart and node-kill
+// scenarios spread their clients over.
+var scenarioLinks = []stream.LinkClass{stream.LinkModem, stream.LinkT1, stream.LinkLTE}
+
+// TestFleetRestart is the fleet-scale crash-restart scenario: 8 apps ×
+// 200 clients × 3 link classes, and once half the clients have
+// finished the server dies mid-stream for everyone else and a fresh
+// incarnation boots over the same persistent store. Every client must
+// still finish clean — resuming through verified ranges — and the
+// restarted server must serve entirely from the store, with zero
+// rebuilds.
 func TestFleetRestart(t *testing.T) {
-	cfg := fastConfig(t, 16)
-	cfg.Restart = RestartConfig{Enabled: true, AfterFraction: 0.25, StoreDir: t.TempDir()}
+	names, err := benchApps()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := fastConfig(t, 200)
+	cfg.Apps, cfg.Links = names, scenarioLinks
+	cfg.Restart = RestartConfig{Enabled: true, AfterFraction: 0.5, StoreDir: t.TempDir()}
 	rep, err := Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, l := range rep.Links {
-		if l.Failures != 0 {
-			t.Fatalf("link %s: %d clients failed across the restart: %v", l.Link, l.Failures, l.Errors)
-		}
+	checkLinks(t, rep, len(cfg.Links), cfg.Clients)
+	if err := rep.Validate(); err != nil {
+		t.Fatal(err)
 	}
 	rr := rep.Restart
 	if rr == nil {
@@ -317,18 +344,23 @@ func TestFleetRestart(t *testing.T) {
 	}
 }
 
-// TestFleetClusterKill is the fleet-scale cluster scenario: clients
+// TestFleetClusterKill is the fleet-scale cluster scenario: 120 clients
 // stream through the consistent-hash router over 3 real nodes, one
 // node (the first app's owner) is crashed mid-run, and every client
 // must still finish clean by resuming against the replicas. The
 // cluster-wide build count stays bounded by the key count — peer fills
 // and stores, never duplicate pipeline runs.
 func TestFleetClusterKill(t *testing.T) {
-	cfg := fastConfig(t, 16)
+	names, err := testApps()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := fastConfig(t, 120)
+	cfg.Apps, cfg.Links = names, scenarioLinks
 	cfg.Cluster = ClusterFleetConfig{
 		Enabled:  true,
 		Nodes:    3,
-		RingSeed: 0xC1,
+		RingSeed: 0xC7B3,
 		KillNode: true,
 		// Kill early so most of the fleet crosses the node death.
 		KillAfterFraction: 0.25,
@@ -338,17 +370,16 @@ func TestFleetClusterKill(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, l := range rep.Links {
-		if l.Failures != 0 {
-			t.Fatalf("link %s: %d clients failed across the node kill: %v", l.Link, l.Failures, l.Errors)
-		}
-	}
+	checkLinks(t, rep, len(cfg.Links), cfg.Clients)
 	cr := rep.Cluster
 	if cr == nil {
 		t.Fatal("no cluster block in the report")
 	}
 	if err := rep.Validate(); err != nil {
 		t.Fatal(err)
+	}
+	if cr.VNodes != cluster.DefaultVNodes {
+		t.Fatalf("report says %d vnodes for a ring left at the default %d", cr.VNodes, cluster.DefaultVNodes)
 	}
 	if cr.ClusterBuilds != int64(len(cfg.Apps)) {
 		t.Fatalf("cluster-wide builds = %d for %d keys; prewarming should pin them equal", cr.ClusterBuilds, len(cfg.Apps))
@@ -365,8 +396,8 @@ func TestFleetClusterKill(t *testing.T) {
 	if cr.SuccessRate != 1 {
 		t.Fatalf("success rate across the node kill = %v, want 1", cr.SuccessRate)
 	}
-	if len(cr.PerNode) != 3 {
-		t.Fatalf("%d per-node blocks, want 3", len(cr.PerNode))
+	if len(cr.PerNode) != cfg.Cluster.Nodes {
+		t.Fatalf("%d per-node blocks, want %d", len(cr.PerNode), cfg.Cluster.Nodes)
 	}
 }
 

@@ -9,8 +9,8 @@ import (
 	"nonstrict/internal/server"
 )
 
-// Schema identifies the BENCH_fleet.json layout; bump on breaking
-// change so CI schema checks fail loudly instead of misreading.
+// Schema identifies the Report's JSON layout; bump on breaking change
+// so a reader fails loudly instead of misreading.
 const Schema = "fleet/v1"
 
 // Quantiles is a latency distribution summary in milliseconds.
@@ -123,7 +123,7 @@ type ClusterReport struct {
 	PerNode     []cluster.NodeStats `json:"per_node"`
 }
 
-// Report is the BENCH_fleet.json document.
+// Report is the document `nonstrict fleet -out FILE` writes.
 type Report struct {
 	SchemaVersion string   `json:"schema"`
 	Seed          uint64   `json:"seed"`

@@ -2,22 +2,14 @@ package server
 
 import (
 	"context"
-	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
-	"runtime"
-	"sort"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"nonstrict/internal/stream"
-	"nonstrict/internal/synth"
 )
 
 // benchApp is the workload for the serve benchmarks; Hanoi is the
@@ -78,11 +70,11 @@ func fetchStream(tb testing.TB, url string, firstUnitEnd int64) (n int64, ttfu t
 	return n, ttfu
 }
 
-// firstUnitEnd parses the served unit table and returns the stream
+// firstUnitEnd parses app's served unit table and returns the stream
 // offset one past the first unit.
-func firstUnitEnd(tb testing.TB, tsURL string) int64 {
+func firstUnitEnd(tb testing.TB, tsURL, app string) int64 {
 	tb.Helper()
-	resp, err := http.Get(tsURL + "/apps/" + benchApp + "/app.toc")
+	resp, err := http.Get(tsURL + "/apps/" + app + "/app.toc")
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -96,7 +88,7 @@ func firstUnitEnd(tb testing.TB, tsURL string) int64 {
 		tb.Fatal(err)
 	}
 	if len(toc) == 0 {
-		tb.Fatal("empty unit table")
+		tb.Fatalf("%s: empty unit table", app)
 	}
 	return toc[0].Off + int64(toc[0].Len)
 }
@@ -108,7 +100,7 @@ func BenchmarkColdServe(b *testing.B) {
 	sw.reset(b)
 	ts := httptest.NewServer(sw)
 	defer ts.Close()
-	end := firstUnitEnd(b, ts.URL)
+	end := firstUnitEnd(b, ts.URL, benchApp)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -144,7 +136,7 @@ func BenchmarkWarmServe(b *testing.B) {
 	s := sw.reset(b)
 	ts := httptest.NewServer(sw)
 	defer ts.Close()
-	end := firstUnitEnd(b, ts.URL)
+	end := firstUnitEnd(b, ts.URL, benchApp)
 	before := s.CacheStats().Builds
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -177,355 +169,4 @@ func BenchmarkWarmServeParallel(b *testing.B) {
 			resp.Body.Close()
 		}
 	})
-}
-
-type benchPhase struct {
-	Requests      int     `json:"requests"`
-	StreamsPerSec float64 `json:"streams_per_sec"`
-	TTFUMillis    float64 `json:"ttfu_ms"`
-	BytesPerSec   float64 `json:"bytes_per_sec"`
-}
-
-// overloadPhase is the overload-protection proof: a cold-build storm of
-// 10x the admission queue's capacity must shed cleanly (503 +
-// Retry-After, no goroutine pile-up) and must not degrade the warm
-// path — p99 time-to-first-unit with admission on stays within 2x the
-// uncontended baseline.
-type overloadPhase struct {
-	Offered        int     `json:"offered"`
-	QueueCapacity  int     `json:"queue_capacity"`
-	MaxBuilds      int     `json:"max_builds"`
-	Served         int     `json:"served"`
-	Shed           int     `json:"shed_total"`
-	RetryAfterSeen int     `json:"retry_after_seen"`
-	GoroutinePeak  int     `json:"goroutine_peak"`
-	GoroutineLeak  int     `json:"goroutine_leak"`
-	BaselineP99Ms  float64 `json:"baseline_p99_ttfu_ms"`
-	WarmP99Ms      float64 `json:"warm_p99_ttfu_ms"`
-	P99Ratio       float64 `json:"p99_ratio"`
-}
-
-type benchReport struct {
-	App          string        `json:"app"`
-	Order        string        `json:"order"`
-	Cold         benchPhase    `json:"cold"`
-	Warm         benchPhase    `json:"warm"`
-	WarmOverCold float64       `json:"warm_over_cold"`
-	Cache        CacheStats    `json:"cache"`
-	Overload     overloadPhase `json:"overload"`
-}
-
-// TestBenchServeSmoke is the load-generator smoke: it measures cold and
-// warm streams/sec and time-to-first-unit against a live server, writes
-// BENCH_serve.json at the repo root (or $BENCH_SERVE_OUT), and gates on
-// the acceptance ratio — a warm cache must serve at least 10x the
-// cold-path request rate (uninstrumented; under -race the ratio is
-// logged, and everything else still gates).
-func TestBenchServeSmoke(t *testing.T) {
-	sw := &switchableServer{}
-	s := sw.reset(t)
-	ts := httptest.NewServer(sw)
-	defer ts.Close()
-	url := ts.URL + "/apps/" + benchApp + "/app"
-	end := firstUnitEnd(t, ts.URL)
-
-	measure := func(n int, reset bool) benchPhase {
-		var total int64
-		var ttfuSum time.Duration
-		start := time.Now()
-		for i := 0; i < n; i++ {
-			if reset {
-				s = sw.reset(t)
-			}
-			m, ttfu := fetchStream(t, url, end)
-			total += m
-			ttfuSum += ttfu
-		}
-		el := time.Since(start)
-		return benchPhase{
-			Requests:      n,
-			StreamsPerSec: float64(n) / el.Seconds(),
-			TTFUMillis:    float64(ttfuSum.Milliseconds()) / float64(n),
-			BytesPerSec:   float64(total) / el.Seconds(),
-		}
-	}
-
-	cold := measure(8, true)
-	// Leave the last server resident and re-warm it for the warm phase.
-	if _, err := s.Warm(t.Context(), benchApp); err != nil {
-		t.Fatal(err)
-	}
-	warm := measure(200, false)
-
-	// The overload phase runs after the timing-sensitive cold/warm
-	// measurement so its goroutine storm cannot perturb it.
-	overload := measureOverload(t)
-
-	rep := benchReport{
-		App:          benchApp,
-		Order:        OrderStatic,
-		Cold:         cold,
-		Warm:         warm,
-		WarmOverCold: warm.StreamsPerSec / cold.StreamsPerSec,
-		Cache:        s.CacheStats(),
-		Overload:     overload,
-	}
-	if rep.Cache.Builds != 1 {
-		t.Fatalf("warm phase ran %d builds, want 1 (warm-up only)", rep.Cache.Builds)
-	}
-	// The ratio is wall clock against wall clock, and the race detector
-	// does not slow the two sides equally: the same code reads 12-20x
-	// uninstrumented and 8-11x under -race. So it gates only where it
-	// measures the code rather than the detector (make bench-serve).
-	t.Logf("warm/cold = %.1fx (warm %.0f vs cold %.0f streams/sec; race detector %v)",
-		rep.WarmOverCold, warm.StreamsPerSec, cold.StreamsPerSec, raceDetector)
-	if rep.WarmOverCold < 10 && !raceDetector {
-		t.Fatalf("warm/cold = %.1fx, acceptance wants >= 10x", rep.WarmOverCold)
-	}
-
-	out, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	out = append(out, '\n')
-	path := os.Getenv("BENCH_SERVE_OUT")
-	if path == "" {
-		root, err := repoRoot()
-		if err != nil {
-			t.Logf("skipping BENCH_serve.json: %v", err)
-			t.Logf("report:\n%s", out)
-			return
-		}
-		path = filepath.Join(root, "BENCH_serve.json")
-	}
-	if err := os.WriteFile(path, out, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %s: warm/cold = %.1fx, cold ttfu %.2fms, warm ttfu %.2fms",
-		path, rep.WarmOverCold, cold.TTFUMillis, warm.TTFUMillis)
-	t.Logf("overload: offered %d against queue %d, served %d, shed %d (retry-after on %d), goroutine leak %d, warm p99 %.2fms vs baseline %.2fms (%.2fx)",
-		overload.Offered, overload.QueueCapacity, overload.Served, overload.Shed, overload.RetryAfterSeen,
-		overload.GoroutineLeak, overload.WarmP99Ms, overload.BaselineP99Ms, overload.P99Ratio)
-}
-
-// benchSuite registers the synthetic overload apps once per test binary
-// (the app registry is process-global). The apps are deliberately heavy
-// (tens of milliseconds per cold build) so the storm's arrivals land
-// while the single build slot is genuinely busy.
-var benchSuite = sync.OnceValues(func() ([]string, error) {
-	names, _, err := synth.RegisterSuite(0x0DDB41, 8, synth.Params{
-		Name: "servebench", Classes: 16, MethodsPerClass: 24, BodyScale: 12,
-	})
-	return names, err
-})
-
-// p99TTFU measures warm time-to-first-unit for n round-robin fetches
-// across the suite and returns the nearest-rank p99 in milliseconds.
-func p99TTFU(t *testing.T, tsURL string, names []string, ends map[string]int64, n int) float64 {
-	t.Helper()
-	samples := make([]float64, 0, n)
-	for i := 0; i < n; i++ {
-		name := names[i%len(names)]
-		_, ttfu := fetchStream(t, tsURL+"/apps/"+name+"/app", ends[name])
-		samples = append(samples, float64(ttfu)/float64(time.Millisecond))
-	}
-	sort.Float64s(samples)
-	idx := int(0.99*float64(len(samples))+0.9999) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(samples) {
-		idx = len(samples) - 1
-	}
-	return samples[idx]
-}
-
-// suiteEnds resolves each app's first-unit end offset from its served
-// unit table.
-func suiteEnds(t *testing.T, tsURL string, names []string) map[string]int64 {
-	t.Helper()
-	ends := make(map[string]int64, len(names))
-	for _, name := range names {
-		resp, err := http.Get(tsURL + "/apps/" + name + "/app.toc")
-		if err != nil {
-			t.Fatal(err)
-		}
-		raw, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		toc, err := stream.ParseTOC(raw)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(toc) == 0 {
-			t.Fatalf("%s: empty unit table", name)
-		}
-		ends[name] = toc[0].Off + int64(toc[0].Len)
-	}
-	return ends
-}
-
-// measureOverload runs the overload-protection phase and gates it: a
-// 10x-queue-capacity cold storm against a 1-slot, 4-deep admission
-// queue must shed with 503 + Retry-After, leak no goroutines once
-// settled, and leave warm p99 TTFU within 2x an uncontended baseline
-// (with a small absolute floor so a fast machine cannot fail on noise).
-func measureOverload(t *testing.T) overloadPhase {
-	names, err := benchSuite()
-	if err != nil {
-		t.Fatal(err)
-	}
-	admit := AdmitConfig{Enabled: true, MaxBuilds: 1, MaxQueue: 4, RetryAfter: time.Second}
-	ph := overloadPhase{
-		Offered:       10 * admit.MaxQueue,
-		QueueCapacity: admit.MaxQueue,
-		MaxBuilds:     admit.MaxBuilds,
-	}
-
-	// Uncontended baseline: same suite, no admission, warm.
-	base, err := New(Config{Apps: names})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bts := httptest.NewServer(base.Handler())
-	defer bts.Close()
-	for _, name := range names {
-		if _, err := base.Warm(t.Context(), name); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ends := suiteEnds(t, bts.URL, names)
-	ph.BaselineP99Ms = p99TTFU(t, bts.URL, names, ends, 100)
-
-	// The storm: every request cold, 10x the queue's capacity at once.
-	srv, err := New(Config{Apps: names, Admit: admit})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	settled := runtime.NumGoroutine()
-	var served, shed, withRetryAfter, badStatus atomic.Int64
-	peak := settled
-	peakDone := make(chan struct{})
-	peakStop := make(chan struct{})
-	go func() {
-		defer close(peakDone)
-		for {
-			select {
-			case <-peakStop:
-				return
-			case <-time.After(time.Millisecond):
-				if n := runtime.NumGoroutine(); n > peak {
-					peak = n
-				}
-			}
-		}
-	}()
-	var wg sync.WaitGroup
-	for i := 0; i < ph.Offered; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			resp, err := http.Get(ts.URL + "/apps/" + names[i%len(names)] + "/app")
-			if err != nil {
-				badStatus.Add(1)
-				return
-			}
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			switch resp.StatusCode {
-			case http.StatusOK:
-				served.Add(1)
-			case http.StatusServiceUnavailable:
-				shed.Add(1)
-				if resp.Header.Get("Retry-After") != "" {
-					withRetryAfter.Add(1)
-				}
-			default:
-				badStatus.Add(1)
-			}
-		}(i)
-	}
-	wg.Wait()
-	close(peakStop)
-	<-peakDone
-	ph.Served, ph.Shed = int(served.Load()), int(shed.Load())
-	ph.RetryAfterSeen = int(withRetryAfter.Load())
-	ph.GoroutinePeak = peak
-	if n := badStatus.Load(); n != 0 {
-		t.Fatalf("overload storm: %d requests neither served nor shed", n)
-	}
-	if ph.Shed == 0 {
-		t.Fatal("overload storm shed nothing; admission is not engaging")
-	}
-	if ph.Served == 0 {
-		t.Fatal("overload storm served nothing; shedding must not starve admitted work")
-	}
-	if ph.RetryAfterSeen != ph.Shed {
-		t.Fatalf("%d of %d shed responses carried Retry-After", ph.RetryAfterSeen, ph.Shed)
-	}
-
-	// Settle: the storm's transient goroutines (clients, handlers, the
-	// bounded builds) must all exit — shed requests own nothing.
-	deadline := time.Now().Add(5 * time.Second)
-	leak := runtime.NumGoroutine() - settled
-	for leak > 10 && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-		leak = runtime.NumGoroutine() - settled
-	}
-	ph.GoroutineLeak = leak
-	if leak > 10 {
-		t.Fatalf("overload storm leaked %d goroutines", leak)
-	}
-
-	// Warm the shed keys (honoring Retry-After) and measure the warm
-	// path with admission enabled.
-	for _, name := range names {
-		for {
-			resp, err := http.Get(ts.URL + "/apps/" + name + "/app")
-			if err != nil {
-				t.Fatal(err)
-			}
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			if resp.StatusCode == http.StatusOK {
-				break
-			}
-			if resp.StatusCode != http.StatusServiceUnavailable {
-				t.Fatalf("warming %s: %s", name, resp.Status)
-			}
-			time.Sleep(20 * time.Millisecond)
-		}
-	}
-	ph.WarmP99Ms = p99TTFU(t, ts.URL, names, ends, 100)
-	if ph.BaselineP99Ms > 0 {
-		ph.P99Ratio = ph.WarmP99Ms / ph.BaselineP99Ms
-	}
-	const p99Floor = 25.0 // ms; below this, ratio noise is meaningless
-	if ph.P99Ratio > 2 && ph.WarmP99Ms > p99Floor {
-		t.Fatalf("warm p99 ttfu %.2fms is %.2fx the uncontended baseline %.2fms; acceptance wants <= 2x",
-			ph.WarmP99Ms, ph.P99Ratio, ph.BaselineP99Ms)
-	}
-	return ph
-}
-
-// repoRoot walks up from the working directory to the module root.
-func repoRoot() (string, error) {
-	dir, err := os.Getwd()
-	if err != nil {
-		return "", err
-	}
-	for {
-		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
-			return dir, nil
-		}
-		parent := filepath.Dir(dir)
-		if parent == dir {
-			return "", fmt.Errorf("no go.mod above %s", dir)
-		}
-		dir = parent
-	}
 }

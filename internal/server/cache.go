@@ -70,8 +70,8 @@ func etagFor(b []byte) string {
 }
 
 // CacheStats is a point-in-time snapshot of the cache's counters. The
-// JSON tags are the schema of the "cache" block in BENCH_serve.json and
-// of the /apps index — CI validates them by name.
+// JSON tags are the schema of the "cache" block in the fleet report and
+// of /debug/vars.
 type CacheStats struct {
 	// Hits is requests answered from a resident artifact.
 	Hits int64 `json:"hits"`

@@ -80,7 +80,6 @@ const (
 	storeExt       = ".art"
 	storeTmpPrefix = ".tmp-"
 	quarantineDir  = "quarantine"
-	manifestName   = "MANIFEST.json"
 )
 
 var storeCRCTable = crc32.MakeTable(crc32.Castagnoli)
@@ -470,100 +469,6 @@ func (s *DiskStore) load(name string) (*Artifact, error) {
 		Units:     hdr.Units,
 		BuildTime: time.Duration(hdr.BuildNS),
 	}, nil
-}
-
-// Manifest is the persisted store summary written at graceful drain:
-// a human- and tool-readable statement of what the directory held when
-// the process last exited cleanly. The directory scan stays
-// authoritative on open — a manifest can be stale after a crash, the
-// files cannot lie about themselves.
-type Manifest struct {
-	Schema  string          `json:"schema"`
-	Written time.Time       `json:"written"`
-	Entries []ManifestEntry `json:"entries"`
-}
-
-// ManifestEntry describes one resident artifact.
-type ManifestEntry struct {
-	App   string `json:"app"`
-	Order string `json:"order"`
-	File  string `json:"file"`
-	ETag  string `json:"etag"`
-	Size  int64  `json:"size"`
-	Units int    `json:"units"`
-	Seq   int64  `json:"seq"`
-}
-
-// ManifestSchema identifies the manifest layout.
-const ManifestSchema = "store-manifest/v1"
-
-// WriteManifest atomically persists the manifest next to the records.
-func (s *DiskStore) WriteManifest() error {
-	s.mu.Lock()
-	m := Manifest{Schema: ManifestSchema, Written: time.Now().UTC()}
-	for _, e := range s.index {
-		m.Entries = append(m.Entries, ManifestEntry{
-			App:   e.hdr.App,
-			Order: e.hdr.Order,
-			File:  e.file,
-			ETag:  e.hdr.ETag,
-			Size:  e.hdr.DataLen + e.hdr.TOCLen,
-			Units: e.hdr.Units,
-			Seq:   e.hdr.Seq,
-		})
-	}
-	s.mu.Unlock()
-	sort.Slice(m.Entries, func(i, j int) bool {
-		return m.Entries[i].App+"/"+m.Entries[i].Order < m.Entries[j].App+"/"+m.Entries[j].Order
-	})
-	raw, err := json.MarshalIndent(m, "", "  ")
-	if err != nil {
-		return err
-	}
-	raw = append(raw, '\n')
-	tmp, err := os.CreateTemp(s.dir, storeTmpPrefix+"manifest-*")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(raw); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := os.Rename(tmp.Name(), filepath.Join(s.dir, manifestName)); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return syncDir(s.dir)
-}
-
-// ReadManifest loads the manifest written by the last clean shutdown,
-// or ErrStoreMiss if none exists.
-func (s *DiskStore) ReadManifest() (*Manifest, error) {
-	raw, err := os.ReadFile(filepath.Join(s.dir, manifestName))
-	if os.IsNotExist(err) {
-		return nil, ErrStoreMiss
-	}
-	if err != nil {
-		return nil, err
-	}
-	var m Manifest
-	if err := json.Unmarshal(raw, &m); err != nil {
-		return nil, err
-	}
-	if m.Schema != ManifestSchema {
-		return nil, fmt.Errorf("server: unknown manifest schema %q", m.Schema)
-	}
-	return &m, nil
 }
 
 // storeFileName is the content-addressed name: a key hash so one app's

@@ -4,12 +4,17 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"nonstrict/internal/synth"
 )
 
 // blockingBuilder is a build function whose completions the test
@@ -379,4 +384,176 @@ func TestDrainLifecycle(t *testing.T) {
 	if code, _ := get("/apps/" + benchApp + "/app"); code != 200 {
 		t.Fatalf("resident app = %d while draining, want 200", code)
 	}
+}
+
+// stormSuite registers the synthetic overload apps once per test binary
+// (the app registry is process-global). The apps are deliberately heavy
+// (tens of milliseconds per cold build) so the storm's arrivals land
+// while the single build slot is genuinely busy.
+var stormSuite = sync.OnceValues(func() ([]string, error) {
+	names, _, err := synth.RegisterSuite(0x0DDB41, 8, synth.Params{
+		Name: "servebench", Classes: 16, MethodsPerClass: 24, BodyScale: 12,
+	})
+	return names, err
+})
+
+// p99TTFU measures warm time-to-first-unit for n round-robin fetches
+// across the suite and returns the nearest-rank p99 in milliseconds.
+func p99TTFU(t *testing.T, tsURL string, names []string, ends map[string]int64, n int) float64 {
+	t.Helper()
+	samples := make([]float64, 0, n)
+	for i := 0; i < n; i++ {
+		name := names[i%len(names)]
+		_, ttfu := fetchStream(t, tsURL+"/apps/"+name+"/app", ends[name])
+		samples = append(samples, float64(ttfu)/float64(time.Millisecond))
+	}
+	sort.Float64s(samples)
+	idx := int(0.99*float64(len(samples))+0.9999) - 1
+	if idx < 0 {
+		idx = 0
+	}
+	if idx >= len(samples) {
+		idx = len(samples) - 1
+	}
+	return samples[idx]
+}
+
+// TestOverloadStorm is the overload-protection proof: a cold-build
+// storm of 10x the admission queue's capacity against a 1-slot, 4-deep
+// queue must shed with 503 + Retry-After, leak no goroutines once
+// settled, and leave warm p99 time-to-first-unit within 2x an
+// uncontended baseline (with a small absolute floor so a fast machine
+// cannot fail on noise).
+func TestOverloadStorm(t *testing.T) {
+	names, err := stormSuite()
+	if err != nil {
+		t.Fatal(err)
+	}
+	admit := AdmitConfig{Enabled: true, MaxBuilds: 1, MaxQueue: 4, RetryAfter: time.Second}
+	offered := 10 * admit.MaxQueue
+
+	// Uncontended baseline: same suite, no admission, warm.
+	base, err := New(Config{Apps: names})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bts := httptest.NewServer(base.Handler())
+	defer bts.Close()
+	ends := make(map[string]int64, len(names))
+	for _, name := range names {
+		if _, err := base.Warm(t.Context(), name); err != nil {
+			t.Fatal(err)
+		}
+		ends[name] = firstUnitEnd(t, bts.URL, name)
+	}
+	baselineP99 := p99TTFU(t, bts.URL, names, ends, 100)
+
+	// The storm: every request cold, 10x the queue's capacity at once.
+	srv, err := New(Config{Apps: names, Admit: admit})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	// idle counts goroutines with no keep-alive connection open on
+	// either side: an idle connection parks two client goroutines and
+	// one server goroutine, and how many the storm leaves idle is the
+	// transport's business, not a leak. The closed connections'
+	// goroutines exit on their own schedule, so the count is read once
+	// it has held still for 20 ms.
+	idle := func() int {
+		http.DefaultClient.CloseIdleConnections()
+		bts.CloseClientConnections()
+		ts.CloseClientConnections()
+		n, still := runtime.NumGoroutine(), 0
+		for i := 0; still < 10 && i < 500; i++ {
+			time.Sleep(2 * time.Millisecond)
+			if m := runtime.NumGoroutine(); m != n {
+				n, still = m, 0
+			} else {
+				still++
+			}
+		}
+		return n
+	}
+	settled := idle()
+	var served, shed, withRetryAfter, badStatus atomic.Int64
+	var wg sync.WaitGroup
+	for i := 0; i < offered; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			resp, err := http.Get(ts.URL + "/apps/" + names[i%len(names)] + "/app")
+			if err != nil {
+				badStatus.Add(1)
+				return
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			switch resp.StatusCode {
+			case http.StatusOK:
+				served.Add(1)
+			case http.StatusServiceUnavailable:
+				shed.Add(1)
+				if resp.Header.Get("Retry-After") != "" {
+					withRetryAfter.Add(1)
+				}
+			default:
+				badStatus.Add(1)
+			}
+		}(i)
+	}
+	wg.Wait()
+	if n := badStatus.Load(); n != 0 {
+		t.Fatalf("overload storm: %d requests neither served nor shed", n)
+	}
+	if shed.Load() == 0 {
+		t.Fatal("overload storm shed nothing; admission is not engaging")
+	}
+	if served.Load() == 0 {
+		t.Fatal("overload storm served nothing; shedding must not starve admitted work")
+	}
+	if withRetryAfter.Load() != shed.Load() {
+		t.Fatalf("%d of %d shed responses carried Retry-After", withRetryAfter.Load(), shed.Load())
+	}
+
+	// Settle: the storm's transient goroutines (clients, handlers, the
+	// bounded builds) must all exit — shed requests own nothing.
+	deadline := time.Now().Add(5 * time.Second)
+	leak := idle() - settled
+	for leak != 0 && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+		leak = idle() - settled
+	}
+	if leak != 0 {
+		t.Fatalf("overload storm leaked %d goroutines", leak)
+	}
+
+	// Warm the shed keys (honoring Retry-After) and measure the warm
+	// path with admission enabled.
+	for _, name := range names {
+		for {
+			resp, err := http.Get(ts.URL + "/apps/" + name + "/app")
+			if err != nil {
+				t.Fatal(err)
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode == http.StatusOK {
+				break
+			}
+			if resp.StatusCode != http.StatusServiceUnavailable {
+				t.Fatalf("warming %s: %s", name, resp.Status)
+			}
+			time.Sleep(20 * time.Millisecond)
+		}
+	}
+	warmP99 := p99TTFU(t, ts.URL, names, ends, 100)
+	const p99Floor = 25.0 // ms; below this, ratio noise is meaningless
+	if baselineP99 > 0 && warmP99 > 2*baselineP99 && warmP99 > p99Floor {
+		t.Fatalf("warm p99 ttfu %.2fms is %.2fx the uncontended baseline %.2fms; acceptance wants <= 2x",
+			warmP99, warmP99/baselineP99, baselineP99)
+	}
+	t.Logf("offered %d against queue %d: served %d, shed %d, warm p99 %.2fms vs baseline %.2fms",
+		offered, admit.MaxQueue, served.Load(), shed.Load(), warmP99, baselineP99)
 }

@@ -308,19 +308,6 @@ func (s *Server) Requests() int64 { return s.metrics.Requests() }
 // Store returns the persistent artifact store backing the cache, or nil.
 func (s *Server) Store() Store { return s.store }
 
-// PersistManifest writes the store's manifest (an inventory of intact
-// entries) when the store supports it; servers call it at drain time so
-// an operator can audit what a dead node had. It is advisory — the
-// store's per-entry headers, not the manifest, are the source of truth
-// on reopen.
-func (s *Server) PersistManifest() error {
-	type manifester interface{ WriteManifest() error }
-	if m, ok := s.store.(manifester); ok {
-		return m.WriteManifest()
-	}
-	return nil
-}
-
 // appStatus is one row of the /apps index.
 type appStatus struct {
 	Name  string `json:"name"`
