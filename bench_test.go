@@ -10,15 +10,21 @@
 package nonstrict
 
 import (
+	"bytes"
+	"context"
 	"sync"
 	"testing"
 
 	"nonstrict/internal/apps"
 	"nonstrict/internal/cfg"
+	"nonstrict/internal/classfile"
 	"nonstrict/internal/jir"
+	"nonstrict/internal/pipeline"
 	"nonstrict/internal/reorder"
 	"nonstrict/internal/sim"
+	"nonstrict/internal/stream"
 	"nonstrict/internal/transfer"
+	"nonstrict/internal/verify"
 	"nonstrict/internal/vm"
 )
 
@@ -200,6 +206,81 @@ func BenchmarkVMHanoi(b *testing.B) {
 		instrs = m.Steps()
 	}
 	b.ReportMetric(float64(instrs*int64(b.N))/b.Elapsed().Seconds()/1e6, "Minstr/s")
+}
+
+// compiledApps compiles the six workloads, for the client receive-path
+// benchmarks below.
+func compiledApps(b *testing.B) []*classfile.Program {
+	b.Helper()
+	var progs []*classfile.Program
+	for _, app := range apps.All() {
+		prog, err := jir.Compile(app.IR)
+		if err != nil {
+			b.Fatal(err)
+		}
+		progs = append(progs, prog)
+	}
+	return progs
+}
+
+// BenchmarkVerifyProgram measures whole-program verification of the six
+// workloads — the verifier's share of the client receive path.
+func BenchmarkVerifyProgram(b *testing.B) {
+	progs := compiledApps(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, p := range progs {
+			if err := verify.VerifyProgram(p); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// BenchmarkLinkProgram measures eager linking of the six workloads —
+// the same per-method linkCode the live linker runs at first use.
+func BenchmarkLinkProgram(b *testing.B) {
+	progs := compiledApps(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, p := range progs {
+			if _, err := vm.Link(p); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// BenchmarkLoaderLoad measures the non-strict loader end to end (unit
+// CRC, global parse, per-method verify, whole-stream digest) over the
+// six workloads' train-ordered streams.
+func BenchmarkLoaderLoad(b *testing.B) {
+	type served struct {
+		name, main string
+		data       []byte
+	}
+	var streams []served
+	var total int64
+	for _, app := range apps.All() {
+		st, err := pipeline.Build(context.Background(), app, pipeline.OrderTrain)
+		if err != nil {
+			b.Fatal(err)
+		}
+		streams = append(streams, served{app.Name, app.IR.Main, st.Data})
+		total += int64(len(st.Data))
+	}
+	b.SetBytes(total)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, s := range streams {
+			if err := stream.NewLoader(s.name, s.main, nil).Load(bytes.NewReader(s.data), nil); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
 }
 
 // BenchmarkStaticOrderJess measures the §4.1 estimator on the largest

@@ -221,3 +221,70 @@ func TestTerminalFlags(t *testing.T) {
 		}
 	}
 }
+
+// TestIndex: Index decodes what Decode decodes and marks exactly the
+// instruction starts in its offset table — operand bytes and the end of
+// the code are −1 — reusing the scratch it is given.
+func TestIndex(t *testing.T) {
+	code := Encode([]Instr{
+		{Op: NOP},             // 0
+		{Op: GOTO, Arg: 4},    // 1, operand bytes 2-3
+		{Op: IPUSH, Arg: 1e6}, // 4, operand bytes 5-8
+		{Op: LOAD, Arg: 2},    // 9, operand byte 10
+		{Op: RETURN},          // 11
+	})
+	want, err := Decode(code)
+	if err != nil {
+		t.Fatal(err)
+	}
+	instrs, at, err := Index(code, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(instrs) != len(want) {
+		t.Fatalf("Index decoded %d instructions, Decode %d", len(instrs), len(want))
+	}
+	for i := range want {
+		if instrs[i] != want[i] {
+			t.Errorf("instruction %d: Index %v, Decode %v", i, instrs[i], want[i])
+		}
+	}
+	wantAt := []int32{0, 1, -1, -1, 2, -1, -1, -1, -1, 3, -1, 4, -1}
+	if len(at) != len(code)+1 {
+		t.Fatalf("offset table has %d entries for %d code bytes, want len(code)+1", len(at), len(code))
+	}
+	for off, idx := range wantAt {
+		if at[off] != idx {
+			t.Errorf("at[%d] = %d, want %d", off, at[off], idx)
+		}
+	}
+
+	// A shorter method through the same scratch: nothing of the longer
+	// one may show through, and nothing is allocated.
+	short := Encode([]Instr{{Op: BIPUSH, Arg: 1}, {Op: IRETURN}})
+	allocs := testing.AllocsPerRun(10, func() {
+		instrs, at, err = Index(short, instrs, at)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(instrs) != 2 || len(at) != 4 || at[0] != 0 || at[1] != -1 || at[2] != 1 || at[3] != -1 {
+		t.Errorf("reused scratch: %d instructions, table %v", len(instrs), at)
+	}
+	if allocs != 0 {
+		t.Errorf("Index into sufficient scratch: %.0f allocations, want 0", allocs)
+	}
+
+	// Malformed code fails as Decode fails and hands the scratch back.
+	for _, bad := range [][]byte{{byte(SIPUSH), 0}, {250}} {
+		_, derr := Decode(bad)
+		var ierr error
+		instrs, at, ierr = Index(bad, instrs, at)
+		if ierr == nil || derr == nil || ierr.Error() != derr.Error() {
+			t.Errorf("Index(% x) error %v, Decode error %v", bad, ierr, derr)
+		}
+		if cap(instrs) == 0 || cap(at) == 0 {
+			t.Error("Index dropped the caller's scratch on error")
+		}
+	}
+}

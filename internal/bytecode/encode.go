@@ -3,6 +3,7 @@ package bytecode
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -78,7 +79,7 @@ func DecodeAt(code []byte, pc int) (Instr, int, error) {
 	if !op.Valid() {
 		return Instr{}, 0, fmt.Errorf("%w: %d at pc %d", ErrBadOpcode, code[pc], pc)
 	}
-	k := op.Info().Operand
+	k := infos[op].Operand
 	end := pc + 1 + k.Width()
 	if end > len(code) {
 		return Instr{}, 0, fmt.Errorf("%w: %s at pc %d", ErrTruncated, op, pc)
@@ -105,16 +106,47 @@ func DecodeAt(code []byte, pc int) (Instr, int, error) {
 // undefined opcodes but performs no control-flow validation (that is the
 // verifier's job).
 func Decode(code []byte) ([]Instr, error) {
-	var out []Instr
+	n, err := Count(code)
+	if err != nil || n == 0 {
+		return nil, err
+	}
+	out := make([]Instr, 0, n)
 	for pc := 0; pc < len(code); {
-		in, next, err := DecodeAt(code, pc)
-		if err != nil {
-			return nil, err
-		}
+		in, next, _ := DecodeAt(code, pc) // Count proved the stream decodes
 		out = append(out, in)
 		pc = next
 	}
 	return out, nil
+}
+
+// Index decodes an entire code stream like Decode and also builds the
+// byte-offset → instruction-index table every consumer of branch
+// displacements needs: at has len(code)+1 entries, at[off] is the index
+// of the instruction whose first byte is off, and −1 marks operand bytes
+// and the end of the code. A displacement is a valid branch target
+// exactly when it lands in [0, len(at)) on an entry ≥ 0.
+//
+// Both results reuse the capacity of the slices passed in (nil is fine),
+// so a caller that indexes many methods keeps them as scratch; on error
+// the scratch is handed back unchanged in length-zero form.
+func Index(code []byte, instrs []Instr, at []int32) ([]Instr, []int32, error) {
+	instrs, at = instrs[:0], at[:0]
+	n, err := Count(code)
+	if err != nil {
+		return instrs, at, err
+	}
+	instrs = slices.Grow(instrs, n)
+	at = slices.Grow(at, len(code)+1)[:len(code)+1]
+	for i := range at {
+		at[i] = -1
+	}
+	for pc := 0; pc < len(code); {
+		in, next, _ := DecodeAt(code, pc) // Count proved the stream decodes
+		at[pc] = int32(len(instrs))
+		instrs = append(instrs, in)
+		pc = next
+	}
+	return instrs, at, nil
 }
 
 // Encode encodes a sequence of instructions.

@@ -57,7 +57,7 @@ type Graph struct {
 // Build constructs the CFG of method m in class c. INVOKE operands are
 // resolved through the class constant pool into Refs.
 func Build(c *classfile.Class, m *classfile.Method) (*Graph, error) {
-	instrs, err := bytecode.Decode(m.Code)
+	instrs, at, err := bytecode.Index(m.Code, nil, nil)
 	if err != nil {
 		return nil, fmt.Errorf("cfg: %s.%s: %w", c.Name, c.MethodName(m), err)
 	}
@@ -70,11 +70,9 @@ func Build(c *classfile.Class, m *classfile.Method) (*Graph, error) {
 	}
 
 	g.Offsets = make([]int, len(instrs))
-	off2idx := make(map[int]int, len(instrs))
 	off := 0
 	for i, in := range instrs {
 		g.Offsets[i] = off
-		off2idx[off] = i
 		off += in.Width()
 	}
 
@@ -89,12 +87,12 @@ func Build(c *classfile.Class, m *classfile.Method) (*Graph, error) {
 		if !in.Op.Info().Branch {
 			continue
 		}
-		tgt, ok := off2idx[g.Offsets[i]+int(in.Arg)]
-		if !ok {
+		tgt := g.Offsets[i] + int(in.Arg)
+		if tgt < 0 || tgt >= len(at) || at[tgt] < 0 {
 			return nil, fmt.Errorf("cfg: %v: branch at %d into middle of instruction", g.Ref, g.Offsets[i])
 		}
-		branchTarget[i] = tgt
-		leader[tgt] = true
+		branchTarget[i] = int(at[tgt])
+		leader[at[tgt]] = true
 		if i+1 < len(instrs) {
 			leader[i+1] = true
 		}

@@ -216,6 +216,9 @@ func (r *reader) need(n int) error {
 	return nil
 }
 
+// left returns how many bytes remain unread.
+func (r *reader) left() int { return len(r.b) - r.off }
+
 func (r *reader) u16() (uint16, error) {
 	if err := r.need(2); err != nil {
 		return 0, err
@@ -293,6 +296,7 @@ func ParseGlobal(data []byte) (*Class, Layout, error) {
 		return nil, Layout{}, err
 	}
 	c.CP = make([]Constant, 1, cpCount)
+	cpStart := r.off
 	for i := 1; i < int(cpCount); i++ {
 		tagb, err := r.bytes(1)
 		if err != nil {
@@ -305,11 +309,9 @@ func ParseGlobal(data []byte) (*Class, Layout, error) {
 			if err != nil {
 				return nil, Layout{}, err
 			}
-			s, err := r.bytes(int(n))
-			if err != nil {
+			if _, err := r.bytes(int(n)); err != nil { // text is cut from the pool below
 				return nil, Layout{}, err
 			}
-			e.Str = string(s)
 		case KInteger:
 			v, err := r.u32()
 			if err != nil {
@@ -358,10 +360,27 @@ func ParseGlobal(data []byte) (*Class, Layout, error) {
 		}
 		c.CP = append(c.CP, e)
 	}
+	// One string for the whole pool region, every Utf8 entry a substring
+	// of it: a class's names cost one allocation, not one each.
+	pool := string(data[cpStart:r.off])
+	for i, pos := 1, 0; i < len(c.CP); i++ {
+		e := &c.CP[i]
+		if e.Kind == KUtf8 {
+			n := int(binary.BigEndian.Uint16(data[cpStart+pos+1:]))
+			e.Str = pool[pos+3 : pos+3+n]
+		}
+		pos += e.WireSize() // a Utf8 entry's counts the text just set
+	}
 
+	// The counts below are untrusted: each sizes its slice by what the
+	// remaining bytes could hold at most, so a hostile count cannot
+	// reserve more than the input's own length.
 	nIfc, err := r.u16()
 	if err != nil {
 		return nil, Layout{}, err
+	}
+	if nIfc > 0 {
+		c.Interfaces = make([]uint16, 0, min(int(nIfc), r.left()/2))
 	}
 	for i := 0; i < int(nIfc); i++ {
 		v, err := r.u16()
@@ -374,6 +393,9 @@ func ParseGlobal(data []byte) (*Class, Layout, error) {
 	nFields, err := r.u16()
 	if err != nil {
 		return nil, Layout{}, err
+	}
+	if nFields > 0 {
+		c.Fields = make([]Field, 0, min(int(nFields), r.left()/8))
 	}
 	for i := 0; i < int(nFields); i++ {
 		var f Field
@@ -416,10 +438,19 @@ func ParseGlobal(data []byte) (*Class, Layout, error) {
 	if err != nil {
 		return nil, Layout{}, err
 	}
-	type bodyLen struct{ local, code int }
-	lens := make([]bodyLen, 0, nMethods)
+	// One backing array for the method headers and one for their
+	// layouts; the layout offsets are relative to the end of the global
+	// data until that is known.
+	var methods []Method
+	var l Layout
+	if maxMethods := min(int(nMethods), r.left()/HeaderWireSize); maxMethods > 0 {
+		methods = make([]Method, 0, maxMethods)
+		l.Methods = make([]MethodLayout, 0, maxMethods)
+		c.Methods = make([]*Method, 0, maxMethods)
+	}
+	off := 0
 	for i := 0; i < int(nMethods); i++ {
-		m := &Method{}
+		var m Method
 		if m.Flags, err = r.u16(); err != nil {
 			return nil, Layout{}, err
 		}
@@ -443,24 +474,36 @@ func ParseGlobal(data []byte) (*Class, Layout, error) {
 		if err != nil {
 			return nil, Layout{}, err
 		}
-		lens = append(lens, bodyLen{int(nLocal), int(nCode)})
-		c.Methods = append(c.Methods, m)
+		ml := MethodLayout{BodyStart: off}
+		off += int(nLocal)
+		ml.CodeStart = off
+		off += int(nCode) + DelimSize
+		ml.DelimEnd = off
+		l.Methods = append(l.Methods, ml)
+		// Never past maxMethods — this header's bytes were there to be
+		// read — so the backing array does not move under c.Methods.
+		methods = append(methods, m)
+		c.Methods = append(c.Methods, &methods[len(methods)-1])
 	}
 
 	// Resolve derived fields that require the pool, with checked lookups
 	// (the input is untrusted; the panicking accessors are for verified
 	// classes only).
-	utf8At := func(i uint16, what string) (string, error) {
+	utf8At := func(i uint16) (string, bool) {
 		if int(i) <= 0 || int(i) >= len(c.CP) || c.CP[i].Kind != KUtf8 {
-			return "", fmt.Errorf("classfile: %s: Utf8 index %d invalid", what, i)
+			return "", false
 		}
-		return c.CP[i].Str, nil
+		return c.CP[i].Str, true
 	}
 	classNameAt := func(i uint16, what string) (string, error) {
 		if int(i) <= 0 || int(i) >= len(c.CP) || c.CP[i].Kind != KClass {
 			return "", fmt.Errorf("classfile: %s: index %d is not a Class constant", what, i)
 		}
-		return utf8At(c.CP[i].A, what)
+		name, ok := utf8At(c.CP[i].A)
+		if !ok {
+			return "", fmt.Errorf("classfile: %s: Utf8 index %d invalid", what, c.CP[i].A)
+		}
+		return name, nil
 	}
 	if c.Name, err = classNameAt(c.ThisClass, "this_class"); err != nil {
 		return nil, Layout{}, err
@@ -471,29 +514,26 @@ func ParseGlobal(data []byte) (*Class, Layout, error) {
 		}
 	}
 	for mi, m := range c.Methods {
-		if _, err = utf8At(m.Name, fmt.Sprintf("method %d name", mi)); err != nil {
-			return nil, Layout{}, err
+		if _, ok := utf8At(m.Name); !ok {
+			return nil, Layout{}, fmt.Errorf("classfile: method %d name: Utf8 index %d invalid", mi, m.Name)
 		}
-		desc, err := utf8At(m.Desc, fmt.Sprintf("method %d descriptor", mi))
-		if err != nil {
-			return nil, Layout{}, err
+		desc, ok := utf8At(m.Desc)
+		if !ok {
+			return nil, Layout{}, fmt.Errorf("classfile: method %d descriptor: Utf8 index %d invalid", mi, m.Desc)
 		}
 		if m.NArgs, m.NRet, err = ParseDescriptor(desc); err != nil {
 			return nil, Layout{}, err
 		}
 	}
 
-	l := Layout{GlobalEnd: r.off}
-	off := r.off
-	for _, bl := range lens {
-		ml := MethodLayout{BodyStart: off}
-		off += bl.local
-		ml.CodeStart = off
-		off += bl.code + DelimSize
-		ml.DelimEnd = off
-		l.Methods = append(l.Methods, ml)
+	l.GlobalEnd = r.off
+	for i := range l.Methods {
+		ml := &l.Methods[i]
+		ml.BodyStart += r.off
+		ml.CodeStart += r.off
+		ml.DelimEnd += r.off
 	}
-	l.FileSize = off
+	l.FileSize = r.off + off
 	return c, l, nil
 }
 

@@ -255,7 +255,8 @@ func (h *Harness) ClusterBuilds() (builds, peerFills, fallbacks int64) {
 	return
 }
 
-// Close shuts every member down.
+// Close shuts every member down and closes the idle connections the
+// router's and the nodes' hop clients hold to them.
 func (h *Harness) Close() {
 	for i, hs := range h.hsrvs {
 		if hs != nil {
@@ -263,6 +264,14 @@ func (h *Harness) Close() {
 		}
 		if h.lns[i] != nil {
 			h.lns[i].Close()
+		}
+	}
+	if h.router != nil {
+		h.router.client.CloseIdleConnections()
+	}
+	for _, n := range h.nodes {
+		if n != nil {
+			n.fc.fc.HTTP.CloseIdleConnections()
 		}
 	}
 }

@@ -24,7 +24,8 @@ type NodeConfig struct {
 	// Server is the underlying code-server configuration. Its Build
 	// field must be nil — the node installs the peer-fill build path.
 	Server server.Config
-	// Client issues peer-fill requests; nil uses a private default.
+	// Client issues peer-fill requests; nil uses a private default (see
+	// newHopClient).
 	Client *http.Client
 	// FillTimeout bounds one peer-fill transfer, retries included
 	// (default 30s). On expiry the node falls back to building locally.

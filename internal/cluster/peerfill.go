@@ -23,7 +23,7 @@ type peerFetcher struct {
 
 func newPeerFetcher(client *http.Client, name string) peerFetcher {
 	if client == nil {
-		client = &http.Client{}
+		client = newHopClient()
 	}
 	return peerFetcher{fc: &stream.FetchClient{
 		HTTP: client,

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"strings"
 	"sync"
@@ -11,6 +12,7 @@ import (
 	"time"
 
 	"nonstrict/internal/server"
+	"nonstrict/internal/stream"
 )
 
 // RouterConfig configures the cluster's client-facing proxy.
@@ -23,7 +25,8 @@ type RouterConfig struct {
 	// key the ring hashes and must match the nodes' configured policy.
 	// Empty means server.OrderStatic.
 	Order string
-	// Client issues upstream requests; nil uses a private default.
+	// Client issues upstream requests; nil uses a private default (see
+	// newHopClient).
 	Client *http.Client
 	// Cooldown is how long a node that failed to answer is skipped
 	// before being retried (default 2s).
@@ -62,6 +65,28 @@ type Router struct {
 	aborts    atomic.Int64
 }
 
+// hopIdleConnsPerHost is how many idle connections a hop client keeps to
+// each node. http.Transport's default of 2 makes every third concurrent
+// request to a node dial afresh; a router or filling node talks to a
+// handful of hosts, so a generous fixed figure costs little.
+const hopIdleConnsPerHost = 64
+
+// newHopClient builds the client that router-to-node and node-to-node
+// hops default to. Its transport is its own, not the process-wide
+// http.DefaultTransport: Proxy stays nil, so a hop inside the cluster
+// never honours HTTP(S)_PROXY from the environment; it does not add an
+// Accept-Encoding of its own (the client's is forwarded verbatim); its
+// idle connections are not shared with anything else in the process, and
+// its owner can close them.
+func newHopClient() *http.Client {
+	return &http.Client{Transport: &http.Transport{
+		DialContext:         (&net.Dialer{Timeout: 30 * time.Second, KeepAlive: 30 * time.Second}).DialContext,
+		DisableCompression:  true,
+		MaxIdleConnsPerHost: hopIdleConnsPerHost,
+		IdleConnTimeout:     90 * time.Second,
+	}}
+}
+
 // NewRouter builds a router over the ring and node addresses.
 func NewRouter(c RouterConfig) (*Router, error) {
 	if c.Ring == nil {
@@ -76,7 +101,7 @@ func NewRouter(c RouterConfig) (*Router, error) {
 		c.Order = server.OrderStatic
 	}
 	if c.Client == nil {
-		c.Client = &http.Client{}
+		c.Client = newHopClient()
 	}
 	if c.Cooldown <= 0 {
 		c.Cooldown = 2 * time.Second
@@ -201,18 +226,35 @@ func (rt *Router) forward(r *http.Request, base string) (*http.Response, error) 
 	return rt.client.Do(req)
 }
 
+// hopByHop reports whether a (canonical) response header describes the
+// router's connection to the node rather than the response: forwarded,
+// a draining node's "Connection: close" would close the client's
+// keep-alive connection to the router. The set is the one
+// httputil.ReverseProxy strips.
+func hopByHop(key string) bool {
+	switch key {
+	case "Connection", "Keep-Alive", "Proxy-Connection", "Te", "Trailer", "Transfer-Encoding", "Upgrade":
+		return true
+	}
+	return false
+}
+
 // stream forwards one upstream response body with per-chunk flushing.
 func (rt *Router) stream(w http.ResponseWriter, r *http.Request, resp *http.Response, name string) {
 	defer resp.Body.Close()
 	h := w.Header()
 	for k, vs := range resp.Header {
-		h[k] = vs
+		if !hopByHop(k) {
+			h[k] = vs
+		}
 	}
 	w.WriteHeader(resp.StatusCode)
 	rt.proxied.Add(1)
 
 	fl, _ := w.(http.Flusher)
-	buf := make([]byte, 32<<10)
+	bp := stream.GetCopyBuf()
+	defer stream.PutCopyBuf(bp) // runs on the abort panic below too
+	buf := *bp
 	wrote := false
 	for {
 		n, rerr := resp.Body.Read(buf)

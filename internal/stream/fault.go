@@ -316,8 +316,8 @@ func (w *faultWriter) writeChunk(p []byte) (int, error) {
 		// this function returns, so the scratch can be recycled.
 		var q []byte
 		if len(p) <= copyBufSize {
-			bp := copyBufPool.Get().(*[]byte)
-			defer copyBufPool.Put(bp)
+			bp := GetCopyBuf()
+			defer PutCopyBuf(bp)
 			q = (*bp)[:len(p)]
 			copy(q, p)
 		} else {

@@ -518,8 +518,8 @@ func (r *resumeReader) tryConnect() error {
 }
 
 func discardN(body io.Reader, n int64, watchdog *time.Timer, timeout time.Duration) error {
-	bp := copyBufPool.Get().(*[]byte)
-	defer copyBufPool.Put(bp)
+	bp := GetCopyBuf()
+	defer PutCopyBuf(bp)
 	buf := *bp
 	for n > 0 {
 		chunk := int64(len(buf))

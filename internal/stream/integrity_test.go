@@ -3,6 +3,10 @@ package stream
 import (
 	"bytes"
 	"errors"
+	"io"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"nonstrict/internal/vm"
@@ -302,4 +306,133 @@ func TestCleanStreamDigestVerified(t *testing.T) {
 	if st.CorruptUnits != 0 || st.RepairAttempts != 0 || st.Quarantined != 0 {
 		t.Errorf("clean stream ticked integrity counters: %+v", st)
 	}
+}
+
+// TestInstallRoutesShareVerifierScratch drives all three install routes
+// at once — the main stream, a repaired unit, and demand fetches from
+// several goroutines — over a stream large enough that they interleave.
+// Every route verifies method bodies out of the loader's one owned
+// verify.Scratch; installs are serialised under the loader's lock, so
+// under -race this must be silent, every unit must install exactly once,
+// and the assembled program must still run to its self-check.
+func TestInstallRoutesShareVerifierScratch(t *testing.T) {
+	app, rp, _, w := plan(t, "JavaCup")
+	var buf bytes.Buffer
+	if _, err := w.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	good := buf.Bytes()
+	toc := w.TOC()
+	payload := func(u UnitInfo) []byte { return good[u.Off : u.Off+int64(u.Len)] }
+
+	// Corrupt a body unit a third of the way in: the repair hook heals it
+	// while the demand feeders are working on the tail.
+	corrupt := len(toc) / 3
+	for toc[corrupt].Kind != KindBody {
+		corrupt++
+	}
+	mut := corruptUnit(t, good, corrupt)
+
+	l := NewLoader(rp.Name, rp.MainClass, nil)
+	var repairs atomic.Int64
+	l.Repair = func(req RepairRequest) ([]byte, error) {
+		repairs.Add(1)
+		return payload(toc[corrupt]), nil
+	}
+
+	var ready, linked, demanded atomic.Int64
+	count := func(evs ...Event) {
+		for _, e := range evs {
+			switch e.Kind {
+			case MethodReady:
+				ready.Add(1)
+			case ClassLinked:
+				linked.Add(1)
+			}
+		}
+	}
+
+	const feeders = 4
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for f := 0; f < feeders; f++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			// Walk the table backwards from the end, each feeder its own
+			// stride: the units the main stream reaches last.
+			for i := len(toc) - 1 - f; i > len(toc)/2; i -= feeders {
+				u := toc[i]
+				if u.Kind == KindBody {
+					// A body needs its class's global data in first.
+					for _, g := range toc {
+						if g.Kind == KindGlobal && g.Class == u.Class {
+							evs, err := l.FeedDemand(g.Class, g.Kind, g.Body, payload(g), g.CRC)
+							if err != nil {
+								t.Errorf("demand global of class %d: %v", g.Class, err)
+							}
+							count(evs...)
+							break
+						}
+					}
+				}
+				evs, err := l.FeedDemand(u.Class, u.Kind, u.Body, payload(u), u.CRC)
+				if err != nil {
+					t.Errorf("demand unit %d: %v", i, err)
+				}
+				count(evs...)
+				demanded.Add(int64(len(evs)))
+			}
+		}()
+	}
+	close(start)
+	// The main stream yields at every read, so that the feeders get to
+	// run against it even on one CPU.
+	if err := l.Load(yieldingReader{bytes.NewReader(mut)}, func(e Event) { count(e) }); err != nil {
+		t.Fatal(err)
+	}
+	wg.Wait()
+	if d := demanded.Load(); d == 0 || d >= ready.Load()+linked.Load() {
+		t.Errorf("%d of %d events came from the demand route: the routes did not interleave", d, ready.Load()+linked.Load())
+	}
+
+	bodies, globals := 0, 0
+	for _, u := range toc {
+		if u.Kind == KindBody {
+			bodies++
+		} else {
+			globals++
+		}
+	}
+	if ready.Load() != int64(bodies) || linked.Load() != int64(globals) {
+		t.Errorf("%d MethodReady and %d ClassLinked events for %d bodies and %d globals: a unit installed twice or never",
+			ready.Load(), linked.Load(), bodies, globals)
+	}
+	if st := l.Integrity(); st.CorruptUnits != 1 || st.Repaired != 1 || repairs.Load() != 1 || st.Outstanding != 0 {
+		t.Errorf("integrity counters = %+v after %d repair calls, want one corrupt unit repaired once", st, repairs.Load())
+	}
+	got, err := l.Program()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := vm.Link(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := ln.Run(vm.Options{Args: app.TestArgs, MaxSteps: 1e9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := app.Check(m, false); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// yieldingReader yields the processor before every read.
+type yieldingReader struct{ r io.Reader }
+
+func (y yieldingReader) Read(p []byte) (int, error) {
+	runtime.Gosched()
+	return y.r.Read(p)
 }

@@ -14,14 +14,23 @@ const maxPooledBuf = 1 << 20
 // io.Copy's internal buffer).
 const copyBufSize = 32 * 1024
 
-// copyBufPool recycles fixed-size scratch buffers for byte-discard and
-// corruption-copy loops. Get returns a *[]byte of exactly copyBufSize.
+// copyBufPool recycles fixed-size scratch buffers for byte-discard,
+// corruption-copy and proxy-copy loops.
 var copyBufPool = sync.Pool{
 	New: func() any {
 		b := make([]byte, copyBufSize)
 		return &b
 	},
 }
+
+// GetCopyBuf returns a pooled copy buffer of exactly 32 KiB for one
+// read-then-write loop; hand it back with PutCopyBuf once nothing
+// references its bytes. The cluster router streams response bodies
+// through it, so a proxied stream shares the fetch client's pool.
+func GetCopyBuf() *[]byte { return copyBufPool.Get().(*[]byte) }
+
+// PutCopyBuf recycles a buffer obtained from GetCopyBuf.
+func PutCopyBuf(bp *[]byte) { copyBufPool.Put(bp) }
 
 // payloadPool recycles variable-size unit-payload buffers for the
 // loader. A pooled buffer may only be returned when nothing retains a

@@ -282,6 +282,11 @@ type Loader struct {
 	quarGlobal  map[int]bool                // class's global unit is quarantined
 	quarantined map[quarKey]QuarantinedUnit // corrupt units awaiting a clean copy
 	integ       IntegrityStats
+
+	// verifier is the method verifier's working memory, reused from one
+	// body to the next. Every install — main stream, FeedDemand, repaired
+	// unit — runs under mu, so it is never in two verifications at once.
+	verifier verify.Scratch
 }
 
 // NewLoader builds a loader for a program named name whose entry class
@@ -396,9 +401,9 @@ func (l *Loader) Load(r io.Reader, onEvent func(Event)) error {
 		if !retained {
 			putPayloadBuf(payload)
 		}
-		l.Obs.Emit(obs.UnitArrived, fmt.Sprintf("class %d %s", ci, kindName(kind)), int64(n), 0)
+		l.emit(obs.UnitArrived, ci, kind, n, 0)
 		if onEvent != nil {
-			for _, e := range ev {
+			for _, e := range ev.list() {
 				onEvent(e)
 			}
 		}
@@ -420,7 +425,7 @@ func (l *Loader) repairUnit(ci int, kind byte, n int, crc uint32) ([]byte, error
 		body = l.mainNext[ci]
 	}
 	l.mu.Unlock()
-	l.Obs.Emit(obs.CRCFail, fmt.Sprintf("class %d %s", ci, kindName(kind)), int64(n), 0)
+	l.emit(obs.CRCFail, ci, kind, n, 0)
 	if repair == nil {
 		return nil, fmt.Errorf("%w: class %d %s unit: payload checksum mismatch and no repair path",
 			ErrStreamIntegrity, ci, kindName(kind))
@@ -440,7 +445,7 @@ func (l *Loader) repairUnit(ci int, kind byte, n int, crc uint32) ([]byte, error
 		l.mu.Lock()
 		l.integ.Repaired++
 		l.mu.Unlock()
-		l.Obs.Emit(obs.Repaired, fmt.Sprintf("class %d %s", ci, kindName(kind)), int64(n), time.Since(began))
+		l.emit(obs.Repaired, ci, kind, n, time.Since(began))
 		return p, nil
 	}
 	return nil, nil
@@ -485,7 +490,15 @@ func (l *Loader) quarantine(ci int, kind byte, n int, crc uint32) {
 	}
 	l.quarantined[quarKey{ci, kind, body}] = QuarantinedUnit{Class: ci, Kind: kind, Body: body, Len: n, CRC: crc}
 	l.integ.Quarantined++
-	l.Obs.Emit(obs.Quarantined, fmt.Sprintf("class %d %s", ci, kindName(kind)), int64(n), 0)
+	l.emit(obs.Quarantined, ci, kind, n, 0)
+}
+
+// emit records one integrity event about a unit. The event's name is
+// formatted only when a recorder is attached.
+func (l *Loader) emit(k obs.Kind, ci int, kind byte, n int, dur time.Duration) {
+	if l.Obs != nil {
+		l.Obs.Emit(k, fmt.Sprintf("class %d %s", ci, kindName(kind)), int64(n), dur)
+	}
 }
 
 func kindName(kind byte) string {
@@ -503,7 +516,7 @@ func kindName(kind byte) string {
 // (and so must never be recycled); skipped duplicates and
 // quarantine-shadowed bodies leave it free for the pool. Callers hold
 // l.mu.
-func (l *Loader) feed(ci int, kind byte, payload []byte) (ev []Event, retained bool, err error) {
+func (l *Loader) feed(ci int, kind byte, payload []byte) (ev events, retained bool, err error) {
 	switch kind {
 	case KindGlobal:
 		if _, dup := l.classes[ci]; dup {
@@ -511,9 +524,9 @@ func (l *Loader) feed(ci int, kind byte, payload []byte) (ev []Event, retained b
 				// The demand path already delivered this class's global
 				// data; the main stream's copy is redundant.
 				l.fromDemand[ci] = false
-				return nil, false, nil
+				return events{}, false, nil
 			}
-			return nil, false, fmt.Errorf("%w: duplicate global unit for class %d", ErrBadStream, ci)
+			return events{}, false, fmt.Errorf("%w: duplicate global unit for class %d", ErrBadStream, ci)
 		}
 		ev, err = l.installGlobal(ci, payload)
 		return ev, err == nil, err
@@ -532,24 +545,24 @@ func (l *Loader) feed(ci int, kind byte, payload []byte) (ev []Event, retained b
 				l.quarantined[quarKey{ci, KindBody, bi}] = QuarantinedUnit{
 					Class: ci, Kind: KindBody, Body: bi, Len: len(payload), CRC: ChecksumPayload(payload)}
 				l.integ.Quarantined++
-				return nil, false, nil
+				return events{}, false, nil
 			}
-			return nil, false, fmt.Errorf("%w: body before global data for class %d", ErrBadStream, ci)
+			return events{}, false, fmt.Errorf("%w: body before global data for class %d", ErrBadStream, ci)
 		}
 		bi := l.mainNext[ci]
 		if bi >= len(c.Methods) {
-			return nil, false, fmt.Errorf("%w: class %s: extra body unit", ErrBadStream, c.Name)
+			return events{}, false, fmt.Errorf("%w: class %s: extra body unit", ErrBadStream, c.Name)
 		}
 		l.mainNext[ci] = bi + 1
 		if l.present[ci][bi] {
 			// Already demand-fetched out of order; skip the re-delivery.
-			return nil, false, nil
+			return events{}, false, nil
 		}
 		ev, err = l.installBody(ci, bi, payload)
 		return ev, err == nil, err
 
 	default:
-		return nil, false, fmt.Errorf("%w: unknown unit kind %d", ErrBadStream, kind)
+		return events{}, false, fmt.Errorf("%w: unknown unit kind %d", ErrBadStream, kind)
 	}
 }
 
@@ -586,7 +599,7 @@ func (l *Loader) FeedDemand(ci int, kind byte, body int, payload []byte, crc uin
 				l.fromDemand[ci] = false
 			}
 		}
-		return ev, err
+		return ev.list(), err
 	case KindBody:
 		c, ok := l.classes[ci]
 		if !ok {
@@ -602,7 +615,7 @@ func (l *Loader) FeedDemand(ci int, kind byte, body int, payload []byte, crc uin
 		if err == nil {
 			l.unquarantine(quarKey{ci, KindBody, body})
 		}
-		return ev, err
+		return ev.list(), err
 	default:
 		return nil, fmt.Errorf("stream: demand unit of unknown kind %d", kind)
 	}
@@ -637,34 +650,49 @@ func (l *Loader) Quarantined() []QuarantinedUnit {
 
 // installGlobal parses, verifies, and registers a class's global data.
 // Callers hold l.mu.
-func (l *Loader) installGlobal(ci int, payload []byte) ([]Event, error) {
+func (l *Loader) installGlobal(ci int, payload []byte) (events, error) {
 	c, lay, err := classfile.ParseGlobal(payload)
 	if err != nil {
-		return nil, fmt.Errorf("%w: class %d: %v", ErrBadStream, ci, err)
+		return events{}, fmt.Errorf("%w: class %d: %v", ErrBadStream, ci, err)
 	}
 	if err := verify.VerifyGlobal(c); err != nil {
-		return nil, err
+		return events{}, err
 	}
 	l.classes[ci] = c
 	l.layouts[ci] = lay
 	l.present[ci] = make([]bool, len(c.Methods))
-	return []Event{{Kind: ClassLinked, Class: c.Name, Bytes: l.consumed}}, nil
+	return events{n: 1, ev: [2]Event{{Kind: ClassLinked, Class: c.Name, Bytes: l.consumed}}}, nil
+}
+
+// events is what one installed unit fires: at most two, by value, so
+// that the main stream's per-unit path allocates no slice for them.
+type events struct {
+	ev [2]Event
+	n  int
+}
+
+// list returns the events as a slice, nil when there are none.
+func (e *events) list() []Event {
+	if e.n == 0 {
+		return nil
+	}
+	return e.ev[:e.n]
 }
 
 // installBody verifies and installs one method body. Callers hold l.mu
 // and have checked that the body is absent and in range.
-func (l *Loader) installBody(ci, bi int, payload []byte) ([]Event, error) {
+func (l *Loader) installBody(ci, bi int, payload []byte) (events, error) {
 	c := l.classes[ci]
 	m := c.Methods[bi]
 	ml := l.layouts[ci].Methods[bi]
 	localLen := ml.CodeStart - ml.BodyStart
 	codeLen := ml.DelimEnd - classfile.DelimSize - ml.CodeStart
 	if len(payload) != localLen+codeLen+classfile.DelimSize {
-		return nil, fmt.Errorf("%w: class %s method %d: body is %d bytes, header promised %d",
+		return events{}, fmt.Errorf("%w: class %s method %d: body is %d bytes, header promised %d",
 			ErrBadStream, c.Name, bi, len(payload), localLen+codeLen+classfile.DelimSize)
 	}
 	if [classfile.DelimSize]byte(payload[localLen+codeLen:]) != classfile.Delim {
-		return nil, fmt.Errorf("%w: class %s method %d: bad delimiter", ErrBadStream, c.Name, bi)
+		return events{}, fmt.Errorf("%w: class %s method %d: bad delimiter", ErrBadStream, c.Name, bi)
 	}
 	m.LocalData = payload[:localLen:localLen]
 	m.Code = payload[localLen : localLen+codeLen : localLen+codeLen]
@@ -672,17 +700,18 @@ func (l *Loader) installBody(ci, bi int, payload []byte) ([]Event, error) {
 	if lr, ok := res.(loaderResolver); ok && lr.l == l {
 		res = rawResolver{l} // avoid self-deadlock on l.mu
 	}
-	if err := verify.VerifyMethod(c, m, res); err != nil {
-		return nil, err
+	if err := l.verifier.VerifyMethod(c, m, res); err != nil {
+		return events{}, err
 	}
 	l.present[ci][bi] = true
 	l.ready[ci]++
 	ref := classfile.Ref{Class: c.Name, Name: c.MethodName(m)}
-	events := []Event{{Kind: MethodReady, Class: c.Name, Method: ref, Bytes: l.consumed}}
+	out := events{n: 1, ev: [2]Event{{Kind: MethodReady, Class: c.Name, Method: ref, Bytes: l.consumed}}}
 	if l.ready[ci] == len(c.Methods) {
-		events = append(events, Event{Kind: ClassComplete, Class: c.Name, Bytes: l.consumed})
+		out.ev[1] = Event{Kind: ClassComplete, Class: c.Name, Bytes: l.consumed}
+		out.n = 2
 	}
-	return events, nil
+	return out, nil
 }
 
 // Program assembles the loaded classes. It fails if any method body is

@@ -4,8 +4,10 @@ package stream_test
 // tables come from internal/pipeline, which imports stream.
 
 import (
+	"bytes"
 	"context"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -25,6 +27,7 @@ type realTable struct {
 	toc    []stream.UnitInfo
 	table  []byte // toc as MarshalTOC wrote it
 	stream int64  // the stream's size in bytes
+	data   []byte // the stream itself
 }
 
 // realTables returns the unit tables of the six paper apps under each of
@@ -45,7 +48,7 @@ var realTables = sync.OnceValues(func() ([]realTable, error) {
 			if err != nil {
 				return nil, err
 			}
-			out = append(out, realTable{app.Name + "/" + order, i < len(paper), order, st.Units, st.TOC, int64(len(st.Data))})
+			out = append(out, realTable{app.Name + "/" + order, i < len(paper), order, st.Units, st.TOC, int64(len(st.Data)), st.Data})
 		}
 	}
 	return out, nil
@@ -113,4 +116,41 @@ func TestParseTOCAllocs(t *testing.T) {
 		return
 	}
 	t.Fatal("no Jess/scg table")
+}
+
+// TestLoaderLoadAllocs pins the client receive path the way
+// TestParseTOCAllocs pins the table: loading the largest stream end to
+// end — unit CRC, global parse, per-method verify, whole-stream digest —
+// costs a small constant number of allocations per unit and a small
+// multiple of the stream's own size, with no recorder attached. What
+// remains is the payload a unit installs (one buffer each) and the
+// class's parsed global data.
+func TestLoaderLoadAllocs(t *testing.T) {
+	for _, rt := range mustTables(t) {
+		if rt.name != "Jess/train" {
+			continue
+		}
+		load := func() {
+			if err := stream.NewLoader("Jess", "Jess", nil).Load(bytes.NewReader(rt.data), nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		load() // fill the payload pool's and the runtime's lazy state
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		load()
+		runtime.ReadMemStats(&after)
+		perUnit := float64(after.Mallocs-before.Mallocs) / float64(len(rt.toc))
+		perByte := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(rt.data))
+		t.Logf("Loader.Load: %d units, %d stream bytes: %.2f allocations per unit, %.2f allocated bytes per stream byte",
+			len(rt.toc), len(rt.data), perUnit, perByte)
+		if perUnit > 4 {
+			t.Errorf("Loader.Load: %.2f allocations per unit, budget 4", perUnit)
+		}
+		if perByte > 5 {
+			t.Errorf("Loader.Load: %.2f allocated bytes per stream byte, budget 5", perByte)
+		}
+		return
+	}
+	t.Fatal("no Jess/train stream")
 }

@@ -18,6 +18,7 @@ package verify
 
 import (
 	"fmt"
+	"slices"
 
 	"nonstrict/internal/bytecode"
 	"nonstrict/internal/classfile"
@@ -41,6 +42,20 @@ func classErr(c *classfile.Class, format string, args ...any) error {
 	return &Error{Class: c.Name, Msg: fmt.Sprintf(format, args...)}
 }
 
+// wantKind checks that constant i of c exists and has kind k. what names
+// the holder of the reference and is called only to word a failure:
+// VerifyGlobal runs per class per session, and a name formatted up front
+// for every constant, field and method was most of its garbage.
+func wantKind(c *classfile.Class, i uint16, k classfile.ConstKind, what func() string) error {
+	if int(i) <= 0 || int(i) >= len(c.CP) {
+		return classErr(c, "%s references constant %d, pool has %d entries", what(), i, len(c.CP))
+	}
+	if got := c.CP[i].Kind; got != k {
+		return classErr(c, "%s references a %v constant, want %v", what(), got, k)
+	}
+	return nil
+}
+
 // VerifyGlobal checks everything checkable once a class's global data has
 // arrived — steps 1 and 2 of the paper's five-step verification.
 func VerifyGlobal(c *classfile.Class) error {
@@ -48,40 +63,31 @@ func VerifyGlobal(c *classfile.Class) error {
 	if n == 0 {
 		return classErr(c, "empty constant pool")
 	}
-	inRange := func(i uint16) bool { return int(i) > 0 && int(i) < n }
-	wantKind := func(i uint16, k classfile.ConstKind, what string) error {
-		if !inRange(i) {
-			return classErr(c, "%s references constant %d, pool has %d entries", what, i, n)
-		}
-		if got := c.CP[i].Kind; got != k {
-			return classErr(c, "%s references a %v constant, want %v", what, got, k)
-		}
-		return nil
-	}
+	named := func(s string) func() string { return func() string { return s } }
 
 	for i := 1; i < n; i++ {
 		e := c.CP[i]
-		what := fmt.Sprintf("constant %d (%v)", i, e.Kind)
+		what := func() string { return fmt.Sprintf("constant %d (%v)", i, e.Kind) }
 		switch e.Kind {
 		case classfile.KUtf8, classfile.KInteger, classfile.KFloat,
 			classfile.KLong, classfile.KDouble:
 			// Self-contained.
 		case classfile.KClass, classfile.KString:
-			if err := wantKind(e.A, classfile.KUtf8, what); err != nil {
+			if err := wantKind(c, e.A, classfile.KUtf8, what); err != nil {
 				return err
 			}
 		case classfile.KNameAndType:
-			if err := wantKind(e.A, classfile.KUtf8, what); err != nil {
+			if err := wantKind(c, e.A, classfile.KUtf8, what); err != nil {
 				return err
 			}
-			if err := wantKind(e.B, classfile.KUtf8, what); err != nil {
+			if err := wantKind(c, e.B, classfile.KUtf8, what); err != nil {
 				return err
 			}
 		case classfile.KFieldRef, classfile.KMethodRef, classfile.KInterfaceMethodRef:
-			if err := wantKind(e.A, classfile.KClass, what); err != nil {
+			if err := wantKind(c, e.A, classfile.KClass, what); err != nil {
 				return err
 			}
-			if err := wantKind(e.B, classfile.KNameAndType, what); err != nil {
+			if err := wantKind(c, e.B, classfile.KNameAndType, what); err != nil {
 				return err
 			}
 		default:
@@ -89,45 +95,45 @@ func VerifyGlobal(c *classfile.Class) error {
 		}
 	}
 
-	if err := wantKind(c.ThisClass, classfile.KClass, "this_class"); err != nil {
+	if err := wantKind(c, c.ThisClass, classfile.KClass, named("this_class")); err != nil {
 		return err
 	}
 	if c.SuperClass != 0 {
-		if err := wantKind(c.SuperClass, classfile.KClass, "super_class"); err != nil {
+		if err := wantKind(c, c.SuperClass, classfile.KClass, named("super_class")); err != nil {
 			return err
 		}
 	}
 	for _, i := range c.Interfaces {
-		if err := wantKind(i, classfile.KClass, "interface"); err != nil {
+		if err := wantKind(c, i, classfile.KClass, named("interface")); err != nil {
 			return err
 		}
 	}
 	for fi, f := range c.Fields {
-		what := fmt.Sprintf("field %d", fi)
-		if err := wantKind(f.Name, classfile.KUtf8, what); err != nil {
+		what := func() string { return fmt.Sprintf("field %d", fi) }
+		if err := wantKind(c, f.Name, classfile.KUtf8, what); err != nil {
 			return err
 		}
-		if err := wantKind(f.Desc, classfile.KUtf8, what); err != nil {
+		if err := wantKind(c, f.Desc, classfile.KUtf8, what); err != nil {
 			return err
 		}
 		for _, a := range f.Attrs {
-			if err := wantKind(a.Name, classfile.KUtf8, what+" attribute"); err != nil {
+			if err := wantKind(c, a.Name, classfile.KUtf8, func() string { return what() + " attribute" }); err != nil {
 				return err
 			}
 		}
 	}
 	for _, a := range c.Attrs {
-		if err := wantKind(a.Name, classfile.KUtf8, "class attribute"); err != nil {
+		if err := wantKind(c, a.Name, classfile.KUtf8, named("class attribute")); err != nil {
 			return err
 		}
 	}
 	seen := make(map[string]bool, len(c.Methods))
 	for mi, m := range c.Methods {
-		what := fmt.Sprintf("method %d", mi)
-		if err := wantKind(m.Name, classfile.KUtf8, what); err != nil {
+		what := func() string { return fmt.Sprintf("method %d", mi) }
+		if err := wantKind(c, m.Name, classfile.KUtf8, what); err != nil {
 			return err
 		}
-		if err := wantKind(m.Desc, classfile.KUtf8, what); err != nil {
+		if err := wantKind(c, m.Desc, classfile.KUtf8, what); err != nil {
 			return err
 		}
 		name := c.Utf8(m.Name)
@@ -197,44 +203,66 @@ func methodErr(c *classfile.Class, m *classfile.Method, format string, args ...a
 	return &Error{Class: c.Name, Method: c.MethodName(m), Msg: fmt.Sprintf(format, args...)}
 }
 
+// effect is one instruction's operand-stack effect with call arity
+// resolved.
+type effect struct{ pop, push int32 }
+
+// Scratch holds VerifyMethod's working arrays — decoded instructions, the
+// instruction-boundary index, per-instruction effects and branch targets,
+// and the depth simulation's state — so that a caller verifying method
+// after method (the stream loader, one install at a time) allocates them
+// once instead of once per method. The zero value is ready to use. A
+// Scratch must not be used by two verifications at once.
+type Scratch struct {
+	instrs  []bytecode.Instr
+	at      []int32 // byte offset → instruction index, −1 off-boundary
+	effects []effect
+	targets []int32 // branch target instruction index, or −1
+	depth   []int32 // stack depth on entry, or −1 if not yet reached
+	work    []int32
+}
+
+// sized returns s at length n, reusing its capacity when it suffices; the
+// contents are whatever the last use left.
+func sized[T any](s []T, n int) []T { return slices.Grow(s[:0], n)[:n] }
+
 // VerifyMethod checks one method body — the per-procedure step the
 // non-strict loader runs as each delimiter arrives. res may be nil to
 // skip cross-class checks (they are then the caller's responsibility,
 // matching the paper's deferred interprocedural analysis).
 func VerifyMethod(c *classfile.Class, m *classfile.Method, res Resolver) error {
-	instrs, err := bytecode.Decode(m.Code)
+	var s Scratch
+	return s.VerifyMethod(c, m, res)
+}
+
+// VerifyMethod is the package-level VerifyMethod run out of s.
+func (s *Scratch) VerifyMethod(c *classfile.Class, m *classfile.Method, res Resolver) error {
+	var err error
+	s.instrs, s.at, err = bytecode.Index(m.Code, s.instrs, s.at)
 	if err != nil {
 		return methodErr(c, m, "%v", err)
 	}
-	if len(instrs) == 0 {
+	instrs := s.instrs
+	n := len(instrs)
+	if n == 0 {
 		return methodErr(c, m, "empty code")
 	}
-
-	// Instruction boundary map.
-	off2idx := make(map[int]int, len(instrs))
-	offs := make([]int, len(instrs))
-	off := 0
-	for i, in := range instrs {
-		off2idx[off] = i
-		offs[i] = off
-		off += in.Width()
-	}
+	s.effects, s.targets, s.depth = sized(s.effects, n), sized(s.targets, n), sized(s.depth, n)
+	effects, targets, depth := s.effects, s.targets, s.depth
 
 	// Per-instruction stack effect, resolving call arity.
-	type effect struct{ pop, push int }
-	effects := make([]effect, len(instrs))
-	targets := make([]int, len(instrs)) // branch target instruction index or -1
+	off := 0
 	for i, in := range instrs {
 		targets[i] = -1
 		info := in.Op.Info()
+		effects[i] = effect{int32(info.Pop), int32(info.Push)}
 		switch {
 		case info.Branch:
-			tgt, ok := off2idx[offs[i]+int(in.Arg)]
-			if !ok {
-				return methodErr(c, m, "branch at offset %d into the middle of an instruction", offs[i])
+			tgt := off + int(in.Arg)
+			if tgt < 0 || tgt >= len(s.at) || s.at[tgt] < 0 {
+				return methodErr(c, m, "branch at offset %d into the middle of an instruction", off)
 			}
-			targets[i] = tgt
-			effects[i] = effect{info.Pop, info.Push}
+			targets[i] = s.at[tgt]
 		case in.Op == bytecode.INVOKE:
 			cls, name, desc, err := refOperand(c, uint16(in.Arg), classfile.KMethodRef)
 			if err != nil {
@@ -252,7 +280,7 @@ func VerifyMethod(c *classfile.Class, m *classfile.Method, res Resolver) error {
 					}
 				}
 			}
-			effects[i] = effect{na, nr}
+			effects[i] = effect{int32(na), int32(nr)}
 		case in.Op == bytecode.GETSTATIC || in.Op == bytecode.PUTSTATIC:
 			cls, name, _, err := refOperand(c, uint16(in.Arg), classfile.KFieldRef)
 			if err != nil {
@@ -263,7 +291,6 @@ func VerifyMethod(c *classfile.Class, m *classfile.Method, res Resolver) error {
 					return methodErr(c, m, "access to undeclared field %s.%s", cls, name)
 				}
 			}
-			effects[i] = effect{info.Pop, info.Push}
 		case in.Op == bytecode.LDC:
 			if int(in.Arg) <= 0 || int(in.Arg) >= len(c.CP) {
 				return methodErr(c, m, "LDC of constant %d, pool has %d entries", in.Arg, len(c.CP))
@@ -273,71 +300,69 @@ func VerifyMethod(c *classfile.Class, m *classfile.Method, res Resolver) error {
 			default:
 				return methodErr(c, m, "LDC of unsupported %v constant", k)
 			}
-			effects[i] = effect{info.Pop, info.Push}
 		case in.Op == bytecode.LOAD || in.Op == bytecode.STORE || in.Op == bytecode.IINC:
 			if int(in.Arg) >= int(m.MaxLocals) {
 				return methodErr(c, m, "%s of local %d, MaxLocals is %d", in.Op, in.Arg, m.MaxLocals)
 			}
-			effects[i] = effect{info.Pop, info.Push}
-		default:
-			effects[i] = effect{info.Pop, info.Push}
 		}
+		off += in.Width()
 	}
 
 	// Abstract stack-depth simulation over the control-flow graph.
-	depth := make([]int, len(instrs))
 	for i := range depth {
 		depth[i] = -1
 	}
 	depth[0] = 0
-	work := []int{0}
-	flow := func(to, d int) error {
-		if d < 0 {
-			return methodErr(c, m, "stack underflow reaching instruction %d", to)
-		}
-		if d > int(m.MaxStack) {
-			return methodErr(c, m, "stack depth %d exceeds MaxStack %d at instruction %d", d, m.MaxStack, to)
-		}
-		if depth[to] == -1 {
-			depth[to] = d
-			work = append(work, to)
-			return nil
-		}
-		if depth[to] != d {
-			return methodErr(c, m, "inconsistent stack depth at join %d: %d vs %d", to, depth[to], d)
-		}
-		return nil
-	}
-	for len(work) > 0 {
-		i := work[len(work)-1]
-		work = work[:len(work)-1]
+	s.work = append(s.work[:0], 0)
+	for len(s.work) > 0 {
+		i := int(s.work[len(s.work)-1])
+		s.work = s.work[:len(s.work)-1]
 		in := instrs[i]
-		info := in.Op.Info()
-		d := depth[i] - effects[i].pop
+		d := int(depth[i] - effects[i].pop)
 		if d < 0 {
 			return methodErr(c, m, "stack underflow at instruction %d (%s)", i, in.Op)
 		}
-		d += effects[i].push
+		d += int(effects[i].push)
 		if d > int(m.MaxStack) {
 			return methodErr(c, m, "stack depth %d exceeds MaxStack %d after instruction %d (%s)",
 				d, m.MaxStack, i, in.Op)
 		}
 		if targets[i] >= 0 {
-			if err := flow(targets[i], d); err != nil {
+			if err := s.flow(c, m, int(targets[i]), d); err != nil {
 				return err
 			}
 		}
-		if !info.Terminal {
-			if i+1 >= len(instrs) {
+		if !in.Op.Info().Terminal {
+			if i+1 >= n {
 				return methodErr(c, m, "control falls off the end of the code")
 			}
-			if err := flow(i+1, d); err != nil {
+			if err := s.flow(c, m, i+1, d); err != nil {
 				return err
 			}
 		}
 		if in.Op == bytecode.IRETURN && depth[i] < 1 {
 			return methodErr(c, m, "ireturn with empty stack")
 		}
+	}
+	return nil
+}
+
+// flow propagates stack depth d along an edge into instruction to,
+// queueing it on first reach and checking consistency at joins.
+func (s *Scratch) flow(c *classfile.Class, m *classfile.Method, to, d int) error {
+	if d < 0 {
+		return methodErr(c, m, "stack underflow reaching instruction %d", to)
+	}
+	if d > int(m.MaxStack) {
+		return methodErr(c, m, "stack depth %d exceeds MaxStack %d at instruction %d", d, m.MaxStack, to)
+	}
+	if s.depth[to] == -1 {
+		s.depth[to] = int32(d)
+		s.work = append(s.work, int32(to))
+		return nil
+	}
+	if int(s.depth[to]) != d {
+		return methodErr(c, m, "inconsistent stack depth at join %d: %d vs %d", to, s.depth[to], d)
 	}
 	return nil
 }
@@ -360,11 +385,16 @@ func refOperand(c *classfile.Class, idx uint16, want classfile.ConstKind) (cls, 
 // VerifyClass runs the global check followed by every method check — the
 // strict-execution behaviour, provided for parity and for tests.
 func VerifyClass(c *classfile.Class, res Resolver) error {
+	var s Scratch
+	return s.verifyClass(c, res)
+}
+
+func (s *Scratch) verifyClass(c *classfile.Class, res Resolver) error {
 	if err := VerifyGlobal(c); err != nil {
 		return err
 	}
 	for _, m := range c.Methods {
-		if err := VerifyMethod(c, m, res); err != nil {
+		if err := s.VerifyMethod(c, m, res); err != nil {
 			return err
 		}
 	}
@@ -374,8 +404,9 @@ func VerifyClass(c *classfile.Class, res Resolver) error {
 // VerifyProgram verifies every class against the whole-program resolver.
 func VerifyProgram(p *classfile.Program) error {
 	res := ProgramResolver{Prog: p}
+	var s Scratch
 	for _, c := range p.Classes {
-		if err := VerifyClass(c, res); err != nil {
+		if err := s.verifyClass(c, res); err != nil {
 			return err
 		}
 	}

@@ -148,6 +148,26 @@ func TestVerifyMethodRejects(t *testing.T) {
 			}
 		})
 	}
+
+	// The same cases through one Scratch, with a long well-formed method
+	// verified between them: what the previous method left in the scratch
+	// must change neither a verdict nor its text.
+	long := []bytecode.Instr{{Op: bytecode.RETURN}}
+	for i := 0; i < 200; i++ {
+		long = append([]bytecode.Instr{{Op: bytecode.BIPUSH, Arg: 1}, {Op: bytecode.IFEQ, Arg: 3}}, long...)
+	}
+	lc, lm := rawMethod(t, 0, 2, long)
+	var s Scratch
+	for _, tc := range cases {
+		if err := s.VerifyMethod(lc, lm, nil); err != nil {
+			t.Fatalf("long method: %v", err)
+		}
+		c, m := rawMethod(t, tc.locals, tc.stack, tc.code)
+		fresh, reused := VerifyMethod(c, m, nil), s.VerifyMethod(c, m, nil)
+		if reused == nil || reused.Error() != fresh.Error() {
+			t.Errorf("%s: reused scratch says %v, fresh scratch %v", tc.name, reused, fresh)
+		}
+	}
 }
 
 func TestVerifyMethodCrossClass(t *testing.T) {
@@ -213,5 +233,38 @@ func TestIncrementalMatchesWhole(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestScratchSteadyStateZeroAlloc pins what the scratch is for: once one
+// pass over the largest workload has sized it, verifying a method
+// allocates nothing — the loader's per-body verifier garbage is zero.
+func TestScratchSteadyStateZeroAlloc(t *testing.T) {
+	app, err := apps.ByName("Jess")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := jir.Compile(app.IR)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var res Resolver = ProgramResolver{Prog: p}
+	var s Scratch
+	methods := 0
+	pass := func() {
+		methods = 0
+		for _, c := range p.Classes {
+			for _, m := range c.Methods {
+				if err := s.VerifyMethod(c, m, res); err != nil {
+					t.Fatal(err)
+				}
+				methods++
+			}
+		}
+	}
+	allocs := testing.AllocsPerRun(5, pass) // its warm-up call is the sizing pass
+	t.Logf("Jess: %d methods, %.0f allocations per steady-state pass", methods, allocs)
+	if allocs != 0 {
+		t.Errorf("verifying %d methods through a sized scratch: %.0f allocations, want 0", methods, allocs)
 	}
 }

@@ -78,12 +78,16 @@ type Linked struct {
 	live *LiveLinked
 }
 
-// linkState interns constants and strings across a program's methods.
-// In live mode it is touched only by the executing goroutine.
+// linkState interns constants and strings across a program's methods
+// and carries linkCode's decode scratch from one method to the next. In
+// live mode it is touched only by the executing goroutine.
 type linkState struct {
 	ln       *Linked
 	constIdx map[int64]int32
 	strIdx   map[string]int32
+
+	instrs []bytecode.Instr
+	at     []int32 // byte offset → instruction index, −1 off-boundary
 }
 
 func newLinkState(ln *Linked) *linkState {
@@ -122,30 +126,23 @@ type opResolver interface {
 // targets become instruction indices, LDC splits by constant kind, and
 // calls and static field accesses go through res.
 func linkCode(c *classfile.Class, mm *classfile.Method, lm *linkedMethod, ls *linkState, res opResolver) error {
-	instrs, err := bytecode.Decode(mm.Code)
+	var err error
+	ls.instrs, ls.at, err = bytecode.Index(mm.Code, ls.instrs, ls.at)
 	if err != nil {
 		return fmt.Errorf("vm: %v: %w", lm.ref, err)
 	}
-	// Map byte offsets to instruction indices for branch rewriting.
-	off2idx := make(map[int]int, len(instrs))
+	code := make([]linkedInstr, len(ls.instrs))
 	off := 0
-	offs := make([]int, len(instrs))
-	for i, in := range instrs {
-		off2idx[off] = i
-		offs[i] = off
-		off += in.Width()
-	}
-	code := make([]linkedInstr, len(instrs))
-	for i, in := range instrs {
+	for i, in := range ls.instrs {
 		li := linkedInstr{op: in.Op, a: in.Arg, width: int8(in.Width())}
 		info := in.Op.Info()
 		switch {
 		case info.Branch:
-			tgt, ok := off2idx[offs[i]+int(in.Arg)]
-			if !ok {
-				return fmt.Errorf("vm: %v: branch at %d to middle of instruction (%d)", lm.ref, offs[i], offs[i]+int(in.Arg))
+			tgt := off + int(in.Arg)
+			if tgt < 0 || tgt >= len(ls.at) || ls.at[tgt] < 0 {
+				return fmt.Errorf("vm: %v: branch at %d to middle of instruction (%d)", lm.ref, off, tgt)
 			}
-			li.a = int32(tgt)
+			li.a = ls.at[tgt]
 		case in.Op == bytecode.LDC:
 			e := c.Const(uint16(in.Arg))
 			switch e.Kind {
@@ -180,6 +177,7 @@ func linkCode(c *classfile.Class, mm *classfile.Method, lm *linkedMethod, ls *li
 			li = ri
 		}
 		code[i] = li
+		off += in.Width()
 	}
 	lm.code = code
 	return nil
@@ -236,7 +234,7 @@ func Link(p *classfile.Program) (*Linked, error) {
 	}
 
 	ls := newLinkState(ln)
-	res := eagerResolver{ln: ln, ix: ix}
+	var res opResolver = eagerResolver{ln: ln, ix: ix} // boxed once, not per method
 
 	for id := classfile.MethodID(0); int(id) < ix.Len(); id++ {
 		c := ix.Class(id)

@@ -144,7 +144,10 @@ func (m *Machine) run(opts Options) error {
 		return fmt.Errorf("vm: main takes %d args, got %d", entry.nargs, len(opts.Args))
 	}
 
-	stack := make([]slotv, 0, 4096)
+	// The value stack starts at what the entry frame needs and append
+	// grows it geometrically, so a shallow run does not pay for a deep
+	// one's reservation.
+	stack := make([]slotv, 0, entry.nloc+entry.nstack)
 	grow := func(n int) {
 		for len(stack) < n {
 			stack = append(stack, slotv{})
