@@ -22,6 +22,10 @@ lint:
 	@# cold build once ran the whole evaluation because it did.
 	@if $(GO) list -deps ./internal/server ./internal/cluster ./internal/live | grep -qx nonstrict/internal/experiments; then \
 		echo "internal/server, internal/cluster or internal/live depends on internal/experiments" >&2; exit 1; fi
+	@# /metrics is the one export of the server's counters: expvar's
+	@# process-global registry cannot tell two servers in a process apart.
+	@if $(GO) list -deps ./... | grep -qx expvar; then \
+		echo "something imports expvar; export counters on /metrics" >&2; exit 1; fi
 	@if [ -n "$$CI" ] && ! command -v staticcheck >/dev/null 2>&1; then \
 		$(GO) install $(STATICCHECK); fi
 	@if command -v staticcheck >/dev/null 2>&1; then \

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -15,7 +16,7 @@ import (
 // rounds. Exit status is non-zero on any spec/implementation
 // divergence, with the scenario, schedule, and step (or the failing
 // seed) in the error.
-func cmdCheck(args []string, out io.Writer) error {
+func cmdCheck(_ context.Context, args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("check", flag.ContinueOnError)
 	ops := fs.Int("ops", 3, "concurrent cache operations per scenario (2-4)")
 	keys := fs.Int("keys", 2, "distinct cache keys")

@@ -1,27 +1,7 @@
 // Command nonstrict reproduces the evaluation of "Overlapping Execution
 // with Transfer Using Non-Strict Execution for Mobile Programs"
-// (ASPLOS 1998) and exposes the underlying pipeline.
-//
-// Usage:
-//
-//	nonstrict list                 list the benchmark programs
-//	nonstrict run <name> [-train]  execute one benchmark in the VM
-//	nonstrict stats                print Tables 1-3 (program statistics)
-//	nonstrict latency              print Table 4 (invocation latency)
-//	nonstrict tables [-t N]        print evaluation tables (default: all)
-//	                               (-par N workers, -stats for counters)
-//	nonstrict figure6              print the summary figure
-//	nonstrict ablate               print the ablation studies
-//	nonstrict sim <name> [flags]   simulate one configuration
-//	nonstrict serve <name>         publish the benchmarks as HTTP streams
-//	nonstrict router [flags]       route a sharded cluster of serve nodes
-//	nonstrict fetch <url> -name N  load it non-strictly and run it
-//	nonstrict run-remote <url> -name N
-//	                               execute it while it streams in
-//	nonstrict trace <file>         summarize an exported run trace
-//	nonstrict synth [flags]        generate seeded synthetic apps
-//	nonstrict fleet [flags]        replay a client fleet over link models
-//	nonstrict check [flags]        run the concurrency interleaving checker
+// (ASPLOS 1998) and exposes the underlying pipeline. Run it with no
+// arguments for the list of subcommands.
 package main
 
 import (
@@ -32,6 +12,7 @@ import (
 	"io"
 	"os"
 	"os/signal"
+	"slices"
 	"sort"
 	"strings"
 	"syscall"
@@ -42,53 +23,61 @@ import (
 	"nonstrict/internal/transfer"
 )
 
-func usage() {
-	fmt.Fprintln(os.Stderr, `usage: nonstrict <command> [arguments]
-
-commands:
-  list                 list the benchmark programs
-  run <name> [-train]  execute one benchmark in the VM and report stats
-  stats                print Tables 1-3 (program and base-case statistics)
-  latency              print Table 4 (invocation latency)
-  tables [-t N]        print evaluation tables 5-10 (default: all);
-                       -par N sets the worker count, -stats adds counters
-  figure6              print the Figure 6 summary chart
-  ablate               print the ablation studies (heuristics, bandwidth,
-                       block-level delimiters)
-  jit                  print the JIT-compilation-overlap extension
-  sim <name> [flags]   simulate one transfer configuration
-  serve <name> [flags] publish every benchmark as non-strict HTTP streams
+// commands is the one list of subcommands: usage prints the synopses,
+// dispatch looks up the name.
+var commands = []struct {
+	name, synopsis string
+	run            func(ctx context.Context, args []string, out io.Writer) error
+}{
+	{"list", `list                 list the benchmark programs`, cmdList},
+	{"run", `run <name> [-train]  execute one benchmark in the VM and report stats`, cmdRun},
+	{"tables", `tables [-t ids]      print the evaluation; ids are comma-separated:
+                       1-10 (the paper's tables, the default), fig6
+                       (the Figure 6 summary chart), ablate (the
+                       ablation studies: heuristics, bandwidth,
+                       block-level delimiters) and jit (the
+                       JIT-compilation-overlap extension);
+                       -par N sets the worker count, -stats adds counters`, cmdTables},
+	{"sim", `sim <name> [flags]   simulate one transfer configuration`, cmdSim},
+	{"serve", `serve <name> [flags] publish every benchmark as non-strict HTTP streams
                        (multi-tenant under /apps/{name}/app, cached per
                        (app, order) key; <name> also aliased at /app;
                        -order scg|train|test, -cache-bytes N; with
                        -cluster -node-name N -peers name=url,... the
                        server joins a sharded tier: it builds only the
-                       keys it owns and peer-fills the rest)
-  router [flags]       route requests to a sharded cluster of serve
+                       keys it owns and peer-fills the rest)`, cmdServe},
+	{"router", `router [flags]       route requests to a sharded cluster of serve
                        -cluster nodes by consistent hash of the
                        (app, order) key (-peers name=url,...,
-                       -ring-seed N, -vnodes N, -order P, -cooldown D)
-  fetch <url> -name N  load a served benchmark non-strictly and run it
-  run-remote <url> -name N
+                       -ring-seed N, -vnodes N, -order P, -cooldown D)`, cmdRouter},
+	{"fetch", `fetch <url> -name N  load a served benchmark non-strictly and run it`, cmdFetch},
+	{"run-remote", `run-remote <url> -name N
                        execute a served benchmark WHILE it streams in,
                        measuring first-invocation latency and overlap
                        (-stats compares against simulator predictions,
                        -trace FILE exports a Chrome trace of the run,
                        -trace-summary prints the measured stall
-                       attribution beside the simulator's predictions)
-  trace <file>         summarize a trace exported by run-remote -trace
-  synth [flags]        generate seeded synthetic apps and print their
+                       attribution beside the simulator's predictions)`, cmdRunRemote},
+	{"trace", `trace <file>         summarize a trace exported by run-remote -trace`, cmdTrace},
+	{"synth", `synth [flags]        generate seeded synthetic apps and print their
                        measured shape (-seed, -n, plus structure knobs:
-                       -classes, -methods, -fanout, -hot, -exec, -data)
-  fleet [flags]        replay thousands of simulated clients against the
+                       -classes, -methods, -fanout, -hot, -exec, -data)`, cmdSynth},
+	{"fleet", `fleet [flags]        replay thousands of simulated clients against the
                        in-process server over seeded link models
                        (-apps, -clients, -links, -seed, -duration,
-                       -order, -scale; -out FILE writes the JSON report)
-  check [flags]        run the concurrency-soundness checker: exhaustive
+                       -order, -scale; -out FILE writes the JSON report)`, cmdFleet},
+	{"check", `check [flags]        run the concurrency-soundness checker: exhaustive
                        interleaving enumeration of the cache and loader
                        state machines against their executable specs
                        (-ops, -keys, -stepped, -full), plus optional
-                       seeded randomized stress (-stress N, -seed)`)
+                       seeded randomized stress (-stress N, -seed)`, cmdCheck},
+}
+
+func usage() {
+	fmt.Fprint(os.Stderr, "usage: nonstrict <command> [arguments]\n\ncommands:\n")
+	for _, c := range commands {
+		fmt.Fprintf(os.Stderr, "  %s\n", c.synopsis)
+	}
 	os.Exit(2)
 }
 
@@ -114,54 +103,22 @@ var errUsage = errors.New("usage")
 // Interrupting the process cancels ctx, which aborts in-flight table
 // generation, transfers, and the demo server.
 func dispatch(ctx context.Context, cmd string, args []string, out io.Writer) error {
-	switch cmd {
-	case "list":
-		return cmdList(out)
-	case "run":
-		return cmdRun(args, out)
-	case "stats":
-		return cmdStats(out)
-	case "latency":
-		return cmdLatency(out)
-	case "tables":
-		return cmdTables(ctx, args, out)
-	case "figure6":
-		return cmdFigure6(ctx, args, out)
-	case "ablate":
-		return cmdAblate(out)
-	case "jit":
-		return cmdJIT(out)
-	case "sim":
-		return cmdSim(args, out)
-	case "serve":
-		return cmdServe(ctx, args, out)
-	case "router":
-		return cmdRouter(ctx, args, out)
-	case "fetch":
-		return cmdFetch(ctx, args, out)
-	case "run-remote":
-		return cmdRunRemote(ctx, args, out)
-	case "trace":
-		return cmdTrace(args, out)
-	case "synth":
-		return cmdSynth(args, out)
-	case "fleet":
-		return cmdFleet(ctx, args, out)
-	case "check":
-		return cmdCheck(args, out)
-	default:
-		return errUsage
+	for _, c := range commands {
+		if c.name == cmd {
+			return c.run(ctx, args, out)
+		}
 	}
+	return errUsage
 }
 
-func cmdList(out io.Writer) error {
+func cmdList(_ context.Context, _ []string, out io.Writer) error {
 	for _, a := range nonstrict.Benchmarks() {
 		fmt.Fprintf(out, "%-9s %s\n", a.Name, a.Description)
 	}
 	return nil
 }
 
-func cmdRun(args []string, out io.Writer) error {
+func cmdRun(_ context.Context, args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("run", flag.ContinueOnError)
 	train := fs.Bool("train", false, "use the train input instead of test")
 	if len(args) == 0 || strings.HasPrefix(args[0], "-") {
@@ -171,11 +128,7 @@ func cmdRun(args []string, out io.Writer) error {
 	if err := fs.Parse(args[1:]); err != nil {
 		return err
 	}
-	app, err := nonstrict.Benchmark(name)
-	if err != nil {
-		return err
-	}
-	b, err := nonstrict.LoadBenchmark(app.Name)
+	b, err := nonstrict.LoadBenchmark(name)
 	if err != nil {
 		return err
 	}
@@ -184,58 +137,23 @@ func cmdRun(args []string, out io.Writer) error {
 		prof = b.TrainProfile
 	}
 	fmt.Fprintf(out, "%s: %d classes, %d methods, %d bytes\n",
-		app.Name, len(b.Prog.Classes), b.Prog.NumMethods(), b.Prog.TotalSize())
+		b.App.Name, len(b.Prog.Classes), b.Prog.NumMethods(), b.Prog.TotalSize())
 	fmt.Fprintf(out, "dynamic instructions: %d (%d methods executed)\n",
 		prof.TotalInstrs, prof.Executed())
 	fmt.Fprintf(out, "self-check: ok\n")
 	return nil
 }
 
-func cmdStats(out io.Writer) error {
-	s := nonstrict.Experiments()
-	t1, err := s.Table1()
-	if err != nil {
-		return err
-	}
-	fmt.Fprintln(out, experiments.RenderTable1(t1))
-	t2, err := s.Table2()
-	if err != nil {
-		return err
-	}
-	fmt.Fprintln(out, experiments.RenderTable2(t2))
-	t3, err := s.Table3()
-	if err != nil {
-		return err
-	}
-	fmt.Fprintln(out, experiments.RenderTable3(t3))
-	return nil
-}
-
-func cmdLatency(out io.Writer) error {
-	s := nonstrict.Experiments()
-	t4, err := s.Table4()
-	if err != nil {
-		return err
-	}
-	fmt.Fprintln(out, experiments.RenderTable4(t4))
-	return nil
-}
-
+// cmdTables prints the paper's tables and figure and the repository's
+// extension studies, selected by id.
 func cmdTables(ctx context.Context, args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("tables", flag.ContinueOnError)
-	which := fs.String("t", "", "comma-separated table numbers (1-10; default all)")
+	which := fs.String("t", "1,2,3,4,5,6,7,8,9,10", "comma-separated ids: 1-10, fig6, ablate, jit")
 	par := fs.Int("par", 0, "simulation workers (0 = one per CPU, 1 = serial)")
 	stats := fs.Bool("stats", false, "print simulation counters after the tables")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	want := map[string]bool{}
-	if *which != "" {
-		for _, t := range strings.Split(*which, ",") {
-			want[strings.TrimSpace(t)] = true
-		}
-	}
-	all := len(want) == 0
 	s := nonstrict.Experiments()
 	s.SetWorkers(*par)
 
@@ -260,9 +178,20 @@ func cmdTables(ctx context.Context, args []string, out io.Writer) error {
 		{"8", func() (string, error) { r, err := s.Table8(); return experiments.RenderTable8(r), err }},
 		{"9", func() (string, error) { r, err := s.Table9(); return experiments.RenderTable9(r), err }},
 		{"10", func() (string, error) { r, err := s.Table10Ctx(ctx); return experiments.RenderTable10(r), err }},
+		{"fig6", func() (string, error) { r, err := s.Figure6Ctx(ctx); return experiments.RenderFigure6(r), err }},
+		{"ablate", func() (string, error) { return renderAblations(s) }},
+		{"jit", func() (string, error) { return renderJIT(s) }},
+	}
+	want := map[string]bool{}
+	for _, id := range strings.Split(*which, ",") {
+		id = strings.TrimSpace(id)
+		if !slices.ContainsFunc(gens, func(g gen) bool { return g.id == id }) {
+			return fmt.Errorf("tables: unknown id %q (want 1-10, fig6, ablate or jit)", id)
+		}
+		want[id] = true
 	}
 	for _, g := range gens {
-		if !all && !want[g.id] {
+		if !want[g.id] {
 			continue
 		}
 		text, err := g.run()
@@ -284,75 +213,59 @@ func printRunnerStats(out io.Writer, st experiments.RunnerStats) {
 		st.Cells, st.Demands, st.Stalls, st.StallCycles, st.Mispredicts)
 }
 
-func cmdFigure6(ctx context.Context, args []string, out io.Writer) error {
-	fs := flag.NewFlagSet("figure6", flag.ContinueOnError)
-	par := fs.Int("par", 0, "simulation workers (0 = one per CPU, 1 = serial)")
-	stats := fs.Bool("stats", false, "print simulation counters after the figure")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	s := nonstrict.Experiments()
-	s.SetWorkers(*par)
-	f, err := s.Figure6Ctx(ctx)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintln(out, experiments.RenderFigure6(f))
-	if *stats {
-		printRunnerStats(out, s.RunnerStats())
-	}
-	return nil
-}
-
-func cmdAblate(out io.Writer) error {
-	s := nonstrict.Experiments()
+// renderAblations runs the ablation and extension studies, one blank
+// line between them.
+func renderAblations(s *nonstrict.Suite) (string, error) {
 	h, err := s.AblationHeuristic()
 	if err != nil {
-		return err
+		return "", err
 	}
-	fmt.Fprintln(out, experiments.RenderAblationHeuristic(h))
 	sw, err := s.BandwidthSweep([]int64{100, 500, 1000, 3815, 15000, 60000, 134698, 500000, 2000000})
 	if err != nil {
-		return err
+		return "", err
 	}
-	fmt.Fprintln(out, experiments.RenderBandwidthSweep(sw))
 	bd, err := s.AblationBlockDelimiters()
 	if err != nil {
-		return err
+		return "", err
 	}
-	fmt.Fprintln(out, experiments.RenderBlockDelimiters(bd))
 	sp, err := s.SplitStudy(12)
 	if err != nil {
-		return err
+		return "", err
 	}
-	fmt.Fprintln(out, experiments.RenderSplitStudy(12, sp))
 	cm, err := s.CostModelStudy()
 	if err != nil {
-		return err
+		return "", err
 	}
-	fmt.Fprintln(out, experiments.RenderCostModel(cm))
 	cz, err := s.CompressionStudy(experiments.DefaultCompression)
 	if err != nil {
-		return err
+		return "", err
 	}
-	fmt.Fprintln(out, experiments.RenderCompression(experiments.DefaultCompression, cz))
-	return nil
+	return strings.Join([]string{
+		experiments.RenderAblationHeuristic(h),
+		experiments.RenderBandwidthSweep(sw),
+		experiments.RenderBlockDelimiters(bd),
+		experiments.RenderSplitStudy(12, sp),
+		experiments.RenderCostModel(cm),
+		experiments.RenderCompression(experiments.DefaultCompression, cz),
+	}, "\n"), nil
 }
 
-func cmdJIT(out io.Writer) error {
-	s := nonstrict.Experiments()
+// renderJIT runs the JIT-compilation-overlap extension at three compile
+// costs.
+func renderJIT(s *nonstrict.Suite) (string, error) {
+	var parts []string
 	for _, cpb := range []int64{200, 1000, 5000} {
 		cfg := sim.JITConfig{CompileCyclesPerByte: cpb}
 		rows, err := s.TableJIT(cfg)
 		if err != nil {
-			return err
+			return "", err
 		}
-		fmt.Fprintln(out, experiments.RenderJIT(cfg, rows))
+		parts = append(parts, experiments.RenderJIT(cfg, rows))
 	}
-	return nil
+	return strings.Join(parts, "\n"), nil
 }
 
-func cmdSim(args []string, out io.Writer) error {
+func cmdSim(_ context.Context, args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("sim", flag.ContinueOnError)
 	order := fs.String("order", "test", "first-use predictor: scg, train, test")
 	engine := fs.String("engine", "interleaved", "transfer: sequential, parallel, interleaved")
@@ -436,7 +349,7 @@ func cmdSim(args []string, out io.Writer) error {
 
 // cmdTrace summarizes a Chrome trace-event file exported by
 // run-remote -trace: event and span totals plus the busiest lanes.
-func cmdTrace(args []string, out io.Writer) error {
+func cmdTrace(_ context.Context, args []string, out io.Writer) error {
 	if len(args) != 1 || strings.HasPrefix(args[0], "-") {
 		return fmt.Errorf("trace: usage: nonstrict trace <file>")
 	}

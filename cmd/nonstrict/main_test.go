@@ -56,16 +56,23 @@ func TestRun(t *testing.T) {
 	}
 }
 
+// TestStatsAndLatency: the program statistics and the invocation-latency
+// table are selections of tables, not commands of their own.
 func TestStatsAndLatency(t *testing.T) {
-	out := capture(t, "stats")
+	out := capture(t, "tables", "-t", "1,2,3")
 	for _, want := range []string{"Table 1", "Table 2", "Table 3", "Jess"} {
 		if !strings.Contains(out, want) {
-			t.Errorf("stats missing %q", want)
+			t.Errorf("tables -t 1,2,3 missing %q", want)
 		}
 	}
-	out = capture(t, "latency")
+	out = capture(t, "tables", "-t", "4")
 	if !strings.Contains(out, "Table 4") || !strings.Contains(out, "AVG") {
-		t.Errorf("latency output wrong:\n%s", out)
+		t.Errorf("tables -t 4 output wrong:\n%s", out)
+	}
+	for _, gone := range []string{"stats", "latency", "figure6", "ablate", "jit"} {
+		if err := captureErr(t, gone); err != errUsage {
+			t.Errorf("%s: err = %v, want errUsage", gone, err)
+		}
 	}
 }
 
@@ -76,6 +83,23 @@ func TestTablesSelection(t *testing.T) {
 	}
 	if strings.Contains(out, "Table 5") {
 		t.Error("unselected table printed")
+	}
+	// The figure and the extension studies are ids beside the numbers,
+	// printed in the table's order whatever order they are asked in.
+	out = capture(t, "tables", "-t", "jit, ablate,fig6")
+	at := -1
+	for _, want := range []string{"Figure 6:", "Ablation: static-estimator", "Extension: procedure splitting", "Extension: JIT compilation"} {
+		i := strings.Index(out, want)
+		if i <= at {
+			t.Errorf("%q missing or out of order (at %d, previous at %d)", want, i, at)
+		}
+		at = i
+	}
+	if strings.Contains(out, "Table 1") {
+		t.Error("unselected table printed")
+	}
+	if err := captureErr(t, "tables", "-t", "5,figure6"); err == nil || !strings.Contains(err.Error(), `"figure6"`) {
+		t.Errorf("unknown id: err = %v", err)
 	}
 }
 
@@ -385,8 +409,7 @@ func metricValue(t *testing.T, metrics, name string) int64 {
 
 // TestServeMetricsDuringChaos: the serve command must expose scrapeable
 // Prometheus counters while a chaos schedule runs — request and byte
-// totals from real traffic and fault injections attributed by kind —
-// plus the same numbers over expvar at /debug/vars.
+// totals from real traffic and fault injections attributed by kind.
 func TestServeMetricsDuringChaos(t *testing.T) {
 	srv, _, err := newServer("Hanoi", 0, stream.Fault{FlakyTOC: 1, Seed: 7})
 	if err != nil {
@@ -432,12 +455,8 @@ func TestServeMetricsDuringChaos(t *testing.T) {
 		}
 	}
 
-	vars := httpGet(t, base+"/debug/vars")
-	for _, want := range []string{`"nonstrict"`, `"bytes_served"`, `"range_requests"`} {
-		if !strings.Contains(vars, want) {
-			t.Errorf("/debug/vars missing %s:\n%s", want, vars)
-		}
-	}
+	// /metrics is the one export: the Range counter is a series of it.
+	metricValue(t, metrics, "nonstrict_range_requests_total")
 }
 
 // TestRunRemoteTraceAndSummary: -trace exports a Chrome trace the trace

@@ -116,14 +116,21 @@ func cmdRunRemote(ctx context.Context, args []string, out io.Writer) error {
 		}
 	}
 
+	if !*traceSummary && !*stats {
+		return nil
+	}
+	// Both reports simulate the same loaded benchmark: load it once.
+	b, err := nonstrict.LoadBenchmark(app.Name)
+	if err != nil {
+		return err
+	}
 	if *traceSummary {
-		if err := printStallAttribution(out, app.Name, st); err != nil {
+		if err := printStallAttribution(out, b, st); err != nil {
 			return err
 		}
 	}
-
 	if *stats {
-		if err := printSimPrediction(out, app.Name, st); err != nil {
+		if err := printSimPrediction(out, b, st); err != nil {
 			return err
 		}
 	}
@@ -149,11 +156,7 @@ func writeTraceFile(path string, rec *nonstrict.Recorder) error {
 // components sum to the latency exactly, by construction — and prints
 // the simulator's predicted stall for the same method (SCG prediction,
 // interleaved transfer, modem link) beside each row that has one.
-func printStallAttribution(out io.Writer, name string, st *live.Stats) error {
-	b, err := nonstrict.LoadBenchmark(name)
-	if err != nil {
-		return err
-	}
+func printStallAttribution(out io.Writer, b *nonstrict.Bench, st *live.Stats) error {
 	res, err := b.Simulate(nonstrict.Variant{
 		Order:  nonstrict.SCG,
 		Engine: nonstrict.Interleaved,
@@ -203,11 +206,7 @@ func round(d time.Duration) time.Duration { return d.Round(time.Microsecond) }
 // the configuration run-remote mirrors — static prediction, interleaved
 // transfer, non-strict availability — and prints its predicted overlap
 // beside the measured one.
-func printSimPrediction(out io.Writer, name string, st *live.Stats) error {
-	b, err := nonstrict.LoadBenchmark(name)
-	if err != nil {
-		return err
-	}
+func printSimPrediction(out io.Writer, b *nonstrict.Bench, st *live.Stats) error {
 	fmt.Fprintf(out, "simulator prediction (order=scg engine=interleaved mode=nonstrict):\n")
 	for _, link := range []nonstrict.Link{nonstrict.T1, nonstrict.Modem} {
 		res, err := b.Simulate(nonstrict.Variant{

@@ -24,8 +24,8 @@ import (
 // cache (see internal/server); the chaos flags inject a deterministic,
 // seeded fault schedule around every request — cache hits included —
 // and /metrics exposes Prometheus counters for traffic, faults, and the
-// cache (the same numbers as JSON at /debug/vars). This command is a
-// flag-parsing shell: all serving logic lives in internal/server.
+// cache. This command is a flag-parsing shell: all serving logic lives
+// in internal/server.
 func cmdServe(ctx context.Context, args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
 	addr := fs.String("addr", "127.0.0.1:0", "listen address")
@@ -119,7 +119,7 @@ func cmdServe(ctx context.Context, args []string, out io.Writer) error {
 	}
 	fmt.Fprintf(out, "apps: %s at http://%s/apps/{name}/app (+ .toc; index at /apps; order=%s)\n",
 		strings.Join(srv.Apps(), " "), ln.Addr(), srv.Order())
-	fmt.Fprintf(out, "metrics at http://%s/metrics (expvar at /debug/vars)\n", ln.Addr())
+	fmt.Fprintf(out, "metrics at http://%s/metrics\n", ln.Addr())
 	if fault.Enabled() {
 		fmt.Fprintf(out, "fault injection: drop-every=%d corrupt-every=%d stall-after=%d/%v truncate-after=%d garbage-range-every=%d flaky-toc=%d latency=%v seed=%#x\n",
 			fault.DropEvery, fault.CorruptEvery, fault.StallAfter, fault.StallFor,

@@ -20,7 +20,7 @@ import (
 // measured shape: the knobs' effect (class count, method population,
 // executed fraction, code and stream size) verified by real compilation
 // and execution, not by the generator's intent.
-func cmdSynth(args []string, out io.Writer) error {
+func cmdSynth(_ context.Context, args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("synth", flag.ContinueOnError)
 	seed := fs.Uint64("seed", 1, "generator seed")
 	n := fs.Int("n", 4, "number of apps to generate")

@@ -9,6 +9,11 @@
 // counts, size classes, method counts, train-versus-test behaviour) and
 // each computes a result that a Go reference implementation cross-checks,
 // validating the compiler and VM along the way.
+//
+// The registry is the only way to an app and owns it: each is constructed
+// once per process, ByName and All hand out App structs around that one
+// IR, and the IR is shared and read-only — a caller that wants a variant
+// derives a new program from it (jir.SplitLarge) and leaves it alone.
 package apps
 
 import (
@@ -27,7 +32,8 @@ type App struct {
 	// are the per-program averages the paper measured on the 500 MHz
 	// Alpha (Table 3).
 	CPI int64
-	// IR is the program source; compile with jir.Compile.
+	// IR is the program source; compile with jir.Compile. It is shared
+	// by every App the registry hands out for this name and is read-only.
 	IR *jir.Program
 	// TrainArgs and TestArgs are the two inputs (Table 2 reports
 	// dynamic statistics for both).
@@ -44,92 +50,116 @@ func (a *App) Args(train bool) []int64 {
 	return a.TestArgs
 }
 
-// builders is populated by each benchmark file's init; tableOrder is the
-// paper's Table 1 order. Registration of non-paper apps (synthesized
-// workloads) happens at run time, possibly while server builds resolve
-// names concurrently, so the registry is guarded by mu.
+// cells holds one once-cell per registered name; tableOrder is the
+// paper's Table 1 order. mu guards the map only and is never held while
+// an app is constructed: BIT resolves three other apps from inside its
+// constructor, and non-paper apps (synthesized workloads) are registered
+// at run time while server builds resolve names concurrently.
 var (
 	mu         sync.RWMutex
-	builders   = map[string]func() *App{}
+	cells      = map[string]*cell{}
 	tableOrder = []string{"BIT", "Hanoi", "JavaCup", "Jess", "JHLZip", "TestDes"}
 )
 
-func register(name string, f func() *App) { builders[name] = f }
+type cell struct {
+	once  sync.Once
+	build func() *App
+	app   *App
+}
+
+// get constructs the cell's app on first use and returns a shallow copy:
+// the struct is the caller's to change, the IR behind it is shared and
+// read-only.
+func (c *cell) get() *App {
+	c.once.Do(func() { c.app = c.build() })
+	a := *c.app
+	return &a
+}
+
+// register installs a paper benchmark's constructor. Each benchmark
+// file's init calls it, before anything can contend for mu.
+func register(name string, build func() *App) { cells[name] = &cell{build: build} }
 
 // Register adds a non-paper app — a synthesized workload — to the
 // registry so it resolves through ByName and flows through the same
 // compile → predict → restructure → stream → serve pipeline as the six
-// paper benchmarks. The paper's Table 1 set (returned by All) is not
-// affected. Registering a name twice, or shadowing a paper benchmark,
-// is an error.
-func Register(name string, f func() *App) error {
-	if name == "" || f == nil {
-		return fmt.Errorf("apps: Register needs a name and a builder")
+// paper benchmarks. The registry takes a copy of the struct and shares
+// a.IR, which must not be written from here on. The paper's Table 1 set
+// (returned by All) is not affected. Registering a name twice, or
+// shadowing a paper benchmark, is an error.
+func Register(a *App) error {
+	if a == nil || a.Name == "" {
+		return fmt.Errorf("apps: Register needs a named app")
 	}
+	owned := *a
 	mu.Lock()
 	defer mu.Unlock()
-	if _, ok := builders[name]; ok {
-		return fmt.Errorf("apps: app %q is already registered", name)
+	if _, ok := cells[owned.Name]; ok {
+		return fmt.Errorf("apps: app %q is already registered", owned.Name)
 	}
-	builders[name] = f
+	register(owned.Name, func() *App { return &owned })
 	return nil
 }
 
-// All returns the registered benchmarks in the paper's table order.
-// Construction is deterministic. Apps added with Register are not
-// included; resolve them with ByName.
+// All returns the registered benchmarks in the paper's table order, each
+// as ByName would. Apps added with Register are not included; resolve
+// them with ByName.
 func All() []*App {
-	mu.RLock()
-	defer mu.RUnlock()
-	var out []*App
-	for _, name := range tableOrder {
-		if f, ok := builders[name]; ok {
-			out = append(out, f())
-		}
+	_, cs := paper()
+	out := make([]*App, len(cs))
+	for i, c := range cs {
+		out[i] = c.get()
 	}
 	return out
 }
 
-// Names returns the names All would construct, in the same order, without
+// Names returns the names All would return, in the same order, without
 // constructing anything.
 func Names() []string {
+	names, _ := paper()
+	return names
+}
+
+// paper lists the registered Table 1 benchmarks in table order.
+func paper() (names []string, cs []*cell) {
 	mu.RLock()
 	defer mu.RUnlock()
-	var out []string
 	for _, name := range tableOrder {
-		if _, ok := builders[name]; ok {
-			out = append(out, name)
+		if c, ok := cells[name]; ok {
+			names = append(names, name)
+			cs = append(cs, c)
 		}
 	}
-	return out
+	return names, cs
 }
 
 // Check returns nil if ByName would resolve name and ByName's error if
 // not, without constructing the app — building an IR to validate a name
 // costs milliseconds and megabytes.
 func Check(name string) error {
-	_, err := builder(name)
+	_, err := lookup(name)
 	return err
 }
 
 // ByName returns the named benchmark (case-sensitive, as in Table 1) or
-// registered synthetic app.
+// registered synthetic app. The first call for a name constructs it;
+// every call returns a fresh App struct around the one shared IR.
 func ByName(name string) (*App, error) {
-	f, err := builder(name)
+	c, err := lookup(name)
 	if err != nil {
 		return nil, err
 	}
-	return f(), nil
+	return c.get(), nil
 }
 
-func builder(name string) (func() *App, error) {
+func lookup(name string) (*cell, error) {
 	mu.RLock()
-	f, ok := builders[name]
+	c, ok := cells[name]
 	mu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("apps: unknown benchmark %q", name)
 	}
-	return f, nil
+	return c, nil
 }
 
 // checkGlobal compares one global field against an expected value.

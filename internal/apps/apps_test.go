@@ -56,15 +56,12 @@ func TestAllAppsRunAndVerify(t *testing.T) {
 	}
 }
 
-// TestAppDeterminism checks that building and running an app twice gives
-// identical programs and results — required for reproducible experiments.
+// TestAppDeterminism checks that constructing an app twice gives
+// identical programs — required for reproducible experiments. The
+// registry constructs each once, so this calls the constructors.
 func TestAppDeterminism(t *testing.T) {
-	for _, name := range tableOrder {
-		if _, ok := builders[name]; !ok {
-			continue
-		}
-		a1, _ := ByName(name)
-		a2, _ := ByName(name)
+	for _, name := range Names() {
+		a1, a2 := cells[name].build(), cells[name].build()
 		cp1, err := jir.Compile(a1.IR)
 		if err != nil {
 			t.Fatal(err)
@@ -101,9 +98,9 @@ func TestNamesAndCheckConstructNothing(t *testing.T) {
 	built := 0
 	countedRuns++
 	name := fmt.Sprintf("apps-test-counted-%d", countedRuns)
-	if err := Register(name, func() *App { built++; return &App{Name: name} }); err != nil {
-		t.Fatal(err)
-	}
+	mu.Lock()
+	register(name, func() *App { built++; return &App{Name: name} })
+	mu.Unlock()
 	var all []string
 	for _, a := range All() {
 		all = append(all, a.Name)

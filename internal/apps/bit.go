@@ -10,7 +10,7 @@ import (
 	"nonstrict/internal/vm"
 )
 
-func init() { register("BIT", BIT) }
+func init() { register("BIT", newBIT) }
 
 const bitMask = int64(1)<<61 - 1
 
@@ -51,7 +51,7 @@ func bitOps() []bytecode.Op {
 	return ops
 }
 
-// BIT mirrors the paper's Bytecode Instrumentation Tool: "each basic
+// newBIT mirrors the paper's Bytecode Instrumentation Tool: "each basic
 // block in the input program is instrumented to report its class and
 // method name". The workload is self-hosted: BIT's input corpus is the
 // serialized class files of the suite's other programs (Hanoi, TestDes,
@@ -61,34 +61,28 @@ func bitOps() []bytecode.Op {
 // and emits an instrumented image (block prologues inserted at leaders),
 // checksumming as it goes. The train input analyzes two of the three
 // programs.
-func BIT() *App {
-	// Build the input corpus from the other benchmarks.
-	type corpusSpec struct {
-		name string
-		max  int // cap on class files taken (0 = all)
-	}
-	corpus := func(specs ...corpusSpec) [][]byte {
-		var images [][]byte
-		for _, sp := range specs {
-			a, err := ByName(sp.name)
-			if err != nil {
-				panic(err)
-			}
-			cp, err := jir.Compile(a.IR)
-			if err != nil {
-				panic(fmt.Sprintf("apps: BIT corpus %s: %v", sp.name, err))
-			}
-			for i, c := range cp.Classes {
-				if sp.max > 0 && i >= sp.max {
-					break
-				}
-				images = append(images, c.Serialize())
-			}
+func newBIT() *App {
+	// Build the input corpus from the other benchmarks: every class file
+	// of Hanoi and TestDes, then the first 12 of JavaCup for the test
+	// input and the first 3 for train, so train is a prefix of test.
+	var testImages [][]byte
+	cupFrom := 0
+	for _, name := range []string{"Hanoi", "TestDes", "JavaCup"} {
+		a, err := ByName(name)
+		if err != nil {
+			panic(err)
 		}
-		return images
+		cp, err := jir.Compile(a.IR)
+		if err != nil {
+			panic(fmt.Sprintf("apps: BIT corpus %s: %v", name, err))
+		}
+		cupFrom = len(testImages) // after the loop: where JavaCup's files start
+		for _, c := range cp.Classes {
+			testImages = append(testImages, c.Serialize())
+		}
 	}
-	testImages := corpus(corpusSpec{"Hanoi", 0}, corpusSpec{"TestDes", 0}, corpusSpec{"JavaCup", 12})
-	trainImages := corpus(corpusSpec{"Hanoi", 0}, corpusSpec{"TestDes", 0}, corpusSpec{"JavaCup", 3})
+	testImages = testImages[:min(len(testImages), cupFrom+12)]
+	trainImages := testImages[:min(len(testImages), cupFrom+3)]
 
 	// ---- Go reference: the analysis, exactly as the IR performs it ------
 

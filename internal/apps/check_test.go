@@ -12,7 +12,10 @@ import (
 // teeth: corrupting one pooled constant changes the computation and the
 // checker must notice.
 func TestChecksDetectCorruption(t *testing.T) {
-	a := TestDes()
+	a, err := ByName("TestDes")
+	if err != nil {
+		t.Fatal(err)
+	}
 	cp, err := jir.Compile(a.IR)
 	if err != nil {
 		t.Fatal(err)
@@ -45,7 +48,10 @@ func TestChecksDetectCorruption(t *testing.T) {
 // TestWrongInputFailsCheck: the train checker must reject a test run and
 // vice versa (inputs produce different results).
 func TestWrongInputFailsCheck(t *testing.T) {
-	a := Hanoi()
+	a, err := ByName("Hanoi")
+	if err != nil {
+		t.Fatal(err)
+	}
 	cp, err := jir.Compile(a.IR)
 	if err != nil {
 		t.Fatal(err)

@@ -7,16 +7,16 @@ import (
 	"nonstrict/internal/vm"
 )
 
-func init() { register("Hanoi", Hanoi) }
+func init() { register("Hanoi", newHanoi) }
 
-// Hanoi mirrors the paper's Towers of Hanoi applet: a recursive solver
+// newHanoi mirrors the paper's Towers of Hanoi applet: a recursive solver
 // plus a rendering layer that redraws the board after every move (the
 // applet's display work is what drove its huge CPI). Train input solves
 // 6 rings, test solves 8, matching Table 1.
 //
 // Classes: Hanoi (driver and solver), Board (peg state, move log),
 // Render (frame drawing: per-disk and per-digit methods).
-func Hanoi() *App {
+func newHanoi() *App {
 	const (
 		maxDisks = 16 // peg array stride
 		csMask   = int64(1)<<61 - 1

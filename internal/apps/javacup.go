@@ -10,9 +10,9 @@ import (
 	"nonstrict/internal/xrand"
 )
 
-func init() { register("JavaCup", JavaCup) }
+func init() { register("JavaCup", newJavaCup) }
 
-// JavaCup mirrors the paper's LALR parser-generator benchmark: "a parser
+// newJavaCup mirrors the paper's LALR parser-generator benchmark: "a parser
 // is created to parse simple mathematics expressions". The parser tables
 // are constructed by the real SLR(1) generator in internal/slr; the
 // resulting automaton is then emitted as the program itself — one class
@@ -24,7 +24,7 @@ func init() { register("JavaCup", JavaCup) }
 // operators, so several parser states never execute on it (and some
 // grammar features — function application — appear in no input at all,
 // which is why a fifth of the methods stay cold, as in Table 2).
-func JavaCup() *App {
+func newJavaCup() *App {
 	g := slr.Grammar{
 		Terminals:    []string{"num", "id", "+", "-", "*", "/", "%", "^", "(", ")", ","},
 		Nonterminals: []string{"E", "T", "U", "F"},

@@ -8,7 +8,7 @@ import (
 	"nonstrict/internal/xrand"
 )
 
-func init() { register("Jess", Jess) }
+func init() { register("Jess", newJess) }
 
 // Jess parameters shared by the IR program and the Go reference.
 const (
@@ -26,7 +26,7 @@ type jessRule struct {
 	a, c1, b, c2, d, e int
 }
 
-// Jess mirrors the paper's expert-system shell: a forward-chaining
+// newJess mirrors the paper's expert-system shell: a forward-chaining
 // production system solving rule-based puzzles. Rules live in many small
 // group classes (the paper's Jess has 97 class files and 1568 methods,
 // only 47% of which execute — most productions never activate on a given
@@ -38,7 +38,7 @@ type jessRule struct {
 // solves 84 puzzle instances, the train input 7 (Table 2's ~11x
 // dynamic-count gap). A Go reference engine built from the same rule tables validates
 // the final working-memory checksum and total fire count.
-func Jess() *App {
+func newJess() *App {
 	rnd := xrand.New(0x1E55)
 
 	// Slots 40..47 are control slots: rule actions never write them, so

@@ -6,7 +6,7 @@ import (
 	"nonstrict/internal/xrand"
 )
 
-func init() { register("JHLZip", JHLZip) }
+func init() { register("JHLZip", newJHLZip) }
 
 // jhlzip parameters shared by the IR program and the Go reference.
 const (
@@ -21,7 +21,7 @@ var (
 	zipTrainSizes = []int{500, 450, 400}
 )
 
-// JHLZip mirrors the paper's PKZip file generator: several input files
+// newJHLZip mirrors the paper's PKZip file generator: several input files
 // are combined into a single archive. The program generates a synthetic
 // corpus, LZ-compresses each file over a sliding window, writes
 // PKZip-style local headers and a central directory, CRC-32s everything,
@@ -31,7 +31,7 @@ var (
 // (archive buffer + running CRC), Crc (table-driven CRC-32), Hdr (header
 // field writers — the many tiny methods real zip writers have), Unzip
 // (verification decompressor).
-func JHLZip() *App {
+func newJHLZip() *App {
 	rnd := xrand.New(0x21bb0)
 	seed := asciiText(rnd, 2400)
 	L := len(seed)

@@ -8,9 +8,9 @@ import (
 	"nonstrict/internal/xrand"
 )
 
-func init() { register("TestDes", TestDes) }
+func init() { register("TestDes", newTestDes) }
 
-// TestDes mirrors the paper's DES encryption/decryption benchmark: it
+// newTestDes mirrors the paper's DES encryption/decryption benchmark: it
 // key-schedules a 16-round Feistel cipher with eight S-boxes and bit
 // permutations, encrypts a string, decrypts it, and verifies the round
 // trip. As in real DES implementations, the permutations are unrolled —
@@ -22,7 +22,7 @@ func init() { register("TestDes", TestDes) }
 // The cipher tables are generated deterministically; a Go reference
 // implementation built from the same tables validates the ciphertext
 // checksum, and the construction itself asserts decrypt∘encrypt = id.
-func TestDes() *App {
+func newTestDes() *App {
 	const (
 		m28 = int64(0xFFFFFFF)
 		m32 = int64(0xFFFFFFFF)

@@ -4,16 +4,16 @@ import (
 	"fmt"
 	"strings"
 
-	"nonstrict/internal/apps"
 	"nonstrict/internal/jir"
 	"nonstrict/internal/transfer"
 )
 
 // Procedure-splitting study (paper §4: "large procedures can still
 // benefit by using the compiler to break the procedure up into smaller
-// procedures"). Each workload is rebuilt with jir.SplitLarge applied,
-// re-profiled (the workload self-checks prove the transform preserved
-// semantics), and re-simulated.
+// procedures"). jir.SplitLarge derives a split program from each
+// workload's IR (which it leaves alone); that program is re-profiled (the
+// workload self-checks prove the transform preserved semantics) and
+// re-simulated.
 
 // SplitRow compares one benchmark before and after splitting.
 type SplitRow struct {
@@ -38,15 +38,13 @@ func (s *Suite) SplitStudy(budget int) ([]SplitRow, error) {
 	}
 	var rows []SplitRow
 	for _, b := range base {
-		app, err := apps.ByName(b.App.Name)
+		ir, n, err := jir.SplitLarge(b.App.IR, budget)
 		if err != nil {
 			return nil, err
 		}
-		n, err := jir.SplitLarge(app.IR, budget)
-		if err != nil {
-			return nil, err
-		}
-		sb, err := Load(app) // re-runs the workload self-checks
+		app := *b.App
+		app.IR = ir
+		sb, err := Load(&app) // re-runs the workload self-checks
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %s after splitting: %w", app.Name, err)
 		}

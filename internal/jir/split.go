@@ -26,36 +26,49 @@ import (
 // Splitting repeats on the continuation until every piece has at most
 // maxTop top-level statements or no legal split point remains.
 
-// SplitLarge rewrites p in place and returns how many continuation
-// functions were created. maxTop is the top-level statement budget per
-// function body.
-func SplitLarge(p *Program, maxTop int) (int, error) {
+// SplitLarge returns a copy of p with oversized bodies split, and how
+// many continuation functions that created. maxTop is the top-level
+// statement budget per function body. p is not written: the result
+// shares every Class and Func the transform leaves alone and copies only
+// what it splits, so a program many readers hold can be given to it.
+func SplitLarge(p *Program, maxTop int) (*Program, int, error) {
 	if maxTop < 2 {
-		return 0, fmt.Errorf("jir: SplitLarge budget %d too small", maxTop)
+		return nil, 0, fmt.Errorf("jir: SplitLarge budget %d too small", maxTop)
 	}
+	out := *p
+	out.Classes = append([]*Class(nil), p.Classes...)
 	created := 0
-	for _, c := range p.Classes {
+	for ci, c := range p.Classes {
+		sc := c // a copy of c from its first split on
 		// Iterate with an explicit index: continuations appended during
 		// the loop are themselves candidates.
-		for fi := 0; fi < len(c.Funcs); fi++ {
-			f := c.Funcs[fi]
-			for len(f.Body) > maxTop {
-				cont, ok := splitOne(c, f, maxTop, created)
+		for fi := 0; fi < len(sc.Funcs); fi++ {
+			at := fi
+			for len(sc.Funcs[at].Body) > maxTop {
+				head, cont, ok := splitOne(c.Name, sc.Funcs[at], maxTop, created)
 				if !ok {
 					break
 				}
-				c.Funcs = append(c.Funcs, cont)
+				if sc == c {
+					cp := *c
+					cp.Funcs = append([]*Func(nil), c.Funcs...)
+					sc = &cp
+					out.Classes[ci] = sc
+				}
+				sc.Funcs[at] = head
+				sc.Funcs = append(sc.Funcs, cont)
 				created++
-				f = cont // continue splitting the continuation
+				at = len(sc.Funcs) - 1 // continue splitting the continuation
 			}
 		}
 	}
-	return created, nil
+	return &out, created, nil
 }
 
-// splitOne outlines f's tail into a continuation, mutating f. Returns
-// false when no legal split exists.
-func splitOne(c *Class, f *Func, maxTop, serial int) (*Func, bool) {
+// splitOne outlines f's tail into a continuation and returns the
+// shortened f and the continuation, both new. Returns false when no
+// legal split exists.
+func splitOne(class string, f *Func, maxTop, serial int) (head, cont *Func, ok bool) {
 	// Split in the middle of the top-level statement list, clamped so
 	// the prefix fits the budget.
 	k := len(f.Body) / 2
@@ -63,7 +76,7 @@ func splitOne(c *Class, f *Func, maxTop, serial int) (*Func, bool) {
 		k = maxTop
 	}
 	if k < 1 || k >= len(f.Body) {
-		return nil, false
+		return nil, nil, false
 	}
 	prefix, suffix := f.Body[:k], f.Body[k:]
 
@@ -87,11 +100,11 @@ func splitOne(c *Class, f *Func, maxTop, serial int) (*Func, bool) {
 	}
 	sort.Strings(live)
 	if len(live) > 200 {
-		return nil, false // would blow the locals budget
+		return nil, nil, false // would blow the locals budget
 	}
 
 	contName := fmt.Sprintf("%s$c%d", f.Name, serial)
-	cont := &Func{
+	cont = &Func{
 		Name:   contName,
 		Params: live,
 		NRet:   f.NRet,
@@ -99,21 +112,21 @@ func splitOne(c *Class, f *Func, maxTop, serial int) (*Func, bool) {
 		// The tail carries a proportional share of the local data.
 		LocalData: f.LocalData * len(suffix) / (len(prefix) + len(suffix)),
 	}
-	f.LocalData -= cont.LocalData
 
 	args := make([]Expr, len(live))
 	for i, name := range live {
 		args[i] = L(name)
 	}
-	call := Call(c.Name, contName, args...)
-	newBody := append([]Stmt{}, prefix...)
+	call := Call(class, contName, args...)
+	h := *f
+	h.LocalData -= cont.LocalData
+	h.Body = append([]Stmt{}, prefix...)
 	if f.NRet == 0 {
-		newBody = append(newBody, Do(call), RetV())
+		h.Body = append(h.Body, Do(call), RetV())
 	} else {
-		newBody = append(newBody, Ret(call))
+		h.Body = append(h.Body, Ret(call))
 	}
-	f.Body = newBody
-	return cont, true
+	return &h, cont, true
 }
 
 // collectDefs records locals bound by the statements (Let targets and

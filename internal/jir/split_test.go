@@ -1,6 +1,7 @@
 package jir
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -25,7 +26,6 @@ func TestSplitLargePreservesSemantics(t *testing.T) {
 		Ret(Add(L("a"), Add(L("b"), L("c")))),
 	)
 	mk := func() *Program {
-		// Rebuild fresh ASTs each time; SplitLarge mutates the program.
 		b2 := append([]Stmt{}, body...)
 		return &Program{Name: "s", Main: "M", Classes: []*Class{{
 			Name:   "M",
@@ -62,8 +62,7 @@ func TestSplitLargePreservesSemantics(t *testing.T) {
 
 	want := run(mk())
 
-	split := mk()
-	n, err := SplitLarge(split, 12)
+	split, n, err := SplitLarge(mk(), 12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +111,7 @@ func TestSplitLargeVoidWithHalt(t *testing.T) {
 		Fields: []string{"out"},
 		Funcs:  []*Func{{Name: "main", Body: body}},
 	}}}
-	n, err := SplitLarge(p, 6)
+	p, n, err := SplitLarge(p, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +140,7 @@ func TestSplitLargeRejectsTinyBudget(t *testing.T) {
 		Name:  "M",
 		Funcs: []*Func{{Name: "main", Body: Block(Halt())}},
 	}}}
-	if _, err := SplitLarge(p, 1); err == nil {
+	if _, _, err := SplitLarge(p, 1); err == nil {
 		t.Error("budget 1 accepted")
 	}
 }
@@ -151,11 +150,69 @@ func TestSplitLargeLeavesSmallFunctionsAlone(t *testing.T) {
 		Name:  "M",
 		Funcs: []*Func{{Name: "main", Body: Block(Let("a", I(1)), Halt())}},
 	}}}
-	n, err := SplitLarge(p, 10)
+	p, n, err := SplitLarge(p, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n != 0 || len(p.Classes[0].Funcs) != 1 {
 		t.Errorf("small function was split (%d continuations)", n)
+	}
+}
+
+// TestSplitLargeLeavesItsInputAlone: the transform is pure. Its input —
+// here a program with one class it splits twice over and one it does not
+// touch — compiles to the same bytes and compares deep-equal to a
+// separately built copy afterwards, and the untouched class is shared,
+// not copied.
+func TestSplitLargeLeavesItsInputAlone(t *testing.T) {
+	mk := func() *Program {
+		var big, long []Stmt
+		for i := 0; i < 40; i++ {
+			big = append(big, SetG("M", "out", Add(G("M", "out"), I(int64(i)))))
+			long = append(long, Let("a", Add(L("a"), I(int64(i)))))
+		}
+		return &Program{Name: "pure", Main: "M", Classes: []*Class{
+			{Name: "M", Fields: []string{"out"}, Funcs: []*Func{
+				{Name: "main", LocalData: 300, Body: append(big, Do(Call("M", "sum", I(1))), Halt())},
+				{Name: "sum", Params: []string{"a"}, NRet: 1, LocalData: 70, Body: append(long, Ret(L("a")))},
+			}},
+			{Name: "Small", Funcs: []*Func{{Name: "id", Params: []string{"x"}, NRet: 1, Body: Block(Ret(L("x")))}}},
+		}}
+	}
+	images := func(p *Program) []string {
+		cp, err := Compile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []string
+		for _, c := range cp.Classes {
+			out = append(out, string(c.Serialize()))
+		}
+		return out
+	}
+
+	in := mk()
+	before := images(in)
+	out, n, err := SplitLarge(in, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n < 4 || len(out.Classes[0].Funcs) != 2+n {
+		t.Fatalf("%d continuations, %d functions in the split class", n, len(out.Classes[0].Funcs))
+	}
+	if !reflect.DeepEqual(in, mk()) {
+		t.Error("SplitLarge changed its input")
+	}
+	if after := images(in); !reflect.DeepEqual(before, after) {
+		t.Error("the input compiles to different bytes after SplitLarge")
+	}
+	if out == in || out.Classes[0] == in.Classes[0] {
+		t.Error("the split class is the input's own")
+	}
+	if out.Classes[1] != in.Classes[1] {
+		t.Error("the class nothing was split in was copied")
+	}
+	if reflect.DeepEqual(before, images(out)) {
+		t.Error("the result compiles to the input's bytes")
 	}
 }

@@ -3,10 +3,10 @@
 // first-use order → restructure → stream write. Every caller that needs a
 // first-use order or a stream runs a prefix or a subset of these stages:
 //
-//   - Build (the code server, the synth listing, the checker's fixture,
-//     examples/streaming) runs compile, static, order, restructure, write
-//     for the static order, and adds link plus exactly one profiled run —
-//     the input the order is named after — for a profile-guided one.
+//   - Build (the code server, the synth listing, the checker's fixture)
+//     runs compile, static, order, restructure, write for the static
+//     order, and adds link plus exactly one profiled run — the input the
+//     order is named after — for a profile-guided one.
 //   - experiments.LoadCtx (the paper tables) runs compile, link, both
 //     profiled runs, static, then order and restructure once per predictor.
 //   - The facade's PredictStatic calls Static, the static stage's body,

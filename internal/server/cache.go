@@ -70,8 +70,7 @@ func etagFor(b []byte) string {
 }
 
 // CacheStats is a point-in-time snapshot of the cache's counters. The
-// JSON tags are the schema of the "cache" block in the fleet report and
-// of /debug/vars.
+// JSON tags are the schema of the "cache" block in the fleet report.
 type CacheStats struct {
 	// Hits is requests answered from a resident artifact.
 	Hits int64 `json:"hits"`

@@ -2,10 +2,8 @@ package server
 
 import (
 	"bytes"
-	"expvar"
 	"fmt"
 	"net/http"
-	"sync"
 	"sync/atomic"
 
 	"nonstrict/internal/pipeline"
@@ -161,45 +159,4 @@ func (c *countingWriter) Flush() {
 	if fl, ok := c.rw.(http.Flusher); ok {
 		fl.Flush()
 	}
-}
-
-// expvarHandler exposes the process expvars (including "nonstrict").
-func expvarHandler() http.Handler { return expvar.Handler() }
-
-// expvar.Publish panics on a duplicate name, so the "nonstrict" var is
-// published once per process and reads whichever server was created most
-// recently — the common case (one server per process) and good enough
-// for tests that spin up several.
-var (
-	expvarOnce    sync.Once
-	expvarCurrent atomic.Pointer[Metrics]
-)
-
-func publishExpvars(m *Metrics) {
-	expvarCurrent.Store(m)
-	expvarOnce.Do(func() {
-		expvar.Publish("nonstrict", expvar.Func(func() any {
-			m := expvarCurrent.Load()
-			if m == nil {
-				return nil
-			}
-			cs := m.cache.Stats()
-			out := map[string]any{
-				"requests":       m.requests.Load(),
-				"range_requests": m.rangeRequests.Load(),
-				"not_modified":   m.notModified.Load(),
-				"bytes_served":   m.bytesServed.Load(),
-				"active_streams": m.activeStreams.Load(),
-				"faults":         m.faults.Snapshot(),
-				"cache":          cs,
-			}
-			if m.store != nil {
-				out["store"] = m.store.Stats()
-			}
-			if m.draining != nil {
-				out["draining"] = m.draining.Load()
-			}
-			return out
-		}))
-	})
 }

@@ -108,23 +108,19 @@ func TestLoadCtxAgreesWithBuild(t *testing.T) {
 
 var countedRuns atomic.Int64
 
-// TestNewConstructsNoApp: booting a server validates app names without
-// constructing any app's IR (it used to construct every one, twice); a
-// build constructs exactly the one it builds.
+// TestNewConstructsNoApp: booting a server validates app names — a
+// registered non-paper one included — against the registry, and neither
+// that nor building constructs an app: 100 builds over the 18 keys leave
+// every app's IR the one the registry built for the first caller.
 func TestNewConstructsNoApp(t *testing.T) {
-	var constructed atomic.Int64
 	// Unique per run: the registry is process-global and has no removal.
 	name := fmt.Sprintf("server-test-counted-%d", countedRuns.Add(1))
-	err := apps.Register(name, func() *apps.App {
-		constructed.Add(1)
-		a, err := apps.ByName("Hanoi")
-		if err != nil {
-			panic(err)
-		}
-		a.Name = name
-		return a
-	})
+	a, err := apps.ByName("Hanoi")
 	if err != nil {
+		t.Fatal(err)
+	}
+	a.Name = name
+	if err := apps.Register(a); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := New(Config{Apps: []string{name}, DefaultApp: name}); err != nil {
@@ -133,14 +129,21 @@ func TestNewConstructsNoApp(t *testing.T) {
 	if _, err := New(Config{DefaultApp: name}); err != nil {
 		t.Fatal(err)
 	}
-	if n := constructed.Load(); n != 0 {
-		t.Errorf("server.New constructed the app %d times, want 0", n)
-	}
 	if _, err := Build(context.Background(), Key{App: name, Order: OrderTrain}); err != nil {
 		t.Fatal(err)
 	}
-	if n := constructed.Load(); n != 1 {
-		t.Errorf("one Build constructed the app %d times, want 1", n)
+
+	before := apps.All()
+	for i := 0; i < 100; i++ {
+		p := pinnedETags[i%len(pinnedETags)]
+		if _, err := Build(context.Background(), Key{App: p.app, Order: p.order}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, after := range apps.All() {
+		if after.IR != before[i].IR {
+			t.Errorf("%s: the registry hands out a different IR after 100 builds", after.Name)
+		}
 	}
 
 	_, err = New(Config{Apps: []string{"NoSuchApp"}})

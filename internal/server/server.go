@@ -12,9 +12,8 @@
 // Layering, outermost first: request counting (so /metrics sees every
 // body byte that went on the wire, faults included) wraps the fault
 // layer (so chaos schedules apply to cache hits exactly as to cold
-// builds) wraps the cached app mux. /metrics and /debug/vars sit
-// outside both — the instruments watching a chaos run must never be
-// corrupted by it.
+// builds) wraps the cached app mux. /metrics sits outside both — the
+// instrument watching a chaos run must never be corrupted by it.
 package server
 
 import (
@@ -172,7 +171,6 @@ func New(c Config) (*Server, error) {
 	fault.Counters = s.metrics.faults
 	outer := http.NewServeMux()
 	outer.Handle("/metrics", s.metrics.handler())
-	outer.Handle("/debug/vars", expvarHandler())
 	// Liveness vs readiness: /healthz answers 200 for as long as the
 	// process can answer at all (a draining server is alive); /readyz
 	// flips to 503 the moment drain begins, so load balancers stop
@@ -193,7 +191,6 @@ func New(c Config) (*Server, error) {
 	})
 	outer.Handle("/", s.metrics.wrap(fault.Wrap(mux)))
 	s.handler = outer
-	publishExpvars(s.metrics)
 	return s, nil
 }
 

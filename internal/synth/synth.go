@@ -505,8 +505,7 @@ func RegisterSuite(seed uint64, n int, base Params) ([]string, []*Info, error) {
 	}
 	names := make([]string, 0, n)
 	for _, app := range suite {
-		app := app
-		if err := apps.Register(app.Name, func() *apps.App { return app }); err != nil {
+		if err := apps.Register(app); err != nil {
 			return nil, nil, err
 		}
 		names = append(names, app.Name)

@@ -3,6 +3,9 @@ package synth
 import (
 	"bytes"
 	"context"
+	"fmt"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"nonstrict/internal/apps"
@@ -141,10 +144,10 @@ func TestRegisteredAppServes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := apps.Register(app.Name, func() *apps.App { return app }); err != nil {
+	if err := apps.Register(app); err != nil {
 		t.Fatal(err)
 	}
-	if err := apps.Register(app.Name, func() *apps.App { return app }); err == nil {
+	if err := apps.Register(app); err == nil {
 		t.Fatal("duplicate Register succeeded")
 	}
 	got, err := apps.ByName(app.Name)
@@ -169,6 +172,41 @@ func TestRegisteredAppServes(t *testing.T) {
 			t.Fatalf("registered app leaked into apps.All()")
 		}
 	}
+}
+
+var inflightRuns atomic.Int64
+
+// TestRegisterDuringBuilds: registration takes the registry's lock while
+// builds of other names resolve — and, the first time, construct — their
+// apps under it: BIT's constructor looks three more names up from inside.
+// Every build and every registration must finish, and a name registered
+// mid-flight must resolve and build like any other.
+func TestRegisterDuringBuilds(t *testing.T) {
+	// Unique per run: the registry is process-global and has no removal.
+	run := inflightRuns.Add(1)
+	var wg sync.WaitGroup
+	for _, name := range apps.Names() {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := server.Build(context.Background(), server.Key{App: name, Order: server.OrderStatic}); err != nil {
+				t.Errorf("build %s: %v", name, err)
+			}
+		}()
+	}
+	for i := 0; i < 8; i++ {
+		app, _, err := Generate(Params{Seed: 2000 + uint64(i), Name: fmt.Sprintf("synth-test-inflight-%d-%d", run, i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := apps.Register(app); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := server.Build(context.Background(), server.Key{App: app.Name, Order: server.OrderStatic}); err != nil {
+			t.Errorf("build %s: %v", app.Name, err)
+		}
+	}
+	wg.Wait()
 }
 
 // TestSuiteShapesVary checks the sweep primitive: a suite draws varied

@@ -165,10 +165,13 @@ const (
 	Interleaved = experiments.Interleaved
 )
 
-// Benchmarks returns the paper's six workloads in Table 1 order.
+// Benchmarks returns the paper's six workloads in Table 1 order. Each
+// App struct is the caller's own; the IR it points to is built once per
+// process, shared by every caller, and read-only.
 func Benchmarks() []*App { return apps.All() }
 
-// Benchmark returns one workload by name (e.g. "Jess").
+// Benchmark returns one workload by name (e.g. "Jess"): a fresh App
+// struct around the shared, read-only IR, as for Benchmarks.
 func Benchmark(name string) (*App, error) { return apps.ByName(name) }
 
 // LoadBenchmark compiles, profiles, and prepares one workload for
@@ -243,7 +246,7 @@ func Experiments() *Suite { return &Suite{} }
 
 // Streaming loader types: the non-strict class loader consumes an
 // interleaved unit stream, verifying classes and methods as their bytes
-// arrive (§3.1.1 + §5.2); see examples/streaming for use over HTTP.
+// arrive (§3.1.1 + §5.2); cmd/nonstrict's fetch uses it over HTTP.
 type (
 	// StreamWriter emits a restructured program as an interleaved
 	// virtual file.
