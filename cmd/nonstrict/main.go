@@ -66,11 +66,6 @@ var commands = []struct {
                        in-process server over seeded link models
                        (-apps, -clients, -links, -seed, -duration,
                        -order, -scale; -out FILE writes the JSON report)`, cmdFleet},
-	{"check", `check [flags]        run the concurrency-soundness checker: exhaustive
-                       interleaving enumeration of the cache and loader
-                       state machines against their executable specs
-                       (-ops, -keys, -stepped, -full), plus optional
-                       seeded randomized stress (-stress N, -seed)`, cmdCheck},
 }
 
 func usage() {

@@ -522,21 +522,6 @@ func TestRunRemoteTraceAndSummary(t *testing.T) {
 	}
 }
 
-// TestCheck smoke-tests the concurrency checker subcommand at its
-// smallest useful size: 2 concurrent cache ops, 3 stepped loader
-// units, one stress round with a fixed seed.
-func TestCheck(t *testing.T) {
-	out := capture(t, "check", "-ops", "2", "-stepped", "3", "-stress", "1", "-seed", "7")
-	for _, want := range []string{"cache:", "loader:", "zero divergence", "stress: 1 rounds from seed 7"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("check output missing %q:\n%s", want, out)
-		}
-	}
-	if err := captureErr(t, "check", "-ops", "nope"); err == nil {
-		t.Error("check with a malformed flag succeeded")
-	}
-}
-
 // TestClusterServeAndFetch is the CLI cluster round trip: two members
 // built exactly as `serve -cluster` builds them, a router over both,
 // and a fetch of every benchmark through the router. Each key must be

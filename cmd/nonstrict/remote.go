@@ -26,7 +26,7 @@ func cmdRunRemote(ctx context.Context, args []string, out io.Writer) error {
 	name := fs.String("name", "", "benchmark name (for input args and self-check)")
 	train := fs.Bool("train", false, "run the train input instead of test")
 	timeout := fs.Duration("timeout", 10*time.Second, "per-request idle timeout")
-	retries := fs.Int("retries", 8, "consecutive zero-progress attempts before giving up")
+	retries := fs.Int("retries", 8, "retries of a failed attempt before giving up (a connection gets N+1 zero-progress attempts)")
 	backoff := fs.Duration("backoff", 100*time.Millisecond, "base retry backoff (doubles per failure, capped)")
 	stats := fs.Bool("stats", false, "print the simulator's predicted overlap next to the measured run")
 	nlat := fs.Int("latencies", 10, "first-invocation latencies to print (0 = none, -1 = all)")

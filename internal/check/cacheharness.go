@@ -12,31 +12,28 @@ import (
 	"nonstrict/internal/server"
 )
 
-// CacheOptions configures the cache interleaving check.
-type CacheOptions struct {
+// cacheOptions configures the cache interleaving check.
+type cacheOptions struct {
 	// Ops is the concurrent Get count per scenario (default 3).
 	Ops int
 	// Keys is the distinct key count (default 2).
 	Keys int
-	// Full crosses the whole outcome/cancel space instead of the
-	// single-fault slice (much slower).
-	Full bool
 	// MaxSchedules guards against enumeration explosion per scenario
 	// (default 100000). Exceeding it is an error, never silent sampling.
 	MaxSchedules int
 }
 
-// CacheReport summarizes one exhaustive cache check.
-type CacheReport struct {
+// cacheReport summarizes one exhaustive cache check.
+type cacheReport struct {
 	Scenarios int
 	Schedules int
 }
 
-// CheckCache enumerates every schedule of every generated scenario and
+// checkCache enumerates every schedule of every generated scenario and
 // replays each against a real server.Cache, diffing all observables
 // against the executable spec. The first divergence aborts the walk
 // with an error naming the scenario, schedule, and step.
-func CheckCache(opts CacheOptions) (*CacheReport, error) {
+func checkCache(opts cacheOptions) (*cacheReport, error) {
 	if opts.Ops <= 0 {
 		opts.Ops = 3
 	}
@@ -46,11 +43,11 @@ func CheckCache(opts CacheOptions) (*CacheReport, error) {
 	if opts.MaxSchedules <= 0 {
 		opts.MaxSchedules = 100000
 	}
-	scenarios := CacheScenarios(opts.Ops, opts.Keys, opts.Full)
-	rep := &CacheReport{Scenarios: len(scenarios)}
+	scenarios := CacheScenarios(opts.Ops, opts.Keys)
+	rep := &cacheReport{Scenarios: len(scenarios)}
 	var err error
 	rep.Schedules, err = forEachScenario(scenarios, func(sc *CacheScenario) (int, error) {
-		return enumerateCache(sc, opts.MaxSchedules, func(cs CacheSchedule) error {
+		return enumerate(sc, newCacheSpec(sc), opts.MaxSchedules, func(cs schedule[cacheStep, *cacheSpec]) error {
 			return runCacheSchedule(sc, cs)
 		})
 	})
@@ -152,7 +149,7 @@ func classifyCacheErr(err error) errClass {
 // then diffs every per-op result and the final cache state against the
 // spec. Every wait is bounded: a hang here is the lost-wakeup invariant
 // failing, reported as which step timed out rather than a stuck test.
-func runCacheSchedule(sc *CacheScenario, sched CacheSchedule) error {
+func runCacheSchedule(sc *CacheScenario, sched schedule[cacheStep, *cacheSpec]) error {
 	n := len(sc.Ops)
 	h := &cacheHarness{
 		release: make(map[int]chan buildRelease),

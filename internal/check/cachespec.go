@@ -125,14 +125,6 @@ func (s cacheStep) String() string {
 	return fmt.Sprintf("step-%d(%d)", int(s.kind), s.op)
 }
 
-func stepsString(steps []cacheStep) string {
-	parts := make([]string, len(steps))
-	for i, s := range steps {
-		parts[i] = s.String()
-	}
-	return strings.Join(parts, " → ")
-}
-
 // cacheOutcome is the spec's prediction for one op's Get return.
 type cacheOutcome struct {
 	done bool
@@ -211,7 +203,7 @@ func (s *cacheSpec) clone() *cacheSpec {
 
 func (s *cacheSpec) bytes() int64 { return int64(len(s.resident)) * artBytes }
 
-func (s *cacheSpec) allDone() bool {
+func (s *cacheSpec) done() bool {
 	for i := range s.out {
 		if !s.out[i].done {
 			return false
@@ -339,57 +331,14 @@ func (s *cacheSpec) insert(key, seq int) {
 	}
 }
 
-// CacheSchedule is one fully annotated total order over a scenario's
-// decision points, plus the spec's final state for it.
-type CacheSchedule struct {
-	steps []cacheStep
-	final *cacheSpec
-}
-
-func (cs CacheSchedule) String() string { return stepsString(cs.steps) }
-
-// enumerateCache walks every schedule of sc by DFS over the spec's
-// enabled steps, calling emit with each complete annotated schedule.
-// limit > 0 bounds the schedule count (an explosion guard, not a
-// sampling knob — exceeding it is an error so coverage is never
-// silently truncated).
-func enumerateCache(sc *CacheScenario, limit int, emit func(CacheSchedule) error) (int, error) {
-	count := 0
-	var rec func(s *cacheSpec, prefix []cacheStep) error
-	rec = func(s *cacheSpec, prefix []cacheStep) error {
-		if s.allDone() {
-			count++
-			if limit > 0 && count > limit {
-				return fmt.Errorf("check: scenario %s exceeds %d schedules", sc, limit)
-			}
-			return emit(CacheSchedule{steps: append([]cacheStep(nil), prefix...), final: s})
-		}
-		for _, st := range s.enabled() {
-			next := s.clone()
-			stc := st
-			next.apply(&stc)
-			if err := rec(next, append(prefix, stc)); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := rec(newCacheSpec(sc), nil); err != nil {
-		return count, err
-	}
-	return count, nil
-}
-
 // CacheScenarios generates the configuration space for ops concurrent
 // Get calls over at most keys distinct keys. Key patterns are
 // canonicalized by first occurrence (AAB and BBA are the same scenario),
 // fault placement tries each op as the one whose build errors or
 // panics, and at most one op is cancelable per scenario — one faulty op
 // and one cancelable op already cover every pairwise interaction the
-// implementation can express, and keep the product tractable. full
-// additionally crosses every outcome vector (3^ops) with every
-// cancelable-op choice.
-func CacheScenarios(ops, keys int, full bool) []*CacheScenario {
+// implementation can express, and keep the product tractable.
+func CacheScenarios(ops, keys int) []*CacheScenario {
 	var out []*CacheScenario
 	for _, pattern := range canonicalKeyPatterns(ops, keys) {
 		distinct := 0
@@ -403,7 +352,7 @@ func CacheScenarios(ops, keys int, full bool) []*CacheScenario {
 			// Eviction needs at least two keys to be observable.
 			budgets = append(budgets, evictBudget)
 		}
-		for _, outcomes := range outcomeVectors(ops, full) {
+		for _, outcomes := range outcomeVectors(ops) {
 			for cancel := -1; cancel < ops; cancel++ {
 				for _, budget := range budgets {
 					sc := &CacheScenario{Budget: budget, Ops: make([]CacheOp, ops)}
@@ -445,24 +394,9 @@ func canonicalKeyPatterns(ops, keys int) [][]int {
 	return out
 }
 
-// outcomeVectors returns the build-outcome assignments to explore: all
-// 3^ops of them under full, otherwise all-OK plus each single-op fault.
-func outcomeVectors(ops int, full bool) [][]BuildOutcome {
-	if full {
-		var out [][]BuildOutcome
-		var rec func(v []BuildOutcome)
-		rec = func(v []BuildOutcome) {
-			if len(v) == ops {
-				out = append(out, append([]BuildOutcome(nil), v...))
-				return
-			}
-			for _, o := range []BuildOutcome{BuildOK, BuildErr, BuildPanic} {
-				rec(append(v, o))
-			}
-		}
-		rec(nil)
-		return out
-	}
+// outcomeVectors returns the build-outcome assignments to explore:
+// all-OK plus each single-op fault.
+func outcomeVectors(ops int) [][]BuildOutcome {
 	allOK := make([]BuildOutcome, ops)
 	out := [][]BuildOutcome{allOK}
 	for i := 0; i < ops; i++ {

@@ -38,14 +38,15 @@
 //     probe, enumerated against a pure spec over every bounded op
 //     sequence with a fake clock (CheckBreaker).
 //
-// Alongside the exhaustive small-schedule walk, RunStress drives the
-// same objects with seeded randomized schedules (run under -race, env-
-// gated long mode for nightly) asserting the same invariants, and
-// prints the failing seed for local reproduction.
+// Alongside the exhaustive small-schedule walk, cacheStress and
+// loaderStress drive the same objects with seeded randomized schedules
+// (run under -race, env-gated long mode for nightly) asserting the same
+// invariants, and print the failing seed for local reproduction.
 package check
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"time"
 )
@@ -96,6 +97,61 @@ func forEachScenario[S any](scenarios []S, walk func(S) (schedules int, err erro
 	}
 	wg.Wait()
 	return total, firstErr
+}
+
+// spec is what the enumerator needs of an executable model S with step
+// alphabet St: whether every op has finished, the steps the scheduler
+// may take next, an independent copy, and one transition, which also
+// fills in the step's annotations for the harness to enforce.
+type spec[S any, St any] interface {
+	done() bool
+	enabled() []St
+	clone() S
+	apply(*St)
+}
+
+// schedule is one fully annotated total order over a scenario's
+// decision points, plus the spec's final state for it.
+type schedule[St fmt.Stringer, S any] struct {
+	steps []St
+	final S
+}
+
+func (s schedule[St, S]) String() string {
+	parts := make([]string, len(s.steps))
+	for i, st := range s.steps {
+		parts[i] = st.String()
+	}
+	return strings.Join(parts, " → ")
+}
+
+// enumerate walks every schedule of scenario sc by DFS over the enabled
+// steps of its spec, from root, calling emit with each complete
+// annotated schedule. limit > 0 bounds the schedule count (an explosion
+// guard, not a sampling knob — exceeding it is an error so coverage is
+// never silently truncated).
+func enumerate[S spec[S, St], St fmt.Stringer](sc fmt.Stringer, root S, limit int, emit func(schedule[St, S]) error) (int, error) {
+	count := 0
+	var rec func(s S, prefix []St) error
+	rec = func(s S, prefix []St) error {
+		if s.done() {
+			count++
+			if limit > 0 && count > limit {
+				return fmt.Errorf("check: scenario %s exceeds %d schedules", sc, limit)
+			}
+			return emit(schedule[St, S]{steps: append([]St(nil), prefix...), final: s})
+		}
+		for _, st := range s.enabled() {
+			next := s.clone()
+			next.apply(&st)
+			if err := rec(next, append(prefix, st)); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	err := rec(root, nil)
+	return count, err
 }
 
 // errClass buckets an operation's error for spec comparison: the spec

@@ -49,7 +49,7 @@ func TestCacheInterleavings(t *testing.T) {
 	if testing.Short() {
 		ops = 2
 	}
-	rep, err := CheckCache(CacheOptions{Ops: ops, Keys: 2})
+	rep, err := checkCache(cacheOptions{Ops: ops, Keys: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestLoaderInterleavings(t *testing.T) {
 	if testing.Short() {
 		stepped = 3
 	}
-	rep, err := CheckLoader(LoaderOptions{Stepped: stepped})
+	rep, err := checkLoader(loaderOptions{Stepped: stepped})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,8 +15,8 @@ import (
 	"nonstrict/internal/synth"
 )
 
-// LoaderOptions configures the loader interleaving check.
-type LoaderOptions struct {
+// loaderOptions configures the loader interleaving check.
+type loaderOptions struct {
 	// Stepped is how many leading main-stream units are individually
 	// scheduled (default 4, clamped so the drain step keeps at least one
 	// unit).
@@ -26,8 +26,8 @@ type LoaderOptions struct {
 	MaxSchedules int
 }
 
-// LoaderReport summarizes one exhaustive loader check.
-type LoaderReport struct {
+// loaderReport summarizes one exhaustive loader check.
+type loaderReport struct {
 	Scenarios int
 	Schedules int
 	// Units is the fixture stream's unit count; Demands the concurrent
@@ -36,13 +36,13 @@ type LoaderReport struct {
 	Demands int
 }
 
-// CheckLoader enumerates every schedule of every generated loader
+// checkLoader enumerates every schedule of every generated loader
 // scenario — stepped main-stream delivery, at most one corrupt unit
 // with a scripted repair, and concurrent demand fetches landing at
 // every possible point — and replays each against a real stream.Loader,
 // diffing events, counters, quarantine state, and the assembled program
 // against the executable spec.
-func CheckLoader(opts LoaderOptions) (*LoaderReport, error) {
+func checkLoader(opts loaderOptions) (*loaderReport, error) {
 	if opts.MaxSchedules <= 0 {
 		opts.MaxSchedules = 100000
 	}
@@ -51,14 +51,14 @@ func CheckLoader(opts LoaderOptions) (*LoaderReport, error) {
 		return nil, err
 	}
 	scenarios := LoaderScenarios(opts.Stepped, fx)
-	rep := &LoaderReport{Scenarios: len(scenarios), Units: len(fx.toc)}
+	rep := &loaderReport{Scenarios: len(scenarios), Units: len(fx.toc)}
 	for _, sc := range scenarios {
 		if len(sc.Demands) > rep.Demands {
 			rep.Demands = len(sc.Demands)
 		}
 	}
 	rep.Schedules, err = forEachScenario(scenarios, func(sc *LoaderScenario) (int, error) {
-		return enumerateLoader(fx, sc, opts.MaxSchedules, func(ls LoaderSchedule) error {
+		return enumerate(sc, newLoaderSpec(fx, sc), opts.MaxSchedules, func(ls schedule[loaderStep, *loaderSpec]) error {
 			return runLoaderSchedule(fx, sc, ls)
 		})
 	})
@@ -259,7 +259,7 @@ func diffEvents(got []stream.Event, want []specEvent) error {
 // the scripted repair hook parks the corrupt unit until its repair
 // step, and demand fetches land exactly where the schedule places them.
 // Every wait is watchdog-bounded.
-func runLoaderSchedule(fx *loaderFixture, sc *LoaderScenario, sched LoaderSchedule) error {
+func runLoaderSchedule(fx *loaderFixture, sc *LoaderScenario, sched schedule[loaderStep, *loaderSpec]) error {
 	data := fx.data
 	if sc.Corrupt >= 0 {
 		data = append([]byte(nil), fx.data...)
@@ -274,7 +274,6 @@ func runLoaderSchedule(fx *loaderFixture, sc *LoaderScenario, sched LoaderSchedu
 
 	l := stream.NewLoader(fx.rp.Name, fx.rp.MainClass, nil)
 	if sc.Corrupt >= 0 {
-		l.RepairAttempts = 1
 		l.Repair = func(req stream.RepairRequest) ([]byte, error) {
 			repairReq <- req
 			return <-repairReply, nil
@@ -439,9 +438,6 @@ func runLoaderSchedule(fx *loaderFixture, sc *LoaderScenario, sched LoaderSchedu
 	integ := l.Integrity()
 	if integ.CorruptUnits != int64(final.corrupt) {
 		return diff("corrupt units", integ.CorruptUnits, final.corrupt)
-	}
-	if integ.RepairAttempts != int64(final.attempts) {
-		return diff("repair attempts", integ.RepairAttempts, final.attempts)
 	}
 	if integ.Repaired != int64(final.repaired) {
 		return diff("repaired", integ.Repaired, final.repaired)

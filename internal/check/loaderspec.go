@@ -2,7 +2,6 @@ package check
 
 import (
 	"fmt"
-	"strings"
 
 	"nonstrict/internal/classfile"
 	"nonstrict/internal/stream"
@@ -23,7 +22,7 @@ type LoaderScenario struct {
 	// within the stepped prefix.
 	Corrupt int
 	// RepairOK scripts the repair hook's reply for the corrupt unit: a
-	// clean copy, or garbage that forces quarantine (RepairAttempts=1).
+	// clean copy, or garbage that forces quarantine.
 	RepairOK bool
 	// Demands are TOC indices delivered via FeedDemand, as the live
 	// runtime's out-of-order fetches would; the enumerator permutes
@@ -109,14 +108,6 @@ func (s loaderStep) String() string {
 	return fmt.Sprintf("lstep-%d", int(s.kind))
 }
 
-func loaderStepsString(steps []loaderStep) string {
-	parts := make([]string, len(steps))
-	for i, s := range steps {
-		parts[i] = s.String()
-	}
-	return strings.Join(parts, " → ")
-}
-
 type lqkey struct {
 	ci   int
 	kind byte
@@ -143,7 +134,6 @@ type loaderSpec struct {
 	demanded  int64
 
 	corrupt  int
-	attempts int
 	repaired int
 	quarHits int // cumulative Quarantined counter
 
@@ -184,7 +174,6 @@ func (s *loaderSpec) clone() *loaderSpec {
 		mainUnits:     s.mainUnits,
 		demanded:      s.demanded,
 		corrupt:       s.corrupt,
-		attempts:      s.attempts,
 		repaired:      s.repaired,
 		quarHits:      s.quarHits,
 		mainPos:       s.mainPos,
@@ -239,11 +228,10 @@ func (s *loaderSpec) apply(st *loaderStep) {
 		i := st.unit
 		s.mainPos++
 		if i == s.sc.Corrupt {
-			// The corrupt copy arrives: the loader counts the corruption
-			// and the first (only) repair attempt, then parks in the
-			// hook. Nothing installs and the cursor does not advance yet.
+			// The corrupt copy arrives: the loader counts the corruption,
+			// then parks in the hook, which it asks once. Nothing installs
+			// and the cursor does not advance yet.
 			s.corrupt++
-			s.attempts++
 			s.awaitRepair = true
 			st.awaitRepair = true
 			return
@@ -401,40 +389,4 @@ func (s *loaderSpec) complete() bool {
 // byte stream unknown, so the check is skipped.
 func (s *loaderSpec) digestVerified() bool {
 	return s.sc.Corrupt < 0 || s.sc.RepairOK
-}
-
-// LoaderSchedule is one annotated total order over a loader scenario.
-type LoaderSchedule struct {
-	steps []loaderStep
-	final *loaderSpec
-}
-
-func (ls LoaderSchedule) String() string { return loaderStepsString(ls.steps) }
-
-// enumerateLoader walks every schedule of sc by DFS over the spec.
-func enumerateLoader(fx *loaderFixture, sc *LoaderScenario, limit int, emit func(LoaderSchedule) error) (int, error) {
-	count := 0
-	var rec func(s *loaderSpec, prefix []loaderStep) error
-	rec = func(s *loaderSpec, prefix []loaderStep) error {
-		if s.done() {
-			count++
-			if limit > 0 && count > limit {
-				return fmt.Errorf("check: loader scenario %s exceeds %d schedules", sc, limit)
-			}
-			return emit(LoaderSchedule{steps: append([]loaderStep(nil), prefix...), final: s})
-		}
-		for _, st := range s.enabled() {
-			next := s.clone()
-			stc := st
-			next.apply(&stc)
-			if err := rec(next, append(prefix, stc)); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := rec(newLoaderSpec(fx, sc), nil); err != nil {
-		return count, err
-	}
-	return count, nil
 }

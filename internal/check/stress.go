@@ -16,7 +16,7 @@ import (
 	"nonstrict/internal/vm"
 )
 
-// CacheStress runs one seeded randomized stress round against a real
+// cacheStress runs one seeded randomized stress round against a real
 // server.Cache: many goroutines hammering a few keys through scripted
 // builds that sleep, error, and panic at seed-derived points, some
 // callers abandoning their wait under tight deadlines. It asserts the
@@ -27,7 +27,7 @@ import (
 // final counters and byte accounting exactly reconciling with the
 // resident set. Deterministic given seed (modulo goroutine timing —
 // which is the point); run it under -race.
-func CacheStress(seed uint64) error {
+func cacheStress(seed uint64) error {
 	const (
 		keys       = 4
 		goroutines = 8
@@ -179,7 +179,7 @@ func CacheStress(seed uint64) error {
 	return nil
 }
 
-// LoaderStress runs one seeded randomized stress round against a real
+// loaderStress runs one seeded randomized stress round against a real
 // stream.Loader: the fixture stream arrives in random-sized fragments
 // with a seed-chosen subset of units corrupted (repair succeeding or
 // failing per unit), while demand goroutines concurrently re-deliver
@@ -188,7 +188,7 @@ func CacheStress(seed uint64) error {
 // corruption plan says, and — after a final demand sweep heals every
 // quarantine — the program assembles, runs, and passes the app's own
 // output check (any post-install byte mutation would fail it).
-func LoaderStress(seed uint64) error {
+func loaderStress(seed uint64) error {
 	fx, err := fixture()
 	if err != nil {
 		return err
@@ -207,15 +207,15 @@ func LoaderStress(seed uint64) error {
 			data[fx.toc[i].Off] ^= 0x5a
 		}
 	}
-	attempts := 1 + rng.Intn(2)
 	byUnit := make(map[lqkey]int, len(fx.toc))
 	for i, u := range fx.toc {
 		byUnit[lqkey{u.Class, u.Kind, qbody(u)}] = i
 	}
 
 	l := stream.NewLoader(fx.rp.Name, fx.rp.MainClass, nil)
-	l.RepairAttempts = attempts
+	var asked atomic.Int64
 	l.Repair = func(req stream.RepairRequest) ([]byte, error) {
+		asked.Add(1)
 		i, ok := byUnit[lqkey{req.Class, req.Kind, req.Body}]
 		if !ok {
 			return nil, fmt.Errorf("repair request for a unit not in the TOC: %+v", req)
@@ -313,19 +313,17 @@ func LoaderStress(seed uint64) error {
 	if integ.CorruptUnits != int64(len(corrupted)) {
 		return fmt.Errorf("integrity counted %d corrupt units; the plan corrupted %d", integ.CorruptUnits, len(corrupted))
 	}
-	wantAttempts, wantRepaired, badRepairs := int64(0), int64(0), 0
+	wantRepaired, badRepairs := int64(0), 0
 	for i := range corrupted {
 		if repairOK[i] {
-			wantAttempts++ // a good hook answers on the first attempt
 			wantRepaired++
 		} else {
-			wantAttempts += int64(attempts)
 			badRepairs++
 		}
 	}
-	if integ.RepairAttempts != wantAttempts || integ.Repaired != wantRepaired {
-		return fmt.Errorf("repair counters: %d attempts / %d repaired, plan says %d / %d",
-			integ.RepairAttempts, integ.Repaired, wantAttempts, wantRepaired)
+	if asked.Load() != integ.CorruptUnits || integ.Repaired != wantRepaired {
+		return fmt.Errorf("repair hook asked %d times / %d repaired, plan says once per corrupt unit (%d) / %d",
+			asked.Load(), integ.Repaired, integ.CorruptUnits, wantRepaired)
 	}
 	if wantDigest := badRepairs == 0; integ.DigestVerified != wantDigest {
 		return fmt.Errorf("digest verified = %v, plan says %v (%d unrepairable units)",

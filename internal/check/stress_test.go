@@ -16,10 +16,10 @@ func TestStressShort(t *testing.T) {
 		seeds = seeds[:2]
 	}
 	for _, seed := range seeds {
-		if err := CacheStress(seed); err != nil {
+		if err := cacheStress(seed); err != nil {
 			t.Fatalf("cache stress failed — reproduce with CHECK_STRESS_SEED=%d: %v", seed, err)
 		}
-		if err := LoaderStress(seed); err != nil {
+		if err := loaderStress(seed); err != nil {
 			t.Fatalf("loader stress failed — reproduce with CHECK_STRESS_SEED=%d: %v", seed, err)
 		}
 	}
@@ -53,10 +53,10 @@ func TestStressSoak(t *testing.T) {
 	t.Logf("stress soak: %d rounds from base seed %d", rounds, base)
 	for r := 0; r < rounds; r++ {
 		seed := base + uint64(r)
-		if err := CacheStress(seed); err != nil {
+		if err := cacheStress(seed); err != nil {
 			t.Fatalf("cache stress failed at seed %d — reproduce with CHECK_STRESS=1 CHECK_STRESS_SEED=%d: %v", seed, seed, err)
 		}
-		if err := LoaderStress(seed); err != nil {
+		if err := loaderStress(seed); err != nil {
 			t.Fatalf("loader stress failed at seed %d — reproduce with CHECK_STRESS=1 CHECK_STRESS_SEED=%d: %v", seed, seed, err)
 		}
 	}

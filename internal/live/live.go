@@ -95,7 +95,7 @@ type Stats struct {
 	// Classes and Methods count what actually arrived and linked.
 	Classes, Methods int
 	// Integrity snapshots the loader's verification counters: corrupt
-	// units detected, repair attempts, repaired, quarantined.
+	// units detected, repaired, quarantined.
 	Integrity stream.IntegrityStats
 	// Refetches counts byte-range re-fetches issued to replace payloads
 	// that arrived corrupt (repair-hook fetches plus demand retries).

@@ -550,8 +550,10 @@ func (s *Session) fetchUnit(u stream.UnitInfo) ([]byte, error) {
 
 // repairUnit is the loader's Repair hook: the main stream delivered a
 // unit whose payload failed its checksum, so re-fetch just that unit's
-// bytes with a range request against the unit table. The loader
-// re-verifies the returned payload, so this only has to deliver bytes.
+// bytes with a range request against the unit table. The hook contract
+// is the loader's: return a verified payload or an error; the hook owns
+// retrying. FetchRangeVerified is both — it retries and verifies under
+// the client's one budget — so the loader asks once.
 func (s *Session) repairUnit(req stream.RepairRequest) ([]byte, error) {
 	u := s.unit(func(u *stream.UnitInfo) bool {
 		return u.Class == req.Class && u.Kind == req.Kind && u.Body == req.Body

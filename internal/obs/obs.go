@@ -32,8 +32,8 @@ const (
 	UnitArrived
 	// CRCFail is a unit payload that failed its checksum on arrival.
 	CRCFail
-	// Quarantined is a corrupt unit parked after its repair budget was
-	// exhausted, awaiting the demand path.
+	// Quarantined is a corrupt unit parked after its repair failed,
+	// awaiting the demand path.
 	Quarantined
 	// Repaired is a corrupt unit healed by a byte-range re-fetch; Dur
 	// carries the repair round-trip.

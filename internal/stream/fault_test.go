@@ -144,11 +144,11 @@ func TestFaultGarbageRange(t *testing.T) {
 	// Every 2nd Range request is garbage, so the second fetch hits it
 	// and must retry through to a clean reply.
 	for i := 0; i < 2; i++ {
-		var buf bytes.Buffer
-		if _, err := c.FetchRange(context.Background(), srv.URL+"/app", 100, 500, &buf); err != nil {
+		p, _, err := c.FetchRangeVerified(context.Background(), srv.URL+"/app", 100, 500, ChecksumPayload(data[100:600]))
+		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(buf.Bytes(), data[100:600]) {
+		if !bytes.Equal(p, data[100:600]) {
 			t.Fatalf("fetch %d spliced wrong bytes under garbage replies", i)
 		}
 	}
@@ -163,9 +163,8 @@ func TestFaultGarbageRangeOnly(t *testing.T) {
 	data := testPayload(4 << 10)
 	srv := serveBytes(t, data, Fault{GarbageRangeEvery: 1, Seed: 3})
 	c := fastClient(1, nil)
-	var buf bytes.Buffer
-	_, err := c.FetchRange(context.Background(), srv.URL+"/app", 100, 500, &buf)
-	if err == nil || !errors.Is(err, ErrFetchFailed) {
+	p, _, err := c.FetchRangeVerified(context.Background(), srv.URL+"/app", 100, 500, ChecksumPayload(data[100:600]))
+	if p != nil || !errors.Is(err, ErrFetchFailed) {
 		t.Fatalf("err = %v, want ErrFetchFailed", err)
 	}
 }
@@ -324,10 +323,9 @@ func TestFaultCounters(t *testing.T) {
 		Counters:          &fs,
 	})
 	c := fastClient(1, nil)
+	c.FetchRangeVerified(context.Background(), srv.URL+"/app", 0, 64, 0) // garbage every time: fails
 	var buf bytes.Buffer
 	c.Fetch(context.Background(), srv.URL+"/app.toc", &buf) // rides out the 503 and the drops
-	buf.Reset()
-	c.FetchRange(context.Background(), srv.URL+"/app", 0, 64, &buf) // garbage every time: fails
 	buf.Reset()
 	c.Fetch(context.Background(), srv.URL+"/app", &buf) // dropped + corrupted stream
 

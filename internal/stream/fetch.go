@@ -1,7 +1,6 @@
 package stream
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -32,8 +31,10 @@ const (
 // connection resumes from the current byte offset with a Range request,
 // so a transfer completes with correct bytes across arbitrarily many
 // mid-stream disconnects. Demand fetches of specific byte ranges
-// (misprediction corrections) go through FetchRange, which applies the
-// same policy. The zero value is ready to use.
+// (misprediction corrections) go through FetchRangeVerified, which
+// applies the same policy and checks the range before returning it.
+// Reconnects and range restarts go through one retry step, under one
+// meaning of MaxRetries. The zero value is ready to use.
 //
 // A FetchClient is safe for concurrent use; its counters aggregate
 // across all transfers.
@@ -45,8 +46,10 @@ type FetchClient struct {
 	// RequestTimeout bounds each attempt: time to response headers, and
 	// thereafter the maximum idle gap between body reads. 0 means 10s.
 	RequestTimeout time.Duration
-	// MaxRetries caps consecutive failed attempts (attempts that deliver
-	// no new bytes) before the transfer fails. 0 means 8.
+	// MaxRetries is how many times a failure is retried before the
+	// transfer fails: a connection gets MaxRetries+1 consecutive
+	// attempts that deliver no new bytes, and a verified range
+	// MaxRetries+1 whole-range attempts. 0 means 8.
 	MaxRetries int
 	// BackoffBase and BackoffMax shape the capped exponential backoff
 	// between retries. 0 means 100ms and 5s.
@@ -183,23 +186,18 @@ var ErrFetchFailed = errors.New("stream: fetch failed")
 // callers surface the error.
 var ErrArtifactChanged = errors.New("stream: artifact changed mid-transfer")
 
-// permanentError marks failures no retry can fix (4xx statuses).
-type permanentError struct{ err error }
-
-func (e *permanentError) Error() string { return e.err.Error() }
-func (e *permanentError) Unwrap() error { return e.err }
-
-// retryAfterError is a retryable failure carrying the server's
-// Retry-After hint; the backoff honours the hint instead of its own
-// schedule. A shedding server knows better than our exponential guess
-// when capacity will return.
-type retryAfterError struct {
-	after time.Duration
-	err   error
+// attemptError is a failed attempt that tells retry more than "try
+// again": permanent marks a failure no retry can fix (a 4xx status, a
+// request that cannot be built), and after carries a shedding server's
+// Retry-After hint, which replaces the backoff — the server knows better
+// than our exponential guess when capacity will return.
+type attemptError struct {
+	err       error
+	permanent bool
+	after     time.Duration
 }
 
-func (e *retryAfterError) Error() string { return e.err.Error() }
-func (e *retryAfterError) Unwrap() error { return e.err }
+func (e *attemptError) Error() string { return e.err.Error() }
 
 // maxRetryAfter caps how long a server-supplied Retry-After can make the
 // client sleep; a misconfigured (or hostile) hint must not park a
@@ -240,13 +238,13 @@ func parseRetryAfter(h string, now time.Time) time.Duration {
 
 // Open starts streaming url and returns a reader over its bytes. The
 // reader transparently reconnects and resumes from the current offset on
-// timeouts and dropped connections; it fails only after MaxRetries
+// timeouts and dropped connections; it fails only after MaxRetries+1
 // consecutive attempts deliver nothing, or when ctx is done. The first
 // connection is made eagerly so unreachable servers and permanent HTTP
 // errors surface here.
 func (c *FetchClient) Open(ctx context.Context, url string) (io.ReadCloser, error) {
 	r := &resumeReader{c: c, ctx: ctx, url: url, end: -1, total: -1}
-	if err := r.connect(); err != nil {
+	if err := r.connect(nil); err != nil {
 		return nil, err
 	}
 	return r, nil
@@ -263,22 +261,6 @@ func (c *FetchClient) Fetch(ctx context.Context, url string, w io.Writer) (int64
 	return io.Copy(w, r)
 }
 
-// FetchRange downloads length bytes starting at offset from into w — the
-// demand-fetch path: when a misprediction needs bytes out of stream
-// order, the correction retries and resumes under the same policy as the
-// main transfer.
-func (c *FetchClient) FetchRange(ctx context.Context, url string, from, length int64, w io.Writer) (int64, error) {
-	if from < 0 || length <= 0 {
-		return 0, fmt.Errorf("%w: bad range [%d, %d)", ErrFetchFailed, from, from+length)
-	}
-	r := &resumeReader{c: c, ctx: ctx, url: url, off: from, start: from, end: from + length, total: -1}
-	if err := r.connect(); err != nil {
-		return 0, err
-	}
-	defer r.Close()
-	return io.Copy(w, r)
-}
-
 // FetchRangeVerified downloads the length bytes at offset from and
 // verifies them against the unit table's checksum before returning them
 // — the demand/repair fetch path. The distinction it enforces: a
@@ -286,45 +268,80 @@ func (c *FetchClient) FetchRange(ctx context.Context, url string, from, length i
 // any other fetch, but received is not verified — a unit's bytes can
 // only be checked once the whole range is in. When the assembled
 // payload fails its checksum (a corrupt prefix spliced across a
-// reconnect, a lying proxy), the unverified bytes are discarded and the
-// fetch restarts from the last verified byte, which for a unit fetch is
-// the range start. Restarts back off and share the client's retry
-// budget, so a range that never verifies fails cleanly with
-// ErrStreamIntegrity instead of installing garbage or burning the
-// caller's attempts on poisoned splices.
+// reconnect, a lying proxy), or the artifact changed under the transfer,
+// the unverified bytes are discarded and the fetch restarts from the
+// last verified byte, which for a unit fetch is the range start, with
+// nothing pinned. Restarts back off under the same retry step as
+// reconnects, so a range that never verifies fails cleanly with
+// ErrStreamIntegrity after MaxRetries+1 attempts instead of installing
+// garbage.
 // It returns the verified payload and the number of whole-range
 // attempts made (1 when the first assembled payload verified).
 func (c *FetchClient) FetchRangeVerified(ctx context.Context, url string, from, length int64, crc uint32) ([]byte, int, error) {
-	var buf bytes.Buffer
+	if from < 0 || length <= 0 {
+		return nil, 0, fmt.Errorf("%w: bad range [%d, %d)", ErrFetchFailed, from, from+length)
+	}
+	p := make([]byte, length)
 	for fails := 0; ; {
-		buf.Reset()
-		_, err := c.FetchRange(ctx, url, from, length, &buf)
+		r := &resumeReader{c: c, ctx: ctx, url: url, off: from, start: from, end: from + length, total: -1}
+		_, err := io.ReadFull(r, p)
+		r.Close()
 		switch {
+		case err == nil && ChecksumPayload(p) == crc:
+			return p, fails + 1, nil
 		case err == nil:
-			if p := buf.Bytes(); ChecksumPayload(p) == crc {
-				return p, fails + 1, nil
-			}
 			c.Obs.Emit(obs.CRCFail, url, length, 0)
+			err = fmt.Errorf("%w: range [%d,%d) failed its checksum", ErrStreamIntegrity, from, from+length)
 		case errors.Is(err, ErrArtifactChanged):
-			// The artifact was replaced under the transfer. The partial
-			// bytes are garbage by definition; restart the whole range,
-			// pinning the new version, exactly as a checksum failure
-			// restarts a poisoned splice.
+			// The partial bytes came from a replaced artifact: garbage by
+			// definition, exactly like a poisoned splice.
+			err = fmt.Errorf("%w: range [%d,%d): %v", ErrStreamIntegrity, from, from+length, err)
 		default:
 			return nil, fails + 1, err
 		}
-		fails++
-		if fails >= c.maxRetries() {
-			return nil, fails, fmt.Errorf("%w: range [%d,%d) failed verification %d times",
-				ErrStreamIntegrity, from, from+length, fails)
-		}
-		c.retries.Add(1)
-		d := c.backoff(fails)
-		if err := c.sleepFn()(ctx, d); err != nil {
+		if err := c.retry(ctx, url, &fails, err); err != nil {
 			return nil, fails, err
 		}
-		c.Obs.Emit(obs.Retry, url, 0, d)
 	}
+}
+
+// retry is the client's one retry decision, made for every failed
+// attempt on every path: a connection that failed, or dropped before
+// delivering anything, and a verified range that did not verify. It
+// charges the failure to the budget *fails counts; while MaxRetries
+// allows, it backs off — for as long as a shedding server's Retry-After
+// says, if it said — reports the retry and returns nil. Otherwise it
+// returns the terminal error: a changed artifact as itself (no retry can
+// make the bytes already delivered coherent with the new ones), a
+// permanent failure at once, and a spent budget as ErrFetchFailed, or
+// as ErrStreamIntegrity when the range kept failing its checksum.
+func (c *FetchClient) retry(ctx context.Context, url string, fails *int, cause error) error {
+	var ae *attemptError
+	errors.As(cause, &ae)
+	switch {
+	case errors.Is(cause, ErrArtifactChanged):
+		return cause
+	case ae != nil && ae.permanent:
+		return fmt.Errorf("%w: %v", ErrFetchFailed, cause)
+	}
+	*fails++
+	if *fails > c.maxRetries() {
+		spent := ErrFetchFailed
+		if errors.Is(cause, ErrStreamIntegrity) {
+			spent = ErrStreamIntegrity
+		}
+		return fmt.Errorf("%w: %d consecutive attempts failed, last: %v", spent, *fails, cause)
+	}
+	c.retries.Add(1)
+	d := c.backoff(*fails)
+	if ae != nil && ae.after > 0 {
+		d = ae.after
+	}
+	if err := c.sleepFn()(ctx, d); err != nil {
+		return err
+	}
+	c.Obs.Emit(obs.Retry, url, 0, d)
+	return nil
 }
 
 // resumeReader streams one URL with reconnect-and-resume. Reads return
@@ -345,63 +362,40 @@ type resumeReader struct {
 	cancelReq context.CancelFunc
 	watchdog  *time.Timer
 	fails     int // consecutive attempts with no progress
-	lastErr   error
 	finished  bool
 	closed    bool
 }
 
-// connect establishes one connection at the current offset, retrying
-// with backoff until it succeeds, fails permanently, or exhausts
-// MaxRetries consecutive failures.
-func (r *resumeReader) connect() error {
+// connect establishes one connection at the current offset. cause, when
+// non-nil, is why the previous connection ended without progress, and
+// is charged to the retry budget before the first attempt.
+func (r *resumeReader) connect(cause error) error {
 	for {
+		if cause != nil {
+			if err := r.c.retry(r.ctx, r.url, &r.fails, cause); err != nil {
+				return err
+			}
+		}
 		if err := r.ctx.Err(); err != nil {
 			return err
 		}
-		err := r.tryConnect()
-		if err == nil {
+		if cause = r.tryConnect(); cause == nil {
 			return nil
 		}
-		r.lastErr = err
-		if errors.Is(err, ErrArtifactChanged) {
-			// Bytes already delivered came from a dead artifact; no
-			// reconnect can make the spliced stream coherent.
-			return err
-		}
-		var perm *permanentError
-		if errors.As(err, &perm) {
-			return fmt.Errorf("%w: %v", ErrFetchFailed, err)
-		}
-		r.fails++
-		if r.fails > r.c.maxRetries() {
-			return fmt.Errorf("%w: %d consecutive attempts failed, last: %v", ErrFetchFailed, r.fails, err)
-		}
-		r.c.retries.Add(1)
-		d := r.c.backoff(r.fails)
-		var ra *retryAfterError
-		if errors.As(err, &ra) && ra.after > 0 {
-			// A shedding server said when to come back; believe it
-			// (within reason) instead of the exponential guess.
-			d = min(ra.after, maxRetryAfter)
-		}
-		if serr := r.c.sleepFn()(r.ctx, d); serr != nil {
-			return serr
-		}
-		r.c.Obs.Emit(obs.Retry, r.url, 0, d)
 	}
 }
 
-// tryConnect issues a single request for [r.off, r.end) and installs the
-// body and its idle watchdog.
+// tryConnect issues a single request for [r.off, r.end) and, when the
+// response continues the transfer at r.off, installs its body and idle
+// watchdog.
 func (r *resumeReader) tryConnect() error {
 	attemptCtx, cancel := context.WithCancel(r.ctx)
 	req, err := http.NewRequestWithContext(attemptCtx, http.MethodGet, r.url, nil)
 	if err != nil {
 		cancel()
-		return &permanentError{err}
+		return &attemptError{err: err, permanent: true}
 	}
-	ranged := r.off > 0 || r.end >= 0
-	if ranged {
+	if r.off > 0 || r.end >= 0 {
 		if r.end >= 0 {
 			req.Header.Set("Range", fmt.Sprintf("bytes=%d-%d", r.off, r.end-1))
 		} else {
@@ -418,94 +412,15 @@ func (r *resumeReader) tryConnect() error {
 	watchdog := time.AfterFunc(r.c.requestTimeout(), cancel)
 	r.c.requests.Add(1)
 	resp, err := r.c.httpClient().Do(req)
+	if err == nil {
+		if err = r.admit(resp, watchdog); err != nil {
+			resp.Body.Close()
+		}
+	}
 	if err != nil {
 		watchdog.Stop()
 		cancel()
 		return err
-	}
-
-	respETag := resp.Header.Get("ETag")
-	discard := int64(0) // bytes to skip when the server ignored Range
-	switch resp.StatusCode {
-	case http.StatusOK:
-		if r.etag != "" && respETag != "" && respETag != r.etag {
-			// The artifact changed since we pinned. With nothing
-			// delivered yet the new version is simply adopted (the
-			// discard below skips to our offset within the NEW bytes,
-			// which is a fresh coherent transfer). With old bytes
-			// already handed out, appending new-version bytes would
-			// splice two artifacts into one stream — fail instead.
-			if r.off > r.start {
-				resp.Body.Close()
-				watchdog.Stop()
-				cancel()
-				return fmt.Errorf("%w: pinned %s, server now serves %s", ErrArtifactChanged, r.etag, respETag)
-			}
-			r.etag = respETag
-		}
-		if r.etag == "" {
-			r.etag = respETag
-		}
-		if resp.ContentLength >= 0 {
-			r.total = resp.ContentLength
-		}
-		discard = r.off
-	case http.StatusPartialContent:
-		if r.etag != "" && respETag != "" && respETag != r.etag {
-			// A 206 against a different validator should be impossible
-			// under If-Range; a server (or proxy) that does it anyway is
-			// offering bytes from an artifact we never started.
-			resp.Body.Close()
-			watchdog.Stop()
-			cancel()
-			return fmt.Errorf("%w: 206 with ETag %s, pinned %s", ErrArtifactChanged, respETag, r.etag)
-		}
-		if r.etag == "" {
-			r.etag = respETag
-		}
-		// A 206 whose Content-Range is missing or unparseable gives no
-		// proof the body starts at our resume offset; accepting it could
-		// splice bytes at the wrong position. Treat it as a retryable
-		// failure, like a dropped connection.
-		start, total, ok := parseContentRange(resp.Header.Get("Content-Range"))
-		if !ok {
-			resp.Body.Close()
-			watchdog.Stop()
-			cancel()
-			return fmt.Errorf("stream: 206 with missing or bad Content-Range %q", resp.Header.Get("Content-Range"))
-		}
-		if start != r.off {
-			resp.Body.Close()
-			watchdog.Stop()
-			cancel()
-			return fmt.Errorf("stream: server resumed at %d, want %d", start, r.off)
-		}
-		if total >= 0 {
-			r.total = total
-		}
-	default:
-		resp.Body.Close()
-		watchdog.Stop()
-		cancel()
-		err := fmt.Errorf("stream: server returned %s", resp.Status)
-		if resp.StatusCode >= 400 && resp.StatusCode < 500 && resp.StatusCode != http.StatusTooManyRequests {
-			return &permanentError{err}
-		}
-		if after := parseRetryAfter(resp.Header.Get("Retry-After"), time.Now()); after > 0 {
-			return &retryAfterError{after: after, err: err}
-		}
-		return err
-	}
-
-	if discard > 0 {
-		// The server ignored our Range request; skip to the offset,
-		// resetting the watchdog as the skipped bytes stream in.
-		if err := discardN(resp.Body, discard, watchdog, r.c.requestTimeout()); err != nil {
-			resp.Body.Close()
-			watchdog.Stop()
-			cancel()
-			return fmt.Errorf("stream: skipping to offset %d: %w", r.off, err)
-		}
 	}
 	if r.off > r.start {
 		r.c.resumes.Add(1)
@@ -514,6 +429,60 @@ func (r *resumeReader) tryConnect() error {
 	r.body = resp.Body
 	r.cancelReq = cancel
 	r.watchdog = watchdog
+	return nil
+}
+
+// admit checks that resp continues the transfer at r.off, pinning the
+// artifact's ETag on the way, and skips the body of a 200 forward to
+// r.off. Any error rejects the response.
+func (r *resumeReader) admit(resp *http.Response, watchdog *time.Timer) error {
+	partial := resp.StatusCode == http.StatusPartialContent
+	if !partial && resp.StatusCode != http.StatusOK {
+		return &attemptError{
+			err:       fmt.Errorf("stream: server returned %s", resp.Status),
+			permanent: resp.StatusCode >= 400 && resp.StatusCode < 500 && resp.StatusCode != http.StatusTooManyRequests,
+			after:     parseRetryAfter(resp.Header.Get("Retry-After"), time.Now()),
+		}
+	}
+	if etag := resp.Header.Get("ETag"); etag != "" && etag != r.etag {
+		// The artifact is not the one pinned. On a 200 with nothing
+		// delivered yet, the new version is simply adopted: the skip below
+		// lands at our offset within the NEW bytes, a fresh coherent
+		// transfer. With old bytes already handed out, appending
+		// new-version bytes would splice two artifacts into one stream;
+		// and a 206 against a different validator, impossible under
+		// If-Range, offers bytes from an artifact we never started.
+		if r.etag != "" && (partial || r.off > r.start) {
+			return fmt.Errorf("%w: pinned %s, server now serves %s", ErrArtifactChanged, r.etag, etag)
+		}
+		r.etag = etag
+	}
+	skip, total := r.off, resp.ContentLength
+	if partial {
+		// A 206 whose Content-Range is missing or unparseable gives no
+		// proof the body starts at our resume offset; accepting it could
+		// splice bytes at the wrong position. Treat it as a retryable
+		// failure, like a dropped connection.
+		var start int64
+		var ok bool
+		if start, total, ok = parseContentRange(resp.Header.Get("Content-Range")); !ok {
+			return fmt.Errorf("stream: 206 with missing or bad Content-Range %q", resp.Header.Get("Content-Range"))
+		}
+		if start != r.off {
+			return fmt.Errorf("stream: server resumed at %d, want %d", start, r.off)
+		}
+		skip = 0
+	}
+	if total >= 0 {
+		r.total = total
+	}
+	if skip > 0 {
+		// The server ignored our Range request; skip to the offset,
+		// resetting the watchdog as the skipped bytes stream in.
+		if err := discardN(resp.Body, skip, watchdog, r.c.requestTimeout()); err != nil {
+			return fmt.Errorf("stream: skipping to offset %d: %w", r.off, err)
+		}
+	}
 	return nil
 }
 
@@ -573,7 +542,7 @@ func (r *resumeReader) Read(p []byte) (int, error) {
 			return 0, io.EOF
 		}
 		if r.body == nil {
-			if err := r.connect(); err != nil {
+			if err := r.connect(nil); err != nil {
 				return 0, err
 			}
 		}
@@ -596,25 +565,16 @@ func (r *resumeReader) Read(p []byte) (int, error) {
 			r.finished = true
 			r.teardown()
 			return n, io.EOF
-		default:
-			// Dropped mid-stream (or EOF short of the promised length):
-			// tear down and resume. Progress is handed back first; the
-			// retry budget only burns on attempts that delivered nothing.
-			r.lastErr = err
-			r.teardown()
-			if n > 0 {
-				return n, nil
-			}
-			r.fails++
-			if r.fails > r.c.maxRetries() {
-				return 0, fmt.Errorf("%w: %d consecutive attempts failed, last: %v", ErrFetchFailed, r.fails, err)
-			}
-			r.c.retries.Add(1)
-			d := r.c.backoff(r.fails)
-			if serr := r.c.sleepFn()(r.ctx, d); serr != nil {
-				return 0, serr
-			}
-			r.c.Obs.Emit(obs.Retry, r.url, 0, d)
+		}
+		// Dropped mid-stream (or EOF short of the promised length): tear
+		// down and resume. Progress is handed back first; the retry budget
+		// only burns on attempts that delivered nothing.
+		r.teardown()
+		if n > 0 {
+			return n, nil
+		}
+		if err := r.connect(err); err != nil {
+			return 0, err
 		}
 	}
 }

@@ -4,11 +4,8 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -116,27 +113,28 @@ func TestFetchTimeoutBackoffSuccess(t *testing.T) {
 }
 
 // TestFetchRange: the demand-fetch path pulls an arbitrary byte range
-// through the same resume policy.
+// through the same resume policy, against ServeContent's real Range
+// handling on a link that drops every 100 bytes.
 func TestFetchRange(t *testing.T) {
 	data := testPayload(4096)
 	srv := serveBytes(t, data, Fault{DropEvery: 100})
 	c := fastClient(1, nil)
 
-	var got bytes.Buffer
-	n, err := c.FetchRange(context.Background(), srv.URL+"/app", 100, 500, &got)
+	want := data[100:600]
+	p, attempts, err := c.FetchRangeVerified(context.Background(), srv.URL+"/app", 100, 500, ChecksumPayload(want))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 500 || !bytes.Equal(got.Bytes(), data[100:600]) {
-		t.Fatalf("range fetch returned %d bytes, equal: %v", n, bytes.Equal(got.Bytes(), data[100:600]))
+	if attempts != 1 || !bytes.Equal(p, want) {
+		t.Fatalf("range fetch returned %d bytes in %d attempts, equal: %v", len(p), attempts, bytes.Equal(p, want))
 	}
 	if st := c.Stats(); st.Resumes < 4 {
 		t.Errorf("resumes = %d, want at least 4 under 100-byte drops", st.Resumes)
 	}
-	if _, err := c.FetchRange(context.Background(), srv.URL+"/app", -1, 10, io.Discard); err == nil {
+	if _, _, err := c.FetchRangeVerified(context.Background(), srv.URL+"/app", -1, 10, 0); err == nil {
 		t.Error("negative offset accepted")
 	}
-	if _, err := c.FetchRange(context.Background(), srv.URL+"/app", 0, 0, io.Discard); err == nil {
+	if _, _, err := c.FetchRangeVerified(context.Background(), srv.URL+"/app", 0, 0, 0); err == nil {
 		t.Error("empty range accepted")
 	}
 }
@@ -277,318 +275,6 @@ func TestBackoffSubNanosecondBase(t *testing.T) {
 	}
 }
 
-// TestFetchRejects206WithoutContentRange is the regression test for the
-// silent resume desync: a 206 whose Content-Range is missing or garbage
-// proves nothing about where the body starts, so the client must treat
-// it as a retryable failure instead of splicing the bytes in blind.
-func TestFetchRejects206WithoutContentRange(t *testing.T) {
-	for _, header := range []string{"", "garbage", "bytes x-y/z", "bytes 999"} {
-		t.Run("header="+header, func(t *testing.T) {
-			hits := 0
-			mux := http.NewServeMux()
-			mux.HandleFunc("/bad", func(w http.ResponseWriter, r *http.Request) {
-				hits++
-				if header != "" {
-					w.Header().Set("Content-Range", header)
-				}
-				w.WriteHeader(http.StatusPartialContent)
-				w.Write([]byte("0123456789")) // bytes from offset 0, not 5
-			})
-			srv := httptest.NewServer(mux)
-			defer srv.Close()
-
-			c := fastClient(1, nil)
-			c.MaxRetries = 2
-			var got bytes.Buffer
-			_, err := c.FetchRange(context.Background(), srv.URL+"/bad", 5, 5, &got)
-			if err == nil {
-				t.Fatalf("unverifiable 206 accepted; spliced %q at offset 5", got.String())
-			}
-			if !errors.Is(err, ErrFetchFailed) {
-				t.Errorf("error %v, want ErrFetchFailed", err)
-			}
-			if !strings.Contains(err.Error(), "Content-Range") {
-				t.Errorf("error %v does not name the bad header", err)
-			}
-			if hits < 3 {
-				t.Errorf("gave up after %d attempts; the failure must be retryable", hits)
-			}
-			if got.Len() > 0 {
-				t.Errorf("%d misplaced bytes delivered", got.Len())
-			}
-		})
-	}
-}
-
-// splicingServer serves data with Range support, but poisons the first
-// k whole-range fetches of the unit at offset target: it sends a short
-// prefix whose first byte is flipped, flushes it onto the wire, then
-// kills the connection. The resumed remainder is served clean, so a
-// client that resumes from the last RECEIVED byte assembles a
-// full-length payload whose prefix is garbage — the transient splice
-// corruption FetchRangeVerified exists to catch. Fresh fetches after
-// the first k, resumes, and requests for other offsets are all intact.
-func splicingServer(t *testing.T, data []byte, target int64, k int) (*httptest.Server, *atomic.Int64) {
-	t.Helper()
-	var poisoned atomic.Int64
-	mux := http.NewServeMux()
-	mux.HandleFunc("/app", func(w http.ResponseWriter, r *http.Request) {
-		var from, to int64 = -1, -1
-		fmt.Sscanf(r.Header.Get("Range"), "bytes=%d-%d", &from, &to)
-		if from == target && poisoned.Load() < int64(k) {
-			poisoned.Add(1)
-			cut := int64(16)
-			if to-from+1 < cut {
-				cut = to - from + 1
-			}
-			w.Header().Set("Content-Range", fmt.Sprintf("bytes %d-%d/%d", from, to, len(data)))
-			w.WriteHeader(http.StatusPartialContent)
-			prefix := append([]byte(nil), data[from:from+cut]...)
-			prefix[0] ^= 0x5a
-			w.Write(prefix)
-			w.(http.Flusher).Flush()
-			panic(http.ErrAbortHandler)
-		}
-		http.ServeContent(w, r, "app.bin", time.Time{}, bytes.NewReader(data))
-	})
-	srv := httptest.NewServer(mux)
-	t.Cleanup(srv.Close)
-	return srv, &poisoned
-}
-
-// TestFetchRangeVerifiedRestartsFromVerifiedByte is the S4 regression:
-// a connection dropped after a corrupted prefix must not let the
-// corruption survive the resume. Plain FetchRange resumes from the
-// last received byte and happily returns the poisoned splice;
-// FetchRangeVerified detects the checksum mismatch and restarts the
-// whole range from its last verified byte — the range start.
-func TestFetchRangeVerifiedRestartsFromVerifiedByte(t *testing.T) {
-	data := testPayload(4096)
-	const from, length = 512, 1024
-	const k = 3
-	srv, poisoned := splicingServer(t, data, from, k)
-
-	want := data[from : from+length]
-	crc := ChecksumPayload(want)
-
-	// Demonstrate the hazard: an unverified range fetch completes with
-	// the spliced garbage and no error.
-	var raw bytes.Buffer
-	if _, err := fastClient(3, nil).FetchRange(context.Background(), srv.URL+"/app", from, length, &raw); err != nil {
-		t.Fatalf("FetchRange: %v", err)
-	}
-	if bytes.Equal(raw.Bytes(), want) {
-		t.Fatal("server did not poison the splice; test is vacuous")
-	}
-
-	var slept []time.Duration
-	c := fastClient(7, &slept)
-	p, attempts, err := c.FetchRangeVerified(context.Background(), srv.URL+"/app", from, length, crc)
-	if err != nil {
-		t.Fatalf("FetchRangeVerified: %v", err)
-	}
-	if !bytes.Equal(p, want) {
-		t.Fatal("verified payload does not match the planned bytes")
-	}
-	// The unverified demonstration above consumed one poisoning, so the
-	// verified fetch hits k-1 more: k-1 restarts plus the final clean
-	// attempt that verifies.
-	if attempts != k {
-		t.Fatalf("attempts = %d, want %d", attempts, k)
-	}
-	if got := poisoned.Load(); got != k {
-		t.Fatalf("server poisoned %d fresh fetches, want %d", got, k)
-	}
-	if len(slept) == 0 {
-		t.Fatal("verification restarts did not back off")
-	}
-	if st := c.Stats(); st.Retries == 0 {
-		t.Fatalf("Stats().Retries = 0, want > 0 (restarts share the retry budget); stats %+v", st)
-	}
-}
-
-// TestFetchRangeVerifiedExhaustsBudget: a range that never verifies
-// must fail with ErrStreamIntegrity after the client's retry budget,
-// not loop forever or return garbage.
-func TestFetchRangeVerifiedExhaustsBudget(t *testing.T) {
-	data := testPayload(4096)
-	const from, length = 512, 1024
-	srv, _ := splicingServer(t, data, from, 1<<30)
-
-	c := fastClient(11, nil)
-	c.MaxRetries = 3
-	p, attempts, err := c.FetchRangeVerified(context.Background(), srv.URL+"/app", from, length, ChecksumPayload(data[from:from+length]))
-	if !errors.Is(err, ErrStreamIntegrity) {
-		t.Fatalf("err = %v, want ErrStreamIntegrity", err)
-	}
-	if p != nil {
-		t.Fatal("failed verification must not return a payload")
-	}
-	if attempts != 3 {
-		t.Fatalf("attempts = %d, want 3", attempts)
-	}
-}
-
-// swappingServer serves one artifact with an ETag and can replace it
-// mid-test. killAfter > 0 makes the FIRST request die abruptly after
-// that many body bytes, swapping in the replacement artifact before the
-// client can resume — the restart-with-new-deploy scenario.
-func swappingServer(t *testing.T, a, b []byte, etagA, etagB string, killAfter int) *httptest.Server {
-	t.Helper()
-	type artifact struct {
-		data []byte
-		etag string
-	}
-	var cur atomic.Pointer[artifact]
-	cur.Store(&artifact{a, etagA})
-	var reqs atomic.Int64
-	mux := http.NewServeMux()
-	mux.HandleFunc("/app", func(w http.ResponseWriter, r *http.Request) {
-		p := cur.Load()
-		w.Header().Set("ETag", p.etag)
-		if reqs.Add(1) == 1 && killAfter > 0 {
-			w.Header().Set("Content-Length", fmt.Sprint(len(p.data)))
-			w.WriteHeader(http.StatusOK)
-			w.Write(p.data[:killAfter])
-			if fl, ok := w.(http.Flusher); ok {
-				fl.Flush()
-			}
-			cur.Store(&artifact{b, etagB}) // the deploy lands in the gap
-			panic(http.ErrAbortHandler)    // and the old process dies
-		}
-		http.ServeContent(w, r, "app.bin", time.Time{}, bytes.NewReader(p.data))
-	})
-	srv := httptest.NewServer(mux)
-	t.Cleanup(srv.Close)
-	return srv
-}
-
-// TestFetchRefusesSpliceAfterSwap is the resume-splicing regression: the
-// artifact is replaced between a mid-stream drop and the resume. The
-// client pinned the first response's ETag and sent If-Range, so the
-// server answers the resume with a full 200 of the NEW artifact — and
-// the client, having already delivered old-artifact bytes, must fail
-// with ErrArtifactChanged rather than splice the two versions together.
-func TestFetchRefusesSpliceAfterSwap(t *testing.T) {
-	dataA := testPayload(8 << 10)
-	dataB := xrand.New(7).Bytes(8 << 10)
-	const kill = 1000
-	srv := swappingServer(t, dataA, dataB, `"aaaa"`, `"bbbb"`, kill)
-
-	c := fastClient(1, nil)
-	var got bytes.Buffer
-	_, err := c.Fetch(context.Background(), srv.URL+"/app", &got)
-	if !errors.Is(err, ErrArtifactChanged) {
-		t.Fatalf("err = %v, want ErrArtifactChanged", err)
-	}
-	// Everything delivered is a clean prefix of the OLD artifact — not
-	// one byte of the new one leaked into the stream.
-	if !bytes.Equal(got.Bytes(), dataA[:got.Len()]) {
-		t.Fatal("delivered bytes are not a clean prefix of the original artifact")
-	}
-	if got.Len() < kill {
-		t.Fatalf("delivered %d bytes, want at least the %d sent before the drop", got.Len(), kill)
-	}
-}
-
-// TestFetchAdoptsSwapBeforeFirstByte: when the artifact changes before
-// any payload byte was delivered, there is nothing to splice — the
-// client adopts the new version and the transfer succeeds with the new
-// bytes.
-func TestFetchAdoptsSwapBeforeFirstByte(t *testing.T) {
-	dataA := testPayload(2048)
-	dataB := xrand.New(9).Bytes(2048)
-	// killAfter is the header-only abort: headers (with ETag A) arrive,
-	// zero body bytes do. Write of 0 bytes then abort:
-	type artifact struct {
-		data []byte
-		etag string
-	}
-	var cur atomic.Pointer[artifact]
-	cur.Store(&artifact{dataA, `"aaaa"`})
-	var reqs atomic.Int64
-	mux := http.NewServeMux()
-	mux.HandleFunc("/app", func(w http.ResponseWriter, r *http.Request) {
-		p := cur.Load()
-		w.Header().Set("ETag", p.etag)
-		if reqs.Add(1) == 1 {
-			w.Header().Set("Content-Length", fmt.Sprint(len(p.data)))
-			w.WriteHeader(http.StatusOK)
-			if fl, ok := w.(http.Flusher); ok {
-				fl.Flush()
-			}
-			cur.Store(&artifact{dataB, `"bbbb"`})
-			panic(http.ErrAbortHandler)
-		}
-		http.ServeContent(w, r, "app.bin", time.Time{}, bytes.NewReader(p.data))
-	})
-	srv := httptest.NewServer(mux)
-	defer srv.Close()
-
-	c := fastClient(1, nil)
-	var got bytes.Buffer
-	if _, err := c.Fetch(context.Background(), srv.URL+"/app", &got); err != nil {
-		t.Fatalf("Fetch: %v", err)
-	}
-	if !bytes.Equal(got.Bytes(), dataB) {
-		t.Fatal("client did not adopt the new artifact cleanly")
-	}
-}
-
-// TestFetchRangeVerifiedSurvivesSwap: a demand fetch interrupted by a
-// deploy restarts the whole range against the new artifact with a fresh
-// pin, and verifies against the caller's checksum.
-func TestFetchRangeVerifiedSurvivesSwap(t *testing.T) {
-	dataA := testPayload(8 << 10)
-	dataB := xrand.New(11).Bytes(8 << 10)
-	srv := swappingServer(t, dataA, dataB, `"aaaa"`, `"bbbb"`, 600)
-
-	const from, length = 512, 1024
-	want := dataB[from : from+length]
-	c := fastClient(5, nil)
-	p, attempts, err := c.FetchRangeVerified(context.Background(), srv.URL+"/app", from, length, ChecksumPayload(want))
-	if err != nil {
-		t.Fatalf("FetchRangeVerified: %v", err)
-	}
-	if !bytes.Equal(p, want) {
-		t.Fatal("verified payload is not the new artifact's range")
-	}
-	if attempts != 2 {
-		t.Fatalf("attempts = %d, want 2 (one swap restart + one clean fetch)", attempts)
-	}
-}
-
-// TestFetchHonorsRetryAfter: a shedding server's Retry-After hint
-// replaces the client's computed backoff.
-func TestFetchHonorsRetryAfter(t *testing.T) {
-	data := testPayload(1024)
-	var reqs atomic.Int64
-	mux := http.NewServeMux()
-	mux.HandleFunc("/app", func(w http.ResponseWriter, r *http.Request) {
-		if reqs.Add(1) == 1 {
-			w.Header().Set("Retry-After", "7")
-			http.Error(w, "overloaded", http.StatusServiceUnavailable)
-			return
-		}
-		http.ServeContent(w, r, "app.bin", time.Time{}, bytes.NewReader(data))
-	})
-	srv := httptest.NewServer(mux)
-	defer srv.Close()
-
-	var slept []time.Duration
-	c := fastClient(1, &slept)
-	var got bytes.Buffer
-	if _, err := c.Fetch(context.Background(), srv.URL+"/app", &got); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got.Bytes(), data) {
-		t.Fatal("content mismatch after shed retry")
-	}
-	if len(slept) == 0 || slept[0] != 7*time.Second {
-		t.Fatalf("slept %v, want the server's 7s Retry-After hint first", slept)
-	}
-}
-
 // TestParseRetryAfter pins both RFC 9110 Retry-After forms. The header
 // can be delta-seconds or an HTTP-date; either way the result is a
 // delay clamped to maxRetryAfter, and anything unusable — garbage,
@@ -624,42 +310,5 @@ func TestParseRetryAfter(t *testing.T) {
 		if got := parseRetryAfter(tc.h, now); got != tc.want {
 			t.Errorf("%s: parseRetryAfter(%q) = %v, want %v", tc.name, tc.h, got, tc.want)
 		}
-	}
-}
-
-// TestFetchHonorsRetryAfterDate is the end-to-end regression for the
-// HTTP-date form: a shedding server that speaks the date dialect used
-// to be ignored entirely (the client fell back to millisecond
-// exponential backoff and hammered it); now the hint is honored like
-// delta-seconds is.
-func TestFetchHonorsRetryAfterDate(t *testing.T) {
-	data := testPayload(1024)
-	var reqs atomic.Int64
-	mux := http.NewServeMux()
-	mux.HandleFunc("/app", func(w http.ResponseWriter, r *http.Request) {
-		if reqs.Add(1) == 1 {
-			w.Header().Set("Retry-After", time.Now().Add(20*time.Second).UTC().Format(http.TimeFormat))
-			http.Error(w, "overloaded", http.StatusServiceUnavailable)
-			return
-		}
-		http.ServeContent(w, r, "app.bin", time.Time{}, bytes.NewReader(data))
-	})
-	srv := httptest.NewServer(mux)
-	defer srv.Close()
-
-	var slept []time.Duration
-	c := fastClient(1, &slept)
-	var got bytes.Buffer
-	if _, err := c.Fetch(context.Background(), srv.URL+"/app", &got); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got.Bytes(), data) {
-		t.Fatal("content mismatch after shed retry")
-	}
-	// The date is resolved against the clock at parse time, so allow
-	// the request's round trip; anything between 15s and 20s proves the
-	// hint was used (the default backoff base is 100ms).
-	if len(slept) == 0 || slept[0] < 15*time.Second || slept[0] > 20*time.Second {
-		t.Fatalf("slept %v, want roughly the server's 20s Retry-After date first", slept)
 	}
 }

@@ -67,7 +67,6 @@ func FuzzLoaderLoad(f *testing.F) {
 		// every input. A repair hook that always fails exercises the
 		// quarantine paths under fuzzed framing too.
 		l.Repair = func(RepairRequest) ([]byte, error) { return nil, ErrBadStream }
-		l.RepairAttempts = 1
 		if err := l.Load(bytes.NewReader(data), nil); err != nil {
 			return
 		}

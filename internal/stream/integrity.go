@@ -14,8 +14,9 @@ import (
 // 16-bit check over its own header, and the stream opens with a fixed
 // header naming the unit count and a whole-stream digest. The loader
 // verifies each unit on arrival, quarantines what fails, and (when a
-// Repair hook is installed) re-fetches the damaged bytes by range with
-// bounded retries instead of installing garbage.
+// Repair hook is installed) asks it once for the damaged bytes, which
+// the hook re-fetches by range under its own retry policy, instead of
+// installing garbage.
 
 // crcTable is the Castagnoli polynomial table shared by every checksum
 // in the format (CRC32C, the same polynomial iSCSI and ext4 use).
@@ -97,8 +98,6 @@ type RepairRequest struct {
 	// both taken from the (header-checked) unit header.
 	Len int
 	CRC uint32
-	// Attempt is the 1-based repair attempt number.
-	Attempt int
 }
 
 // QuarantinedUnit records a unit whose payload failed its checksum and
@@ -125,10 +124,8 @@ type IntegrityStats struct {
 	// CorruptUnits counts main-stream units whose payload failed its
 	// checksum on arrival.
 	CorruptUnits int64
-	// RepairAttempts counts repair-hook invocations; Repaired counts the
-	// units a repair delivered with a valid checksum.
-	RepairAttempts int64
-	Repaired       int64
+	// Repaired counts the units a repair delivered with a valid checksum.
+	Repaired int64
 	// Quarantined counts units abandoned after repair failed (or no
 	// repair hook was available in degraded mode); Outstanding is how
 	// many remain uninstalled right now (a later demand fetch clears

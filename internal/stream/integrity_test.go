@@ -58,8 +58,8 @@ func TestRepairHealsCorruptUnit(t *testing.T) {
 				t.Errorf("repair request %+v does not match unit table entry %+v", reqs[0], toc[i])
 			}
 			st := l.Integrity()
-			if st.CorruptUnits != 1 || st.RepairAttempts != 1 || st.Repaired != 1 || st.Quarantined != 0 {
-				t.Errorf("counters = %+v, want 1 corrupt / 1 attempt / 1 repaired / 0 quarantined", st)
+			if st.CorruptUnits != 1 || st.Repaired != 1 || st.Quarantined != 0 {
+				t.Errorf("counters = %+v, want 1 corrupt / 1 repaired / 0 quarantined", st)
 			}
 			if !st.DigestVerified {
 				t.Error("whole-stream digest not verified after successful repair")
@@ -83,10 +83,11 @@ func TestRepairHealsCorruptUnit(t *testing.T) {
 	}
 }
 
-// TestRepairRetriesAreBounded feeds the hook garbage: the loader must
-// retry exactly RepairAttempts times, quarantine the unit, keep going,
-// and report the incomplete program from Program().
-func TestRepairRetriesAreBounded(t *testing.T) {
+// TestRepairAskedOnceThenQuarantined feeds the hook garbage: the hook
+// owns retrying, so the loader must ask it exactly once, re-verify the
+// reply (it is outside input), quarantine the unit, keep going, and
+// report the incomplete program from Program().
+func TestRepairAskedOnceThenQuarantined(t *testing.T) {
 	_, rp, _, w := plan(t, "Hanoi")
 	var buf bytes.Buffer
 	if _, err := w.WriteTo(&buf); err != nil {
@@ -97,20 +98,16 @@ func TestRepairRetriesAreBounded(t *testing.T) {
 	// Corrupt a body unit (unit 1: the main class's first body).
 	mut := corruptUnit(t, good, 1)
 	l := NewLoader(rp.Name, rp.MainClass, nil)
-	l.RepairAttempts = 2
 	calls := 0
 	l.Repair = func(req RepairRequest) ([]byte, error) {
 		calls++
-		if req.Attempt != calls {
-			t.Errorf("attempt %d reported as %d", calls, req.Attempt)
-		}
 		return []byte("still garbage"), nil
 	}
 	if err := l.Load(bytes.NewReader(mut), nil); err != nil {
 		t.Fatalf("quarantine should not fail the stream: %v", err)
 	}
-	if calls != 2 {
-		t.Errorf("repair hook called %d times, want 2", calls)
+	if calls != 1 {
+		t.Errorf("repair hook called %d times, want 1", calls)
 	}
 	st := l.Integrity()
 	if st.Quarantined != 1 || st.Outstanding != 1 || st.Repaired != 0 {
@@ -147,7 +144,6 @@ func TestDemandHealsQuarantine(t *testing.T) {
 	mut := corruptUnit(t, good, 0) // the first global
 	l := NewLoader(rp.Name, rp.MainClass, nil)
 	l.Repair = func(RepairRequest) ([]byte, error) { return nil, errors.New("link down") }
-	l.RepairAttempts = 1
 	if err := l.Load(bytes.NewReader(mut), nil); err != nil {
 		t.Fatal(err)
 	}
@@ -191,10 +187,10 @@ func TestDemandHealsQuarantine(t *testing.T) {
 }
 
 // TestDemandDuringFailedRepairLeavesNoStaleQuarantine pins the
-// demand-races-repair interleaving: while a corrupt unit's repair
-// attempts are failing, the demand path delivers a clean copy of the
-// same unit (the live runtime does exactly this when the gate's
-// out-of-order fetch wins the race). The quarantine that follows must
+// demand-races-repair interleaving: while a corrupt unit's repair is
+// failing, the demand path delivers a clean copy of the same unit (the
+// live runtime does exactly this when the gate's out-of-order fetch
+// wins the race). The quarantine that follows must
 // notice the unit is already installed and record nothing — a stale
 // entry here is unhealable (FeedDemand skips present units) and would
 // pin Integrity().Outstanding above zero forever; for a global unit it
@@ -212,7 +208,6 @@ func TestDemandDuringFailedRepairLeavesNoStaleQuarantine(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			mut := corruptUnit(t, good, i)
 			l := NewLoader(rp.Name, rp.MainClass, nil)
-			l.RepairAttempts = 1
 			l.Repair = func(req RepairRequest) ([]byte, error) {
 				// The demand fetch lands a clean copy mid-repair…
 				u := toc[i]
@@ -227,8 +222,8 @@ func TestDemandDuringFailedRepairLeavesNoStaleQuarantine(t *testing.T) {
 				t.Fatal(err)
 			}
 			st := l.Integrity()
-			if st.CorruptUnits != 1 || st.RepairAttempts != 1 {
-				t.Errorf("counters = %+v, want 1 corrupt / 1 attempt", st)
+			if st.CorruptUnits != 1 || st.Repaired != 0 {
+				t.Errorf("counters = %+v, want 1 corrupt / 0 repaired", st)
 			}
 			if st.Quarantined != 0 || st.Outstanding != 0 {
 				t.Errorf("stale quarantine left behind: %+v (list %+v)", st, l.Quarantined())
@@ -303,7 +298,7 @@ func TestCleanStreamDigestVerified(t *testing.T) {
 	if !st.DigestVerified {
 		t.Error("clean stream ended without digest verification")
 	}
-	if st.CorruptUnits != 0 || st.RepairAttempts != 0 || st.Quarantined != 0 {
+	if st.CorruptUnits != 0 || st.Repaired != 0 || st.Quarantined != 0 {
 		t.Errorf("clean stream ticked integrity counters: %+v", st)
 	}
 }

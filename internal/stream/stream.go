@@ -250,19 +250,20 @@ type Loader struct {
 	name      string
 	resolver  verify.Resolver
 
-	// Repair, when non-nil, is invoked (with no loader locks held) for
-	// each main-stream unit whose payload fails its checksum: it should
-	// return a fresh copy of the payload, typically via a byte-range
-	// re-fetch against the writer's unit table. The loader re-verifies
-	// every returned payload and retries up to RepairAttempts times; a
-	// unit that stays corrupt is quarantined and skipped rather than
-	// installed, and the stream continues. With Repair nil, a corrupt
-	// unit is a terminal ErrStreamIntegrity error instead — the strict
-	// behaviour for clients with no demand path to heal through. Set
-	// both fields before calling Load; they must not change during it.
+	// Repair, when non-nil, is invoked once (with no loader locks held)
+	// for each main-stream unit whose payload fails its checksum. Its
+	// contract: return a verified payload or an error; the hook owns
+	// retrying (typically a byte-range re-fetch against the writer's unit
+	// table through FetchClient.FetchRangeVerified, which retries and
+	// verifies under the client's one retry budget). The loader still
+	// re-verifies the reply, since it is outside input, and a unit whose
+	// repair fails either way is quarantined and skipped rather than
+	// installed — the stream continues, and the demand path can heal the
+	// unit later through FeedDemand. With Repair nil, a corrupt unit is a
+	// terminal ErrStreamIntegrity error instead — the strict behaviour
+	// for clients with no demand path to heal through. Set it before
+	// calling Load; it must not change during it.
 	Repair func(RepairRequest) ([]byte, error)
-	// RepairAttempts caps Repair invocations per corrupt unit (0 = 3).
-	RepairAttempts int
 	// Obs, when non-nil, receives integrity events: unit arrivals,
 	// checksum failures, repairs, quarantines. Set before Load; must not
 	// change while loading.
@@ -411,10 +412,10 @@ func (l *Loader) Load(r io.Reader, onEvent func(Event)) error {
 }
 
 // repairUnit handles one corrupt main-stream unit: it asks the Repair
-// hook for a clean copy, bounded by RepairAttempts, verifying each
-// returned payload. It returns the repaired payload, or (nil, nil) when
-// the unit must be quarantined, or a terminal error when no Repair hook
-// is installed (strict mode). Called with no locks held.
+// hook once for a clean copy and verifies the reply. It returns the
+// repaired payload, or (nil, nil) when the unit must be quarantined, or
+// a terminal error when no Repair hook is installed (strict mode).
+// Called with no locks held.
 func (l *Loader) repairUnit(ci int, kind byte, n int, crc uint32) ([]byte, error) {
 	began := time.Now()
 	l.mu.Lock()
@@ -430,25 +431,15 @@ func (l *Loader) repairUnit(ci int, kind byte, n int, crc uint32) ([]byte, error
 		return nil, fmt.Errorf("%w: class %d %s unit: payload checksum mismatch and no repair path",
 			ErrStreamIntegrity, ci, kindName(kind))
 	}
-	attempts := l.RepairAttempts
-	if attempts <= 0 {
-		attempts = 3
+	p, err := repair(RepairRequest{Class: ci, Kind: kind, Body: body, Len: n, CRC: crc})
+	if err != nil || len(p) != n || ChecksumPayload(p) != crc {
+		return nil, nil
 	}
-	for a := 1; a <= attempts; a++ {
-		l.mu.Lock()
-		l.integ.RepairAttempts++
-		l.mu.Unlock()
-		p, err := repair(RepairRequest{Class: ci, Kind: kind, Body: body, Len: n, CRC: crc, Attempt: a})
-		if err != nil || len(p) != n || ChecksumPayload(p) != crc {
-			continue
-		}
-		l.mu.Lock()
-		l.integ.Repaired++
-		l.mu.Unlock()
-		l.emit(obs.Repaired, ci, kind, n, time.Since(began))
-		return p, nil
-	}
-	return nil, nil
+	l.mu.Lock()
+	l.integ.Repaired++
+	l.mu.Unlock()
+	l.emit(obs.Repaired, ci, kind, n, time.Since(began))
+	return p, nil
 }
 
 // quarantine records a unit that arrived corrupt and could not be
@@ -470,8 +461,8 @@ func (l *Loader) quarantine(ci int, kind byte, n int, crc uint32) {
 	l.consumed += headerSize + int64(n)
 	l.mainUnits++
 	if installed {
-		// A clean demand copy landed while this unit's repair attempts
-		// were failing, so there is nothing left to heal: the cursor has
+		// A clean demand copy landed while this unit's repair was
+		// failing, so there is nothing left to heal: the cursor has
 		// advanced past the corrupt copy and the unit is installed.
 		// Recording a quarantine here would leave a permanently stale
 		// entry — FeedDemand skips already-present units, so nothing
