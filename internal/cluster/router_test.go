@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/http/httptrace"
+	"runtime"
 	"strconv"
 	"testing"
 
@@ -133,13 +134,28 @@ func (w *nullWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
+// allocsPerRun is testing.AllocsPerRun that also reports the bytes
+// allocated: the mean of both over runs calls of f, after one warm-up
+// call, on one processor.
+func allocsPerRun(runs int, f func()) (allocs, bytes float64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / float64(runs), float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
 // TestRouterAllocsFlatInBodySize pins the hop the way TestDiscardNZeroAlloc
 // pins the copy path: the router streams a body through one pooled
 // buffer, so forwarding the largest workload's stream (nine 32 KiB
-// chunks, each flushed) costs the allocations that forwarding the
-// smallest one's single chunk does, give or take a constant. The count
-// covers the owning node's handler and the transport between them, which
-// run in this process too.
+// chunks, each flushed) costs the allocations and the bytes that
+// forwarding the smallest one's single chunk does, give or take a
+// constant. The count covers the owning node's handler and the transport
+// between them, which run in this process too.
 func TestRouterAllocsFlatInBodySize(t *testing.T) {
 	apps := []string{"Hanoi", "Jess"} // smallest and largest stream
 	h, err := NewHarness(HarnessConfig{Nodes: 2, Seed: 0xF1A7, Server: server.Config{Apps: apps, Order: server.OrderStatic}})
@@ -150,7 +166,7 @@ func TestRouterAllocsFlatInBodySize(t *testing.T) {
 	if err := h.Prewarm(context.Background(), apps); err != nil {
 		t.Fatal(err)
 	}
-	var size, allocs [2]float64
+	var size, allocs, bytes [2]float64
 	for i, app := range apps {
 		req := httptest.NewRequest(http.MethodGet, "/apps/"+app+"/app", nil)
 		serve := func() {
@@ -161,15 +177,19 @@ func TestRouterAllocsFlatInBodySize(t *testing.T) {
 			}
 			size[i] = float64(w.n)
 		}
-		allocs[i] = testing.AllocsPerRun(20, serve)
+		allocs[i], bytes[i] = allocsPerRun(500, serve)
 	}
-	t.Logf("router: %.0f allocations for %.0f bytes (%s), %.0f for %.0f bytes (%s)",
-		allocs[0], size[0], apps[0], allocs[1], size[1], apps[1])
+	t.Logf("router: %.0f allocations and %.0f bytes for %.0f body bytes (%s), %.0f and %.0f for %.0f (%s)",
+		allocs[0], bytes[0], size[0], apps[0], allocs[1], bytes[1], size[1], apps[1])
 	if size[1] < 8*size[0] {
 		t.Fatalf("%s is only %.1fx %s; the test needs streams of very different size", apps[1], size[1]/size[0], apps[0])
 	}
 	if allocs[1] > allocs[0]+16 {
 		t.Errorf("router allocations grow with the body: %.0f for %.0f bytes against %.0f for %.0f bytes",
 			allocs[1], size[1], allocs[0], size[0])
+	}
+	if bytes[1] > bytes[0]+8<<10 {
+		t.Errorf("router allocated bytes grow with the body: %.0f for %.0f bytes against %.0f for %.0f bytes",
+			bytes[1], size[1], bytes[0], size[0])
 	}
 }

@@ -4,10 +4,11 @@
 // backed by a content-addressed artifact cache. The expensive
 // compile → predict → restructure → serialize pipeline runs exactly
 // once per (app, order-policy) key — concurrent cold requests
-// singleflight onto one build — and the hot byte-serving path is
-// allocation-light: every response streams slices of the same immutable
-// cached arrays, validated by content-addressed ETags so repeat clients
-// revalidate to 304 and pay nothing at all.
+// singleflight onto one build — and the hot byte-serving path allocates
+// per request, never per byte: every response streams slices of the same
+// immutable cached arrays through one pooled copy buffer, validated by
+// content-addressed ETags so repeat clients revalidate to 304 and pay
+// nothing at all.
 //
 // Layering, outermost first: request counting (so /metrics sees every
 // body byte that went on the wire, faults included) wraps the fault
@@ -22,6 +23,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"sync/atomic"
@@ -224,7 +226,9 @@ func (s *Server) Warm(ctx context.Context, name string) (int64, error) {
 // serveArtifact is the hot path: resolve the artifact (cache hit in the
 // steady state), set the content-addressed validators, and stream the
 // shared immutable bytes. http.ServeContent supplies Range (206) and
-// If-None-Match (304) handling against the reader and ETag we hand it.
+// If-None-Match (304) handling against the reader and ETag we hand it;
+// the body goes out through the stream pool's copy buffer (pooledCopy),
+// so a warm response allocates per request, never per byte.
 func (s *Server) serveArtifact(w http.ResponseWriter, r *http.Request, name string, toc bool) {
 	if !s.mounted[name] {
 		http.NotFound(w, r)
@@ -270,7 +274,21 @@ func (s *Server) serveArtifact(w http.ResponseWriter, r *http.Request, name stri
 	if s.rate > 0 {
 		rw = &pacedWriter{rw: w, rate: s.rate, ctx: r.Context()}
 	}
-	http.ServeContent(rw, r, "", time.Time{}, bytes.NewReader(data))
+	http.ServeContent(pooledCopy{rw}, r, "", time.Time{}, bytes.NewReader(data))
+}
+
+// pooledCopy is the writer serveArtifact hands http.ServeContent. The
+// body leaves ServeContent through io.CopyN, whose io.LimitedReader
+// hides the bytes.Reader's WriterTo; with no ReaderFrom on the writer
+// either, io.Copy would allocate a fresh min(32 KiB, body) buffer for
+// every response. ReadFrom copies through the pooled buffer the router
+// and the fetch client already share instead.
+type pooledCopy struct{ http.ResponseWriter }
+
+func (p pooledCopy) ReadFrom(src io.Reader) (int64, error) {
+	bp := stream.GetCopyBuf()
+	defer stream.PutCopyBuf(bp)
+	return io.CopyBuffer(p.ResponseWriter, src, *bp)
 }
 
 // shedResponse writes the load-shedding answer: 503 with a Retry-After
@@ -402,11 +420,14 @@ func NewArtifact(k Key, data, toc []byte) (*Artifact, error) {
 // watch the request context: at fleet scale a slow pace outlives many
 // clients, and a sleep that ignores cancellation pins one server
 // goroutine (plus the response buffers it references) per dead client
-// for however long the remaining pace schedule runs.
+// for however long the remaining pace schedule runs. One timer paces
+// the whole response, re-armed per chunk, so a paced body costs no more
+// garbage than an unpaced one.
 type pacedWriter struct {
-	rw   http.ResponseWriter
-	rate int
-	ctx  context.Context
+	rw    http.ResponseWriter
+	rate  int
+	ctx   context.Context
+	timer *time.Timer
 }
 
 func (p *pacedWriter) Header() http.Header { return p.rw.Header() }
@@ -430,11 +451,16 @@ func (p *pacedWriter) Write(b []byte) (int, error) {
 		if fl != nil {
 			fl.Flush()
 		}
-		t := time.NewTimer(time.Duration(n) * time.Second / time.Duration(p.rate))
+		d := time.Duration(n) * time.Second / time.Duration(p.rate)
+		if p.timer == nil {
+			p.timer = time.NewTimer(d)
+		} else {
+			p.timer.Reset(d)
+		}
 		select {
-		case <-t.C:
+		case <-p.timer.C:
 		case <-p.ctx.Done():
-			t.Stop()
+			p.timer.Stop()
 			return written, p.ctx.Err()
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -411,5 +412,102 @@ func TestNewArtifactRejectsTableOverrunningStream(t *testing.T) {
 	}
 	if _, err := NewArtifact(k, art.Data[:len(art.Data)-1], art.TOC); err == nil || !strings.Contains(err.Error(), "outside") {
 		t.Errorf("stream one byte short of its table: err = %v, want a range error", err)
+	}
+}
+
+// nullWriter is a response writer that discards the body.
+type nullWriter struct {
+	h      http.Header
+	status int
+	n      int
+}
+
+func (w *nullWriter) Header() http.Header { return w.h }
+func (w *nullWriter) WriteHeader(s int)   { w.status = s }
+func (w *nullWriter) Flush()              {}
+func (w *nullWriter) Write(p []byte) (int, error) {
+	w.n += len(p)
+	return len(p), nil
+}
+
+// allocsPerRun is testing.AllocsPerRun that also reports the bytes
+// allocated: the mean of both over runs calls of f, after one warm-up
+// call, on one processor.
+func allocsPerRun(runs int, f func()) (allocs, bytes float64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / float64(runs), float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
+// TestWarmResponseAllocsFlatInBodySize pins the serving half of the
+// allocation budget: a warm response costs the same garbage whatever it
+// sends. The smallest and the largest app's whole streams, resume-style
+// ranges and paced streams each cost what the smallest app's do, give or
+// take a constant, and an unpaced response allocates less than half a
+// copy buffer. http.ServeContent's io.CopyN alone would allocate
+// min(32 KiB, body) per response, and a pacer that started a timer per
+// chunk would allocate one per 512 bytes.
+func TestWarmResponseAllocsFlatInBodySize(t *testing.T) {
+	apps := []string{"Hanoi", "Jess"} // smallest and largest stream
+	for _, tc := range []struct {
+		name  string
+		rate  int
+		rng   string
+		runs  int
+		bytes float64 // bound on the largest response's allocated bytes, 0 = none
+	}{
+		// Under -race sync.Pool drops a quarter of its Puts, so every
+		// unpaced response pays 8 KiB of refills on average; a thousand
+		// runs hold that mean well under the bound.
+		{name: "stream", runs: 1000, bytes: 16 << 10},
+		{name: "range", rng: "bytes=1-", runs: 1000, bytes: 16 << 10},
+		{name: "paced", rate: 1 << 30, runs: 5},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := New(Config{Apps: apps, Rate: tc.rate})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var size, allocs, bytes [2]float64
+			for i, app := range apps {
+				n, err := s.Warm(context.Background(), app)
+				if err != nil {
+					t.Fatal(err)
+				}
+				req := httptest.NewRequest(http.MethodGet, "/apps/"+app+"/app", nil)
+				want := http.StatusOK
+				if tc.rng != "" {
+					req.Header.Set("Range", tc.rng)
+					want, n = http.StatusPartialContent, n-1
+				}
+				serve := func() {
+					w := &nullWriter{h: make(http.Header)}
+					s.Handler().ServeHTTP(w, req)
+					if w.status != want || int64(w.n) != n {
+						t.Fatalf("%s: status %d, %d bytes; want %d, %d", app, w.status, w.n, want, n)
+					}
+				}
+				size[i] = float64(n)
+				allocs[i], bytes[i] = allocsPerRun(tc.runs, serve)
+			}
+			t.Logf("%.0f allocations and %.0f bytes for %.0f body bytes (%s); %.0f and %.0f for %.0f (%s)",
+				allocs[0], bytes[0], size[0], apps[0], allocs[1], bytes[1], size[1], apps[1])
+			if size[1] < 8*size[0] {
+				t.Fatalf("%s's body is only %.1fx %s's; the test needs bodies of very different size", apps[1], size[1]/size[0], apps[0])
+			}
+			if allocs[1] > allocs[0]+16 {
+				t.Errorf("allocations grow with the body: %.0f for %.0f bytes against %.0f for %.0f bytes",
+					allocs[1], size[1], allocs[0], size[0])
+			}
+			if tc.bytes > 0 && bytes[1] > tc.bytes {
+				t.Errorf("a %.0f-byte response allocates %.0f bytes, budget %.0f", size[1], bytes[1], tc.bytes)
+			}
+		})
 	}
 }

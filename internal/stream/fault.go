@@ -252,6 +252,9 @@ func (w *faultWriter) Write(p []byte) (int, error) {
 	written := 0
 	for len(p) > 0 {
 		chunk := p
+		if len(chunk) > copyBufSize {
+			chunk = chunk[:copyBufSize] // one pooled buffer holds a corrupted copy
+		}
 		// Split at the stall point so the pre-stall bytes are delivered.
 		stallNow := false
 		if w.stallRemaining >= 0 {
@@ -312,17 +315,13 @@ func (w *faultWriter) writeChunk(p []byte) (int, error) {
 	if w.f.CorruptEvery > 0 && !w.noCorrupt {
 		// Corrupt positions are 1-based multiples of CorruptEvery within
 		// the request body; copy so the caller's buffer stays intact.
-		// The copy is pooled: the bytes are consumed by rw.Write before
-		// this function returns, so the scratch can be recycled.
-		var q []byte
-		if len(p) <= copyBufSize {
-			bp := GetCopyBuf()
-			defer PutCopyBuf(bp)
-			q = (*bp)[:len(p)]
-			copy(q, p)
-		} else {
-			q = append([]byte(nil), p...)
-		}
+		// The copy is pooled: Write hands over at most copyBufSize bytes
+		// at a time, and they are consumed by rw.Write before this
+		// function returns, so the scratch can be recycled.
+		bp := GetCopyBuf()
+		defer PutCopyBuf(bp)
+		q := (*bp)[:len(p)]
+		copy(q, p)
 		first := w.f.CorruptEvery - (w.pos % w.f.CorruptEvery) - 1
 		for i := first; i < int64(len(q)); i += w.f.CorruptEvery {
 			q[i] ^= w.f.corruptMask(w.pos + i)

@@ -3,6 +3,9 @@ package stream
 import (
 	"bytes"
 	"io"
+	"net/http"
+	"net/http/httptest"
+	"runtime"
 	"runtime/debug"
 	"testing"
 	"time"
@@ -28,6 +31,39 @@ func TestDiscardNZeroAlloc(t *testing.T) {
 	})
 	if allocs >= 1 {
 		t.Errorf("discardN allocates %.1f objects per 128 KiB skip, want 0 (pooled buffer)", allocs)
+	}
+}
+
+// discardResponse is a ResponseWriter that drops the body.
+type discardResponse struct{ h http.Header }
+
+func (d *discardResponse) Header() http.Header         { return d.h }
+func (d *discardResponse) WriteHeader(int)             {}
+func (d *discardResponse) Write(p []byte) (int, error) { return len(p), nil }
+
+// TestFaultCorruptionCopyIsPooled: the fault layer corrupts a copy of
+// the body, and that copy is the pooled buffer however large a Write it
+// corrupts. A handler that writes a 512 KiB body in one call allocates
+// under half of it per request; an unpooled copy allocates all of it,
+// and under -race the pool's dropped Puts cost a quarter of the 32 KiB
+// pieces.
+func TestFaultCorruptionCopyIsPooled(t *testing.T) {
+	body := testPayload(512 << 10)
+	h := Fault{CorruptEvery: 97, Seed: 3}.Wrap(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Write(body)
+	}))
+	req := httptest.NewRequest(http.MethodGet, "/app", nil)
+	serve := func() { h.ServeHTTP(&discardResponse{h: make(http.Header)}, req) }
+	serve()
+	const runs = 50
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		serve()
+	}
+	runtime.ReadMemStats(&after)
+	if perReq := float64(after.TotalAlloc-before.TotalAlloc) / runs; perReq > float64(len(body))/2 {
+		t.Errorf("corrupting a %d-byte Write allocates %.0f bytes per request, want under half the body", len(body), perReq)
 	}
 }
 
