@@ -22,24 +22,35 @@ import (
 // linker could not resolve when the method was decoded because the
 // target class had not arrived; executing one blocks at the gate until
 // the class links, then patches itself into the resolved op, so the hot
-// path pays nothing after first execution.
+// path pays nothing after first execution. xEnd follows the last
+// instruction of every method, so falling off the end of the code traps
+// without the interpreter range-checking the pc of every instruction.
 const (
 	xLdcInt     bytecode.Op = 200 + iota // a indexes Machine.consts
 	xLdcStr                              // a indexes Machine.strs
 	xInvokeU                             // a indexes LiveLinked.pending
 	xGetStaticU                          // a indexes LiveLinked.pending
 	xPutStaticU                          // a indexes LiveLinked.pending
+	xEnd                                 // end-of-code sentinel
 )
 
 // linkedInstr is a pre-resolved instruction. Branch targets are
 // instruction indices; INVOKE's a is the callee MethodID; static field
-// accesses index the flat globals array.
+// accesses index the flat globals array. The field order keeps it at 12
+// bytes.
 type linkedInstr struct {
 	op    bytecode.Op
-	a     int32
 	width int8 // encoded width in bytes, for coverage accounting
 	// For INVOKE: callee arity.
 	nargs, nret int8
+	a           int32
+	// blk is nonzero only on a basic-block leader, where it is the number
+	// of instructions in the block. Leaders are instruction 0, every
+	// branch target, and the instruction after each branch, terminal and
+	// call, so a block runs to its end once entered unless the run ends
+	// inside it, and a call closes the block as it closes a segment. The
+	// interpreter does its accounting once per block on this count.
+	blk int32
 }
 
 type linkedMethod struct {
@@ -123,18 +134,26 @@ type opResolver interface {
 }
 
 // linkCode decodes and resolves one method body into lm.code: branch
-// targets become instruction indices, LDC splits by constant kind, and
-// calls and static field accesses go through res.
+// targets become instruction indices, LDC splits by constant kind, calls
+// and static field accesses go through res, each block leader carries
+// its block's length, and an xEnd sentinel closes the code.
 func linkCode(c *classfile.Class, mm *classfile.Method, lm *linkedMethod, ls *linkState, res opResolver) error {
 	var err error
 	ls.instrs, ls.at, err = bytecode.Index(mm.Code, ls.instrs, ls.at)
 	if err != nil {
 		return fmt.Errorf("vm: %v: %w", lm.ref, err)
 	}
-	code := make([]linkedInstr, len(ls.instrs))
+	n := len(ls.instrs)
+	code := make([]linkedInstr, n+1)
+	// First pass: blk = 1 marks a leader. A forward branch or the
+	// instruction before may have marked a slot before the loop reaches
+	// it, so each instruction keeps the mark already there.
+	if n > 0 {
+		code[0].blk = 1
+	}
 	off := 0
 	for i, in := range ls.instrs {
-		li := linkedInstr{op: in.Op, a: in.Arg, width: int8(in.Width())}
+		li := linkedInstr{op: in.Op, a: in.Arg, width: int8(in.Width()), blk: code[i].blk}
 		info := in.Op.Info()
 		switch {
 		case info.Branch:
@@ -165,7 +184,7 @@ func linkCode(c *classfile.Class, mm *classfile.Method, lm *linkedMethod, ls *li
 			if err != nil {
 				return fmt.Errorf("vm: %v: %w", lm.ref, err)
 			}
-			ri.width = li.width
+			ri.width, ri.blk = li.width, li.blk
 			li = ri
 		case in.Op == bytecode.GETSTATIC || in.Op == bytecode.PUTSTATIC:
 			class, name, _ := c.RefTarget(uint16(in.Arg))
@@ -173,12 +192,27 @@ func linkCode(c *classfile.Class, mm *classfile.Method, lm *linkedMethod, ls *li
 			if err != nil {
 				return fmt.Errorf("vm: %v: %w", lm.ref, err)
 			}
-			ri.width = li.width
+			ri.width, ri.blk = li.width, li.blk
 			li = ri
 		}
 		code[i] = li
+		if info.Branch {
+			code[li.a].blk = 1
+		}
+		if (info.Branch || info.Terminal || in.Op == bytecode.INVOKE) && i+1 < n {
+			code[i+1].blk = 1
+		}
 		off += in.Width()
 	}
+	// Second pass: turn each mark into the length of its block.
+	end := int32(n)
+	for i := int32(n) - 1; i >= 0; i-- {
+		if code[i].blk != 0 {
+			code[i].blk = end - i
+			end = i
+		}
+	}
+	code[n] = linkedInstr{op: xEnd}
 	lm.code = code
 	return nil
 }

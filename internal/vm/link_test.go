@@ -80,8 +80,12 @@ func TestBranchBoundaryAgreement(t *testing.T) {
 
 // TestLinkCodeAllocs pins the linker's share of a method's first use: the
 // linked code array and nothing that scales with the method — decode and
-// boundary index come out of the link state's scratch.
+// boundary index come out of the link state's scratch, and the block
+// leaders are marked in the code array itself.
 func TestLinkCodeAllocs(t *testing.T) {
+	if vm.LinkedInstrSize != 12 {
+		t.Errorf("a linked instruction takes %d bytes, want 12", vm.LinkedInstrSize)
+	}
 	app, err := apps.ByName("Jess")
 	if err != nil {
 		t.Fatal(err)
@@ -106,5 +110,54 @@ func TestLinkCodeAllocs(t *testing.T) {
 	t.Logf("Jess: %d methods, %.2f allocations per linkCode", methods, per)
 	if per > 2 {
 		t.Errorf("linkCode: %.2f allocations per method, budget 2", per)
+	}
+}
+
+// TestBlockLeadersAgreeWithCFG checks the linker's block leaders against
+// the CFG builder's on all six apps: the same leaders plus the
+// instruction after each call, each marked with its block's length, and
+// an unmarked end-of-code sentinel after the last instruction.
+func TestBlockLeadersAgreeWithCFG(t *testing.T) {
+	for _, app := range apps.All() {
+		p, err := jir.Compile(app.IR)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ln, err := vm.Link(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ix := ln.Index()
+		for id := classfile.MethodID(0); int(id) < ix.Len(); id++ {
+			g, err := cfg.Build(ix.Class(id), ix.Method(id))
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := len(g.Instrs)
+			leader := make([]bool, n+1)
+			for _, b := range g.Blocks {
+				leader[b.Start] = true
+			}
+			for _, c := range g.Calls() {
+				leader[c.Instr+1] = true
+			}
+			leader[n] = false // the sentinel starts no block
+
+			marks := ln.BlockMarks(id)
+			if len(marks) != n+1 {
+				t.Fatalf("%v: %d linked instructions, want %d and the sentinel", ix.Ref(id), len(marks), n)
+			}
+			next := n
+			for i := n; i >= 0; i-- {
+				want := 0
+				if leader[i] {
+					want = next - i
+					next = i
+				}
+				if marks[i] != want {
+					t.Errorf("%s %v: instruction %d marked %d, want %d", app.Name, ix.Ref(id), i, marks[i], want)
+				}
+			}
+		}
 	}
 }

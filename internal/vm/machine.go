@@ -3,6 +3,7 @@ package vm
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"nonstrict/internal/bytecode"
 	"nonstrict/internal/classfile"
@@ -24,7 +25,9 @@ type Segment struct {
 }
 
 // Profile is the instrumentation output of one run (the role the BIT tool
-// played in the paper).
+// played in the paper). It is defined only for a run that returned a nil
+// error: the interpreter charges instructions a basic block and a segment
+// at a time, so a run that fails part-way leaves partial counts.
 type Profile struct {
 	// FirstUse lists methods in the order of their first invocation.
 	FirstUse []classfile.MethodID
@@ -47,7 +50,8 @@ type Options struct {
 	Args []int64
 	// Trace enables segment-trace collection.
 	Trace bool
-	// MaxSteps bounds execution (0 = default 1e10).
+	// MaxSteps bounds execution (0 = default 1e10): a run that needs S
+	// instructions succeeds exactly when MaxSteps >= S.
 	MaxSteps int64
 	// MaxFrames bounds call depth (0 = default 65536).
 	MaxFrames int
@@ -84,17 +88,26 @@ type Machine struct {
 	prof    Profile
 	trace   []Segment
 	invoked []bool
-	covered [][]bool
+	covered [][]bool // per method, indexed by block leader
 	// onFirstUse is Options.OnFirstUse, captured for firstUse.
 	onFirstUse func(classfile.Ref)
+	tracing    bool
+	maxSteps   int64
+	// stopPC is MaxInt32 until a block is entered that does not fit in
+	// what is left of the step budget. The run is then bound to end
+	// inside that block, and stopPC is the index of its first
+	// instruction beyond the budget: a trap before it is the run's error,
+	// and anything at or after it is ErrMaxSteps, exactly as counting
+	// one instruction at a time would report.
+	stopPC int32
 }
 
 type frame struct {
 	m     *linkedMethod
 	pc    int32
 	base  int // locals base index in the value stack
-	stop  int // operand stack base (= base + m.nloc)
 	segAt int64
+	cov   []bool // Machine.covered of m, marked per block leader
 }
 
 // Run links nothing new — it executes the already-linked program once and
@@ -125,7 +138,33 @@ func (ln *Linked) Run(opts Options) (*Machine, error) {
 }
 
 func (m *Machine) trap(f *frame, format string, args ...any) error {
+	if f.pc-1 >= m.stopPC {
+		return m.outOfSteps()
+	}
 	return &RuntimeError{Method: f.m.ref, PC: f.pc - 1, Msg: fmt.Sprintf(format, args...)}
+}
+
+func (m *Machine) outOfSteps() error {
+	return fmt.Errorf("%w: %d steps in %q", ErrMaxSteps, m.maxSteps, m.ln.prog.Name)
+}
+
+// cover records the first entry to the block whose leader is at pc: it
+// adds the block's code bytes to its method's covered bytes.
+func (m *Machine) cover(f *frame, pc int32) {
+	f.cov[pc] = true
+	for _, in := range f.m.code[pc : pc+f.m.code[pc].blk] {
+		m.prof.CoveredBytes[f.m.id] += int(in.width)
+	}
+}
+
+// flushSeg closes f's current segment at steps: it charges the
+// segment's instructions to f's method and, when tracing, records it.
+func (m *Machine) flushSeg(f *frame, steps int64) {
+	n := steps - f.segAt
+	m.prof.MethodInstrs[f.m.id] += n
+	if m.tracing && n > 0 {
+		m.trace = append(m.trace, Segment{M: f.m.id, N: n})
+	}
 }
 
 func (m *Machine) run(opts Options) error {
@@ -138,6 +177,9 @@ func (m *Machine) run(opts Options) error {
 		maxFrames = 65536
 	}
 	m.onFirstUse = opts.OnFirstUse
+	m.tracing = opts.Trace
+	m.maxSteps = maxSteps
+	m.stopPC = math.MaxInt32
 
 	entry := m.meths[m.ln.main]
 	if len(opts.Args) != entry.nargs {
@@ -161,36 +203,36 @@ func (m *Machine) run(opts Options) error {
 	for i, a := range opts.Args {
 		stack[i] = slotv{i: a}
 	}
-	fr.stop = entry.nloc
-	sp := fr.stop
+	sp := entry.nloc
 
 	if err := m.firstUse(entry.id); err != nil {
 		return err
 	}
+	fr.cov = m.covered[entry.id]
 	steps := int64(0)
 
-	flushSeg := func(f *frame) {
-		if opts.Trace && steps > f.segAt {
-			m.trace = append(m.trace, Segment{M: f.m.id, N: steps - f.segAt})
-		}
-	}
-
+	// Control only enters a block at its leader and, once entered, a
+	// block runs to its end unless the run ends inside it; so the leader
+	// charges the whole block. The instructions that end a block check
+	// the budget themselves where leaving it could be observed: a call, a
+	// return, HALT and the end-of-code trap.
 	for {
-		if fr.pc < 0 || int(fr.pc) >= len(fr.m.code) {
-			return m.trap(fr, "pc out of range")
-		}
 		in := fr.m.code[fr.pc]
 		fr.pc++
-		steps++
-		m.prof.MethodInstrs[fr.m.id]++
-		cov := m.covered[fr.m.id]
-		if !cov[fr.pc-1] {
-			cov[fr.pc-1] = true
-			m.prof.CoveredBytes[fr.m.id] += int(in.width)
-		}
-		if steps > maxSteps {
-			m.prof.TotalInstrs = steps
-			return fmt.Errorf("%w: %d steps in %q", ErrMaxSteps, maxSteps, m.ln.prog.Name)
+		if in.blk != 0 {
+			steps += int64(in.blk)
+			if !fr.cov[fr.pc-1] {
+				m.cover(fr, fr.pc-1)
+			}
+			if steps > maxSteps {
+				// The block ends beyond the budget: fail now if the
+				// leader does, else mark where the budget runs out.
+				before := steps - int64(in.blk)
+				if before >= maxSteps {
+					return m.outOfSteps()
+				}
+				m.stopPC = fr.pc - 1 + int32(maxSteps-before)
+			}
 		}
 
 		switch in.op {
@@ -338,6 +380,9 @@ func (m *Machine) run(opts Options) error {
 			fr.pc = in.a
 
 		case bytecode.INVOKE:
+			if steps > maxSteps {
+				return m.outOfSteps()
+			}
 			if len(frames) >= maxFrames {
 				return m.trap(fr, "call depth exceeds %d frames", maxFrames)
 			}
@@ -345,27 +390,30 @@ func (m *Machine) run(opts Options) error {
 				m.growTo(int(in.a) + 1)
 			}
 			callee := m.meths[in.a]
-			flushSeg(fr)
+			m.flushSeg(fr, steps)
 			base := sp - int(in.nargs)
 			frames = append(frames, frame{
 				m:     callee,
 				base:  base,
-				stop:  base + callee.nloc,
 				segAt: steps,
 			})
 			fr = &frames[len(frames)-1]
-			grow(fr.stop + callee.nstack)
+			sp = base + callee.nloc // the callee's operand stack base
+			grow(sp + callee.nstack)
 			// Zero locals beyond the arguments, clearing stale refs.
-			for i := base + int(in.nargs); i < fr.stop; i++ {
+			for i := base + int(in.nargs); i < sp; i++ {
 				stack[i] = slotv{}
 			}
-			sp = fr.stop
 			if err := m.firstUse(callee.id); err != nil {
 				return err
 			}
+			fr.cov = m.covered[callee.id]
 
 		case bytecode.RETURN, bytecode.IRETURN:
-			flushSeg(fr)
+			if steps > maxSteps {
+				return m.outOfSteps()
+			}
+			m.flushSeg(fr, steps)
 			var ret slotv
 			if in.op == bytecode.IRETURN {
 				ret = stack[sp-1]
@@ -435,25 +483,36 @@ func (m *Machine) run(opts Options) error {
 			stack[sp-1] = slotv{i: int64(len(stack[sp-1].arr))}
 
 		case bytecode.HALT:
-			flushSeg(fr)
+			if steps > maxSteps {
+				return m.outOfSteps()
+			}
+			m.flushSeg(fr, steps)
 			m.prof.TotalInstrs = steps
 			return nil
+
+		case xEnd:
+			// Fell off the end of the code: report the last
+			// instruction, as a range check before the fetch would.
+			fr.pc--
+			return m.trap(fr, "pc out of range")
 
 		default:
 			if m.ln.live != nil && in.op >= xInvokeU && in.op <= xPutStaticU {
 				// First execution of a reference the live linker could
 				// not resolve at decode time: block until the target
 				// class links, patch the instruction in place, and rerun
-				// it. The decrements undo this iteration's accounting so
-				// the patched op counts exactly once.
+				// it. A patched leader is entered again, so its block's
+				// charge is taken back to count once.
+				if fr.pc-1 >= m.stopPC {
+					return m.outOfSteps()
+				}
 				ri, err := m.resolveOp(fr, in)
 				if err != nil {
 					return err
 				}
 				fr.m.code[fr.pc-1] = ri
 				fr.pc--
-				steps--
-				m.prof.MethodInstrs[fr.m.id]--
+				steps -= int64(ri.blk)
 				continue
 			}
 			return m.trap(fr, "bad opcode %d", byte(in.op))
@@ -488,7 +547,7 @@ func (m *Machine) resolveOp(fr *frame, in linkedInstr) (linkedInstr, error) {
 	if err != nil {
 		return linkedInstr{}, m.trap(fr, "%v", err)
 	}
-	ri.width = in.width
+	ri.width, ri.blk = in.width, in.blk
 	return ri, nil
 }
 

@@ -2,6 +2,7 @@ package vm
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -212,6 +213,121 @@ func TestMaxSteps(t *testing.T) {
 	_, err := ln.Run(Options{MaxSteps: 1000})
 	if !errors.Is(err, ErrMaxSteps) {
 		t.Fatalf("err = %v, want ErrMaxSteps", err)
+	}
+}
+
+// TestMaxStepsExact sweeps the step budget across the end of runs that
+// finish and runs that trap. A run that needs S steps succeeds exactly
+// when the budget is at least S, and a trapping run reports its trap
+// exactly when the budget reaches it and ErrMaxSteps below, wherever the
+// trap falls in its basic block.
+func TestMaxStepsExact(t *testing.T) {
+	mainReturns := rawLink(t, rawMethod{"main", instrs(
+		bytecode.Instr{Op: bytecode.BIPUSH, Arg: 5},
+		bytecode.Instr{Op: bytecode.POP},
+		bytecode.Instr{Op: bytecode.RETURN},
+	)})
+	for _, tc := range []struct {
+		name string
+		ln   *Linked
+	}{
+		{"chain", compile(t, chainProgram())},
+		{"main-returns", mainReturns},
+	} {
+		full, err := tc.ln.Run(Options{Trace: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		need := full.Steps()
+		// calledAt holds the step of the call that first invoked each
+		// method, main's 0: a method's first segment starts right
+		// after it.
+		var calledAt []int64
+		seen := make(map[classfile.MethodID]bool)
+		var at int64
+		for _, s := range full.Trace() {
+			if !seen[s.M] {
+				seen[s.M] = true
+				calledAt = append(calledAt, at)
+			}
+			at += s.N
+		}
+		for budget := int64(1); budget <= need+2; budget++ {
+			var firstUses int
+			m, err := tc.ln.Run(Options{MaxSteps: budget, OnFirstUse: func(classfile.Ref) { firstUses++ }})
+			switch {
+			case budget >= need && err != nil:
+				t.Errorf("%s needs %d steps: budget %d fails: %v", tc.name, need, budget, err)
+			case budget >= need && m.Steps() != need:
+				t.Errorf("%s: budget %d ran %d steps, want %d", tc.name, budget, m.Steps(), need)
+			case budget < need && !errors.Is(err, ErrMaxSteps):
+				t.Errorf("%s needs %d steps: budget %d gives %v, want ErrMaxSteps", tc.name, need, budget, err)
+			}
+			// Only the calls made within the budget invoke anything.
+			want := 0
+			for _, c := range calledAt {
+				if c <= budget {
+					want++
+				}
+			}
+			if firstUses != want {
+				t.Errorf("%s: budget %d observed %d first uses, want %d", tc.name, budget, firstUses, want)
+			}
+		}
+	}
+	for _, tc := range rawTraps {
+		ln := rawLink(t, tc.methods...)
+		for budget := int64(1); budget <= tc.steps+12; budget++ {
+			_, err := ln.Run(Options{MaxSteps: budget, MaxFrames: tc.frames})
+			var re *RuntimeError
+			switch {
+			case budget >= tc.steps && (!errors.As(err, &re) || re.Msg != tc.msg):
+				t.Errorf("%s traps after %d steps: budget %d gives %v, want %q", tc.name, tc.steps, budget, err, tc.msg)
+			case budget < tc.steps && !errors.Is(err, ErrMaxSteps):
+				t.Errorf("%s traps after %d steps: budget %d gives %v, want ErrMaxSteps", tc.name, tc.steps, budget, err)
+			}
+		}
+	}
+}
+
+// classGate passes the classes it holds and fails any other wait at once.
+type classGate map[string]bool
+
+func (g classGate) AwaitClass(name string) error {
+	if !g[name] {
+		return fmt.Errorf("class %s never arrives", name)
+	}
+	return nil
+}
+
+func (g classGate) AwaitMethod(ref classfile.Ref) error { return g.AwaitClass(ref.Class) }
+
+// TestMaxStepsExactLive: a live run whose third instruction reads a field
+// of a class that never arrives waits at the gate only when the budget
+// reaches that instruction, and fails with ErrMaxSteps below it.
+func TestMaxStepsExactLive(t *testing.T) {
+	b := classfile.NewBuilder("M", "")
+	b.AddMethod("main", 0, 0, 1, 2, nil, bytecode.Encode([]bytecode.Instr{
+		{Op: bytecode.BIPUSH, Arg: 1},
+		{Op: bytecode.POP},
+		{Op: bytecode.GETSTATIC, Arg: int32(b.FieldRef("A", "k"))},
+		{Op: bytecode.POP},
+		{Op: bytecode.HALT},
+	}))
+	c := b.Build()
+	const steps = 3
+	for budget := int64(1); budget <= steps+3; budget++ {
+		lv := NewLive("raw", "M", classGate{"M": true})
+		if err := lv.AddClass(c); err != nil {
+			t.Fatal(err)
+		}
+		_, err := lv.Run(Options{MaxSteps: budget})
+		switch {
+		case budget >= steps && (err == nil || errors.Is(err, ErrMaxSteps) || !strings.Contains(err.Error(), "never arrives")):
+			t.Errorf("budget %d gives %v, want the gate's error", budget, err)
+		case budget < steps && !errors.Is(err, ErrMaxSteps):
+			t.Errorf("budget %d gives %v, want ErrMaxSteps", budget, err)
+		}
 	}
 }
 
