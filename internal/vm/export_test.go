@@ -34,3 +34,29 @@ func (ln *Linked) Relink() error {
 	}
 	return nil
 }
+
+// FusedRuns returns the first index and the length of every fused run in
+// the linked code of method id (none before a live method links).
+func (ln *Linked) FusedRuns(id classfile.MethodID) [][2]int {
+	var runs [][2]int
+	for i, in := range ln.methods[id].code {
+		if in.op > xEnd {
+			runs = append(runs, [2]int{i, len(fusions[in.op-xEnd-1].run)})
+		}
+	}
+	return runs
+}
+
+// Unresolved reports, per linked instruction of method id, whether it is
+// a cross-class reference the live linker left unresolved.
+func (ln *Linked) Unresolved(id classfile.MethodID) []bool {
+	code := ln.methods[id].code
+	u := make([]bool, len(code))
+	for i, in := range code {
+		u[i] = in.op >= xInvokeU && in.op <= xPutStaticU
+	}
+	return u
+}
+
+// Linked returns the program a live link grows.
+func (lv *LiveLinked) Linked() *Linked { return lv.ln }

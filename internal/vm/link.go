@@ -17,7 +17,9 @@ import (
 )
 
 // Internal pseudo-opcodes produced by linking. They never appear in wire
-// code; LDC is split by constant kind so the interpreter loop stays a flat
+// code, and they number on from the last wire opcode so the
+// interpreter's switch stays dense enough to compile to a jump table.
+// LDC is split by constant kind so the interpreter loop stays a flat
 // switch. The xU ops are cross-class references the live (incremental)
 // linker could not resolve when the method was decoded because the
 // target class had not arrived; executing one blocks at the gate until
@@ -25,13 +27,39 @@ import (
 // path pays nothing after first execution. xEnd follows the last
 // instruction of every method, so falling off the end of the code traps
 // without the interpreter range-checking the pc of every instruction.
+// The superinstructions after it each execute a whole run of
+// instructions in one dispatch (fuse.go).
 const (
-	xLdcInt     bytecode.Op = 200 + iota // a indexes Machine.consts
-	xLdcStr                              // a indexes Machine.strs
-	xInvokeU                             // a indexes LiveLinked.pending
-	xGetStaticU                          // a indexes LiveLinked.pending
-	xPutStaticU                          // a indexes LiveLinked.pending
-	xEnd                                 // end-of-code sentinel
+	xLdcInt     = bytecode.HALT + 1 + iota // a indexes Machine.consts
+	xLdcStr                                // a indexes Machine.strs
+	xInvokeU                               // a indexes LiveLinked.pending
+	xGetStaticU                            // a indexes LiveLinked.pending
+	xPutStaticU                            // a indexes LiveLinked.pending
+	xEnd                                   // end-of-code sentinel
+
+	xLoadBipushIfcmpne
+	xLoadBipushIfcmpge
+	xLoadLoadIfcmpge
+	xLoadLoadArraylen
+	xLoadLoad
+	xLoadIaddAload
+	xLoadIadd
+	xLoadSipushImul
+	xLoadIreturn
+	xStoreLoadLoad
+	xStoreLoad
+	xIincGoto
+	xGetstaticBipushAload
+	xGetstaticBipushImul
+	xGetstaticBipush
+	xGetstaticLoad
+	xLdcIntIand
+	xIaddLdcIntIand
+	xBipushIand
+	xBipushIadd
+	xBipushIreturn
+	xAloadIfeq
+	xLast = xAloadIfeq
 )
 
 // linkedInstr is a pre-resolved instruction. Branch targets are
@@ -41,7 +69,8 @@ const (
 type linkedInstr struct {
 	op    bytecode.Op
 	width int8 // encoded width in bytes, for coverage accounting
-	// For INVOKE: callee arity.
+	// For INVOKE: callee arity. For a superinstruction: its second and
+	// third operands (fuse.go).
 	nargs, nret int8
 	a           int32
 	// blk is nonzero only on a basic-block leader, where it is the number
@@ -136,7 +165,8 @@ type opResolver interface {
 // linkCode decodes and resolves one method body into lm.code: branch
 // targets become instruction indices, LDC splits by constant kind, calls
 // and static field accesses go through res, each block leader carries
-// its block's length, and an xEnd sentinel closes the code.
+// its block's length, an xEnd sentinel closes the code, and common runs
+// inside a block become superinstructions.
 func linkCode(c *classfile.Class, mm *classfile.Method, lm *linkedMethod, ls *linkState, res opResolver) error {
 	var err error
 	ls.instrs, ls.at, err = bytecode.Index(mm.Code, ls.instrs, ls.at)
@@ -213,6 +243,7 @@ func linkCode(c *classfile.Class, mm *classfile.Method, lm *linkedMethod, ls *li
 		}
 	}
 	code[n] = linkedInstr{op: xEnd}
+	fuse(code)
 	lm.code = code
 	return nil
 }

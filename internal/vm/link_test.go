@@ -4,6 +4,7 @@ package vm_test
 // internal/apps, which imports vm.
 
 import (
+	"fmt"
 	"strconv"
 	"testing"
 
@@ -159,5 +160,94 @@ func TestBlockLeadersAgreeWithCFG(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// pinnedFusedShare is each app's static share of linked instructions
+// that sit in fused runs, as recorded when the superinstruction set was
+// chosen. A change that quietly stops fusing fails here.
+var pinnedFusedShare = map[string]float64{
+	"BIT": 0.591, "Hanoi": 0.541, "JavaCup": 0.606, "Jess": 0.657, "JHLZip": 0.368, "TestDes": 0.487,
+}
+
+// demandGate adds each class to a live program the first time execution
+// waits for it, so every cross-class reference links unresolved and is
+// patched where it first runs.
+type demandGate struct {
+	lv      *vm.LiveLinked
+	classes map[string]*classfile.Class
+}
+
+func (g *demandGate) AwaitClass(name string) error {
+	c, ok := g.classes[name]
+	if !ok {
+		return fmt.Errorf("no class %s", name)
+	}
+	return g.lv.AddClass(c)
+}
+
+func (g *demandGate) AwaitMethod(ref classfile.Ref) error { return g.AwaitClass(ref.Class) }
+
+// TestFusionStaysInBlock checks the superinstructions of all six apps,
+// linked eagerly and live with classes arriving on demand: no fused run
+// reaches past its block's leader or holds an unresolved reference, and
+// the live run computes what the app should.
+func TestFusionStaysInBlock(t *testing.T) {
+	check := func(name string, ln *vm.Linked, methods int) (fused, total int) {
+		for id := classfile.MethodID(0); int(id) < methods; id++ {
+			marks, unresolved := ln.BlockMarks(id), ln.Unresolved(id)
+			if len(marks) == 0 {
+				continue // a live method that never ran
+			}
+			total += len(marks) - 1
+			for _, r := range ln.FusedRuns(id) {
+				at, n := r[0], r[1]
+				fused += n
+				if at+n > len(marks)-1 {
+					t.Errorf("%s method %d: run at %d of %d runs past the code's end", name, id, at, n)
+					continue
+				}
+				for i := at; i < at+n; i++ {
+					if i > at && marks[i] != 0 {
+						t.Errorf("%s method %d: run at %d of %d crosses the leader at %d", name, id, at, n, i)
+					}
+					if unresolved[i] {
+						t.Errorf("%s method %d: run at %d of %d holds an unresolved reference at %d", name, id, at, n, i)
+					}
+				}
+			}
+		}
+		return fused, total
+	}
+	for _, app := range apps.All() {
+		p, err := jir.Compile(app.IR)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ln, err := vm.Link(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fused, total := check(app.Name, ln, ln.Index().Len())
+		share := float64(fused) / float64(total)
+		t.Logf("%s: %d of %d instructions fused (%.3f)", app.Name, fused, total, share)
+		if share < pinnedFusedShare[app.Name]-0.01 {
+			t.Errorf("%s: static fused share %.3f, pinned %.3f", app.Name, share, pinnedFusedShare[app.Name])
+		}
+
+		g := &demandGate{classes: make(map[string]*classfile.Class)}
+		for _, c := range p.Classes {
+			g.classes[c.Name] = c
+		}
+		lv := vm.NewLive(p.Name, p.MainClass, g)
+		g.lv = lv
+		m, err := lv.Run(vm.Options{Args: app.Args(false)})
+		if err != nil {
+			t.Fatalf("%s live: %v", app.Name, err)
+		}
+		if err := app.Check(m, false); err != nil {
+			t.Errorf("%s live: %v", app.Name, err)
+		}
+		check(app.Name+" live", lv.Linked(), lv.Methods())
 	}
 }

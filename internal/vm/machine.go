@@ -73,6 +73,16 @@ func (e *RuntimeError) Error() string {
 	return fmt.Sprintf("vm: %v at instr %d: %s", e.Method, e.PC, e.Msg)
 }
 
+// What one run may allocate: a verified program is bounded in steps and
+// frames by Options, and in array memory by these. An array holds at most
+// maxArrayLen slots (2 GiB), and the arrays that NEWARRAY and string
+// constants create hold at most maxRunSlots together, whether or not
+// they are still live.
+const (
+	maxArrayLen = 1 << 28
+	maxRunSlots = 1 << 28
+)
+
 // ErrMaxSteps is wrapped by the error returned when MaxSteps is exceeded.
 var ErrMaxSteps = errors.New("vm: step budget exhausted")
 
@@ -93,6 +103,9 @@ type Machine struct {
 	onFirstUse func(classfile.Ref)
 	tracing    bool
 	maxSteps   int64
+	// slots counts the array slots the run has allocated, against
+	// maxRunSlots.
+	slots int64
 	// stopPC is MaxInt32 until a block is entered that does not fit in
 	// what is left of the step budget. The run is then bound to end
 	// inside that block, and stopPC is the index of its first
@@ -146,6 +159,16 @@ func (m *Machine) trap(f *frame, format string, args ...any) error {
 
 func (m *Machine) outOfSteps() error {
 	return fmt.Errorf("%w: %d steps in %q", ErrMaxSteps, m.maxSteps, m.ln.prog.Name)
+}
+
+// allocate charges n array slots to the run, or traps if they would take
+// it past maxRunSlots.
+func (m *Machine) allocate(f *frame, n int64) error {
+	if m.slots+n > maxRunSlots {
+		return m.trap(f, "arrays exceed %d slots in total", maxRunSlots)
+	}
+	m.slots += n
+	return nil
 }
 
 // cover records the first entry to the block whose leader is at pc: it
@@ -248,6 +271,9 @@ func (m *Machine) run(opts Options) error {
 			sp++
 		case xLdcStr:
 			s := m.ln.strs[in.a]
+			if err := m.allocate(fr, int64(len(s))); err != nil {
+				return err
+			}
 			arr := make([]int64, len(s))
 			for i := 0; i < len(s); i++ {
 				arr[i] = int64(s[i])
@@ -409,14 +435,19 @@ func (m *Machine) run(opts Options) error {
 			}
 			fr.cov = m.covered[callee.id]
 
-		case bytecode.RETURN, bytecode.IRETURN:
+		case bytecode.RETURN, bytecode.IRETURN, xLoadIreturn, xBipushIreturn:
 			if steps > maxSteps {
 				return m.outOfSteps()
 			}
 			m.flushSeg(fr, steps)
 			var ret slotv
-			if in.op == bytecode.IRETURN {
+			switch in.op {
+			case bytecode.IRETURN:
 				ret = stack[sp-1]
+			case xLoadIreturn:
+				ret = stack[fr.base+int(in.a)]
+			case xBipushIreturn:
+				ret = slotv{i: int64(in.a)}
 			}
 			base := fr.base
 			frames = frames[:len(frames)-1]
@@ -427,7 +458,7 @@ func (m *Machine) run(opts Options) error {
 			fr = &frames[len(frames)-1]
 			fr.segAt = steps
 			sp = base
-			if in.op == bytecode.IRETURN {
+			if in.op != bytecode.RETURN {
 				stack[sp] = ret
 				sp++
 			}
@@ -450,8 +481,11 @@ func (m *Machine) run(opts Options) error {
 
 		case bytecode.NEWARRAY:
 			n := stack[sp-1].i
-			if n < 0 || n > 1<<28 {
+			if n < 0 || n > maxArrayLen {
 				return m.trap(fr, "newarray length %d out of range", n)
+			}
+			if err := m.allocate(fr, n); err != nil {
+				return err
 			}
 			stack[sp-1] = slotv{arr: make([]int64, n)}
 		case bytecode.ALOAD:
@@ -481,6 +515,150 @@ func (m *Machine) run(opts Options) error {
 				return m.trap(fr, "arraylen on non-array")
 			}
 			stack[sp-1] = slotv{i: int64(len(stack[sp-1].arr))}
+
+		// Superinstructions (fuse.go). Each leaves what its run's
+		// instructions one after another would, and steps the pc past
+		// the run's later entries, or to a trapping member before the
+		// trap. Slots above the stack top that the run would push and
+		// pop again are not written: verified code cannot read them.
+		case xLoadBipushIfcmpne:
+			fr.pc += 2
+			if stack[fr.base+int(uint8(in.nargs))].i != int64(in.nret) {
+				fr.pc = in.a
+			}
+		case xLoadBipushIfcmpge:
+			fr.pc += 2
+			if stack[fr.base+int(uint8(in.nargs))].i >= int64(in.nret) {
+				fr.pc = in.a
+			}
+		case xLoadLoadIfcmpge:
+			fr.pc += 2
+			if stack[fr.base+int(uint8(in.nargs))].i >= stack[fr.base+int(uint8(in.nret))].i {
+				fr.pc = in.a
+			}
+		case xLoadLoadArraylen:
+			fr.pc += 2
+			grow(sp + 2)
+			stack[sp] = stack[fr.base+int(in.a)]
+			arr := stack[fr.base+int(uint8(in.nargs))].arr
+			if arr == nil {
+				return m.trap(fr, "arraylen on non-array")
+			}
+			stack[sp+1] = slotv{i: int64(len(arr))}
+			sp += 2
+		case xLoadLoad:
+			fr.pc++
+			grow(sp + 2)
+			stack[sp] = stack[fr.base+int(in.a)]
+			stack[sp+1] = stack[fr.base+int(uint8(in.nargs))]
+			sp += 2
+		case xLoadIaddAload:
+			fr.pc += 2
+			sp--
+			a := stack[sp-1].arr
+			i := stack[sp].i + stack[fr.base+int(in.a)].i
+			if a == nil {
+				return m.trap(fr, "aload on non-array")
+			}
+			if i < 0 || i >= int64(len(a)) {
+				return m.trap(fr, "array index %d out of range [0,%d)", i, len(a))
+			}
+			stack[sp-1] = slotv{i: a[i]}
+		case xLoadIadd:
+			fr.pc++
+			stack[sp-1].i += stack[fr.base+int(in.a)].i
+		case xLoadSipushImul:
+			fr.pc += 2
+			grow(sp + 1)
+			v := stack[fr.base+int(uint8(in.nargs))]
+			v.i *= int64(in.a)
+			stack[sp] = v
+			sp++
+		case xStoreLoadLoad:
+			fr.pc += 2
+			stack[fr.base+int(in.a)] = stack[sp-1]
+			stack[sp-1] = stack[fr.base+int(uint8(in.nargs))]
+			grow(sp + 1)
+			stack[sp] = stack[fr.base+int(uint8(in.nret))]
+			sp++
+		case xStoreLoad:
+			fr.pc++
+			stack[fr.base+int(in.a)] = stack[sp-1]
+			stack[sp-1] = stack[fr.base+int(uint8(in.nargs))]
+		case xIincGoto:
+			stack[fr.base+int(uint8(in.nargs))].i++
+			fr.pc = in.a
+		case xGetstaticBipushAload:
+			fr.pc += 2
+			for int(in.a) >= len(m.globals) {
+				m.globals = append(m.globals, slotv{})
+			}
+			a := m.globals[in.a].arr
+			i := int64(in.nargs)
+			if a == nil {
+				return m.trap(fr, "aload on non-array")
+			}
+			if i < 0 || i >= int64(len(a)) {
+				return m.trap(fr, "array index %d out of range [0,%d)", i, len(a))
+			}
+			grow(sp + 1)
+			stack[sp] = slotv{i: a[i]}
+			sp++
+		case xGetstaticBipushImul:
+			fr.pc += 2
+			for int(in.a) >= len(m.globals) {
+				m.globals = append(m.globals, slotv{})
+			}
+			v := m.globals[in.a]
+			v.i *= int64(in.nargs)
+			grow(sp + 1)
+			stack[sp] = v
+			sp++
+		case xGetstaticBipush:
+			fr.pc++
+			for int(in.a) >= len(m.globals) {
+				m.globals = append(m.globals, slotv{})
+			}
+			grow(sp + 2)
+			stack[sp] = m.globals[in.a]
+			stack[sp+1] = slotv{i: int64(in.nargs)}
+			sp += 2
+		case xGetstaticLoad:
+			fr.pc++
+			for int(in.a) >= len(m.globals) {
+				m.globals = append(m.globals, slotv{})
+			}
+			grow(sp + 2)
+			stack[sp] = m.globals[in.a]
+			stack[sp+1] = stack[fr.base+int(uint8(in.nargs))]
+			sp += 2
+		case xLdcIntIand:
+			fr.pc++
+			stack[sp-1].i &= m.ln.consts[in.a]
+		case xIaddLdcIntIand:
+			fr.pc += 2
+			sp--
+			stack[sp-1].i = (stack[sp-1].i + stack[sp].i) & m.ln.consts[in.a]
+		case xBipushIand:
+			fr.pc++
+			stack[sp-1].i &= int64(in.a)
+		case xBipushIadd:
+			fr.pc++
+			stack[sp-1].i += int64(in.a)
+		case xAloadIfeq:
+			sp -= 2
+			a := stack[sp].arr
+			i := stack[sp+1].i
+			if a == nil {
+				return m.trap(fr, "aload on non-array")
+			}
+			if i < 0 || i >= int64(len(a)) {
+				return m.trap(fr, "array index %d out of range [0,%d)", i, len(a))
+			}
+			fr.pc++
+			if a[i] == 0 {
+				fr.pc = in.a
+			}
 
 		case bytecode.HALT:
 			if steps > maxSteps {

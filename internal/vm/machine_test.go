@@ -233,6 +233,7 @@ func TestMaxStepsExact(t *testing.T) {
 	}{
 		{"chain", compile(t, chainProgram())},
 		{"main-returns", mainReturns},
+		{"every-fused-shape", allFused(t)},
 	} {
 		full, err := tc.ln.Run(Options{Trace: true})
 		if err != nil {

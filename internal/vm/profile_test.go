@@ -8,7 +8,9 @@ import (
 	"testing"
 
 	"nonstrict/internal/apps"
+	"nonstrict/internal/classfile"
 	"nonstrict/internal/jir"
+	"nonstrict/internal/synth"
 	"nonstrict/internal/vm"
 )
 
@@ -30,13 +32,74 @@ var pinnedProfiles = map[string]struct{ profile, trace string }{
 	"JHLZip/test":   {"93d7a8c39fb7a299", "da4294195560f8bb"},
 	"TestDes/train": {"c7618cdfd5d3b7b7", "a0fd07ec66892317"},
 	"TestDes/test":  {"90e4e203b1186369", "f0748378277721dc"},
+
+	// synth.Suite(synthSeed, synthApps, synth.Params{})
+	"synth-1998-0/train": {"26f550e61a629e78", "d982be73aeac28a1"},
+	"synth-1998-0/test":  {"14857909eac4c79f", "54527fc2c57eadbd"},
+	"synth-1998-1/train": {"cb36cc6e8244ec04", "34001ec4b67d663e"},
+	"synth-1998-1/test":  {"f175bdfa7089eb97", "9cda7824f5c46c6b"},
+	"synth-1998-2/train": {"f7780926522489e1", "550d0d677d673967"},
+	"synth-1998-2/test":  {"59080a67f6a51922", "82b2c65ebb986171"},
+	"synth-1998-3/train": {"d1234c2b2ae57066", "8fdddcc54e342e16"},
+	"synth-1998-3/test":  {"f0c64c55b651756a", "345d24907c35c431"},
+	"synth-1998-4/train": {"8e7fd1d5a4f6064a", "0075d09e87489e89"},
+	"synth-1998-4/test":  {"4c2cdd6a2df141b0", "96b0dee931c25138"},
+	"synth-1998-5/train": {"cde031731705faf4", "57f7fed7fced7f19"},
+	"synth-1998-5/test":  {"f2d5aed25f8cb62a", "b3ea2ccdc3741c27"},
+	"synth-1998-6/train": {"9d35c84fbeb451c2", "5fe864c6d0302820"},
+	"synth-1998-6/test":  {"6ea4631e35471385", "8ce12d49b94ae05a"},
+	"synth-1998-7/train": {"b11ffe095dded850", "67ccde7a78b3dbf9"},
+	"synth-1998-7/test":  {"c1268418d7b78c98", "2df6a6a80564544e"},
 }
 
-// TestProfilePinned runs the six apps on both inputs, with the segment
-// trace on and off, and compares the instrumentation with the pins. The
-// profile must not depend on whether the trace is collected.
+// pinnedGlobals holds, per program and input, the digest of the run's
+// final globals — every static field's integer and array, the program's
+// observable output.
+var pinnedGlobals = map[string]string{
+	"BIT/train":          "61ea8d8870be459f",
+	"BIT/test":           "1b74e6a9d522bd68",
+	"Hanoi/train":        "afb21c09189e464e",
+	"Hanoi/test":         "5c66d0057780ca3f",
+	"JavaCup/train":      "106a3dfbffbfe165",
+	"JavaCup/test":       "f37fd6bb999e0560",
+	"Jess/train":         "717b1217adda9bc9",
+	"Jess/test":          "df1289412a0eae3e",
+	"JHLZip/train":       "2b9ce702c9b87a57",
+	"JHLZip/test":        "1dd2cf900759b344",
+	"TestDes/train":      "d6d18730e45d9d20",
+	"TestDes/test":       "a09c03eaeb5f39a0",
+	"synth-1998-0/train": "21420c260304d74e",
+	"synth-1998-0/test":  "aff986eecf4bf8d4",
+	"synth-1998-1/train": "6bcc9b7cdd8ab9d8",
+	"synth-1998-1/test":  "577f3e1ecc370a2c",
+	"synth-1998-2/train": "e1324f88c68d9945",
+	"synth-1998-2/test":  "0c5d72c16cef6fda",
+	"synth-1998-3/train": "562c365d7bb4cf2e",
+	"synth-1998-3/test":  "a2f90c59b767a5e7",
+	"synth-1998-4/train": "4c1ece599cb5c94e",
+	"synth-1998-4/test":  "e0981f71bd829ed1",
+	"synth-1998-5/train": "c465d84d0e0d5447",
+	"synth-1998-5/test":  "5d62eba0d907e0fc",
+	"synth-1998-6/train": "34de8b02f5e25385",
+	"synth-1998-6/test":  "11bbf4140c1b3186",
+	"synth-1998-7/train": "1170e5604ada89ae",
+	"synth-1998-7/test":  "ec4aab79ac85bb95",
+}
+
+// synthSeed fixes the generated programs that widen the pins beyond the
+// six apps: compiler output over more shapes of code than they reach.
+const synthSeed, synthApps = 1998, 8
+
+// TestProfilePinned runs the six apps and eight generated programs on
+// both inputs, with the segment trace on and off, and compares the
+// instrumentation and the final globals with the pins. The profile must
+// not depend on whether the trace is collected.
 func TestProfilePinned(t *testing.T) {
-	for _, app := range apps.All() {
+	suite, _, err := synth.Suite(synthSeed, synthApps, synth.Params{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, app := range append(apps.All(), suite...) {
 		p, err := jir.Compile(app.IR)
 		if err != nil {
 			t.Fatal(err)
@@ -66,6 +129,9 @@ func TestProfilePinned(t *testing.T) {
 				if !trace && m.Trace() != nil {
 					t.Errorf("%s: %d segments collected with the trace off", key, len(m.Trace()))
 				}
+				if g := globalsDigest(t, p, m); g != pinnedGlobals[key] {
+					t.Errorf("%s trace=%v: globals digest %s, pinned %s", key, trace, g, pinnedGlobals[key])
+				}
 			}
 		}
 	}
@@ -86,6 +152,29 @@ func profileDigest(p *vm.Profile) string {
 		d.int(int64(n))
 	}
 	d.int(p.TotalInstrs)
+	return d.sum()
+}
+
+func globalsDigest(t *testing.T, p *classfile.Program, m *vm.Machine) string {
+	d := newDigest()
+	for _, c := range p.Classes {
+		for _, f := range c.Fields {
+			name := c.Utf8(f.Name)
+			v, err := m.Global(c.Name, name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			arr, err := m.GlobalArray(c.Name, name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d.int(v)
+			d.int(int64(len(arr)))
+			for _, x := range arr {
+				d.int(x)
+			}
+		}
+	}
 	return d.sum()
 }
 
