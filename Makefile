@@ -26,6 +26,11 @@ lint:
 	@# process-global registry cannot tell two servers in a process apart.
 	@if $(GO) list -deps ./... | grep -qx expvar; then \
 		echo "something imports expvar; export counters on /metrics" >&2; exit 1; fi
+	@# Numbers come from benchmark/ and nowhere else: a go test -bench
+	@# function in the root module would time a layer a second time.
+	@# benchmark/ is a module of its own and is not scanned.
+	@if grep -rn --include='*_test.go' --exclude-dir=benchmark '^func Benchmark' .; then \
+		echo "Benchmark functions in the root module; add a per-layer row to benchmark/ instead" >&2; exit 1; fi
 	@if [ -n "$$CI" ] && ! command -v staticcheck >/dev/null 2>&1; then \
 		$(GO) install $(STATICCHECK); fi
 	@if command -v staticcheck >/dev/null 2>&1; then \
@@ -48,12 +53,10 @@ race:
 # else. benchmark/ is a module of its own, so the root build and test
 # never compile it: vet it and run its self-tests (one quick pass per
 # workload, < 10 s) so that an API change under internal/ that breaks
-# it fails here, not at the next measurement. Then one iteration of
-# every Go micro-benchmark in the root module, so none of them can rot.
+# it fails here, not at the next measurement.
 bench-check:
 	$(GO) -C benchmark vet .
 	$(GO) -C benchmark test .
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 ci: build lint test race bench-check
 

@@ -17,8 +17,9 @@ import (
 	"strings"
 	"syscall"
 
-	"nonstrict"
+	"nonstrict/internal/apps"
 	"nonstrict/internal/experiments"
+	"nonstrict/internal/obs"
 	"nonstrict/internal/sim"
 	"nonstrict/internal/transfer"
 )
@@ -107,13 +108,13 @@ func dispatch(ctx context.Context, cmd string, args []string, out io.Writer) err
 }
 
 func cmdList(_ context.Context, _ []string, out io.Writer) error {
-	for _, a := range nonstrict.Benchmarks() {
+	for _, a := range apps.All() {
 		fmt.Fprintf(out, "%-9s %s\n", a.Name, a.Description)
 	}
 	return nil
 }
 
-func cmdRun(_ context.Context, args []string, out io.Writer) error {
+func cmdRun(ctx context.Context, args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("run", flag.ContinueOnError)
 	train := fs.Bool("train", false, "use the train input instead of test")
 	if len(args) == 0 || strings.HasPrefix(args[0], "-") {
@@ -123,7 +124,11 @@ func cmdRun(_ context.Context, args []string, out io.Writer) error {
 	if err := fs.Parse(args[1:]); err != nil {
 		return err
 	}
-	b, err := nonstrict.LoadBenchmark(name)
+	app, err := apps.ByName(name)
+	if err != nil {
+		return err
+	}
+	b, err := experiments.LoadCtx(ctx, app)
 	if err != nil {
 		return err
 	}
@@ -149,7 +154,7 @@ func cmdTables(ctx context.Context, args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	s := nonstrict.Experiments()
+	s := &experiments.Suite{}
 	s.SetWorkers(*par)
 
 	type gen struct {
@@ -185,6 +190,12 @@ func cmdTables(ctx context.Context, args []string, out io.Writer) error {
 		}
 		want[id] = true
 	}
+	// Load the suite once under ctx, before any generator: an interrupt
+	// during the load aborts here, and the generators that take no ctx
+	// find the suite loaded.
+	if _, err := s.BenchesCtx(ctx); err != nil {
+		return fmt.Errorf("tables: %w", err)
+	}
 	for _, g := range gens {
 		if !want[g.id] {
 			continue
@@ -210,7 +221,7 @@ func printRunnerStats(out io.Writer, st experiments.RunnerStats) {
 
 // renderAblations runs the ablation and extension studies, one blank
 // line between them.
-func renderAblations(s *nonstrict.Suite) (string, error) {
+func renderAblations(s *experiments.Suite) (string, error) {
 	h, err := s.AblationHeuristic()
 	if err != nil {
 		return "", err
@@ -247,7 +258,7 @@ func renderAblations(s *nonstrict.Suite) (string, error) {
 
 // renderJIT runs the JIT-compilation-overlap extension at three compile
 // costs.
-func renderJIT(s *nonstrict.Suite) (string, error) {
+func renderJIT(s *experiments.Suite) (string, error) {
 	var parts []string
 	for _, cpb := range []int64{200, 1000, 5000} {
 		cfg := sim.JITConfig{CompileCyclesPerByte: cpb}
@@ -260,7 +271,7 @@ func renderJIT(s *nonstrict.Suite) (string, error) {
 	return strings.Join(parts, "\n"), nil
 }
 
-func cmdSim(_ context.Context, args []string, out io.Writer) error {
+func cmdSim(ctx context.Context, args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("sim", flag.ContinueOnError)
 	order := fs.String("order", "test", "first-use predictor: scg, train, test")
 	engine := fs.String("engine", "interleaved", "transfer: sequential, parallel, interleaved")
@@ -274,46 +285,50 @@ func cmdSim(_ context.Context, args []string, out io.Writer) error {
 	if err := fs.Parse(args[1:]); err != nil {
 		return err
 	}
-	b, err := nonstrict.LoadBenchmark(name)
+	app, err := apps.ByName(name)
 	if err != nil {
 		return err
 	}
-	v := nonstrict.Variant{Limit: *limit}
+	b, err := experiments.LoadCtx(ctx, app)
+	if err != nil {
+		return err
+	}
+	v := experiments.Variant{Limit: *limit}
 	switch *order {
 	case "scg":
-		v.Order = nonstrict.SCG
+		v.Order = experiments.SCG
 	case "train":
-		v.Order = nonstrict.Train
+		v.Order = experiments.Train
 	case "test":
-		v.Order = nonstrict.Test
+		v.Order = experiments.Test
 	default:
 		return fmt.Errorf("sim: unknown order %q", *order)
 	}
 	switch *engine {
 	case "sequential":
-		v.Engine = nonstrict.Sequential
+		v.Engine = experiments.Sequential
 	case "parallel":
-		v.Engine = nonstrict.Parallel
+		v.Engine = experiments.Parallel
 	case "interleaved":
-		v.Engine = nonstrict.Interleaved
+		v.Engine = experiments.Interleaved
 	default:
 		return fmt.Errorf("sim: unknown engine %q", *engine)
 	}
 	switch *mode {
 	case "strict":
-		v.Mode = nonstrict.Strict
+		v.Mode = transfer.Strict
 	case "nonstrict":
-		v.Mode = nonstrict.NonStrict
+		v.Mode = transfer.NonStrict
 	case "partitioned":
-		v.Mode = nonstrict.Partitioned
+		v.Mode = transfer.Partitioned
 	default:
 		return fmt.Errorf("sim: unknown mode %q", *mode)
 	}
 	switch *link {
 	case "t1":
-		v.Link = nonstrict.T1
+		v.Link = transfer.T1
 	case "modem":
-		v.Link = nonstrict.Modem
+		v.Link = transfer.Modem
 	default:
 		return fmt.Errorf("sim: unknown link %q", *link)
 	}
@@ -353,7 +368,7 @@ func cmdTrace(_ context.Context, args []string, out io.Writer) error {
 		return err
 	}
 	defer f.Close()
-	sum, err := nonstrict.ParseTrace(f)
+	sum, err := obs.ParseTrace(f)
 	if err != nil {
 		return fmt.Errorf("trace: %s: %w", args[0], err)
 	}

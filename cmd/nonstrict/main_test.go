@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"io"
 	"net"
 	"net/http"
@@ -113,12 +114,27 @@ func TestTablesParallelStats(t *testing.T) {
 	if !strings.Contains(out, "runner:") || !strings.Contains(out, "demand fetches") {
 		t.Errorf("runner stats missing:\n%s", out)
 	}
-	// A canceled context aborts simulated tables with an error.
+	// A canceled context aborts every table, and the commands that load
+	// a benchmark, before anything prints: the suite's load checks ctx,
+	// not only the generators that simulate.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	var b strings.Builder
-	if err := dispatch(ctx, "tables", []string{"-t", "5"}, &b); err == nil {
-		t.Error("canceled tables run succeeded")
+	for _, args := range [][]string{
+		{"tables", "-t", "5"},
+		{"tables", "-t", "1"},
+		{"tables", "-t", "8"},
+		{"tables", "-t", "ablate"},
+		{"tables", "-t", "jit"},
+		{"sim", "Hanoi"},
+		{"run", "Hanoi"},
+	} {
+		var b strings.Builder
+		if err := dispatch(ctx, args[0], args[1:], &b); !errors.Is(err, context.Canceled) {
+			t.Errorf("canceled %v: err = %v, want context.Canceled", args, err)
+		}
+		if b.Len() != 0 {
+			t.Errorf("canceled %v printed %q", args, b.String())
+		}
 	}
 }
 

@@ -9,8 +9,14 @@ import (
 	"strings"
 	"time"
 
-	"nonstrict"
+	"nonstrict/internal/apps"
+	"nonstrict/internal/classfile"
+	"nonstrict/internal/experiments"
 	"nonstrict/internal/live"
+	"nonstrict/internal/obs"
+	"nonstrict/internal/stream"
+	"nonstrict/internal/transfer"
+	"nonstrict/internal/vm"
 )
 
 // cmdRunRemote downloads a served benchmark and executes it WHILE the
@@ -43,19 +49,19 @@ func cmdRunRemote(ctx context.Context, args []string, out io.Writer) error {
 	if *name == "" {
 		return fmt.Errorf("run-remote: -name is required")
 	}
-	app, err := nonstrict.Benchmark(*name)
+	app, err := apps.ByName(*name)
 	if err != nil {
 		return err
 	}
 
-	client := &nonstrict.FetchClient{
+	client := &stream.FetchClient{
 		RequestTimeout: *timeout,
 		MaxRetries:     *retries,
 		BackoffBase:    *backoff,
 	}
-	var rec *nonstrict.Recorder
+	var rec *obs.Recorder
 	if *traceOut != "" || *traceSummary {
-		rec = nonstrict.NewRecorder(0)
+		rec = obs.NewRecorder(0)
 		client.Obs = rec
 	}
 	m, st, err := live.Run(ctx, live.Options{
@@ -66,7 +72,7 @@ func cmdRunRemote(ctx context.Context, args []string, out io.Writer) error {
 		Client:      client,
 		GateTimeout: *gate,
 		Obs:         rec,
-		Run:         nonstrict.RunOptions{Args: app.Args(*train)},
+		Run:         vm.Options{Args: app.Args(*train)},
 	})
 	if err != nil {
 		return err
@@ -120,7 +126,7 @@ func cmdRunRemote(ctx context.Context, args []string, out io.Writer) error {
 		return nil
 	}
 	// Both reports simulate the same loaded benchmark: load it once.
-	b, err := nonstrict.LoadBenchmark(app.Name)
+	b, err := experiments.LoadCtx(ctx, app)
 	if err != nil {
 		return err
 	}
@@ -139,12 +145,12 @@ func cmdRunRemote(ctx context.Context, args []string, out io.Writer) error {
 
 // writeTraceFile exports the run's recorded events as Chrome
 // trace-event JSON (load via chrome://tracing or https://ui.perfetto.dev).
-func writeTraceFile(path string, rec *nonstrict.Recorder) error {
+func writeTraceFile(path string, rec *obs.Recorder) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := nonstrict.WriteTrace(f, rec.Events(), rec.Dropped()); err != nil {
+	if err := obs.WriteTrace(f, rec.Events(), rec.Dropped()); err != nil {
 		f.Close()
 		return fmt.Errorf("run-remote: writing trace: %w", err)
 	}
@@ -156,17 +162,17 @@ func writeTraceFile(path string, rec *nonstrict.Recorder) error {
 // components sum to the latency exactly, by construction — and prints
 // the simulator's predicted stall for the same method (SCG prediction,
 // interleaved transfer, modem link) beside each row that has one.
-func printStallAttribution(out io.Writer, b *nonstrict.Bench, st *live.Stats) error {
-	res, err := b.Simulate(nonstrict.Variant{
-		Order:  nonstrict.SCG,
-		Engine: nonstrict.Interleaved,
-		Mode:   nonstrict.NonStrict,
-		Link:   nonstrict.Modem,
+func printStallAttribution(out io.Writer, b *experiments.Bench, st *live.Stats) error {
+	res, err := b.Simulate(experiments.Variant{
+		Order:  experiments.SCG,
+		Engine: experiments.Interleaved,
+		Mode:   transfer.NonStrict,
+		Link:   transfer.Modem,
 	})
 	if err != nil {
 		return err
 	}
-	predicted := make(map[nonstrict.Ref]int64, len(res.Stalls))
+	predicted := make(map[classfile.Ref]int64, len(res.Stalls))
 	for _, s := range res.Stalls {
 		predicted[s.Method] = s.Cycles
 	}
@@ -206,13 +212,13 @@ func round(d time.Duration) time.Duration { return d.Round(time.Microsecond) }
 // the configuration run-remote mirrors — static prediction, interleaved
 // transfer, non-strict availability — and prints its predicted overlap
 // beside the measured one.
-func printSimPrediction(out io.Writer, b *nonstrict.Bench, st *live.Stats) error {
+func printSimPrediction(out io.Writer, b *experiments.Bench, st *live.Stats) error {
 	fmt.Fprintf(out, "simulator prediction (order=scg engine=interleaved mode=nonstrict):\n")
-	for _, link := range []nonstrict.Link{nonstrict.T1, nonstrict.Modem} {
-		res, err := b.Simulate(nonstrict.Variant{
-			Order:  nonstrict.SCG,
-			Engine: nonstrict.Interleaved,
-			Mode:   nonstrict.NonStrict,
+	for _, link := range []transfer.Link{transfer.T1, transfer.Modem} {
+		res, err := b.Simulate(experiments.Variant{
+			Order:  experiments.SCG,
+			Engine: experiments.Interleaved,
+			Mode:   transfer.NonStrict,
 			Link:   link,
 		})
 		if err != nil {

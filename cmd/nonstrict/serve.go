@@ -10,9 +10,10 @@ import (
 	"strings"
 	"time"
 
-	"nonstrict"
+	"nonstrict/internal/apps"
 	"nonstrict/internal/server"
 	"nonstrict/internal/stream"
+	"nonstrict/internal/vm"
 )
 
 // cmdServe runs the multi-tenant non-strict code server: every
@@ -186,12 +187,12 @@ func cmdFetch(ctx context.Context, args []string, out io.Writer) error {
 	if *name == "" {
 		return fmt.Errorf("fetch: -name is required")
 	}
-	app, err := nonstrict.Benchmark(*name)
+	app, err := apps.ByName(*name)
 	if err != nil {
 		return err
 	}
 
-	client := &nonstrict.FetchClient{
+	client := &stream.FetchClient{
 		RequestTimeout: *timeout,
 		MaxRetries:     *retries,
 		BackoffBase:    *backoff,
@@ -205,8 +206,8 @@ func cmdFetch(ctx context.Context, args []string, out io.Writer) error {
 	start := time.Now()
 	var mainReadyAt time.Duration
 	var ready int
-	loader := nonstrict.NewStreamLoader(*name, app.IR.Main)
-	if err := loader.Load(body, func(e nonstrict.StreamEvent) {
+	loader := stream.NewLoader(*name, app.IR.Main, nil)
+	if err := loader.Load(body, func(e stream.Event) {
 		if e.Kind == stream.MethodReady {
 			ready++
 			if ready == 1 {
@@ -222,7 +223,11 @@ func cmdFetch(ctx context.Context, args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	m, err := nonstrict.Execute(prog, nonstrict.RunOptions{Args: app.Args(*train)})
+	ln, err := vm.Link(prog)
+	if err != nil {
+		return err
+	}
+	m, err := ln.Run(vm.Options{Args: app.Args(*train)})
 	if err != nil {
 		return err
 	}

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"nonstrict/internal/stream"
 	"nonstrict/internal/synth"
 )
 
@@ -556,4 +557,64 @@ func TestOverloadStorm(t *testing.T) {
 	}
 	t.Logf("offered %d against queue %d: served %d, shed %d, warm p99 %.2fms vs baseline %.2fms",
 		offered, admit.MaxQueue, served.Load(), shed.Load(), warmP99, baselineP99)
+}
+
+// benchApp is the one-app workload of the overload and restart tests;
+// Hanoi is the smallest registered app, so a cold build is quick.
+const benchApp = "Hanoi"
+
+// fetchStream GETs the app stream and returns total bytes plus the time
+// from request start to the first unit's last byte (time-to-first-unit).
+func fetchStream(tb testing.TB, url string, firstUnitEnd int64) (n int64, ttfu time.Duration) {
+	tb.Helper()
+	start := time.Now()
+	resp, err := http.Get(url)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		tb.Fatalf("GET %s: %s", url, resp.Status)
+	}
+	buf := make([]byte, 32*1024)
+	for {
+		m, err := resp.Body.Read(buf)
+		n += int64(m)
+		if ttfu == 0 && n >= firstUnitEnd {
+			ttfu = time.Since(start)
+		}
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if ttfu == 0 {
+		ttfu = time.Since(start)
+	}
+	return n, ttfu
+}
+
+// firstUnitEnd parses app's served unit table and returns the stream
+// offset one past the first unit.
+func firstUnitEnd(tb testing.TB, tsURL, app string) int64 {
+	tb.Helper()
+	resp, err := http.Get(tsURL + "/apps/" + app + "/app.toc")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	toc, err := stream.ParseTOC(raw)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if len(toc) == 0 {
+		tb.Fatalf("%s: empty unit table", app)
+	}
+	return toc[0].Off + int64(toc[0].Len)
 }

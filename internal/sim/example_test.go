@@ -1,20 +1,24 @@
-// Quickstart: author a small mobile program, run the whole non-strict
-// pipeline on it, and compare strict transfer against non-strict
-// interleaved transfer on a modem link.
-//
-//	go run ./examples/quickstart
-package main
+package sim_test
 
 import (
 	"fmt"
 	"log"
 
-	"nonstrict"
+	"nonstrict/internal/datapart"
 	"nonstrict/internal/jir"
+	"nonstrict/internal/pipeline"
+	"nonstrict/internal/restructure"
+	"nonstrict/internal/sim"
 	"nonstrict/internal/transfer"
+	"nonstrict/internal/verify"
+	"nonstrict/internal/vm"
 )
 
-func main() {
+// Author a small mobile program, run the whole non-strict pipeline on it
+// (compile, verify, execute, predict, restructure, partition), and
+// compare strict transfer against non-strict interleaved transfer on a
+// modem link.
+func ExampleRun() {
 	// A three-class application: main exercises a math helper class in
 	// a loop, then a reporting class once at the end.
 	prog := &jir.Program{
@@ -59,14 +63,18 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := nonstrict.Verify(compiled); err != nil {
+	if err := verify.VerifyProgram(compiled); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("program: %d classes, %d methods, %d bytes\n",
 		len(compiled.Classes), compiled.NumMethods(), compiled.TotalSize())
 
 	// Execute in the VM, collecting the profile and segment trace.
-	m, err := nonstrict.Execute(compiled, nonstrict.RunOptions{Trace: true})
+	ln, err := vm.Link(compiled)
+	if err != nil {
+		log.Fatal(err)
+	}
+	m, err := ln.Run(vm.Options{Trace: true})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -74,7 +82,8 @@ func main() {
 	fmt.Printf("executed %d instructions; App.out = %d\n", m.Steps(), out)
 
 	// Predict first use statically and restructure.
-	order, ix, err := nonstrict.PredictStatic(compiled)
+	ix := compiled.IndexMethods()
+	_, order, err := pipeline.Static(ix)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -84,13 +93,35 @@ func main() {
 	}
 	fmt.Println()
 
-	rp, layouts := nonstrict.Restructure(compiled, ix, order)
+	rp := restructure.Apply(compiled, ix, order)
+	layouts := restructure.ComputeLayouts(rp)
+
+	// Partition the restructured program's global data (§7.3): the
+	// needed-first, per-method and unused shares must tile each class's
+	// global-data section exactly.
+	part, err := datapart.Compute(rp)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := part.Check(rp); err != nil {
+		log.Fatal(err)
+	}
 
 	// Simulate: strict sequential vs non-strict interleaved on a modem.
 	cpi := int64(100)
-	link := nonstrict.Modem
+	link := transfer.Modem
+	simulate := func(eng transfer.Engine) sim.Result {
+		res, err := sim.Run(m.Trace(), ix, eng, cpi)
+		if err != nil {
+			log.Fatal(err)
+		}
+		if res.TotalCycles != res.ExecCycles+res.StallCycles {
+			log.Fatalf("total %d cycles is not exec %d + stall %d", res.TotalCycles, res.ExecCycles, res.StallCycles)
+		}
+		return res
+	}
 
-	strictFiles, err := transfer.BuildFiles(rp, layouts, nonstrict.Strict, nil)
+	strictFiles, err := transfer.BuildFiles(rp, layouts, transfer.Strict, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -98,16 +129,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	strictRes, err := nonstrict.Simulate(m.Trace(), ix, strictEng, cpi)
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	ilvEng := transfer.NewInterleaved(order, ix, layouts, nil, link)
-	ilvRes, err := nonstrict.Simulate(m.Trace(), ix, ilvEng, cpi)
-	if err != nil {
-		log.Fatal(err)
-	}
+	strictRes := simulate(strictEng)
+	ilvRes := simulate(transfer.NewInterleaved(order, ix, layouts, nil, link))
 
 	fmt.Printf("\n%-28s %15s %15s\n", "", "strict", "non-strict ilv")
 	fmt.Printf("%-28s %15d %15d\n", "invocation latency (cycles)",
@@ -116,4 +139,13 @@ func main() {
 		strictRes.TotalCycles, ilvRes.TotalCycles)
 	fmt.Printf("%-28s %15s %14.1f%%\n", "of strict", "100%",
 		100*float64(ilvRes.TotalCycles)/float64(strictRes.TotalCycles))
+	// Output:
+	// program: 3 classes, 6 methods, 4330 bytes
+	// executed 2813 instructions; App.out = 2686700
+	// predicted first-use order: App.main Math.square Report.emit App.usage App.banner Math.cube
+	//
+	//                                       strict  non-strict ilv
+	// invocation latency (cycles)        257946670        40005306
+	// total cycles                       583242740       242322102
+	// of strict                               100%           41.5%
 }

@@ -1,27 +1,22 @@
-// Mispredict: when the first-use prediction is wrong, the parallel
-// transfer engine corrects on demand (paper §5.1) — the missing class
-// starts transferring immediately if a connection slot is free, or is
-// queued next otherwise. This example builds a program whose execution
-// path depends on its input, predicts statically, and compares the
-// misprediction penalty under different connection limits against a
-// profile-guided (perfect) ordering.
-//
-//	go run ./examples/mispredict
-package main
+package transfer_test
 
 import (
 	"fmt"
 	"log"
 
-	"nonstrict"
 	"nonstrict/internal/jir"
+	"nonstrict/internal/pipeline"
+	"nonstrict/internal/reorder"
+	"nonstrict/internal/restructure"
+	"nonstrict/internal/sim"
 	"nonstrict/internal/transfer"
+	"nonstrict/internal/vm"
 )
 
-func buildProgram() *jir.Program {
-	// main dispatches on its input: mode 0 runs the Common path the
-	// static estimator predicts (it has the loop); mode 1 runs the Rare
-	// path instead.
+// mispredictProgram dispatches on its input: mode 0 runs the Common path
+// the static estimator predicts (it has the loop); mode 1 runs the Rare
+// path instead.
+func mispredictProgram() *jir.Program {
 	work := func(cls string) *jir.Class {
 		return &jir.Class{Name: cls, Funcs: []*jir.Func{
 			{Name: "run", Params: []string{"n"}, NRet: 1, LocalData: 2200, Body: jir.Block(
@@ -64,12 +59,19 @@ func buildProgram() *jir.Program {
 	}
 }
 
-func main() {
-	prog, err := jir.Compile(buildProgram())
+// When the first-use prediction is wrong, the parallel transfer engine
+// corrects on demand (paper §5.1): the missing class starts transferring
+// immediately if a connection slot is free, or is queued next otherwise.
+// A program whose execution path depends on its input is predicted
+// statically, and the misprediction penalty under different connection
+// limits is compared against a profile-guided (perfect) ordering.
+func ExampleNewParallel() {
+	prog, err := jir.Compile(mispredictProgram())
 	if err != nil {
 		log.Fatal(err)
 	}
-	order, ix, err := nonstrict.PredictStatic(prog)
+	ix := prog.IndexMethods()
+	_, order, err := pipeline.Static(ix)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -80,20 +82,25 @@ func main() {
 	fmt.Println()
 
 	// Execute with mode=1: the Rare path runs, defeating the prediction.
-	m, err := nonstrict.Execute(prog, nonstrict.RunOptions{Trace: true, Args: []int64{1}})
+	ln, err := vm.Link(prog)
+	if err != nil {
+		log.Fatal(err)
+	}
+	m, err := ln.Run(vm.Options{Trace: true, Args: []int64{1}})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("actual run (mode=1) used %d of %d methods\n\n",
 		m.Profile().Executed(), prog.NumMethods())
 
-	perfect := nonstrict.PredictFromProfile(ix, m.Profile(), order)
-	link := nonstrict.Link{Name: "slow", CyclesPerByte: 20000}
+	perfect := reorder.FromProfile(ix, m.Profile().FirstUse, order)
+	link := transfer.Link{Name: "slow", CyclesPerByte: 20000}
 	const cpi = 50
 
-	simulate := func(o *nonstrict.Order, limit int) nonstrict.Result {
-		rp, layouts := nonstrict.Restructure(prog, ix, o)
-		files, err := transfer.BuildFiles(rp, layouts, nonstrict.NonStrict, nil)
+	simulate := func(o *reorder.Order, limit int) sim.Result {
+		rp := restructure.Apply(prog, ix, o)
+		layouts := restructure.ComputeLayouts(rp)
+		files, err := transfer.BuildFiles(rp, layouts, transfer.NonStrict, nil)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -105,7 +112,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := nonstrict.Simulate(m.Trace(), ix, eng, cpi)
+		res, err := sim.Run(m.Trace(), ix, eng, cpi)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -116,7 +123,7 @@ func main() {
 	fmt.Printf("%-34s %8s %12s %12s\n", "configuration", "mispred", "stall cyc", "total cyc")
 	for _, cfg := range []struct {
 		name  string
-		order *nonstrict.Order
+		order *reorder.Order
 		limit int
 	}{
 		{"static order, limit 1", order, 1},
@@ -128,4 +135,15 @@ func main() {
 	}
 	fmt.Println("\nwith limit 1 the mispredicted class must wait for the current file to")
 	fmt.Println("finish; with limit 4 the demand fetch starts immediately in a free slot.")
+	// Output:
+	// static prediction: App.main Common.run Rare.run Common.helper Rare.helper
+	// actual run (mode=1) used 2 of 5 methods
+	//
+	// configuration                       mispred    stall cyc    total cyc
+	// static order, limit 1                     1    141159800    142260550
+	// static order, limit 4                     1    104920000    106020750
+	// profile order (perfect), limit 1          0     58419800     59520550
+	//
+	// with limit 1 the mispredicted class must wait for the current file to
+	// finish; with limit 4 the demand fetch starts immediately in a free slot.
 }

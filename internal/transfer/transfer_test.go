@@ -539,3 +539,11 @@ func TestParallelDemandUnknownRef(t *testing.T) {
 		t.Errorf("delivered %d bytes, want 2000", got)
 	}
 }
+
+// TestLinkConstants pins the paper's two links as cycles per byte on the
+// 500 MHz processor model: every table of the evaluation is in them.
+func TestLinkConstants(t *testing.T) {
+	if T1.CyclesPerByte != 3815 || Modem.CyclesPerByte != 134698 {
+		t.Errorf("link constants drifted: %+v %+v", T1, Modem)
+	}
+}
