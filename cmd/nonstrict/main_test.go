@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
@@ -259,6 +260,18 @@ func TestServeAndRunRemote(t *testing.T) {
 			t.Errorf("run-remote output missing %q:\n%s", want, out)
 		}
 	}
+	// The session ends when the program does: the transfer line says
+	// whether the stream completed first or was cut, and how much of it
+	// arrived.
+	m := regexp.MustCompile(`transfer done at \S+ \(stream (completed|cut when execution finished): (\d+) of (\d+) bytes arrived\)`).FindStringSubmatch(out)
+	if m == nil {
+		t.Fatalf("run-remote output has no transfer line:\n%s", out)
+	}
+	got, _ := strconv.ParseInt(m[2], 10, 64)
+	of, _ := strconv.ParseInt(m[3], 10, 64)
+	if got > of || m[1] == "completed" && got != of {
+		t.Errorf("stream %s with %d of %d bytes:\n%s", m[1], got, of, out)
+	}
 
 	// Error paths.
 	if err := captureErr(t, "run-remote", url); err == nil {
@@ -273,7 +286,11 @@ func TestServeAndRunRemote(t *testing.T) {
 // exactly one payload byte of the served stream (the arithmetic is
 // shared with internal/live's chaos tests): the target unit sits in the
 // stream's second half and every unit is shorter than the period, so
-// repair and demand Range replies come back clean.
+// repair and demand Range replies come back clean. In Hanoi's static
+// order that unit is Hanoi.solve, which the test input runs in stream
+// order (internal/live's corruptTarget checks that), so only the main
+// stream can deliver it and the session cannot end before the
+// corruption is detected.
 func chaosPeriod(t *testing.T, base string) int64 {
 	t.Helper()
 	get := func(path string) []byte {

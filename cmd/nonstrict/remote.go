@@ -5,7 +5,9 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"net/http"
 	"os"
+	"strconv"
 	"strings"
 	"time"
 
@@ -89,9 +91,18 @@ func cmdRunRemote(ctx context.Context, args []string, out io.Writer) error {
 
 	fmt.Fprintf(out, "executed %d instructions while %d classes / %d methods streamed in; self-check: ok\n",
 		m.Steps(), st.Classes, st.Methods)
-	fmt.Fprintf(out, "first method runnable after %v; execution done at %v; transfer done at %v\n",
+	// The session ends when the program does: a stream still arriving
+	// then is cut, not drained.
+	ended := "stream cut when execution finished"
+	switch {
+	case st.Degraded != "":
+		ended = "stream died"
+	case st.TransferDone < st.ExecDone:
+		ended = "stream completed"
+	}
+	fmt.Fprintf(out, "first method runnable after %v; execution done at %v; transfer done at %v (%s: %d of %s bytes arrived)\n",
 		st.FirstRunnable.Round(time.Microsecond), st.ExecDone.Round(time.Microsecond),
-		st.TransferDone.Round(time.Microsecond))
+		st.TransferDone.Round(time.Microsecond), ended, st.StreamBytes, streamSize(ctx, url))
 	fmt.Fprintf(out, "measured overlap: %.1f%% of execution ran during transfer (stalled %v across %d first invocations)\n",
 		100*st.Overlap(), st.StallTime.Round(time.Microsecond), len(st.Waits))
 	fmt.Fprintf(out, "demand fetches: %d (%d mispredicts, %d bytes); main stream: %d bytes\n",
@@ -235,4 +246,22 @@ func printSimPrediction(out io.Writer, b *experiments.Bench, st *live.Stats) err
 	fmt.Fprintf(out, "  measured: overlap %.1f%%, %d mispredicts (wall-clock, link-speed dependent)\n",
 		100*st.Overlap(), st.Mispredicts)
 	return nil
+}
+
+// streamSize asks the server how long the stream at url is, for the
+// report; "?" when it will not say.
+func streamSize(ctx context.Context, url string) string {
+	req, err := http.NewRequestWithContext(ctx, http.MethodHead, url, nil)
+	if err != nil {
+		return "?"
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		return "?"
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || resp.ContentLength < 0 {
+		return "?"
+	}
+	return strconv.FormatInt(resp.ContentLength, 10)
 }

@@ -88,7 +88,7 @@ func (c *client) run(ctx context.Context) *clientResult {
 	var first time.Duration
 	for _, ref := range c.model.needs {
 		if err := s.AwaitMethod(ref); err != nil {
-			s.Close(true) // the gate's error is the session's
+			s.Close() // the gate's error is the session's
 			return fail(err)
 		}
 		if first == 0 {
@@ -96,7 +96,7 @@ func (c *client) run(ctx context.Context) *clientResult {
 		}
 		sleepScaled(ctx, thinkTime(think, c.cfg.ThinkMean), c.cfg.TimeScale)
 	}
-	st, err := s.Close(false)
+	st, err := s.Close()
 	if err == nil {
 		err = ctx.Err() // a canceled fleet's truncated sessions are not results
 	}

@@ -7,18 +7,19 @@
 // its session is the one that ships: live.Session — unit table, stream,
 // verifying loader with repair, the availability gate with its deadline
 // and demand policy, byte-range demand fetches, degradation to demand
-// fetching when the stream dies, bounded drain. The fleet has no client
-// logic of its own to drift from it.
+// fetching when the stream dies, the cut at the end of the need trace.
+// The fleet has no client logic of its own to drift from it.
 //
 // What a client does NOT do is execute bytecode: at fleet scale the VM
 // is replaced by a need trace — the method first-use order measured
 // from one real test-input execution of the app — replayed through the
-// session's gate with seeded think time. Needs and stream bytes
-// therefore depend only on (seed, config); everything else — whether a
-// need found the stream about to deliver it or was demand-fetched, how
-// many bytes that cost, latency, overlap — is what the shipping client
-// did on that link in that run, so mispredict rates differ by link
-// (a slow link leaves the stream further behind execution).
+// session's gate with seeded think time. Needs therefore depend only on
+// (seed, config); everything else — whether a need found the stream
+// about to deliver it or was demand-fetched, how many bytes that cost,
+// how far the stream got before the trace ended and the session cut it,
+// latency, overlap — is what the shipping client did on that link in
+// that run, so mispredict rates differ by link (a slow link leaves the
+// stream further behind execution).
 // Canonical() strips the measured fields of a Report for determinism
 // checks.
 package fleet
@@ -72,10 +73,10 @@ type Config struct {
 	// Workers bounds concurrently active clients (default 128), keeping
 	// memory flat while the total client count scales arbitrarily.
 	Workers int
-	// GateTimeout bounds each gate wait and the final stream drain, in
-	// wall-clock time (default 30s; it is the session's
-	// live.Options.GateTimeout). A wedged transfer fails the client
-	// instead of hanging the fleet.
+	// GateTimeout bounds each gate wait, in wall-clock time (default 30s;
+	// it is the session's live.Options.GateTimeout). A wedged transfer
+	// fails the client instead of hanging the fleet. Nothing waits after
+	// the trace: the session cuts the stream's unused tail.
 	GateTimeout time.Duration
 	// CacheBytes bounds the server's artifact cache (0 = server default).
 	CacheBytes int64

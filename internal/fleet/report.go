@@ -23,12 +23,13 @@ type Quantiles struct {
 
 // LinkReport aggregates every client that ran on one link class.
 //
-// Two kinds of fields coexist. Clients, Failures, Needs and StreamBytes
-// depend only on (seed, config) in a clean run — never on scheduling.
-// Everything else is measured: what the shipping client session
-// (live.Session) did on that link in this run — whether a need found
-// the stream about to deliver it or demand-fetched it, how long it
-// waited, what the transport retried — and varies run to run; Canonical
+// Two kinds of fields coexist. Clients, Failures and Needs depend only
+// on (seed, config) in a clean run — never on scheduling. Everything
+// else is measured: what the shipping client session (live.Session) did
+// on that link in this run — whether a need found the stream about to
+// deliver it or demand-fetched it, how long it waited, how much of the
+// stream arrived before the need trace ended and the session cut the
+// rest, what the transport retried — and varies run to run; Canonical
 // zeroes those fields.
 type LinkReport struct {
 	Link     string `json:"link"`
@@ -41,6 +42,8 @@ type LinkReport struct {
 	// summed); DemandFetches counts the range requests they issued and
 	// DemandBytes the payload bytes those brought. A slower link leaves
 	// the stream further behind execution, so these depend on the link.
+	// StreamBytes counts main-stream bytes consumed before each session
+	// ended: at the stream's EOF, or at the cut when its trace finished.
 	Needs          int64   `json:"needs"`
 	Mispredicts    int64   `json:"mispredicts"`
 	MispredictRate float64 `json:"mispredict_rate"`
@@ -181,6 +184,7 @@ func (r *Report) Canonical() *Report {
 		l := &c.Links[i]
 		l.Requests, l.Retries, l.Resumes = 0, 0, 0
 		l.Mispredicts, l.MispredictRate, l.DemandFetches, l.DemandBytes = 0, 0, 0, 0
+		l.StreamBytes = 0
 		l.CorruptUnits, l.Repaired = 0, 0
 		l.FirstInvocationMs = Quantiles{}
 		l.MeanOverlap = 0

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"nonstrict/internal/classfile"
 	"nonstrict/internal/stream"
 	"nonstrict/internal/vm"
 )
@@ -27,28 +28,40 @@ func parseTOC(t *testing.T, p planned) []stream.UnitInfo {
 }
 
 // corruptTarget picks a CorruptEvery period that deterministically flips
-// exactly one payload byte of the main stream: the period points at the
-// middle of a unit in the stream's second half (so the second hit falls
-// past EOF), and every unit is shorter than the period (so repair and
-// demand range replies — whose corruption positions are relative to
-// their own bodies — always come back clean).
-func corruptTarget(t *testing.T, p planned) int64 {
+// exactly one payload byte of the main stream, in a unit the program
+// cannot finish without: the period points at the middle of a unit in
+// the stream's second half (so the second hit falls past EOF), and every
+// unit is shorter than the period (so repair and demand range replies —
+// whose corruption positions are relative to their own bodies — always
+// come back clean). The unit is one the need trace runs, and the needs up
+// to and including it are the stream's first body units in order, so the
+// gate never finds it out of predicted order and never demands it: only
+// the main stream delivers it, and execution cannot get past it — nor the
+// session reach the cut at Close — before the corruption is detected and
+// repaired, however the stream and the executor are timed.
+func corruptTarget(t *testing.T, p planned, needs []classfile.Ref) int64 {
 	t.Helper()
 	toc := parseTOC(t, p)
 	maxLen := 0
 	for _, u := range toc {
-		if u.Len > maxLen {
-			maxLen = u.Len
-		}
+		maxLen = max(maxLen, u.Len)
 	}
 	half := int64(len(p.data)) / 2
+	next := 0 // the stream's body units so far are needs[:next], in order
 	for _, u := range toc {
+		if u.Kind != stream.KindBody {
+			continue
+		}
+		if next == len(needs) || u.Method != needs[next] {
+			break
+		}
+		next++
 		period := u.Off + int64(u.Len)/2 + 1
 		if u.Off >= half && period > int64(maxLen) && u.Len >= 2 {
 			return period
 		}
 	}
-	t.Fatal("no unit in the stream's second half to target")
+	t.Fatal("no unit in the stream's second half that the need trace reaches in stream order")
 	return 0
 }
 
@@ -98,7 +111,7 @@ func chaosRun(t *testing.T, p planned, want int64, f stream.Fault, client *strea
 func TestChaosSchedules(t *testing.T) {
 	p := plan(t, "Hanoi")
 	want := reference(t, p)
-	period := corruptTarget(t, p)
+	period := corruptTarget(t, p, needTrace(t, p))
 
 	// watchdogClient recovers from unbounded stalls: the idle watchdog
 	// cancels a silent connection and resumes by Range.
@@ -145,13 +158,13 @@ func TestChaosSchedules(t *testing.T) {
 }
 
 // TestChaosCorruptionCounters pins the accounting on the deterministic
-// single-corruption schedule: the run must complete with identical
-// output, and the corruption/re-fetch counters must show the repair
-// round trip.
+// single-corruption schedule, whose corrupt unit the program runs: the
+// run must complete with identical output, and the corruption/re-fetch
+// counters must show the repair round trip.
 func TestChaosCorruptionCounters(t *testing.T) {
 	p := plan(t, "Hanoi")
 	want := reference(t, p)
-	period := corruptTarget(t, p)
+	period := corruptTarget(t, p, needTrace(t, p))
 	st, err := chaosRun(t, p, want, stream.Fault{CorruptEvery: period, Seed: 21}, fastClient())
 	if err != nil {
 		t.Fatal(err)

@@ -1,12 +1,15 @@
 package live
 
 import (
+	"context"
 	"errors"
 	"sync"
 	"testing"
 	"time"
 
 	"nonstrict/internal/classfile"
+	"nonstrict/internal/obs"
+	"nonstrict/internal/stream"
 )
 
 // fakeClock is a hand-cranked time source for gate-deadline tests. Its
@@ -108,6 +111,7 @@ func (c *fakeClock) activeTimers() int {
 // except by the test's hand).
 func gateSession(fc *fakeClock, timeout time.Duration) *Session {
 	s := newSession(Options{GateTimeout: timeout})
+	s.ctx = context.Background()
 	s.now, s.afterFunc = fc.Now, fc.AfterFunc
 	s.start = fc.Now()
 	return s
@@ -270,5 +274,67 @@ func TestGateDisabledDeadlineArmsNothing(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("wait never released")
+	}
+}
+
+// TestGateNeverDemandsAnInstalledUnit pins the window between the loader
+// installing a unit and the unit's event reaching the gate. The loader's
+// cursor is past the unit by then, so a gate that judged predicted order
+// by the cursor alone called the need a mispredict and demand-fetched a
+// unit the loader already held. Here the executor's install step blocks
+// on the entry class's ClassLinked, holding the window open, while the
+// gate parks on that class; releasing the install step must release the
+// wait with no mispredict and no range request.
+func TestGateNeverDemandsAnInstalledUnit(t *testing.T) {
+	p := plan(t, "Hanoi")
+	srv := serve(t, p, stream.Fault{})
+	main := p.rp.MainClass
+	entered, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	unblock := func() { once.Do(func() { close(release) }) }
+	defer unblock()
+	rec := obs.NewRecorder(0)
+	s, err := Open(context.Background(), Options{
+		URL:       srv.URL + "/app",
+		TOCURL:    srv.URL + "/app.toc",
+		Name:      p.app.Name,
+		MainClass: main,
+		Client:    fastClient(),
+		Obs:       rec,
+	}, func(c *classfile.Class) error {
+		if c.Name == main {
+			close(entered)
+			<-release
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-entered
+
+	errc := make(chan error, 1)
+	go func() { errc <- s.AwaitClass(main) }()
+	for parked := false; !parked; {
+		select {
+		case err := <-errc:
+			t.Fatalf("AwaitClass(%s) returned before it parked: %v", main, err)
+		case <-time.After(time.Millisecond):
+		}
+		for _, e := range rec.Events() {
+			parked = parked || e.Kind == obs.GateBlock && e.Name == "class "+main
+		}
+	}
+	unblock()
+	if err := <-errc; err != nil {
+		t.Fatalf("AwaitClass(%s): %v", main, err)
+	}
+	st, err := s.Close()
+	if err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if st.Mispredicts != 0 || st.DemandFetches != 0 {
+		t.Errorf("a class the loader already held cost %d mispredicts and %d demand fetches, want 0 and 0",
+			st.Mispredicts, st.DemandFetches)
 	}
 }

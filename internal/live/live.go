@@ -37,7 +37,8 @@ type Options struct {
 	// Client transfers the stream; nil uses a default FetchClient.
 	Client *stream.FetchClient
 	// GateTimeout bounds each availability-gate wait (AwaitMethod /
-	// AwaitClass) and the post-execution stream drain. Zero means
+	// AwaitClass). It bounds nothing after execution: Close cuts the
+	// stream's never-executed tail instead of waiting for it. Zero means
 	// DefaultGateTimeout; negative disables the deadline entirely.
 	GateTimeout time.Duration
 	// Obs, when non-nil, records gate crossings, demand fetches,
@@ -76,7 +77,8 @@ type Wait struct {
 type Stats struct {
 	// Transfer snapshots the fetch client's counters.
 	Transfer stream.FetchStats
-	// StreamBytes is main-stream bytes consumed (headers included);
+	// StreamBytes is main-stream bytes consumed (headers included) before
+	// the stream ended, at EOF or at the cut when execution finished;
 	// DemandBytes is payload bytes that arrived via demand fetches.
 	StreamBytes, DemandBytes int64
 	// DemandFetches counts range requests issued for out-of-order needs;
@@ -86,7 +88,8 @@ type Stats struct {
 	// measured invocation latency of the paper's Table 4.
 	FirstRunnable time.Duration
 	// ExecDone and TransferDone mark, from run start, when execution
-	// finished and when the main stream was fully consumed.
+	// finished and when the main stream ended: at EOF, or at the cut
+	// Close makes once execution is over, whichever came first.
 	ExecDone, TransferDone time.Duration
 	// StallTime is the total time execution spent blocked at the gate.
 	StallTime time.Duration
@@ -95,7 +98,9 @@ type Stats struct {
 	// Classes and Methods count what actually arrived and linked.
 	Classes, Methods int
 	// Integrity snapshots the loader's verification counters: corrupt
-	// units detected, repaired, quarantined.
+	// units detected, repaired, quarantined. Its DigestVerified is true
+	// exactly when the stream completed (and its whole-stream digest
+	// matched) before execution finished.
 	Integrity stream.IntegrityStats
 	// Refetches counts byte-range re-fetches issued to replace payloads
 	// that arrived corrupt (repair-hook fetches plus demand retries).
@@ -234,8 +239,8 @@ func Run(ctx context.Context, opts Options) (*vm.Machine, *Stats, error) {
 		}
 	}
 	m, runErr := lv.Run(runOpts)
-	// Execution is over, so a failure in the never-executed tail (the
-	// error Close reports) cannot change its result.
-	st, _ := s.Close(runErr != nil)
+	// A session error that mattered reached the VM through the gate; one
+	// that no gate crossing saw cannot change the program's result.
+	st, _ := s.Close()
 	return m, st, runErr
 }

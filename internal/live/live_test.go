@@ -5,7 +5,10 @@ import (
 	"context"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -147,9 +150,22 @@ func TestLiveOverlappedRun(t *testing.T) {
 			if st.Waits[0].Method.Name != "main" {
 				t.Errorf("first gate crossing was %v, want main", st.Waits[0].Method)
 			}
-			if st.StreamBytes+st.DemandBytes < int64(len(p.data)) {
-				t.Errorf("only %d stream + %d demand bytes for a %d-byte program",
-					st.StreamBytes, st.DemandBytes, len(p.data))
+			// The session ends when the program does, so the stream may be
+			// cut short of its tail; what the program ran arrived in the
+			// stream bytes consumed before the cut or by demand.
+			demanded := make(map[classfile.Ref]bool)
+			for _, w := range st.Waits {
+				demanded[w.Method] = w.Demand
+			}
+			for _, u := range parseTOC(t, p) {
+				if _, ran := demanded[u.Method]; ran && u.Kind == stream.KindBody &&
+					u.Off+int64(u.Len) > st.StreamBytes && !demanded[u.Method] {
+					t.Errorf("%v ran, but its unit is past the %d stream bytes and was not demanded", u.Method, st.StreamBytes)
+				}
+			}
+			if st.StreamBytes > int64(len(p.data)) ||
+				st.Integrity.DigestVerified && st.StreamBytes != int64(len(p.data)) {
+				t.Errorf("%d stream bytes of %d, digest verified %v", st.StreamBytes, len(p.data), st.Integrity.DigestVerified)
 			}
 			if st.TransferDone <= 0 || st.ExecDone <= 0 {
 				t.Errorf("missing timeline: exec %v, transfer %v", st.ExecDone, st.TransferDone)
@@ -210,6 +226,13 @@ func TestLiveUnderFaults(t *testing.T) {
 // executes outruns the predicted order.
 func crawlServer(t *testing.T, p planned, f stream.Fault) *httptest.Server {
 	t.Helper()
+	srv := httptest.NewServer(f.Wrap(crawlMux(p)))
+	t.Cleanup(srv.Close)
+	return srv
+}
+
+// crawlMux is crawlServer's handler.
+func crawlMux(p planned) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/app", func(w http.ResponseWriter, r *http.Request) {
 		if r.Header.Get("Range") != "" {
@@ -236,9 +259,7 @@ func crawlServer(t *testing.T, p planned, f stream.Fault) *httptest.Server {
 	mux.HandleFunc("/app.toc", func(w http.ResponseWriter, r *http.Request) {
 		http.ServeContent(w, r, "app.toc.json", time.Time{}, bytes.NewReader(p.toc))
 	})
-	srv := httptest.NewServer(f.Wrap(mux))
-	t.Cleanup(srv.Close)
-	return srv
+	return mux
 }
 
 // TestLiveDemandFetch makes the main stream crawl while demand fetches
@@ -276,6 +297,68 @@ func TestLiveDemandFetch(t *testing.T) {
 	if demanded == 0 {
 		t.Error("no first invocation marked as demand-satisfied")
 	}
+}
+
+// TestLiveCutFreesServer: execution outruns a crawling stream, so the
+// program ends with the stream's tail still in flight. Run must leave
+// nothing behind when it returns: the transfer loop and every demand
+// fetch have exited, and every /app handler, the full-stream one whose
+// client cut it included, returns within a second. The cut is not a
+// failed attempt, so the fetch client counts no retry for it.
+func TestLiveCutFreesServer(t *testing.T) {
+	p := plan(t, "Hanoi")
+	want := reference(t, p)
+	mux := crawlMux(p)
+	var started, returned atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/app" {
+			started.Add(1)
+			defer returned.Add(1)
+		}
+		mux.ServeHTTP(w, r)
+	}))
+	t.Cleanup(srv.Close)
+
+	m, st, err := Run(context.Background(), Options{
+		URL:       srv.URL + "/app",
+		TOCURL:    srv.URL + "/app.toc",
+		Name:      p.app.Name,
+		MainClass: p.rp.MainClass,
+		Client:    fastClient(),
+		Run:       vm.Options{Args: p.app.TestArgs, MaxSteps: 5e8},
+	})
+	ran := time.Now()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g := sessionGoroutines(); g != "" {
+		t.Errorf("session goroutines still running after Run returned:\n%s", g)
+	}
+	checkRun(t, p, m, want)
+	if st.Transfer.Retries != 0 {
+		t.Errorf("%d retries against a fault-free server", st.Transfer.Retries)
+	}
+	for returned.Load() < started.Load() {
+		if time.Since(ran) > time.Second {
+			t.Fatalf("%d of %d /app handlers still running 1s after Run returned", started.Load()-returned.Load(), started.Load())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	t.Logf("%d of %d stream bytes before the cut, %d demand fetches", st.StreamBytes, len(p.data), st.DemandFetches)
+}
+
+// sessionGoroutines returns the stacks of the goroutines running Session
+// code, empty when there are none.
+func sessionGoroutines() string {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	var live []string
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		if strings.Contains(g, "internal/live.(*Session)") {
+			live = append(live, g)
+		}
+	}
+	return strings.Join(live, "\n\n")
 }
 
 // TestLiveConcurrentRuns hammers the shared FetchClient and independent

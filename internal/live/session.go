@@ -27,10 +27,11 @@ var ErrGateTimeout = errors.New("live: gate deadline exceeded")
 // Session is one client session minus the executor: the unit-table
 // prelude, the loader with its repair hook, the transfer loop with its
 // degradation to demand fetching, the availability gate with its
-// deadline and demand policy, the bounded drain, and the Stats. It
-// implements vm.Gate, and the executor is whatever calls the gate: the
-// VM's incremental linker under Run, or a bare loop over a need trace
-// (the fleet's clients), which installs nothing and only waits.
+// deadline and demand policy, the cut at the end of execution, and the
+// Stats. It implements vm.Gate, and the executor is whatever calls the
+// gate: the VM's incremental linker under Run, or a bare loop over a
+// need trace (the fleet's clients), which installs nothing and only
+// waits.
 //
 // A need is a classfile.Ref: a method body, or — with an empty Name — a
 // class's global data.
@@ -40,7 +41,7 @@ var ErrGateTimeout = errors.New("live: gate deadline exceeded")
 // feeding take the loader's lock first and s.mu only after release.
 type Session struct {
 	opts    Options
-	ctx     context.Context // canceled when the session is abandoned or closed
+	ctx     context.Context // canceled at Close, or by the caller's context
 	cancel  context.CancelFunc
 	client  *stream.FetchClient
 	loader  *stream.Loader
@@ -66,7 +67,7 @@ type Session struct {
 	repairSpans []span                          // completed integrity-repair windows, in order
 	err         error
 	degraded    error // main stream died but the demand path can finish the run
-	done        bool  // main stream fully consumed (or failed)
+	done        bool  // main stream ended: consumed, failed, or cut
 	transferEnd time.Duration
 
 	waits            []Wait
@@ -171,37 +172,21 @@ func (s *Session) open(ctx context.Context, install func(*classfile.Class) error
 	return nil
 }
 
-// Close ends the session once execution is over (abandon says it
-// failed, so whatever is still streaming is dropped) and returns the
-// measured Stats. It waits for the never-executed tail of the stream,
-// bounded by the gate timeout: a tail that stalls without failing must
-// not hang the caller after execution already finished. The error is
-// the session's own — a transfer failure the demand path could not
-// absorb, or the drain bound — and is nil for a clean or merely
-// degraded session.
-func (s *Session) Close(abandon bool) (*Stats, error) {
+// Close ends the session once execution is over and returns the
+// measured Stats. The transfer stops here: Close cancels the session,
+// which cuts the never-executed tail of the stream instead of draining
+// it, joins the transfer loop and every demand fetch, and only then takes
+// the snapshot. The error is the session's own — a failure the demand
+// path could not absorb while the program ran — and is nil for a clean
+// or merely degraded session; work the cut interrupts is never an error.
+func (s *Session) Close() (*Stats, error) {
 	execDone := s.sinceStart()
-	if abandon {
-		s.cancel()
-	}
-	var err error
-	if d := gateTimeout(s.opts.GateTimeout); d > 0 {
-		drain := time.NewTimer(d)
-		select {
-		case <-s.transferDone:
-			drain.Stop()
-		case <-drain.C:
-			s.cancel()
-			<-s.transferDone
-			err = fmt.Errorf("live: stream drain exceeded %v", d)
-		}
-	} else {
-		<-s.transferDone
-	}
+	s.cancel()
+	<-s.transferDone
+	s.fetches.Wait()
 
-	// Snapshot before the cancel below fails the demand fetches still in
-	// flight for needs the stream satisfied first.
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	st := &Stats{
 		Transfer:      s.client.Stats(),
 		StreamBytes:   s.loader.Consumed(),
@@ -220,16 +205,10 @@ func (s *Session) Close(abandon bool) (*Stats, error) {
 	if s.degraded != nil {
 		st.Degraded = s.degraded.Error()
 	}
-	if err == nil {
-		err = s.err
-	}
-	s.mu.Unlock()
 	if len(st.Waits) > 0 {
 		st.FirstRunnable = st.Waits[0].At + st.Waits[0].Wait
 	}
-	s.cancel()
-	s.fetches.Wait()
-	return st, err
+	return st, s.err
 }
 
 // transferLoop streams the virtual file into the loader until EOF or
@@ -318,9 +297,13 @@ func (s *Session) arrive(n classfile.Ref, methods int) {
 }
 
 // fail records the first terminal error and wakes all gate waiters.
+// Once the session's context is done, a failure is what the cancellation
+// interrupted — the cut at Close, or the caller giving up — and not the
+// session's error: it is dropped, and a gate waiter returns the
+// cancellation itself.
 func (s *Session) fail(err error) {
 	s.mu.Lock()
-	if s.err == nil {
+	if s.err == nil && s.ctx.Err() == nil {
 		s.err = err
 	}
 	s.mu.Unlock()
@@ -397,11 +380,12 @@ func (s *Session) await(n classfile.Ref) error {
 		if s.err != nil {
 			return s.err
 		}
-		launched := s.maybeDemand(n)
-		if s.done && !launched && !s.demanded[n] {
-			if s.degraded != nil {
-				return fmt.Errorf("live: %s unavailable after stream failure: %w", label(n), s.degraded)
-			}
+		if err := s.ctx.Err(); err != nil {
+			return fmt.Errorf("live: awaiting %s: %w", label(n), err)
+		}
+		if s.toc != nil {
+			s.maybeDemand(n)
+		} else if s.done {
 			return fmt.Errorf("live: %s never arrived and cannot be demanded", label(n))
 		}
 		if expired {
@@ -447,16 +431,19 @@ func (s *Session) readyAt(n classfile.Ref) (time.Duration, bool) {
 	return at, ok
 }
 
-// maybeDemand decides whether need n is out of predicted order — the
-// next body unit the main stream will deliver is a different method —
-// and if so launches a demand fetch. Reports whether a fetch was
-// launched. Caller holds s.mu.
-func (s *Session) maybeDemand(n classfile.Ref) bool {
-	if s.toc == nil || s.demanded[n] {
-		return false
+// maybeDemand launches a demand fetch for need n when it is out of
+// predicted order — the next body unit the main stream will deliver is a
+// different method — unless n was demanded already or the loader already
+// holds its unit. The last is the window between the loader consuming a
+// unit and its event reaching the gate: the loader's cursor is past the
+// unit by then, so outOfOrder would call it a mispredict. Caller holds
+// s.mu.
+func (s *Session) maybeDemand(n classfile.Ref) {
+	if s.demanded[n] || s.installed(n) {
+		return
 	}
 	if !s.done && !s.outOfOrder(n) {
-		return false // arriving next anyway; cheaper to wait
+		return // arriving next anyway; cheaper to wait
 	}
 	s.demanded[n] = true
 	s.mispredicts++
@@ -468,7 +455,15 @@ func (s *Session) maybeDemand(n classfile.Ref) bool {
 			s.fail(err)
 		}
 	}()
-	return true
+}
+
+// installed reports whether the loader has verified and installed need
+// n's unit, whether or not its event has reached the gate yet.
+func (s *Session) installed(n classfile.Ref) bool {
+	if n.Name == "" {
+		return s.loader.LoadedClass(n.Class) != nil
+	}
+	return s.loader.MethodInstalled(n)
 }
 
 // outOfOrder reports whether the first not-yet-consumed unit delivering

@@ -3,7 +3,6 @@ package live
 import (
 	"context"
 	"net/http/httptest"
-	"strings"
 	"testing"
 	"time"
 
@@ -49,27 +48,28 @@ func replay(t *testing.T, p planned, needs []classfile.Ref, srv *httptest.Server
 	}
 	for _, ref := range needs {
 		if err := s.AwaitMethod(ref); err != nil {
-			s.Close(true)
+			s.Close()
 			t.Fatalf("need %v: %v", ref, err)
 		}
 	}
 	began := time.Now()
-	st, err := s.Close(false)
+	st, err := s.Close()
 	return st, err, time.Since(began)
 }
 
 // TestSessionReplayWithoutVM pins the seam the fleet stands on: a
 // Session with no executor behind it releases every need of a trace,
 // heals a corrupt main-stream unit through the repair hook, accounts a
-// mispredict for exactly the crossings it demand-fetched, and bounds
-// its drain when the never-needed tail of the stream stalls for good.
+// mispredict for exactly the crossings it demand-fetched, and ends when
+// the trace does: a never-needed tail of the stream that stalls for
+// good costs Close nothing.
 func TestSessionReplayWithoutVM(t *testing.T) {
 	p := plan(t, "Hanoi")
 	needs := needTrace(t, p)
 
 	t.Run("corruption", func(t *testing.T) {
 		// The stream crawls, so the replay outruns it and demand-fetches.
-		srv := crawlServer(t, p, stream.Fault{CorruptEvery: corruptTarget(t, p), Seed: 31})
+		srv := crawlServer(t, p, stream.Fault{CorruptEvery: corruptTarget(t, p, needs), Seed: 31})
 		st, err, _ := replay(t, p, needs, srv, 10*time.Second)
 		if err != nil {
 			t.Fatalf("Close: %v", err)
@@ -98,8 +98,11 @@ func TestSessionReplayWithoutVM(t *testing.T) {
 		if st.Integrity.Repaired == 0 || st.Integrity.Outstanding != 0 {
 			t.Errorf("corrupt unit not healed: %+v", st.Integrity)
 		}
-		if st.StreamBytes != int64(len(p.data)) {
-			t.Errorf("drained %d stream bytes of %d", st.StreamBytes, len(p.data))
+		// The crawling stream is cut wherever it stands when the trace
+		// ends; only a stream that completed first had its digest checked.
+		if st.StreamBytes > int64(len(p.data)) ||
+			st.Integrity.DigestVerified && st.StreamBytes != int64(len(p.data)) {
+			t.Errorf("%d stream bytes of %d, digest verified %v", st.StreamBytes, len(p.data), st.Integrity.DigestVerified)
 		}
 		if st.Degraded != "" {
 			t.Errorf("degraded: %s", st.Degraded)
@@ -112,8 +115,8 @@ func TestSessionReplayWithoutVM(t *testing.T) {
 	t.Run("stalled-tail", func(t *testing.T) {
 		// The stream stalls for good just past the last unit the trace
 		// needs (further in than any unit is long, so range replies never
-		// reach the stall): execution finishes, and the drain must give up
-		// at the gate timeout instead of waiting out the stall.
+		// reach the stall): execution finishes, and Close cuts the stalled
+		// tail at once — it neither waits out the stall nor reports it.
 		var stall int64
 		for _, u := range parseTOC(t, p) {
 			for _, n := range needs {
@@ -125,13 +128,12 @@ func TestSessionReplayWithoutVM(t *testing.T) {
 		if stall >= int64(len(p.data)) {
 			t.Fatal("the trace needs the stream's last unit; there is no tail to stall")
 		}
-		const timeout = 300 * time.Millisecond
-		st, err, took := replay(t, p, needs, serve(t, p, stream.Fault{StallAfter: stall, Seed: 32}), timeout)
-		if err == nil || !strings.Contains(err.Error(), "drain") {
-			t.Fatalf("Close error = %v, want the drain bound", err)
+		st, err, took := replay(t, p, needs, serve(t, p, stream.Fault{StallAfter: stall, Seed: 32}), 300*time.Millisecond)
+		if err != nil {
+			t.Fatalf("Close: %v", err)
 		}
-		if took < timeout || took > 3*time.Second {
-			t.Errorf("drain took %v, want about the %v bound", took, timeout)
+		if took >= 100*time.Millisecond {
+			t.Errorf("Close took %v after the trace ended, want the cut to cost nothing", took)
 		}
 		if len(st.Waits) != len(needs) || st.StreamBytes >= int64(len(p.data)) {
 			t.Errorf("%d of %d needs crossed, %d of %d stream bytes", len(st.Waits), len(needs), st.StreamBytes, len(p.data))

@@ -9,8 +9,10 @@
 //     order is named after — for a profile-guided one.
 //   - experiments.LoadCtx (the paper tables) runs compile, link, both
 //     profiled runs, static, then order and restructure once per predictor.
-//   - The facade's PredictStatic calls Static, the static stage's body,
-//     over a program compiled elsewhere.
+//   - Static, the static stage's body, runs over a program compiled
+//     elsewhere; outside this package its callers are the runnable
+//     examples ExampleRun (internal/sim) and ExampleNewParallel
+//     (internal/transfer).
 //
 // Stages are sequential and deterministic. Each checks ctx before it
 // starts and adds its wall-clock time to the run's Durations, so a caller

@@ -368,10 +368,11 @@ type resumeReader struct {
 
 // connect establishes one connection at the current offset. cause, when
 // non-nil, is why the previous connection ended without progress, and
-// is charged to the retry budget before the first attempt.
+// is charged to the retry budget before the first attempt — unless ctx
+// is done, which is what ended the connection and is not a failure.
 func (r *resumeReader) connect(cause error) error {
 	for {
-		if cause != nil {
+		if cause != nil && r.ctx.Err() == nil {
 			if err := r.c.retry(r.ctx, r.url, &r.fails, cause); err != nil {
 				return err
 			}

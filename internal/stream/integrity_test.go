@@ -2,7 +2,9 @@ package stream
 
 import (
 	"bytes"
+	"context"
 	"errors"
+	"fmt"
 	"io"
 	"runtime"
 	"sync"
@@ -124,6 +126,27 @@ func TestRepairAskedOnceThenQuarantined(t *testing.T) {
 		t.Fatal("assembled a program with a quarantined body")
 	} else if want := "quarantined"; !bytes.Contains([]byte(err.Error()), []byte(want)) {
 		t.Errorf("Program() error %q does not mention quarantine", err)
+	}
+}
+
+// TestCanceledRepairEndsLoad: a repair the hook's caller canceled — a
+// client session cut when its program finished — ends the load with
+// the cancellation instead of quarantining a unit nobody will run.
+func TestCanceledRepairEndsLoad(t *testing.T) {
+	_, rp, _, w := plan(t, "Hanoi")
+	var buf bytes.Buffer
+	if _, err := w.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	l := NewLoader(rp.Name, rp.MainClass, nil)
+	l.Repair = func(RepairRequest) ([]byte, error) {
+		return nil, fmt.Errorf("repair fetch: %w", context.Canceled)
+	}
+	if err := l.Load(bytes.NewReader(corruptUnit(t, buf.Bytes(), 1)), nil); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Load = %v, want the repair's cancellation", err)
+	}
+	if st := l.Integrity(); st.CorruptUnits != 1 || st.Quarantined != 0 || st.Outstanding != 0 || st.DigestVerified {
+		t.Errorf("counters = %+v, want 1 corrupt unit and nothing quarantined", st)
 	}
 }
 

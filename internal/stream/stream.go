@@ -16,6 +16,7 @@
 package stream
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -259,7 +260,10 @@ type Loader struct {
 	// re-verifies the reply, since it is outside input, and a unit whose
 	// repair fails either way is quarantined and skipped rather than
 	// installed — the stream continues, and the demand path can heal the
-	// unit later through FeedDemand. With Repair nil, a corrupt unit is a
+	// unit later through FeedDemand. A hook error that wraps
+	// context.Canceled ends Load with that error instead: whoever canceled
+	// the repair is abandoning the stream, and there is nothing left for a
+	// quarantine record to wait for. With Repair nil, a corrupt unit is a
 	// terminal ErrStreamIntegrity error instead — the strict behaviour
 	// for clients with no demand path to heal through. Set it before
 	// calling Load; it must not change during it.
@@ -414,7 +418,8 @@ func (l *Loader) Load(r io.Reader, onEvent func(Event)) error {
 // repairUnit handles one corrupt main-stream unit: it asks the Repair
 // hook once for a clean copy and verifies the reply. It returns the
 // repaired payload, or (nil, nil) when the unit must be quarantined, or
-// a terminal error when no Repair hook is installed (strict mode).
+// a terminal error when no Repair hook is installed (strict mode) or the
+// hook's repair was canceled.
 // Called with no locks held.
 func (l *Loader) repairUnit(ci int, kind byte, n int, crc uint32) ([]byte, error) {
 	began := time.Now()
@@ -432,6 +437,9 @@ func (l *Loader) repairUnit(ci int, kind byte, n int, crc uint32) ([]byte, error
 			ErrStreamIntegrity, ci, kindName(kind))
 	}
 	p, err := repair(RepairRequest{Class: ci, Kind: kind, Body: body, Len: n, CRC: crc})
+	if errors.Is(err, context.Canceled) {
+		return nil, err
+	}
 	if err != nil || len(p) != n || ChecksumPayload(p) != crc {
 		return nil, nil
 	}
@@ -756,6 +764,25 @@ func (l *Loader) UnitsConsumed() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.mainUnits
+}
+
+// MethodInstalled reports whether ref's body has been verified and
+// installed. Like LoadedClass, it answers from the moment the unit is
+// installed, before its event has been delivered.
+func (l *Loader) MethodInstalled(ref classfile.Ref) bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for ci, c := range l.classes {
+		if c.Name != ref.Class {
+			continue
+		}
+		for bi, m := range c.Methods {
+			if c.MethodName(m) == ref.Name {
+				return l.present[ci][bi]
+			}
+		}
+	}
+	return false
 }
 
 // LoadedClass returns the named class if its global data has arrived,
