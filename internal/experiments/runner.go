@@ -71,8 +71,10 @@ func (r *Runner) workers() int {
 // ForEach runs fn(ctx, i) for every i in [0, n) across the pool. The
 // first failure (by lowest index, for reproducibility) cancels the
 // remaining work and is returned; a done ctx is returned as its error.
-// fn must confine writes to per-index state for results to be
-// deterministic.
+// A failure cancels only the cells above it: a lower cell already
+// claimed runs to completion, so its own failure, not a cancellation,
+// is the one reported. fn must confine writes to per-index state for
+// results to be deterministic.
 func (r *Runner) ForEach(ctx context.Context, n int, fn func(ctx context.Context, i int) error) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -92,9 +94,39 @@ func (r *Runner) ForEach(ctx context.Context, n int, fn func(ctx context.Context
 		}
 		return nil
 	}
-	wctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	errs := make([]error, n)
+	var (
+		mu      sync.Mutex
+		lowest  = n // the lowest failing index so far
+		first   error
+		running = make(map[int]context.CancelFunc)
+	)
+	// begin gives cell i its own context, cancelled by a failure below
+	// it or by ctx; false means a lower cell has failed already.
+	begin := func(i int) (context.Context, bool) {
+		mu.Lock()
+		defer mu.Unlock()
+		if i > lowest {
+			return nil, false
+		}
+		cctx, cancel := context.WithCancel(ctx)
+		running[i] = cancel
+		return cctx, true
+	}
+	end := func(i int, err error) {
+		mu.Lock()
+		defer mu.Unlock()
+		running[i]()
+		delete(running, i)
+		if err == nil || i > lowest {
+			return
+		}
+		lowest, first = i, err
+		for k, cancel := range running {
+			if k > i {
+				cancel()
+			}
+		}
+	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for k := 0; k < w; k++ {
@@ -103,22 +135,20 @@ func (r *Runner) ForEach(ctx context.Context, n int, fn func(ctx context.Context
 			defer wg.Done()
 			for {
 				i := int(next.Add(1)) - 1
-				if i >= n || wctx.Err() != nil {
+				if i >= n || ctx.Err() != nil {
 					return
 				}
-				if err := fn(wctx, i); err != nil {
-					errs[i] = err
-					cancel()
+				cctx, ok := begin(i)
+				if !ok {
 					return
 				}
+				end(i, fn(cctx, i))
 			}
 		}()
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
+	if first != nil {
+		return first
 	}
 	return ctx.Err()
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"nonstrict/internal/transfer"
 )
@@ -172,6 +173,38 @@ func TestForEachFirstErrorWins(t *testing.T) {
 		if err == nil || err.Error() != "cell 3 failed" {
 			t.Errorf("workers=%d: err = %v, want cell 3 failed", w, err)
 		}
+	}
+}
+
+// TestForEachLowerCellOutlivesHigherFailure: a failure cancels only the
+// cells above it. Cell 1 fails while cell 0 is still running; cell 0's
+// context stays live, so cell 0's own failure is the one reported, and
+// cell 2, above the failure, never runs.
+func TestForEachLowerCellOutlivesHigherFailure(t *testing.T) {
+	failed := make(chan struct{}, 1)
+	var ran2 atomic.Bool
+	err := (&Runner{Workers: 2}).ForEach(context.Background(), 3, func(ctx context.Context, i int) error {
+		switch i {
+		case 0:
+			<-failed
+			select {
+			case <-ctx.Done():
+				return ctx.Err()
+			case <-time.After(50 * time.Millisecond):
+				return errors.New("cell 0 failed")
+			}
+		case 1:
+			failed <- struct{}{}
+			return errors.New("cell 1 failed")
+		}
+		ran2.Store(true)
+		return nil
+	})
+	if err == nil || err.Error() != "cell 0 failed" {
+		t.Errorf("err = %v, want cell 0 failed", err)
+	}
+	if ran2.Load() {
+		t.Error("cell 2 ran after cell 1 failed")
 	}
 }
 

@@ -66,8 +66,8 @@ func (c *client) run(ctx context.Context) *clientResult {
 	}
 	defer tr.CloseIdleConnections()
 
-	// The session opens like a real one: unit table first, then the
-	// interleaved stream. The client's clock starts before both.
+	// The session opens like a real one: the interleaved stream with the
+	// unit table beside it. The client's clock starts before both.
 	base := "http://fleet/apps/" + c.model.name
 	start := time.Now()
 	s, err := live.Open(ctx, live.Options{

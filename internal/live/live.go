@@ -7,9 +7,11 @@
 // availability gate until the loader fires MethodReady; a method wanted
 // out of predicted order is demand-fetched through a byte-range request
 // against the writer's unit table (§5.1's misprediction correction
-// applied to the §5.2 virtual file). Everything but the VM is a Session
-// (session.go), which any executor can drive through its gate — Run
-// puts the VM behind it, the fleet a need-trace replay. The session
+// applied to the §5.2 virtual file). The table is not part of the
+// virtual file: it is fetched beside the stream, and only a correction
+// waits for it, never the first invocation. Everything but the VM is a
+// Session (session.go), which any executor can drive through its gate —
+// Run puts the VM behind it, the fleet a need-trace replay. The session
 // records wall-clock first-invocation latencies and overlap statistics,
 // the measured counterparts of the cycle simulator's predictions.
 package live
@@ -28,8 +30,9 @@ import (
 type Options struct {
 	// URL is the interleaved stream's address.
 	URL string
-	// TOCURL is the writer's unit table address; empty disables demand
-	// fetches (every gate wait then rides the main stream).
+	// TOCURL is the writer's unit table address, fetched beside the
+	// stream; empty disables demand fetches (every gate wait then rides
+	// the main stream).
 	TOCURL string
 	// Name and MainClass identify the program (as NewLoader takes them).
 	Name      string
@@ -225,9 +228,7 @@ type span struct{ From, To time.Duration }
 func Run(ctx context.Context, opts Options) (*vm.Machine, *Stats, error) {
 	s := newSession(opts)
 	lv := vm.NewLive(opts.Name, opts.MainClass, s)
-	if err := s.open(ctx, lv.AddClass); err != nil {
-		return nil, nil, err
-	}
+	s.open(ctx, lv.AddClass)
 	runOpts := opts.Run
 	if s.obs != nil {
 		inner := runOpts.OnFirstUse

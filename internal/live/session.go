@@ -24,11 +24,11 @@ const DefaultGateTimeout = 30 * time.Second
 // method or class never became available within Options.GateTimeout.
 var ErrGateTimeout = errors.New("live: gate deadline exceeded")
 
-// Session is one client session minus the executor: the unit-table
-// prelude, the loader with its repair hook, the transfer loop with its
-// degradation to demand fetching, the availability gate with its
-// deadline and demand policy, the cut at the end of execution, and the
-// Stats. It implements vm.Gate, and the executor is whatever calls the
+// Session is one client session minus the executor: the unit table,
+// fetched beside the stream, the loader with its repair hook, the
+// transfer loop with its degradation to demand fetching, the
+// availability gate with its deadline and demand policy, the cut at the
+// end of execution, and the Stats. It implements vm.Gate, and the executor is whatever calls the
 // gate: the VM's incremental linker under Run, or a bare loop over a
 // need trace (the fleet's clients), which installs nothing and only
 // waits.
@@ -46,12 +46,13 @@ type Session struct {
 	client  *stream.FetchClient
 	loader  *stream.Loader
 	install func(*classfile.Class) error // the executor's link step; nil installs nothing
-	toc     []stream.UnitInfo
+	toc     []stream.UnitInfo            // published under mu; immutable once tocReady is closed
 	obs     *obs.Recorder
 	start   time.Time
 
+	tocReady     chan struct{}  // closed once the unit-table fetch has resolved, or at once without a TOCURL
 	transferDone chan struct{}  // closed when the transfer loop returns
-	fetches      sync.WaitGroup // demand goroutines in flight
+	fetches      sync.WaitGroup // the unit-table fetch and demand goroutines in flight
 
 	// now and afterFunc are the gate's time sources — the real clock
 	// unless a deadline test injects its own. The gate treats now as
@@ -102,6 +103,7 @@ func delivers(u *stream.UnitInfo, n classfile.Ref) bool {
 }
 
 // unit is the one unit-table lookup: the first unit match accepts.
+// Callers have seen the table published (under s.mu or tocReady).
 func (s *Session) unit(match func(*stream.UnitInfo) bool) *stream.UnitInfo {
 	for i := range s.toc {
 		if match(&s.toc[i]) {
@@ -130,46 +132,67 @@ func newSession(opts Options) *Session {
 	return s
 }
 
-// Open starts a session on the stream opts names: it fetches the unit
-// table (when opts.TOCURL is set), then opens the stream and feeds the
-// loader from its own goroutine while the caller executes, crossing the
-// gate (AwaitMethod, AwaitClass) at every first use. install is the
-// executor's link step, called for each class before the gate releases
-// it; a replay that executes nothing passes nil. The caller must Close
-// the session.
+// Open starts a session on the stream opts names: it opens the stream at
+// once and feeds the loader from its own goroutine while the caller
+// executes, crossing the gate (AwaitMethod, AwaitClass) at every first
+// use. The unit table (when opts.TOCURL is set) is fetched beside the
+// stream, never in front of it: only a demand fetch, a repair or a dead
+// stream waits for it. install is the executor's link step, called for
+// each class before the gate releases it; a replay that executes nothing
+// passes nil. Open itself does not fail: a failure of the stream or of
+// the table is the session's, reported at the gate or by Close. The
+// caller must Close the session.
 func Open(ctx context.Context, opts Options, install func(*classfile.Class) error) (*Session, error) {
 	s := newSession(opts)
-	if err := s.open(ctx, install); err != nil {
-		return nil, err
-	}
+	s.open(ctx, install)
 	return s, nil
 }
 
-func (s *Session) open(ctx context.Context, install func(*classfile.Class) error) error {
+func (s *Session) open(ctx context.Context, install func(*classfile.Class) error) {
 	s.install = install
-	if s.opts.TOCURL != "" {
-		var buf bytes.Buffer
-		if _, err := s.client.Fetch(ctx, s.opts.TOCURL, &buf); err != nil {
-			return fmt.Errorf("live: fetching unit table: %w", err)
-		}
-		toc, err := stream.ParseTOC(buf.Bytes())
-		if err != nil {
-			return err
-		}
-		s.toc = toc
-		// With a unit table in hand, a corrupt main-stream unit can be
-		// healed by re-fetching just its bytes instead of failing the
-		// transfer.
-		s.loader.Repair = s.repairUnit
-	}
 	s.ctx, s.cancel = context.WithCancel(ctx)
 	s.start = s.now()
+	s.tocReady = make(chan struct{})
+	if s.opts.TOCURL == "" {
+		close(s.tocReady)
+	} else {
+		// With a unit table in hand, a corrupt main-stream unit can be
+		// healed by re-fetching just its bytes instead of failing the
+		// transfer; the hook waits for the table only if a unit needs it.
+		s.loader.Repair = s.repairUnit
+		s.fetches.Add(1)
+		go func() {
+			defer s.fetches.Done()
+			defer close(s.tocReady)
+			s.fetchTOC()
+		}()
+	}
 	s.transferDone = make(chan struct{})
 	go func() {
 		defer close(s.transferDone)
 		s.transferLoop()
 	}()
-	return nil
+}
+
+// fetchTOC fetches and parses the unit table beside the stream, then
+// publishes it and wakes the gate, whose waiters judge their needs
+// against it. A table that cannot be fetched or parsed is the session's
+// error.
+func (s *Session) fetchTOC() {
+	var buf bytes.Buffer
+	if _, err := s.client.Fetch(s.ctx, s.opts.TOCURL, &buf); err != nil {
+		s.fail(fmt.Errorf("live: fetching unit table: %w", err))
+		return
+	}
+	toc, err := stream.ParseTOC(buf.Bytes())
+	if err != nil {
+		s.fail(err)
+		return
+	}
+	s.mu.Lock()
+	s.toc = toc
+	s.mu.Unlock()
+	s.cond.Broadcast()
 }
 
 // Close ends the session once execution is over and returns the
@@ -216,7 +239,9 @@ func (s *Session) Close() (*Stats, error) {
 // When the stream dies with a transport or integrity failure and a unit
 // table is available, the failure degrades instead of killing the run:
 // the remaining units are simply demand-fetched — strict fetching of
-// whatever non-strict delivery could not provide.
+// whatever non-strict delivery could not provide. A dead stream waits
+// for the table's fetch to resolve before it chooses, so a table that
+// failed too is the error reported, whichever failed first.
 func (s *Session) transferLoop() {
 	err := func() error {
 		body, err := s.client.Open(s.ctx, s.opts.URL)
@@ -230,9 +255,13 @@ func (s *Session) transferLoop() {
 			}
 		})
 	}()
+	end := s.sinceStart()
+	if err != nil {
+		<-s.tocReady // the table's fetch runs under s.ctx, so a cut resolves it too
+	}
 	s.mu.Lock()
 	s.done = true
-	s.transferEnd = s.sinceStart()
+	s.transferEnd = end
 	if err != nil && s.ctx.Err() == nil {
 		if s.toc != nil && degradable(err) {
 			if s.degraded == nil {
@@ -383,11 +412,14 @@ func (s *Session) await(n classfile.Ref) error {
 		if err := s.ctx.Err(); err != nil {
 			return fmt.Errorf("live: awaiting %s: %w", label(n), err)
 		}
-		if s.toc != nil {
+		switch {
+		case s.toc != nil:
 			s.maybeDemand(n)
-		} else if s.done {
+		case s.opts.TOCURL == "" && s.done:
 			return fmt.Errorf("live: %s never arrived and cannot be demanded", label(n))
 		}
+		// Otherwise the table is still in flight: its landing broadcasts,
+		// and its failure is s.err.
 		if expired {
 			return fmt.Errorf("%w: %s not available after %v", ErrGateTimeout, label(n), gateTimeout(s.opts.GateTimeout))
 		}
@@ -548,8 +580,14 @@ func (s *Session) fetchUnit(u stream.UnitInfo) ([]byte, error) {
 // bytes with a range request against the unit table. The hook contract
 // is the loader's: return a verified payload or an error; the hook owns
 // retrying. FetchRangeVerified is both — it retries and verifies under
-// the client's one budget — so the loader asks once.
+// the client's one budget — so the loader asks once. A unit that arrives
+// corrupt before the table has landed waits for it here.
 func (s *Session) repairUnit(req stream.RepairRequest) ([]byte, error) {
+	select {
+	case <-s.tocReady:
+	case <-s.ctx.Done():
+		return nil, fmt.Errorf("live: repair awaiting the unit table: %w", s.ctx.Err())
+	}
 	u := s.unit(func(u *stream.UnitInfo) bool {
 		return u.Class == req.Class && u.Kind == req.Kind && u.Body == req.Body
 	})
