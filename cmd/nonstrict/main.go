@@ -63,10 +63,6 @@ var commands = []struct {
 	{"synth", `synth [flags]        generate seeded synthetic apps and print their
                        measured shape (-seed, -n, plus structure knobs:
                        -classes, -methods, -fanout, -hot, -exec, -data)`, cmdSynth},
-	{"fleet", `fleet [flags]        replay thousands of simulated clients against the
-                       in-process server over seeded link models
-                       (-apps, -clients, -links, -seed, -duration,
-                       -order, -scale; -out FILE writes the JSON report)`, cmdFleet},
 }
 
 func usage() {

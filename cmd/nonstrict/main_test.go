@@ -162,8 +162,10 @@ func TestSim(t *testing.T) {
 }
 
 func TestUnknownCommand(t *testing.T) {
-	if err := captureErr(t, "frobnicate"); err != errUsage {
-		t.Errorf("err = %v, want errUsage", err)
+	for _, cmd := range []string{"frobnicate", "fleet"} {
+		if err := captureErr(t, cmd); err != errUsage {
+			t.Errorf("%s: err = %v, want errUsage", cmd, err)
+		}
 	}
 }
 

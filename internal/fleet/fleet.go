@@ -13,15 +13,16 @@
 // What a client does NOT do is execute bytecode: at fleet scale the VM
 // is replaced by a need trace — the method first-use order measured
 // from one real test-input execution of the app — replayed through the
-// session's gate with seeded think time. Needs therefore depend only on
-// (seed, config); everything else — whether a need found the stream
-// about to deliver it or was demand-fetched, how many bytes that cost,
-// how far the stream got before the trace ended and the session cut it,
-// latency, overlap — is what the shipping client did on that link in
-// that run, so mispredict rates differ by link (a slow link leaves the
-// stream further behind execution).
-// Canonical() strips the measured fields of a Report for determinism
-// checks.
+// session's gate with seeded think time. The needs a client crosses
+// therefore depend only on (seed, config); everything else in its
+// live.Stats — whether a need found the stream about to deliver it or
+// was demand-fetched, how many bytes that cost, how far the stream got
+// before the trace ended and the session cut it, latency, overlap — is
+// what the shipping client did on that link in that run.
+//
+// The fleet measures nothing of its own: Run returns each client's
+// session Stats as Close returned it, plus the server-side counters the
+// restart and cluster scenarios prove, and the tests assert over those.
 package fleet
 
 import (
@@ -36,6 +37,7 @@ import (
 
 	"nonstrict/internal/apps"
 	"nonstrict/internal/classfile"
+	"nonstrict/internal/live"
 	"nonstrict/internal/pipeline"
 	"nonstrict/internal/server"
 	"nonstrict/internal/stream"
@@ -47,10 +49,10 @@ type Config struct {
 	// Apps is the registered app names to mount and exercise; clients
 	// are assigned round-robin. Required.
 	Apps []string
-	// Clients is the total simulated client count (default 100).
+	// Clients is the total simulated client count.
 	Clients int
-	// Links is the link-class mix; clients are striped across it
-	// (default: every built-in class).
+	// Links is the link-class mix; clients are striped across it.
+	// Required.
 	Links []stream.LinkClass
 	// Seed drives every schedule: arrivals, think time, link jitter and
 	// loss positions, fetch backoff jitter.
@@ -60,26 +62,16 @@ type Config struct {
 	// is not the input being replayed).
 	Order string
 	// Duration is the simulated arrival window: client start times are
-	// spread across it (default 1s of simulated time).
+	// spread across it.
 	Duration time.Duration
 	// TimeScale divides every simulated sleep — link pacing, latency,
 	// think time, arrival offsets — so a modem-schedule fleet can run in
 	// milliseconds of wall clock without changing any schedule decision
-	// (default 1: real time).
+	// (1 is real time). Required to be positive.
 	TimeScale float64
-	// ThinkMean is the simulated execute time between needs (default
-	// 2ms; drawn uniformly from [mean/2, 3·mean/2) per need).
+	// ThinkMean is the simulated execute time between needs, drawn
+	// uniformly from [mean/2, 3·mean/2) per need.
 	ThinkMean time.Duration
-	// Workers bounds concurrently active clients (default 128), keeping
-	// memory flat while the total client count scales arbitrarily.
-	Workers int
-	// GateTimeout bounds each gate wait, in wall-clock time (default 30s;
-	// it is the session's live.Options.GateTimeout). A wedged transfer
-	// fails the client instead of hanging the fleet. Nothing waits after
-	// the trace: the session cuts the stream's unused tail.
-	GateTimeout time.Duration
-	// CacheBytes bounds the server's artifact cache (0 = server default).
-	CacheBytes int64
 	// Fault is injected server-side chaos, applied on top of the link
 	// schedules (zero = none).
 	Fault stream.Fault
@@ -104,14 +96,12 @@ type ClusterFleetConfig struct {
 	Enabled bool
 	// Nodes is the member count (default 3).
 	Nodes int
-	// VNodes and RingSeed parameterize the consistent-hash ring
-	// (defaults: cluster.DefaultVNodes and 0).
-	VNodes   int
+	// RingSeed seeds the consistent-hash ring.
 	RingSeed uint64
 	// KillNode, when set, crashes the node owning the first app's key
-	// once KillAfterFraction of the fleet has finished (default 0.25) —
-	// the mid-stream node-death scenario. Surviving clients must resume
-	// through the router against the replicas.
+	// once KillAfterFraction of the fleet has finished — the mid-stream
+	// node-death scenario. Surviving clients must resume through the
+	// router against the replicas.
 	KillNode          bool
 	KillAfterFraction float64
 	// StoreRoot is the directory under which each node keeps its
@@ -124,52 +114,17 @@ type ClusterFleetConfig struct {
 type RestartConfig struct {
 	// Enabled turns the scenario on.
 	Enabled bool
-	// AfterFraction fires the crash once this fraction of clients has
-	// completed (default 0.5), guaranteeing the rest are mid-session.
+	// AfterFraction fires the crash once this fraction of clients (at
+	// least one) has completed, guaranteeing the rest are mid-session.
 	AfterFraction float64
 	// StoreDir is the persistent artifact store shared by both server
 	// incarnations. Empty = a private temp dir, removed after the run.
 	StoreDir string
 }
 
-func (c Config) withDefaults() Config {
-	if c.Clients <= 0 {
-		c.Clients = 100
-	}
-	if len(c.Links) == 0 {
-		c.Links, _ = stream.ParseLinks("")
-	}
-	if c.Order == "" {
-		c.Order = server.OrderTrain
-	}
-	if c.Duration <= 0 {
-		c.Duration = time.Second
-	}
-	if c.TimeScale <= 0 {
-		c.TimeScale = 1
-	}
-	if c.ThinkMean <= 0 {
-		c.ThinkMean = 2 * time.Millisecond
-	}
-	if c.Workers <= 0 {
-		c.Workers = 128
-	}
-	if c.GateTimeout == 0 {
-		c.GateTimeout = 30 * time.Second
-	}
-	if c.Restart.Enabled && c.Restart.AfterFraction <= 0 {
-		c.Restart.AfterFraction = 0.5
-	}
-	if c.Cluster.Enabled {
-		if c.Cluster.Nodes <= 0 {
-			c.Cluster.Nodes = 3
-		}
-		if c.Cluster.KillNode && c.Cluster.KillAfterFraction <= 0 {
-			c.Cluster.KillAfterFraction = 0.25
-		}
-	}
-	return c
-}
+// workers bounds concurrently active clients, keeping memory flat while
+// the total client count scales arbitrarily.
+const workers = 128
 
 // appModel is the per-app ground truth shared by every client of that
 // app: the need trace (method first-use order measured from a real
@@ -308,11 +263,46 @@ type memAddr struct{}
 func (memAddr) Network() string { return "mem" }
 func (memAddr) String() string  { return "fleet" }
 
-// Run executes one fleet simulation and aggregates the report.
-func Run(ctx context.Context, cfg Config) (*Report, error) {
-	cfg = cfg.withDefaults()
-	if len(cfg.Apps) == 0 {
-		return nil, errors.New("fleet: no apps configured")
+// Result is what one fleet run did: every client's session, and the
+// server-side counters the restart and cluster scenarios prove.
+type Result struct {
+	// Clients holds one entry per client, in client order.
+	Clients []ClientResult
+	// Builds counts pipeline runs: the server's (the first
+	// incarnation's, in the restart scenario), or the sum over the
+	// cluster's nodes.
+	Builds int64
+	// PostBuilds counts the restarted incarnation's builds; its store
+	// should have served it everything.
+	PostBuilds int64
+	// ConnsKilled counts the connections the restart or the node kill
+	// severed.
+	ConnsKilled int
+	// PeerFills and FallbackBuilds are summed over the cluster's nodes:
+	// keys a replica transferred from the owner, and fills that degraded
+	// to a local build.
+	PeerFills, FallbackBuilds int64
+}
+
+// ClientResult is one client's outcome.
+type ClientResult struct {
+	// App and Link name the client's app and link class.
+	App, Link string
+	// Err is the session's error, or the fleet's cancellation; nil for a
+	// clean or merely degraded session.
+	Err error
+	// Stats is the session's measured outcome as Close returned it; nil
+	// when the fleet was canceled before the client opened a session.
+	Stats *live.Stats
+}
+
+// Run executes one fleet simulation.
+func Run(ctx context.Context, cfg Config) (*Result, error) {
+	if len(cfg.Apps) == 0 || len(cfg.Links) == 0 || cfg.TimeScale <= 0 {
+		return nil, errors.New("fleet: Apps, Links and a positive TimeScale are required")
+	}
+	if cfg.Order == "" {
+		cfg.Order = server.OrderTrain
 	}
 	if cfg.Cluster.Enabled {
 		if cfg.Restart.Enabled {
@@ -332,11 +322,10 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	}
 	boot := func() (*server.Server, error) {
 		return server.New(server.Config{
-			Apps:       cfg.Apps,
-			Order:      cfg.Order,
-			CacheBytes: cfg.CacheBytes,
-			Fault:      cfg.Fault,
-			StoreDir:   storeDir,
+			Apps:     cfg.Apps,
+			Order:    cfg.Order,
+			Fault:    cfg.Fault,
+			StoreDir: storeDir,
 		})
 	}
 	srv, err := boot()
@@ -364,8 +353,8 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	}()
 
 	// Prebuild every artifact and measure every need trace up front:
-	// builds are then a deterministic len(apps), and client metrics
-	// never include compile time.
+	// builds are then a deterministic len(apps), and no client waits on
+	// a compile.
 	for _, name := range cfg.Apps {
 		if _, err := srv.Warm(ctx, name); err != nil {
 			return nil, err
@@ -376,74 +365,64 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		return nil, err
 	}
 
-	agg := newAggregator(cfg.Links)
-	sem := make(chan struct{}, cfg.Workers)
-	start := time.Now()
-
+	res := &Result{}
 	// The restart trigger: once AfterFraction of the fleet has finished,
 	// the server "crashes" — every live connection is severed and a fresh
 	// incarnation boots over the same store — so every remaining client
 	// crosses the restart mid-session.
-	var restart *RestartReport
 	var restartErr error
+	var restart func()
 	if cfg.Restart.Enabled {
-		agg.onFraction(cfg.Restart.AfterFraction, cfg.Clients, func() {
+		restart = func() {
 			next, err := boot()
 			if err != nil {
 				restartErr = err
 				return
 			}
 			cur.Store(next)
-			killed := ln.killConns()
-			restart = &RestartReport{
-				AfterFraction: cfg.Restart.AfterFraction,
-				Restarts:      1,
-				KillAtMs:      float64(time.Since(start)) / float64(time.Millisecond),
-				ConnsKilled:   killed,
-			}
-		})
+			res.ConnsKilled = ln.killConns()
+		}
 	}
-
-	driveClients(ctx, cfg, agg, models, ln, sem)
+	res.Clients = driveClients(ctx, cfg, models, ln, cfg.Restart.AfterFraction, restart)
 	if restartErr != nil {
 		return nil, restartErr
 	}
-
-	final := cur.Load()
-	rep := agg.report(cfg, final.CacheStats(), time.Since(start))
-	if restart != nil {
-		// The restart proof fields: the first incarnation built every
-		// artifact exactly once; the second must have built nothing —
-		// every byte it served came from the persistent store.
-		post := final.CacheStats()
-		restart.PreBuilds = srv.CacheStats().Builds
-		restart.PostBuilds = post.Builds
-		restart.PostStoreHits = post.StoreHits
-		done, failed := agg.outcomes()
-		if done > 0 {
-			restart.SuccessRate = float64(done-failed) / float64(done)
-		}
-		restart.P99FirstInvocationMs = quantiles(agg.allFirstMs()).P99
-		rep.Restart = restart
+	// The first incarnation built every artifact exactly once; a
+	// restarted one must have built nothing — every byte it served came
+	// from the persistent store.
+	res.Builds = srv.CacheStats().Builds
+	if final := cur.Load(); final != srv {
+		res.PostBuilds = final.CacheStats().Builds
 	}
-	return rep, nil
+	return res, nil
 }
 
 // driveClients launches every simulated client on its seeded arrival
-// schedule and waits for the whole fleet to finish. The single-server
-// and cluster paths share it verbatim: a client never knows whether
-// "http://fleet" is one server or a router over N of them.
-func driveClients(ctx context.Context, cfg Config, agg *aggregator, models map[string]*appModel, ln *memListener, sem chan struct{}) {
+// schedule, waits for the whole fleet to finish and returns each
+// client's result in client order. The single-server and cluster paths
+// share it verbatim: a client never knows whether "http://fleet" is one
+// server or a router over N of them.
+//
+// fire, when set, is the mid-run event of the restart and node-kill
+// scenarios: it runs exactly once, when the given fraction of the fleet
+// (at least one client) has finished, on the finishing client's
+// goroutine and before that client counts as returned — so the event
+// always lands while the rest of the fleet is still running, and
+// driveClients does not return before it has.
+func driveClients(ctx context.Context, cfg Config, models map[string]*appModel, ln *memListener, fraction float64, fire func()) []ClientResult {
+	results := make([]ClientResult, cfg.Clients)
+	fireAt := int64(max(int(fraction*float64(cfg.Clients)), 1))
+	var done atomic.Int64
+	sem := make(chan struct{}, workers)
 	var wg sync.WaitGroup
 	for i := 0; i < cfg.Clients; i++ {
-		linkIdx := i % len(cfg.Links)
-		appName := cfg.Apps[(i/len(cfg.Links))%len(cfg.Apps)]
+		link := cfg.Links[i%len(cfg.Links)]
 		c := &client{
 			id:    i,
 			seed:  clientSeed(cfg.Seed, uint64(i)),
 			cfg:   &cfg,
-			link:  cfg.Links[linkIdx],
-			model: models[appName],
+			link:  link,
+			model: models[cfg.Apps[(i/len(cfg.Links))%len(cfg.Apps)]],
 			dial:  ln.dial,
 		}
 		// The seeded arrival process: client i starts at its slot in the
@@ -454,20 +433,25 @@ func driveClients(ctx context.Context, cfg Config, agg *aggregator, models map[s
 			offset += time.Duration(xrand.New(c.seed ^ 0xA11).Intn(int(slot)))
 		}
 		wg.Add(1)
-		go func(linkIdx int, offset time.Duration) {
+		go func(i int, offset time.Duration) {
 			defer wg.Done()
-			sleepScaled(ctx, offset, cfg.TimeScale)
-			select {
-			case sem <- struct{}{}:
-				defer func() { <-sem }()
-			case <-ctx.Done():
-				agg.add(linkIdx, &clientResult{failed: true, err: ctx.Err()})
-				return
+			results[i] = func() ClientResult {
+				sleepScaled(ctx, offset, cfg.TimeScale)
+				select {
+				case sem <- struct{}{}:
+					defer func() { <-sem }()
+				case <-ctx.Done():
+					return ClientResult{App: c.model.name, Link: link.Name, Err: ctx.Err()}
+				}
+				return c.run(ctx)
+			}()
+			if done.Add(1) == fireAt && fire != nil {
+				fire()
 			}
-			agg.add(linkIdx, c.run(ctx))
-		}(linkIdx, offset)
+		}(i, offset)
 	}
 	wg.Wait()
+	return results
 }
 
 // clientSeed derives a per-client seed stream, so client i's schedule
@@ -492,145 +476,4 @@ func sleepScaled(ctx context.Context, d time.Duration, scale float64) {
 	case <-t.C:
 	case <-ctx.Done():
 	}
-}
-
-// aggregator collects client results per link class.
-type aggregator struct {
-	mu    sync.Mutex
-	links []stream.LinkClass
-	per   []*linkAgg
-	done  int // clients finished (success or failure)
-
-	// fire runs once, on the goroutine of the client whose completion
-	// makes done reach fireAt (see onFraction).
-	fireAt int
-	fire   func()
-}
-
-type linkAgg struct {
-	clients, failures                                     int
-	needs, mispredicts, demands, streamBytes, demandBytes int64
-	corruptUnits, repaired                                int64
-	requests, retries, resumes                            int64
-	firstMs                                               []float64
-	overlapSum                                            float64
-	overlapN                                              int
-	errs                                                  []string
-}
-
-func newAggregator(links []stream.LinkClass) *aggregator {
-	per := make([]*linkAgg, len(links))
-	for i := range per {
-		per[i] = &linkAgg{}
-	}
-	return &aggregator{links: links, per: per}
-}
-
-// onFraction arranges the mid-run event of the restart and node-kill
-// scenarios: f runs exactly when the given fraction of the fleet (at
-// least one client) has finished, on the finishing client's goroutine
-// and before that client counts as returned — so the event always lands
-// while the rest of the fleet is still running, and driveClients does
-// not return before f has. Call it before the clients start.
-func (a *aggregator) onFraction(fraction float64, clients int, f func()) {
-	a.fireAt, a.fire = max(int(fraction*float64(clients)), 1), f
-}
-
-// outcomes returns total finished clients and how many of them failed.
-func (a *aggregator) outcomes() (done, failed int) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	for _, la := range a.per {
-		failed += la.failures
-	}
-	return a.done, failed
-}
-
-// allFirstMs flattens every successful client's first-invocation sample
-// across all link classes.
-func (a *aggregator) allFirstMs() []float64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	var out []float64
-	for _, la := range a.per {
-		out = append(out, la.firstMs...)
-	}
-	return out
-}
-
-func (a *aggregator) add(link int, r *clientResult) {
-	a.mu.Lock()
-	a.done++
-	fire := a.done == a.fireAt && a.fire != nil
-	a.per[link].add(r)
-	a.mu.Unlock()
-	if fire {
-		a.fire()
-	}
-}
-
-func (la *linkAgg) add(r *clientResult) {
-	la.clients++
-	if r.failed {
-		la.failures++
-		if len(la.errs) < 3 && r.err != nil {
-			la.errs = append(la.errs, r.err.Error())
-		}
-		return
-	}
-	la.needs += r.needs
-	la.mispredicts += r.mispredicts
-	la.demands += r.demands
-	la.streamBytes += r.streamBytes
-	la.demandBytes += r.demandBytes
-	la.corruptUnits += r.corruptUnits
-	la.repaired += r.repaired
-	la.requests += r.fetch.Requests
-	la.retries += r.fetch.Retries
-	la.resumes += r.fetch.Resumes
-	la.firstMs = append(la.firstMs, float64(r.firstInvocation)/float64(time.Millisecond))
-	la.overlapSum += r.overlap
-	la.overlapN++
-}
-
-func (a *aggregator) report(cfg Config, cache server.CacheStats, wall time.Duration) *Report {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	rep := &Report{
-		SchemaVersion: Schema,
-		Seed:          cfg.Seed,
-		Order:         cfg.Order,
-		Apps:          append([]string(nil), cfg.Apps...),
-		Clients:       cfg.Clients,
-		TimeScale:     cfg.TimeScale,
-		DurationMs:    float64(wall) / float64(time.Millisecond),
-		Cache:         cache,
-	}
-	for i, la := range a.per {
-		lr := LinkReport{
-			Link:          a.links[i].Name,
-			Clients:       la.clients,
-			Failures:      la.failures,
-			Needs:         la.needs,
-			Mispredicts:   la.mispredicts,
-			DemandFetches: la.demands,
-			StreamBytes:   la.streamBytes,
-			DemandBytes:   la.demandBytes,
-			CorruptUnits:  la.corruptUnits,
-			Repaired:      la.repaired,
-			Requests:      la.requests,
-			Retries:       la.retries,
-			Resumes:       la.resumes,
-			Errors:        la.errs,
-		}
-		if la.needs > 0 {
-			lr.MispredictRate = float64(la.mispredicts) / float64(la.needs)
-		}
-		lr.FirstInvocationMs = quantiles(la.firstMs)
-		if la.overlapN > 0 {
-			lr.MeanOverlap = la.overlapSum / float64(la.overlapN)
-		}
-		rep.Links = append(rep.Links, lr)
-	}
-	return rep
 }

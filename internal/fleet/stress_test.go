@@ -107,18 +107,18 @@ func TestFleetChaosStress(t *testing.T) {
 			round, seed, cfg.Clients, len(cfg.Apps), linkNames(cfg.Links), cfg.Order, cfg.Fault)
 		t.Log(desc)
 
-		rep, err := Run(context.Background(), cfg)
+		res, err := Run(context.Background(), cfg)
 		if err != nil {
 			t.Fatalf("FAILING SEED %#x (root %#x): %s: %v", seed, root, desc, err)
 		}
-		for _, l := range rep.Links {
-			if l.Failures != 0 {
-				t.Fatalf("FAILING SEED %#x (root %#x): %s: link %s had %d client failures: %v",
-					seed, root, desc, l.Link, l.Failures, l.Errors)
-			}
-			if l.MispredictRate < 0 || l.MispredictRate > 1 {
-				t.Fatalf("FAILING SEED %#x (root %#x): %s: link %s mispredict rate %v",
-					seed, root, desc, l.Link, l.MispredictRate)
+		models, err := buildModels(context.Background(), cfg.Apps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, cr := range res.Clients {
+			if err := checkClient(cr, models[cr.App].needs); err != nil {
+				t.Fatalf("FAILING SEED %#x (root %#x): %s: client %d (%s on %s): %v",
+					seed, root, desc, i, cr.App, cr.Link, err)
 			}
 		}
 	}

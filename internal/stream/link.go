@@ -3,8 +3,6 @@ package stream
 import (
 	"fmt"
 	"net"
-	"sort"
-	"strings"
 	"time"
 
 	"nonstrict/internal/xrand"
@@ -21,7 +19,8 @@ import (
 // produces the same schedule no matter how many thousands of
 // connections run concurrently.
 type LinkClass struct {
-	// Name identifies the class in reports and on the command line.
+	// Name identifies the class in fleet results, logs and injected
+	// loss errors.
 	Name string
 	// RTT is the first-byte delay per connection (round-trip setup).
 	RTT time.Duration
@@ -49,46 +48,6 @@ var (
 	LinkSatellite = LinkClass{Name: "satellite", RTT: 600 * time.Millisecond,
 		Jitter: 40 * time.Millisecond, Bandwidth: 250_000}
 )
-
-var builtinLinks = []LinkClass{LinkModem, LinkT1, LinkLTE, LinkSatellite}
-
-// LinkNames lists the built-in link class names, sorted.
-func LinkNames() []string {
-	out := make([]string, len(builtinLinks))
-	for i, l := range builtinLinks {
-		out[i] = l.Name
-	}
-	sort.Strings(out)
-	return out
-}
-
-// LinkByName resolves a built-in link class.
-func LinkByName(name string) (LinkClass, error) {
-	for _, l := range builtinLinks {
-		if l.Name == name {
-			return l, nil
-		}
-	}
-	return LinkClass{}, fmt.Errorf("stream: unknown link class %q (have %s)",
-		name, strings.Join(LinkNames(), ", "))
-}
-
-// ParseLinks resolves a comma-separated link class list ("modem,t1,lte");
-// empty selects every built-in class.
-func ParseLinks(s string) ([]LinkClass, error) {
-	if strings.TrimSpace(s) == "" {
-		return append([]LinkClass(nil), builtinLinks...), nil
-	}
-	var out []LinkClass
-	for _, name := range strings.Split(s, ",") {
-		l, err := LinkByName(strings.TrimSpace(name))
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, l)
-	}
-	return out, nil
-}
 
 // Shape wraps conn's read side with this link's schedule. seed selects
 // the connection's private jitter/loss stream; scale divides every

@@ -6,32 +6,6 @@ import (
 	"testing"
 )
 
-func TestLinkByNameAndParse(t *testing.T) {
-	for _, name := range LinkNames() {
-		l, err := LinkByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if l.Name != name || l.Bandwidth <= 0 || l.RTT <= 0 {
-			t.Fatalf("degenerate built-in link %+v", l)
-		}
-	}
-	if _, err := LinkByName("carrier-pigeon"); err == nil {
-		t.Fatal("unknown link resolved")
-	}
-	all, err := ParseLinks("")
-	if err != nil || len(all) != len(LinkNames()) {
-		t.Fatalf("ParseLinks(\"\") = %d links, err %v", len(all), err)
-	}
-	two, err := ParseLinks(" modem , t1 ")
-	if err != nil || len(two) != 2 || two[0].Name != "modem" || two[1].Name != "t1" {
-		t.Fatalf("ParseLinks = %+v, err %v", two, err)
-	}
-	if _, err := ParseLinks("modem,nope"); err == nil {
-		t.Fatal("bad list parsed")
-	}
-}
-
 // shapedRead pumps total bytes through a shaped pipe and returns how
 // many arrived before the first error (if any).
 func shapedRead(t *testing.T, link LinkClass, seed uint64, total int) (int, error) {
