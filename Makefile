@@ -31,6 +31,10 @@ lint:
 	@# benchmark/ is a module of its own and is not scanned.
 	@if grep -rn --include='*_test.go' --exclude-dir=benchmark '^func Benchmark' .; then \
 		echo "Benchmark functions in the root module; add a per-layer row to benchmark/ instead" >&2; exit 1; fi
+	@# sort.Slice and sort.SliceStable allocate a reflect swapper per call;
+	@# the build path sorts with slices.SortFunc and slices.SortStableFunc.
+	@if grep -rnE --include='*.go' 'sort\.Slice(Stable)?\(' internal/jir internal/cfg internal/reorder internal/restructure internal/stream internal/classfile; then \
+		echo "sort.Slice in a build-path package; use slices.SortFunc or slices.SortStableFunc" >&2; exit 1; fi
 	@if [ -n "$$CI" ] && ! command -v staticcheck >/dev/null 2>&1; then \
 		$(GO) install $(STATICCHECK); fi
 	@if command -v staticcheck >/dev/null 2>&1; then \

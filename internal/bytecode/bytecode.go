@@ -194,10 +194,16 @@ func (op Op) Valid() bool { return op < numOps && infos[op].Name != "" }
 // opcode; use Valid first when decoding untrusted input.
 func (op Op) Info() Info {
 	if !op.Valid() {
-		panic(fmt.Sprintf("bytecode: invalid opcode %d", byte(op)))
+		panic(invalidOp(op))
 	}
 	return infos[op]
 }
+
+// invalidOp is the panic value of Info and Width on an undefined opcode.
+// It stays out of line so that Width inlines.
+//
+//go:noinline
+func invalidOp(op Op) string { return fmt.Sprintf("bytecode: invalid opcode %d", byte(op)) }
 
 // String returns the mnemonic of op.
 func (op Op) String() string {
@@ -207,9 +213,26 @@ func (op Op) String() string {
 	return infos[op].Name
 }
 
+// widths is Width's table: the encoded size of each defined opcode, and
+// 0 for every byte that is not one, so Width is one load and a branch.
+var widths = func() (w [256]uint8) {
+	for op := Op(0); op < numOps; op++ {
+		if op.Valid() {
+			w[op] = uint8(1 + infos[op].Operand.Width())
+		}
+	}
+	return w
+}()
+
 // Width returns the encoded size of an instruction with opcode op,
-// including the opcode byte itself.
-func (op Op) Width() int { return 1 + op.Info().Operand.Width() }
+// including the opcode byte itself. It panics on an undefined opcode,
+// as Info does.
+func (op Op) Width() int {
+	if w := widths[op]; w != 0 {
+		return int(w)
+	}
+	panic(invalidOp(op))
+}
 
 // IsCompare reports whether op is one of the twelve conditional branches.
 func (op Op) IsCompare() bool { return op >= IFEQ && op <= IFCMPLE }

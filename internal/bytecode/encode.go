@@ -80,7 +80,7 @@ func DecodeAt(code []byte, pc int) (Instr, int, error) {
 		return Instr{}, 0, fmt.Errorf("%w: %d at pc %d", ErrBadOpcode, code[pc], pc)
 	}
 	k := infos[op].Operand
-	end := pc + 1 + k.Width()
+	end := pc + op.Width()
 	if end > len(code) {
 		return Instr{}, 0, fmt.Errorf("%w: %s at pc %d", ErrTruncated, op, pc)
 	}

@@ -60,14 +60,35 @@ type Layout struct {
 // It must agree byte-for-byte with Serialize; TestLayoutMatchesSerialize
 // enforces this.
 func (c *Class) ComputeLayout() Layout {
-	bd := GlobalBreakdown{CPByKind: make(map[ConstKind]int)}
+	bd := c.globalData(make(map[ConstKind]int))
+	l := Layout{GlobalEnd: bd.Total, Breakdown: bd}
+	off := bd.Total
+	for _, m := range c.Methods {
+		ml := MethodLayout{BodyStart: off}
+		off += len(m.LocalData)
+		ml.CodeStart = off
+		off += len(m.Code) + DelimSize
+		ml.DelimEnd = off
+		l.Methods = append(l.Methods, ml)
+	}
+	l.FileSize = off
+	return l
+}
+
+// globalData itemizes the global-data section. It breaks the constant
+// pool down by kind into byKind, which may be nil: Serialize sizes its
+// buffer from the total alone.
+func (c *Class) globalData(byKind map[ConstKind]int) GlobalBreakdown {
+	bd := GlobalBreakdown{CPByKind: byKind}
 	bd.FixedHeader = 4 + 2 + 2 + 2 // magic, version, thisClass, superClass
 
 	bd.FixedHeader += 2 // cp count
 	for _, e := range c.CP[min(1, len(c.CP)):] {
 		n := e.WireSize()
 		bd.CPool += n
-		bd.CPByKind[e.Kind] += n
+		if byKind != nil {
+			byKind[e.Kind] += n
+		}
 	}
 
 	bd.FixedHeader += 2 // interface count
@@ -88,19 +109,7 @@ func (c *Class) ComputeLayout() Layout {
 
 	bd.Total = bd.FixedHeader + bd.CPool + bd.Interfaces + bd.Fields +
 		bd.Attrs + bd.MethodHeaders
-
-	l := Layout{GlobalEnd: bd.Total, Breakdown: bd}
-	off := bd.Total
-	for _, m := range c.Methods {
-		ml := MethodLayout{BodyStart: off}
-		off += len(m.LocalData)
-		ml.CodeStart = off
-		off += len(m.Code) + DelimSize
-		ml.DelimEnd = off
-		l.Methods = append(l.Methods, ml)
-	}
-	l.FileSize = off
-	return l
+	return bd
 }
 
 // WireSize returns the total serialized size of the class file.
@@ -116,9 +125,13 @@ func appendU32(b []byte, v uint32) []byte {
 
 // Serialize encodes the class into its wire format: the global-data
 // section followed by each method body (local data, code, delimiter) in
-// Methods order.
+// Methods order. The result is allocated once, at its exact size.
 func (c *Class) Serialize() []byte {
-	var b []byte
+	size := c.globalData(nil).Total
+	for _, m := range c.Methods {
+		size += m.BodyWireSize()
+	}
+	b := make([]byte, 0, size)
 	b = appendU32(b, Magic)
 	b = appendU16(b, Version)
 	b = appendU16(b, c.ThisClass)

@@ -15,7 +15,11 @@ import (
 // fuses relational operators into conditional branches, and computes
 // MaxStack/MaxLocals for each method.
 func Compile(p *Program) (*classfile.Program, error) {
-	syms := make(map[classfile.Ref]*Func)
+	nfuncs := 0
+	for _, c := range p.Classes {
+		nfuncs += len(c.Funcs)
+	}
+	syms := make(map[classfile.Ref]*Func, nfuncs)
 	for _, c := range p.Classes {
 		for _, f := range c.Funcs {
 			r := classfile.Ref{Class: c.Name, Name: f.Name}
@@ -30,7 +34,8 @@ func Compile(p *Program) (*classfile.Program, error) {
 		return nil, fmt.Errorf("jir: program %q has no %v", p.Name, mainRef)
 	}
 
-	out := &classfile.Program{Name: p.Name, MainClass: p.Main}
+	out := &classfile.Program{Name: p.Name, MainClass: p.Main, Classes: make([]*classfile.Class, 0, len(p.Classes))}
+	e := &emitter{prog: p, syms: syms, locals: make(map[string]int)}
 	for _, c := range p.Classes {
 		b := classfile.NewBuilder(c.Name, c.Super)
 		for _, ifc := range c.Interfaces {
@@ -43,7 +48,7 @@ func Compile(p *Program) (*classfile.Program, error) {
 			b.AddAttribute(a.Name, a.Data)
 		}
 		for _, f := range c.Funcs {
-			if err := compileFunc(p, c, f, b, syms); err != nil {
+			if err := e.compileFunc(c, f, b); err != nil {
 				return nil, fmt.Errorf("jir: %s.%s: %w", c.Name, f.Name, err)
 			}
 		}
@@ -65,13 +70,15 @@ func Compile(p *Program) (*classfile.Program, error) {
 type pinstr struct {
 	op    bytecode.Op
 	arg   int32
-	label int // branch target label, or -1
-	// pop/push for stack-depth tracking at INVOKE sites.
-	pop, push int
+	label int32 // branch target label, or -1
 }
 
 const noLabel = -1
 
+// emitter compiles one function at a time. Compile makes one per call
+// and resets it between functions, so the per-function tables below
+// keep their backing arrays for the whole program: what a function
+// leaves behind is one slice holding its local data and code.
 type emitter struct {
 	prog *Program
 	cls  *Class
@@ -83,6 +90,7 @@ type emitter struct {
 
 	ins      []pinstr
 	labelPos []int // label -> instruction index (-1 until placed)
+	offsets  []int // resolve's instruction -> byte offset
 
 	depth      int
 	maxDepth   int
@@ -90,16 +98,11 @@ type emitter struct {
 	reachable  bool
 }
 
-func compileFunc(p *Program, c *Class, f *Func, b *classfile.Builder, syms map[classfile.Ref]*Func) error {
-	e := &emitter{
-		prog:      p,
-		cls:       c,
-		fn:        f,
-		b:         b,
-		syms:      syms,
-		locals:    make(map[string]int),
-		reachable: true,
-	}
+func (e *emitter) compileFunc(c *Class, f *Func, b *classfile.Builder) error {
+	e.cls, e.fn, e.b = c, f, b
+	clear(e.locals)
+	e.ins, e.labelPos, e.labelDepth = e.ins[:0], e.labelPos[:0], e.labelDepth[:0]
+	e.depth, e.maxDepth, e.reachable = 0, 0, true
 	for _, prm := range f.Params {
 		if _, dup := e.locals[prm]; dup {
 			return fmt.Errorf("duplicate parameter %q", prm)
@@ -116,29 +119,32 @@ func compileFunc(p *Program, c *Class, f *Func, b *classfile.Builder, syms map[c
 		}
 		e.emit(bytecode.RETURN)
 	}
-	code, err := e.resolve()
+	// The local data and the code share the method's one allocation.
+	nLocal := max(f.LocalData, 0)
+	buf, err := e.resolve(nLocal)
 	if err != nil {
 		return err
 	}
 	if len(e.locals) > math.MaxUint8+1 {
 		return fmt.Errorf("too many locals: %d", len(e.locals))
 	}
-	b.AddMethod(f.Name, len(f.Params), f.NRet, len(e.locals), e.maxDepth,
-		localDataBlob(c.Name, f.Name, f.LocalData), code)
+	var local []byte
+	if nLocal > 0 {
+		local = buf[:nLocal:nLocal]
+		fillLocalData(local, c.Name, f.Name)
+	}
+	b.AddMethod(f.Name, len(f.Params), f.NRet, len(e.locals), e.maxDepth, local, buf[nLocal:])
 	return nil
 }
 
-// localDataBlob generates the method's deterministic opaque local data.
-func localDataBlob(class, fn string, n int) []byte {
-	if n <= 0 {
-		return nil
-	}
+// fillLocalData fills blob with the method's deterministic opaque local
+// data.
+func fillLocalData(blob []byte, class, fn string) {
 	h := fnv.New64a()
 	h.Write([]byte(class))
 	h.Write([]byte{0})
 	h.Write([]byte(fn))
 	s := h.Sum64()
-	blob := make([]byte, n)
 	for i := range blob {
 		// xorshift64 keeps the blob cheap and reproducible.
 		s ^= s << 13
@@ -146,16 +152,15 @@ func localDataBlob(class, fn string, n int) []byte {
 		s ^= s << 17
 		blob[i] = byte(s)
 	}
-	return blob
 }
 
-func (e *emitter) newLabel() int {
+func (e *emitter) newLabel() int32 {
 	e.labelPos = append(e.labelPos, -1)
 	e.labelDepth = append(e.labelDepth, -1)
-	return len(e.labelPos) - 1
+	return int32(len(e.labelPos) - 1)
 }
 
-func (e *emitter) place(l int) error {
+func (e *emitter) place(l int32) error {
 	e.labelPos[l] = len(e.ins)
 	if e.labelDepth[l] >= 0 {
 		if e.reachable && e.depth != e.labelDepth[l] {
@@ -199,10 +204,10 @@ func (e *emitter) emitArg(op bytecode.Op, arg int32) {
 
 func (e *emitter) emitInvoke(cp uint16, nargs, nret int) {
 	e.track(nargs, nret)
-	e.ins = append(e.ins, pinstr{op: bytecode.INVOKE, arg: int32(cp), label: noLabel, pop: nargs, push: nret})
+	e.ins = append(e.ins, pinstr{op: bytecode.INVOKE, arg: int32(cp), label: noLabel})
 }
 
-func (e *emitter) emitBranch(op bytecode.Op, l int) {
+func (e *emitter) emitBranch(op bytecode.Op, l int32) {
 	info := op.Info()
 	e.track(info.Pop, info.Push)
 	if d := e.labelDepth[l]; d >= 0 && d != e.depth {
@@ -215,17 +220,20 @@ func (e *emitter) emitBranch(op bytecode.Op, l int) {
 	}
 }
 
-// resolve lays out instructions, fixes branch displacements, and encodes.
-func (e *emitter) resolve() ([]byte, error) {
-	offsets := make([]int, len(e.ins)+1)
+// resolve lays out instructions, fixes branch displacements, and encodes
+// them after room bytes left for the caller, into one slice of exactly
+// that size: the only allocation it makes.
+func (e *emitter) resolve(room int) ([]byte, error) {
+	offsets := e.offsets[:0]
 	off := 0
-	for i, in := range e.ins {
-		offsets[i] = off
+	for _, in := range e.ins {
+		offsets = append(offsets, off)
 		off += in.op.Width()
 	}
-	offsets[len(e.ins)] = off
+	offsets = append(offsets, off)
+	e.offsets = offsets
 
-	var code []byte
+	code := make([]byte, room, room+off)
 	for i, in := range e.ins {
 		arg := in.arg
 		if in.label != noLabel {
@@ -640,7 +648,7 @@ func negateCompare(op BinOp) BinOp {
 }
 
 // branchFalse emits code that jumps to l when cond is false.
-func (e *emitter) branchFalse(cond Expr, l int) error {
+func (e *emitter) branchFalse(cond Expr, l int32) error {
 	switch c := cond.(type) {
 	case BinExpr:
 		if c.Op.IsCompare() {
@@ -669,7 +677,7 @@ func (e *emitter) branchFalse(cond Expr, l int) error {
 }
 
 // branchTrue emits code that jumps to l when cond is true.
-func (e *emitter) branchTrue(cond Expr, l int) error {
+func (e *emitter) branchTrue(cond Expr, l int32) error {
 	switch c := cond.(type) {
 	case BinExpr:
 		if c.Op.IsCompare() {

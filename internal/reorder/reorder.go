@@ -10,8 +10,9 @@
 package reorder
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"nonstrict/internal/cfg"
 	"nonstrict/internal/classfile"
@@ -73,7 +74,8 @@ func Static(ix *classfile.Index, graphs map[classfile.MethodID]*cfg.Graph) (*Ord
 	if main == classfile.NoMethod {
 		return nil, fmt.Errorf("reorder: program has no main")
 	}
-	t := &traversal{ix: ix, graphs: graphs, seen: make([]bool, ix.Len())}
+	t := &traversal{ix: ix, graphs: graphs, seen: make([]bool, ix.Len()),
+		order: make([]classfile.MethodID, 0, ix.Len())}
 	t.visitMethod(main)
 	for id := classfile.MethodID(0); int(id) < ix.Len(); id++ {
 		if !t.seen[id] {
@@ -83,11 +85,19 @@ func Static(ix *classfile.Index, graphs map[classfile.MethodID]*cfg.Graph) (*Ord
 	return newOrder(t.order, ix.Len()), nil
 }
 
+// traversal is one Static call. A method's traversal is suspended at
+// each call site while the callee's runs, so visited, exits and normal
+// are stacks: each method, and each block's successor list, takes the
+// region above what the suspended traversals hold and gives it back
+// when it is done.
 type traversal struct {
-	ix     *classfile.Index
-	graphs map[classfile.MethodID]*cfg.Graph
-	seen   []bool
-	order  []classfile.MethodID
+	ix      *classfile.Index
+	graphs  map[classfile.MethodID]*cfg.Graph
+	seen    []bool
+	order   []classfile.MethodID
+	visited []bool // per method on the call stack, its blocks
+	exits   []pend // per method on the call stack, its deferred loop exits
+	normal  []int  // per block being walked, its successors to follow
 }
 
 // visitMethod appends m to the first-use order on first encounter and
@@ -115,68 +125,72 @@ type pend struct {
 
 // traverseCFG performs the modified DFS of §4.1 on one method body.
 func (t *traversal) traverseCFG(g *cfg.Graph) {
-	visited := make([]bool, len(g.Blocks))
-	var exits []pend
+	base := len(t.visited)
+	t.visited = slices.Grow(t.visited, len(g.Blocks))[:base+len(g.Blocks)]
+	visited := t.visited[base:]
+	clear(visited)
+	exitsBase := len(t.exits)
 
-	var walk func(b int)
-	walk = func(b int) {
-		if visited[b] {
-			return
-		}
-		visited[b] = true
-		blk := g.Blocks[b]
-
-		// Procedure calls are encountered in instruction order; each
-		// first encounter fixes the callee's first-use position.
-		for _, cs := range blk.Calls {
-			if id := t.ix.ID(cs.Target); id != classfile.NoMethod {
-				t.visitMethod(id)
-			}
-		}
-
-		// Classify successor edges. Back edges are never followed; edges
-		// leaving the innermost enclosing loop are deferred on the pair
-		// stack so every block inside the loop is processed first.
-		inner := g.InnermostLoopOf(b)
-		var normal []int
-		for _, e := range blk.Succs {
-			if e.Back {
-				continue
-			}
-			if inner >= 0 && !g.InLoop(e.To, inner) {
-				exits = append(exits, pend{block: e.To, header: inner})
-				continue
-			}
-			normal = append(normal, e.To)
-		}
-
-		// Forward-branch priority: follow the path with the greatest
-		// number of static loops first; break ties toward the longer
-		// path, then toward the fall-through (lower block ID).
-		sort.SliceStable(normal, func(i, j int) bool {
-			li, lj := g.LoopsReachable(normal[i]), g.LoopsReachable(normal[j])
-			if li != lj {
-				return li > lj
-			}
-			si, sj := g.StaticInstrs(normal[i]), g.StaticInstrs(normal[j])
-			if si != sj {
-				return si > sj
-			}
-			return normal[i] < normal[j]
-		})
-		for _, s := range normal {
-			walk(s)
-		}
-	}
-
-	walk(0)
+	t.walk(g, visited, 0)
 	// Loop bodies are exhausted; resume at deferred loop exits, most
 	// recently deferred first (the paper pops the pair stack).
-	for len(exits) > 0 {
-		p := exits[len(exits)-1]
-		exits = exits[:len(exits)-1]
-		walk(p.block)
+	for len(t.exits) > exitsBase {
+		p := t.exits[len(t.exits)-1]
+		t.exits = t.exits[:len(t.exits)-1]
+		t.walk(g, visited, p.block)
 	}
+	t.visited = t.visited[:base]
+}
+
+// walk visits block b of g and, depth first, the blocks it leads to.
+func (t *traversal) walk(g *cfg.Graph, visited []bool, b int) {
+	if visited[b] {
+		return
+	}
+	visited[b] = true
+	blk := g.Blocks[b]
+
+	// Procedure calls are encountered in instruction order; each
+	// first encounter fixes the callee's first-use position.
+	for _, cs := range blk.Calls {
+		if id := t.ix.ID(cs.Target); id != classfile.NoMethod {
+			t.visitMethod(id)
+		}
+	}
+
+	// Classify successor edges. Back edges are never followed; edges
+	// leaving the innermost enclosing loop are deferred on the pair
+	// stack so every block inside the loop is processed first.
+	inner := g.InnermostLoopOf(b)
+	base := len(t.normal)
+	for _, e := range blk.Succs {
+		if e.Back {
+			continue
+		}
+		if inner >= 0 && !g.InLoop(e.To, inner) {
+			t.exits = append(t.exits, pend{block: e.To, header: inner})
+			continue
+		}
+		t.normal = append(t.normal, e.To)
+	}
+	normal := t.normal[base:]
+
+	// Forward-branch priority: follow the path with the greatest
+	// number of static loops first; break ties toward the longer
+	// path, then toward the fall-through (lower block ID).
+	slices.SortStableFunc(normal, func(x, y int) int {
+		if c := cmp.Compare(g.LoopsReachable(y), g.LoopsReachable(x)); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(g.StaticInstrs(y), g.StaticInstrs(x)); c != 0 {
+			return c
+		}
+		return cmp.Compare(x, y)
+	})
+	for _, s := range normal {
+		t.walk(g, visited, s)
+	}
+	t.normal = t.normal[:base]
 }
 
 // StaticPlain is the ablation baseline for Static: a plain depth-first
@@ -267,6 +281,6 @@ func (o *Order) ClassOrder(ix *classfile.Index) []string {
 	for _, c := range prog.Classes {
 		names = append(names, c.Name)
 	}
-	sort.SliceStable(names, func(i, j int) bool { return best[names[i]] < best[names[j]] })
+	slices.SortStableFunc(names, func(a, b string) int { return cmp.Compare(best[a], best[b]) })
 	return names
 }

@@ -4,7 +4,8 @@
 package restructure
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"nonstrict/internal/classfile"
 	"nonstrict/internal/reorder"
@@ -15,16 +16,17 @@ import (
 // shares Method structures and constant pools with p (they are not
 // modified); only the per-class method sequences are new.
 func Apply(p *classfile.Program, ix *classfile.Index, o *reorder.Order) *classfile.Program {
-	out := &classfile.Program{Name: p.Name, MainClass: p.MainClass}
-	for _, c := range p.Classes {
-		nc := *c // shallow copy; CP, fields, attrs shared read-only
-		nc.Methods = append([]*classfile.Method(nil), c.Methods...)
-		sort.SliceStable(nc.Methods, func(i, j int) bool {
-			ri := o.Rank[ix.ID(classfile.Ref{Class: c.Name, Name: c.MethodName(nc.Methods[i])})]
-			rj := o.Rank[ix.ID(classfile.Ref{Class: c.Name, Name: c.MethodName(nc.Methods[j])})]
-			return ri < rj
-		})
-		out.Classes = append(out.Classes, &nc)
+	out := &classfile.Program{Name: p.Name, MainClass: p.MainClass, Classes: make([]*classfile.Class, len(p.Classes))}
+	classes := make([]classfile.Class, len(p.Classes))
+	for i, c := range p.Classes {
+		nc := &classes[i]
+		*nc = *c // shallow copy; CP, fields, attrs shared read-only
+		nc.Methods = slices.Clone(c.Methods)
+		rank := func(m *classfile.Method) int {
+			return o.Rank[ix.ID(classfile.Ref{Class: c.Name, Name: c.MethodName(m)})]
+		}
+		slices.SortStableFunc(nc.Methods, func(a, b *classfile.Method) int { return cmp.Compare(rank(a), rank(b)) })
+		out.Classes[i] = nc
 	}
 	return out
 }

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"regexp"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -62,6 +63,34 @@ func TestBuildETagsPinned(t *testing.T) {
 		if art.ETag != p.etag || art.TOCETag != p.tocETag || len(art.Data) != p.size || art.Units != p.units {
 			t.Errorf("%s/%s: stream %s table %s (%d bytes, %d units), pinned %s %s (%d, %d)",
 				p.app, p.order, art.ETag, art.TOCETag, len(art.Data), art.Units, p.etag, p.tocETag, p.size, p.units)
+		}
+	}
+}
+
+// TestConcurrentBuildsMatchPins: builds share no scratch. The cache
+// builds different keys at once, so all 18 are built here at once, each
+// from its own goroutine, and each must still be the pinned artifact;
+// under -race, a buffer two builds shared is a reported race.
+func TestConcurrentBuildsMatchPins(t *testing.T) {
+	arts := make([]*Artifact, len(pinnedETags))
+	errs := make([]error, len(pinnedETags))
+	var wg sync.WaitGroup
+	for i, p := range pinnedETags {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			arts[i], errs[i] = Build(context.Background(), Key{App: p.app, Order: p.order})
+		}()
+	}
+	wg.Wait()
+	for i, p := range pinnedETags {
+		if errs[i] != nil {
+			t.Errorf("%s/%s: %v", p.app, p.order, errs[i])
+			continue
+		}
+		if art := arts[i]; art.ETag != p.etag || art.TOCETag != p.tocETag {
+			t.Errorf("%s/%s built concurrently: stream %s table %s, pinned %s %s",
+				p.app, p.order, art.ETag, art.TOCETag, p.etag, p.tocETag)
 		}
 	}
 }

@@ -9,6 +9,8 @@ import (
 	"runtime/debug"
 	"testing"
 	"time"
+
+	"nonstrict/internal/apps"
 )
 
 // TestDiscardNZeroAlloc: the skip path must not allocate per call — the
@@ -71,36 +73,39 @@ func TestFaultCorruptionCopyIsPooled(t *testing.T) {
 // length, oversized buffers are not pooled, and a recycled buffer is
 // reused when its capacity suffices.
 func TestPayloadPoolRoundTrip(t *testing.T) {
-	b := getPayloadBuf(100)
+	b, box := getPayloadBuf(100)
 	if len(b) != 100 {
 		t.Fatalf("len = %d, want 100", len(b))
 	}
-	putPayloadBuf(b)
-	c := getPayloadBuf(50)
+	putPayloadBuf(b, box)
+	c, _ := getPayloadBuf(50)
 	if len(c) != 50 {
 		t.Fatalf("len = %d, want 50", len(c))
 	}
 	// Buffers above the pool bound must be dropped, not pinned.
 	big := make([]byte, maxPooledBuf+1)
-	putPayloadBuf(big) // must not panic, must not poison the pool
-	d := getPayloadBuf(10)
+	putPayloadBuf(big, nil) // must not panic, must not poison the pool
+	d, _ := getPayloadBuf(10)
 	if len(d) != 10 {
 		t.Fatalf("len = %d, want 10", len(d))
 	}
 }
 
 // TestPayloadPoolKeepsUndersizedBuffer is the mixed-unit-size regression
-// test: a pooled buffer too small for the current request must go back
-// to the pool, not be dropped. Before the fix every large unit silently
-// consumed one pooled small buffer, so a stream alternating small and
-// large units degenerated to an allocation per unit.
+// test: a pooled buffer too small for the current request, one of a
+// smaller size class, must stay in the pool, not be dropped. Before the
+// first fix every large unit silently consumed one pooled small buffer,
+// so a stream alternating small and large units degenerated to an
+// allocation per unit.
 func TestPayloadPoolKeepsUndersizedBuffer(t *testing.T) {
 	// A GC between Put and Get may legitimately clear the pool; disable
 	// it so the identity check below is deterministic.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	// Drain anything earlier tests left behind so the only pooled buffer
 	// is the one this test plants.
-	for payloadPool.Get() != nil {
+	for i := range payloadPools {
+		for payloadPools[i].Get() != nil {
+		}
 	}
 	// Under -race, sync.Pool randomly drops a fraction of Puts, so no
 	// single attempt can assert reuse. One observed reuse proves the fix
@@ -108,15 +113,15 @@ func TestPayloadPoolKeepsUndersizedBuffer(t *testing.T) {
 	// can never pass); the attempt bound makes a missing Put fail with
 	// overwhelming probability.
 	for attempt := 0; attempt < 100; attempt++ {
-		small := getPayloadBuf(64)
-		putPayloadBuf(small)
-		// A request the pooled buffer cannot satisfy: it must go back to
+		small, box := getPayloadBuf(64)
+		putPayloadBuf(small, box)
+		// A request the pooled buffer cannot satisfy: it must stay in
 		// the pool, and the request be served by a fresh allocation.
-		big := getPayloadBuf(maxPooledBuf)
+		big, _ := getPayloadBuf(maxPooledBuf)
 		if len(big) != maxPooledBuf {
 			t.Fatalf("len = %d, want %d", len(big), maxPooledBuf)
 		}
-		again := getPayloadBuf(64)
+		again, _ := getPayloadBuf(64)
 		if len(again) != 64 {
 			t.Fatalf("len = %d, want 64", len(again))
 		}
@@ -130,52 +135,56 @@ func TestPayloadPoolKeepsUndersizedBuffer(t *testing.T) {
 // TestLoaderDuplicateReturnsPayload: a unit that arrives on the main
 // stream after FeedDemand already installed it is a duplicate, and its
 // payload buffer goes back to the pool instead of becoming garbage. A
-// loader that demand-fetched every unit of Jess (1544 units, the most of
-// any app) Loads the whole stream as duplicates. Dropping each buffer
-// allocates the payload again plus the loader's per-unit overhead, 1.08×
-// the payload bytes; returning it costs 0.17×, and 0.61× under -race,
-// where sync.Pool drops a quarter of all Puts (the re-Puts of buffers too
-// small for the next unit included). The bound sits between the two.
+// loader that demand-fetched every unit of an app Loads its whole stream
+// as duplicates. Dropping each buffer allocates the payload again plus
+// the loader's per-unit overhead, 1.08× the payload bytes; returning it
+// costs a fraction of that on every app, whatever the mix of its unit
+// sizes, under -race too, where sync.Pool drops a quarter of all Puts.
+// The bound sits between the two.
 func TestLoaderDuplicateReturnsPayload(t *testing.T) {
-	app, _, _, w := plan(t, "Jess")
-	var buf bytes.Buffer
-	if _, err := w.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
-	toc := w.TOC()
-	var payload uint64
-	for _, u := range toc {
-		payload += uint64(u.Len)
-	}
-	fed := func() *Loader {
-		l := NewLoader("dup", app.IR.Main, nil)
-		for _, u := range toc {
-			if _, err := l.FeedDemand(u.Class, u.Kind, u.Body, data[u.Off:u.Off+int64(u.Len)], u.CRC); err != nil {
+	for _, name := range apps.Names() {
+		t.Run(name, func(t *testing.T) {
+			app, _, _, w := plan(t, name)
+			var buf bytes.Buffer
+			if _, err := w.WriteTo(&buf); err != nil {
 				t.Fatal(err)
 			}
-		}
-		return l
-	}
-	load := func(l *Loader) {
-		if err := l.Load(bytes.NewReader(data), nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	load(fed()) // warm the pool
-	const runs = 5
-	var alloc uint64
-	for range runs {
-		l := fed()
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		load(l)
-		runtime.ReadMemStats(&after)
-		alloc += after.TotalAlloc - before.TotalAlloc
-	}
-	ratio := float64(alloc) / runs / float64(payload)
-	t.Logf("%d duplicate units, %d payload bytes: %.2f bytes allocated per payload byte", len(toc), payload, ratio)
-	if ratio > 0.75 {
-		t.Errorf("a Load of duplicates allocates %.2f× its payload bytes, want under 0.75× (each duplicate's buffer back in the pool)", ratio)
+			data := buf.Bytes()
+			toc := w.TOC()
+			var payload uint64
+			for _, u := range toc {
+				payload += uint64(u.Len)
+			}
+			fed := func() *Loader {
+				l := NewLoader("dup", app.IR.Main, nil)
+				for _, u := range toc {
+					if _, err := l.FeedDemand(u.Class, u.Kind, u.Body, data[u.Off:u.Off+int64(u.Len)], u.CRC); err != nil {
+						t.Fatal(err)
+					}
+				}
+				return l
+			}
+			load := func(l *Loader) {
+				if err := l.Load(bytes.NewReader(data), nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			load(fed()) // warm the pool
+			const runs = 5
+			var alloc uint64
+			for range runs {
+				l := fed()
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				load(l)
+				runtime.ReadMemStats(&after)
+				alloc += after.TotalAlloc - before.TotalAlloc
+			}
+			ratio := float64(alloc) / runs / float64(payload)
+			t.Logf("%d duplicate units, %d payload bytes: %.2f bytes allocated per payload byte", len(toc), payload, ratio)
+			if ratio > 0.75 {
+				t.Errorf("a Load of duplicates allocates %.2f× its payload bytes, want under 0.75× (each duplicate's buffer back in the pool)", ratio)
+			}
+		})
 	}
 }

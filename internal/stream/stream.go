@@ -87,6 +87,7 @@ type unit struct {
 	body   int           // body index within the class; -1 for globals
 	method classfile.Ref // delivered method; zero for globals
 	data   []byte
+	crc    uint32 // ChecksumPayload(data)
 }
 
 // NewWriter plans the stream: each class's global data immediately before
@@ -98,43 +99,56 @@ func NewWriter(p *classfile.Program, ix *classfile.Index, o *reorder.Order) (*Wr
 		return nil, fmt.Errorf("stream: program has %d classes; the unit header's u16 class index holds at most %d",
 			len(p.Classes), MaxClasses)
 	}
+	// Per class: its serialized file, the file offset of its next body
+	// (where its global data ends, until the first), and how many of
+	// its bodies are planned.
+	type file struct {
+		data     []byte
+		off      int
+		nextBody int
+	}
 	classIdx := make(map[string]int, len(p.Classes))
-	serialized := make([][]byte, len(p.Classes))
-	layouts := make([]classfile.Layout, len(p.Classes))
-	nextBody := make([]int, len(p.Classes))
+	files := make([]file, len(p.Classes))
 	for i, c := range p.Classes {
 		classIdx[c.Name] = i
-		serialized[i] = c.Serialize()
-		layouts[i] = c.ComputeLayout()
+		f := &files[i]
+		f.data = c.Serialize()
+		f.off = len(f.data)
+		for _, m := range c.Methods {
+			f.off -= m.BodyWireSize()
+		}
 	}
-	w := &Writer{}
-	sent := make([]bool, len(p.Classes))
+	w := &Writer{units: make([]unit, 0, len(p.Classes)+len(o.Methods))}
+	add := func(u unit) {
+		u.crc = ChecksumPayload(u.data)
+		w.units = append(w.units, u)
+	}
 	for _, id := range o.Methods {
 		r := ix.Ref(id)
 		ci, ok := classIdx[r.Class]
 		if !ok {
 			return nil, fmt.Errorf("stream: order names unknown class %q", r.Class)
 		}
-		if !sent[ci] {
-			sent[ci] = true
-			w.units = append(w.units, unit{class: ci, cls: r.Class, kind: KindGlobal, body: -1,
-				data: serialized[ci][:layouts[ci].GlobalEnd]})
+		f := &files[ci]
+		if f.nextBody == 0 {
+			add(unit{class: ci, cls: r.Class, kind: KindGlobal, body: -1, data: f.data[:f.off]})
 		}
-		bi := nextBody[ci]
-		if bi >= len(layouts[ci].Methods) {
+		bi := f.nextBody
+		c := p.Classes[ci]
+		if bi >= len(c.Methods) {
 			return nil, fmt.Errorf("stream: class %q has more ordered methods than bodies", r.Class)
 		}
 		// The order restricted to this class must match file order;
 		// restructure.Apply guarantees it.
-		c := p.Classes[ci]
-		if got := c.MethodName(c.Methods[bi]); got != r.Name {
+		m := c.Methods[bi]
+		if got := c.MethodName(m); got != r.Name {
 			return nil, fmt.Errorf("stream: class %q file order has %q where order expects %q (program not restructured?)",
 				r.Class, got, r.Name)
 		}
-		ml := layouts[ci].Methods[bi]
-		w.units = append(w.units, unit{class: ci, cls: r.Class, kind: KindBody, body: bi, method: r,
-			data: serialized[ci][ml.BodyStart:ml.DelimEnd]})
-		nextBody[ci]++
+		end := f.off + m.BodyWireSize()
+		add(unit{class: ci, cls: r.Class, kind: KindBody, body: bi, method: r, data: f.data[f.off:end]})
+		f.off = end
+		f.nextBody++
 	}
 	return w, nil
 }
@@ -152,7 +166,7 @@ func (w *Writer) WriteTo(out io.Writer) (int64, error) {
 	}
 	hdr := make([]byte, headerSize)
 	for _, u := range w.units {
-		putUnitHeader(hdr, u.class, u.kind, len(u.data), ChecksumPayload(u.data))
+		putUnitHeader(hdr, u.class, u.kind, len(u.data), u.crc)
 		k, err := out.Write(hdr)
 		n += int64(k)
 		if err != nil {
@@ -172,10 +186,10 @@ func (w *Writer) WriteTo(out io.Writer) (int64, error) {
 // header).
 func (w *Writer) digest() uint32 {
 	var d uint32
-	hdr := make([]byte, headerSize)
+	var hdr [headerSize]byte
 	for _, u := range w.units {
-		putUnitHeader(hdr, u.class, u.kind, len(u.data), ChecksumPayload(u.data))
-		d = crc32.Update(d, crcTable, hdr)
+		putUnitHeader(hdr[:], u.class, u.kind, len(u.data), u.crc)
+		d = crc32.Update(d, crcTable, hdr[:])
 		d = crc32.Update(d, crcTable, u.data)
 	}
 	return d
@@ -227,7 +241,7 @@ func (w *Writer) TOC() []UnitInfo {
 		off += headerSize
 		toc = append(toc, UnitInfo{
 			Class: u.class, Kind: u.kind, Body: u.body, Method: u.method,
-			ClassName: u.cls, Off: off, Len: len(u.data), CRC: ChecksumPayload(u.data),
+			ClassName: u.cls, Off: off, Len: len(u.data), CRC: u.crc,
 		})
 		off += int64(len(u.data))
 	}
@@ -375,13 +389,14 @@ func (l *Loader) Load(r io.Reader, onEvent func(Event)) error {
 		// buffer forever, but duplicates (demand fetches racing the main
 		// stream), corrupt copies, and quarantine-skipped bodies discard
 		// theirs, and those are recycled instead of re-allocated.
-		payload := getPayloadBuf(n)
+		payload, box := getPayloadBuf(n)
 		if _, err := io.ReadFull(r, payload); err != nil {
 			return fmt.Errorf("%w: reading %d-byte unit: %v", ErrBadStream, n, err)
 		}
 		units++
 		if ChecksumPayload(payload) != crc {
-			putPayloadBuf(payload) // the corrupt copy is dead either way
+			putPayloadBuf(payload, box) // the corrupt copy is dead either way
+			box = nil
 			repaired, err := l.repairUnit(ci, kind, n, crc)
 			if err != nil {
 				return err
@@ -404,7 +419,7 @@ func (l *Loader) Load(r io.Reader, onEvent func(Event)) error {
 			return err
 		}
 		if !retained {
-			putPayloadBuf(payload)
+			putPayloadBuf(payload, box)
 		}
 		l.emit(obs.UnitArrived, ci, kind, n, 0)
 		if onEvent != nil {
