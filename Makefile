@@ -35,6 +35,11 @@ lint:
 	@# the build path sorts with slices.SortFunc and slices.SortStableFunc.
 	@if grep -rnE --include='*.go' 'sort\.Slice(Stable)?\(' internal/jir internal/cfg internal/reorder internal/restructure internal/stream internal/classfile; then \
 		echo "sort.Slice in a build-path package; use slices.SortFunc or slices.SortStableFunc" >&2; exit 1; fi
+	@# A payload is hashed once per crossing: internal/server runs SHA-256
+	@# in digest.go only, and the ETag, the stored digest and the record's
+	@# file name all read that one sum.
+	@if grep -rn --include='*.go' 'sha256\.' internal/server | grep -v '^internal/server/digest\.go:'; then \
+		echo "sha256 outside internal/server/digest.go; derive from the payload's digest instead" >&2; exit 1; fi
 	@if [ -n "$$CI" ] && ! command -v staticcheck >/dev/null 2>&1; then \
 		$(GO) install $(STATICCHECK); fi
 	@if command -v staticcheck >/dev/null 2>&1; then \

@@ -277,6 +277,31 @@ func TestGateDisabledDeadlineArmsNothing(t *testing.T) {
 	}
 }
 
+// TestGateReadyNeedArmsNothing: the deadline is armed when a wait first
+// blocks, so a need that is already ready — most crossings of a live
+// session — returns without a timer or a closure.
+func TestGateReadyNeedArmsNothing(t *testing.T) {
+	fc := newFakeClock()
+	rt := gateSession(fc, 30*time.Second)
+	ref := classfile.Ref{Class: "Main", Name: "main"}
+	arrive(rt, ref)
+
+	if err := rt.AwaitMethod(ref); err != nil {
+		t.Fatalf("AwaitMethod: %v", err)
+	}
+	if err := rt.AwaitClass(ref.Class); err != nil {
+		t.Fatalf("AwaitClass: %v", err)
+	}
+	if got := fc.armedCount(); got != 0 {
+		t.Fatalf("ready needs armed %d timers, want 0", got)
+	}
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	if len(rt.waits) != 1 || rt.waits[0].Wait != 0 {
+		t.Fatalf("waits = %+v, want one zero-length wait", rt.waits)
+	}
+}
+
 // TestGateNeverDemandsAnInstalledUnit pins the window between the loader
 // installing a unit and the unit's event reaching the gate. The loader's
 // cursor is past the unit by then, so a gate that judged predicted order

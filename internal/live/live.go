@@ -94,7 +94,11 @@ type Stats struct {
 	// finished and when the main stream ended: at EOF, or at the cut
 	// Close makes once execution is over, whichever came first.
 	ExecDone, TransferDone time.Duration
-	// StallTime is the total time execution spent blocked at the gate.
+	// StallTime is the total time execution spent blocked at the gate:
+	// method waits (each listed in Waits) and class-resolution waits
+	// (AwaitClass, the entry class's included), which Waits does not list
+	// and no Transfer/Repair/Gate split covers. So StallTime is at least
+	// the sum of Waits, and on a slow link it is well above it.
 	StallTime time.Duration
 	// Waits lists every first invocation in execution order.
 	Waits []Wait

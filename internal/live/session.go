@@ -352,8 +352,10 @@ func gateTimeout(d time.Duration) time.Duration {
 }
 
 // gateBudget arms the deadline for one gate wait: a single timer for
-// the wait's whole budget, armed once at entry, that flips *expired
-// under s.mu and broadcasts. The returned stop releases the timer.
+// the wait's whole budget, armed once, when the wait first blocks, that
+// flips *expired under s.mu and broadcasts. The returned stop releases
+// the timer. A need that is already ready never blocks, so it costs no
+// timer and no closure.
 //
 // The budget is deliberately a DURATION handed to one timer, never an
 // absolute deadline re-derived from the clock. The previous
@@ -399,8 +401,6 @@ func (s *Session) AwaitClass(class string) error { return s.await(classfile.Ref{
 func (s *Session) await(n classfile.Ref) error {
 	began := s.now()
 	expired := false
-	stop := s.gateBudget(&expired)
-	defer stop()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	blocked := false
@@ -425,6 +425,8 @@ func (s *Session) await(n classfile.Ref) error {
 		}
 		if !blocked {
 			blocked = true
+			stop := s.gateBudget(&expired)
+			defer stop()
 			s.obs.Emit(obs.GateBlock, label(n), 0, 0)
 		}
 		s.cond.Wait()

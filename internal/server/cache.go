@@ -3,8 +3,6 @@ package server
 import (
 	"container/list"
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -62,12 +60,6 @@ type Artifact struct {
 
 // size is the artifact's accountable footprint against the cache budget.
 func (a *Artifact) size() int64 { return int64(len(a.Data) + len(a.TOC)) }
-
-// etagFor derives a strong content-addressed validator.
-func etagFor(b []byte) string {
-	sum := sha256.Sum256(b)
-	return `"` + hex.EncodeToString(sum[:8]) + `"`
-}
 
 // CacheStats is a point-in-time snapshot of the cache's counters. The
 // JSON tags are the schema of the "cache" block in the fleet report.

@@ -18,7 +18,7 @@ func stubArtifact(k Key, size int) *Artifact {
 	for i := range data {
 		data[i] = byte(i)
 	}
-	return &Artifact{Key: k, Data: data, TOC: []byte("[]"), ETag: etagFor(data), TOCETag: etagFor([]byte("[]"))}
+	return &Artifact{Key: k, Data: data, TOC: []byte("[]"), ETag: digestOf(data).etag(), TOCETag: digestOf([]byte("[]")).etag()}
 }
 
 // TestCacheSingleflight: N goroutines requesting one cold key cost

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
@@ -211,6 +210,7 @@ func (s *DiskStore) put(a *Artifact) error {
 	s.lastSeq = seq
 	s.mu.Unlock()
 
+	dataSum := digestOf(a.Data)
 	hdr := artHeader{
 		App:     a.Key.App,
 		Order:   a.Key.Order,
@@ -221,10 +221,10 @@ func (s *DiskStore) put(a *Artifact) error {
 		Seq:     seq,
 		DataLen: int64(len(a.Data)),
 		TOCLen:  int64(len(a.TOC)),
-		DataSHA: shaHex(a.Data),
-		TOCSHA:  shaHex(a.TOC),
+		DataSHA: dataSum.hex(),
+		TOCSHA:  digestOf(a.TOC).hex(),
 	}
-	final := storeFileName(a.Key, a.Data)
+	final := storeFileName(a.Key, dataSum)
 
 	if err := step("begin"); err != nil {
 		return err
@@ -449,15 +449,17 @@ func (s *DiskStore) load(name string) (*Artifact, error) {
 	}
 	data := raw[headEnd : headEnd+hdr.DataLen]
 	toc := raw[headEnd+hdr.DataLen : headEnd+hdr.DataLen+hdr.TOCLen]
-	if shaHex(data) != hdr.DataSHA {
+	// One sum per payload serves both checks below.
+	dataSum, tocSum := digestOf(data), digestOf(toc)
+	if dataSum.hex() != hdr.DataSHA {
 		return nil, fmt.Errorf("data digest mismatch")
 	}
-	if shaHex(toc) != hdr.TOCSHA {
+	if tocSum.hex() != hdr.TOCSHA {
 		return nil, fmt.Errorf("toc digest mismatch")
 	}
 	// The validators must still derive from the content, or a restarted
 	// server would serve the right bytes under the wrong ETag.
-	if etagFor(data) != hdr.ETag || etagFor(toc) != hdr.TOCETag {
+	if dataSum.etag() != hdr.ETag || tocSum.etag() != hdr.TOCETag {
 		return nil, fmt.Errorf("etag does not derive from content")
 	}
 	return &Artifact{
@@ -472,17 +474,11 @@ func (s *DiskStore) load(name string) (*Artifact, error) {
 }
 
 // storeFileName is the content-addressed name: a key hash so one app's
-// generations sort together, an @, and the data digest that changes
-// with the content.
-func storeFileName(k Key, data []byte) string {
-	kh := sha256.Sum256([]byte(k.App + "\x00" + k.Order))
-	dh := sha256.Sum256(data)
-	return hex.EncodeToString(kh[:8]) + "@" + hex.EncodeToString(dh[:8]) + storeExt
-}
-
-func shaHex(b []byte) string {
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:])
+// generations sort together, an @, and the prefix of the data digest,
+// which changes with the content.
+func storeFileName(k Key, data digest) string {
+	kh := digestOf([]byte(k.App + "\x00" + k.Order))
+	return hex.EncodeToString(kh[:8]) + "@" + hex.EncodeToString(data[:8]) + storeExt
 }
 
 // syncDir fsyncs a directory so a completed rename survives power loss.

@@ -371,8 +371,8 @@ func Build(ctx context.Context, k Key) (*Artifact, error) {
 		Key:       k,
 		Data:      st.Data,
 		TOC:       st.TOC,
-		ETag:      etagFor(st.Data),
-		TOCETag:   etagFor(st.TOC),
+		ETag:      digestOf(st.Data).etag(),
+		TOCETag:   digestOf(st.TOC).etag(),
 		Units:     len(st.Units),
 		BuildTime: st.Stages.Total(),
 		Stages:    st.Stages,
@@ -409,8 +409,8 @@ func NewArtifact(k Key, data, toc []byte) (*Artifact, error) {
 		Key:     k,
 		Data:    data,
 		TOC:     toc,
-		ETag:    etagFor(data),
-		TOCETag: etagFor(toc),
+		ETag:    digestOf(data).etag(),
+		TOCETag: digestOf(toc).etag(),
 		Units:   len(units),
 	}, nil
 }

@@ -18,8 +18,8 @@ func storeArt(app, order string, data, toc []byte) *Artifact {
 		Key:     Key{App: app, Order: order},
 		Data:    data,
 		TOC:     toc,
-		ETag:    etagFor(data),
-		TOCETag: etagFor(toc),
+		ETag:    digestOf(data).etag(),
+		TOCETag: digestOf(toc).etag(),
 		Units:   3,
 	}
 }
