@@ -40,6 +40,11 @@ lint:
 	@# file name all read that one sum.
 	@if grep -rn --include='*.go' 'sha256\.' internal/server | grep -v '^internal/server/digest\.go:'; then \
 		echo "sha256 outside internal/server/digest.go; derive from the payload's digest instead" >&2; exit 1; fi
+	@# The virtual file's layout lives in restructure.Plan: the stream
+	@# writer and the transfer engines read its units and never size a
+	@# class's global data or a method body themselves.
+	@if grep -rnE --include='*.go' --exclude='*_test.go' 'BodyWireSize\(|GlobalEnd\[|NeededFirst\[' internal/stream internal/transfer; then \
+		echo "layout arithmetic in internal/stream or internal/transfer; read restructure.Plan's units instead" >&2; exit 1; fi
 	@if [ -n "$$CI" ] && ! command -v staticcheck >/dev/null 2>&1; then \
 		$(GO) install $(STATICCHECK); fi
 	@if command -v staticcheck >/dev/null 2>&1; then \

@@ -68,12 +68,34 @@ func TestLayoutMatchesSerialize(t *testing.T) {
 	}
 }
 
+// cutBodies installs each method body of c from data at the offsets l
+// gives, as the stream loader cuts a body unit out of its class file.
+func cutBodies(c *Class, l Layout, data []byte) {
+	for i, m := range c.Methods {
+		ml := l.Methods[i]
+		m.LocalData = data[ml.BodyStart:ml.CodeStart:ml.CodeStart]
+		m.Code = data[ml.CodeStart : ml.DelimEnd-DelimSize : ml.DelimEnd-DelimSize]
+	}
+}
+
+// TestParseRoundTrip: a class file parses along the loader's path —
+// ParseGlobal over the whole file, then every body cut at the parsed
+// layout's offsets — into the class that serialized it.
 func TestParseRoundTrip(t *testing.T) {
 	c := buildSample()
 	data := c.Serialize()
-	got, err := Parse(data)
+	got, l, err := ParseGlobal(data)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if l.FileSize != len(data) {
+		t.Fatalf("parsed layout says %d bytes, file is %d", l.FileSize, len(data))
+	}
+	cutBodies(got, l, data)
+	for i, ml := range l.Methods {
+		if [DelimSize]byte(data[ml.DelimEnd-DelimSize:ml.DelimEnd]) != Delim {
+			t.Errorf("method %d: no delimiter at the parsed layout's offset", i)
+		}
 	}
 	if got.Name != "App" || got.Super != "Object" {
 		t.Errorf("parsed identity = %q/%q", got.Name, got.Super)
@@ -129,34 +151,31 @@ func TestParseGlobalOnly(t *testing.T) {
 	}
 }
 
+// TestParseErrors: ParseGlobal rejects a bad magic, a bad version and a
+// global section cut short, and the layout it returns for a file cut in
+// its bodies says bytes are missing. (A corrupt delimiter is the body
+// install's to reject: TestLoaderRejectsMalformedStreams in
+// internal/stream.)
 func TestParseErrors(t *testing.T) {
 	c := buildSample()
 	data := c.Serialize()
 
 	bad := append([]byte(nil), data...)
 	bad[0] ^= 0xFF
-	if _, err := Parse(bad); err == nil {
+	if _, _, err := ParseGlobal(bad); err == nil {
 		t.Error("bad magic accepted")
 	}
 
 	bad = append([]byte(nil), data...)
 	bad[5] = 99 // version low byte
-	if _, err := Parse(bad); err == nil {
+	if _, _, err := ParseGlobal(bad); err == nil {
 		t.Error("bad version accepted")
 	}
 
 	for _, cut := range []int{3, 9, 20, len(data) / 2, len(data) - 1} {
-		if _, err := Parse(data[:cut]); err == nil {
+		if _, l, err := ParseGlobal(data[:cut]); err == nil && l.FileSize <= cut {
 			t.Errorf("truncation at %d accepted", cut)
 		}
-	}
-
-	// Corrupt a delimiter.
-	l := c.ComputeLayout()
-	bad = append([]byte(nil), data...)
-	bad[l.Methods[0].DelimEnd-1] ^= 0xFF
-	if _, err := Parse(bad); err == nil {
-		t.Error("corrupt delimiter accepted")
 	}
 }
 

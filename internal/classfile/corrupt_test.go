@@ -4,23 +4,34 @@ import (
 	"fmt"
 	"testing"
 
+	"nonstrict/internal/bytecode"
 	"nonstrict/internal/xrand"
 )
 
-// parseNoPanic runs Parse and converts any panic into a test failure
-// carrying the mutation that caused it.
+// parseNoPanic parses data along the loader's path — ParseGlobal, then
+// the bodies the data holds cut at the parsed layout's offsets and
+// decoded — and converts any panic into a test failure carrying the
+// mutation that caused it.
 func parseNoPanic(t *testing.T, data []byte, what string) {
 	t.Helper()
 	defer func() {
 		if r := recover(); r != nil {
-			t.Fatalf("Parse panicked on %s: %v", what, r)
+			t.Fatalf("parse panicked on %s: %v", what, r)
 		}
 	}()
-	c, err := Parse(data)
+	c, l, err := ParseGlobal(data)
 	if err != nil {
 		return // rejected, fine
 	}
-	// If Parse accepted the bytes, the class must round-trip without
+	if l.FileSize <= len(data) {
+		cutBodies(c, l, data)
+		for _, m := range c.Methods {
+			if _, err := bytecode.Decode(m.Code); err != nil {
+				return // rejected, fine
+			}
+		}
+	}
+	// If the bytes were accepted, the class must round-trip without
 	// panicking either.
 	defer func() {
 		if r := recover(); r != nil {
@@ -31,8 +42,8 @@ func parseNoPanic(t *testing.T, data []byte, what string) {
 }
 
 // TestParseNeverPanicsOnCorruption flips bytes, truncates, and splices
-// random garbage into a valid class file; Parse must always return an
-// error or a consistent class, never panic.
+// random garbage into a valid class file; parsing along the loader's path
+// must always return an error or a consistent class, never panic.
 func TestParseNeverPanicsOnCorruption(t *testing.T) {
 	base := buildSample().Serialize()
 	rnd := xrand.New(0xBADC0DE)

@@ -113,10 +113,16 @@ func (c *Class) globalData(byKind map[ConstKind]int) GlobalBreakdown {
 }
 
 // WireSize returns the total serialized size of the class file.
-func (c *Class) WireSize() int { return c.ComputeLayout().FileSize }
+func (c *Class) WireSize() int {
+	n := c.GlobalSize()
+	for _, m := range c.Methods {
+		n += m.BodyWireSize()
+	}
+	return n
+}
 
 // GlobalSize returns the size of the global-data section.
-func (c *Class) GlobalSize() int { return c.ComputeLayout().GlobalEnd }
+func (c *Class) GlobalSize() int { return c.globalData(nil).Total }
 
 func appendU16(b []byte, v uint16) []byte { return append(b, byte(v>>8), byte(v)) }
 func appendU32(b []byte, v uint32) []byte {
@@ -127,11 +133,7 @@ func appendU32(b []byte, v uint32) []byte {
 // section followed by each method body (local data, code, delimiter) in
 // Methods order. The result is allocated once, at its exact size.
 func (c *Class) Serialize() []byte {
-	size := c.globalData(nil).Total
-	for _, m := range c.Methods {
-		size += m.BodyWireSize()
-	}
-	b := make([]byte, 0, size)
+	b := make([]byte, 0, c.WireSize())
 	b = appendU32(b, Magic)
 	b = appendU16(b, Version)
 	b = appendU16(b, c.ThisClass)
@@ -214,7 +216,6 @@ var (
 	ErrBadMagic   = errors.New("classfile: bad magic")
 	ErrBadVersion = errors.New("classfile: unsupported version")
 	ErrTruncated  = errors.New("classfile: truncated file")
-	ErrBadDelim   = errors.New("classfile: missing method delimiter")
 )
 
 type reader struct {
@@ -548,30 +549,6 @@ func ParseGlobal(data []byte) (*Class, Layout, error) {
 	}
 	l.FileSize = r.off + off
 	return c, l, nil
-}
-
-// Parse decodes a complete serialized class file, including method bodies,
-// and validates the method delimiters and code streams.
-func Parse(data []byte) (*Class, error) {
-	c, l, err := ParseGlobal(data)
-	if err != nil {
-		return nil, err
-	}
-	if l.FileSize > len(data) {
-		return nil, fmt.Errorf("%w: file needs %d bytes, have %d", ErrTruncated, l.FileSize, len(data))
-	}
-	for i, m := range c.Methods {
-		ml := l.Methods[i]
-		m.LocalData = data[ml.BodyStart:ml.CodeStart:ml.CodeStart]
-		m.Code = data[ml.CodeStart : ml.DelimEnd-DelimSize : ml.DelimEnd-DelimSize]
-		if [DelimSize]byte(data[ml.DelimEnd-DelimSize:ml.DelimEnd]) != Delim {
-			return nil, fmt.Errorf("%w: method %d", ErrBadDelim, i)
-		}
-		if _, err := bytecode.Decode(m.Code); err != nil {
-			return nil, fmt.Errorf("classfile: method %s: %w", c.MethodName(m), err)
-		}
-	}
-	return c, nil
 }
 
 func staticCount(code []byte) int {

@@ -74,6 +74,9 @@ type prepared struct {
 	prog  *classfile.Program
 	lay   *restructure.Layouts
 	part  *datapart.Partition
+	// plan and partPlan are the virtual file's units without and with
+	// part: every engine prices one of them.
+	plan, partPlan []restructure.Unit
 }
 
 // Bench is one workload, fully measured and ready to simulate.
@@ -148,7 +151,7 @@ func LoadCtx(ctx context.Context, app *apps.App) (*Bench, error) {
 		if err != nil {
 			return nil, err
 		}
-		p, err := prepare(ord, rp)
+		p, err := prepare(r.Ix, ord, rp)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %s %v: %w", app.Name, OrderKind(kind), err)
 		}
@@ -158,8 +161,9 @@ func LoadCtx(ctx context.Context, app *apps.App) (*Bench, error) {
 }
 
 // prepare derives what the transfer engines need from a restructured
-// program: its data partition (checked) and stream layouts.
-func prepare(ord *reorder.Order, rp *classfile.Program) (*prepared, error) {
+// program: its data partition (checked), its layouts, and its plan with
+// and without the partition.
+func prepare(ix *classfile.Index, ord *reorder.Order, rp *classfile.Program) (*prepared, error) {
 	part, err := datapart.Compute(rp)
 	if err != nil {
 		return nil, fmt.Errorf("partition: %w", err)
@@ -167,7 +171,15 @@ func prepare(ord *reorder.Order, rp *classfile.Program) (*prepared, error) {
 	if err := part.Check(rp); err != nil {
 		return nil, fmt.Errorf("partition: %w", err)
 	}
-	return &prepared{order: ord, prog: rp, lay: restructure.ComputeLayouts(rp), part: part}, nil
+	plan, err := restructure.Plan(rp, ix, ord, nil)
+	if err != nil {
+		return nil, err
+	}
+	partPlan, err := restructure.Plan(rp, ix, ord, part)
+	if err != nil {
+		return nil, err
+	}
+	return &prepared{order: ord, prog: rp, lay: restructure.ComputeLayouts(rp), part: part, plan: plan, partPlan: partPlan}, nil
 }
 
 // Prepared exposes the restructured artifacts for one predictor.
@@ -230,7 +242,7 @@ func (b *Bench) prepareOrder(ord *reorder.Order) (*prepared, error) {
 	if err := ord.Validate(b.Ix); err != nil {
 		return nil, fmt.Errorf("experiments: %s: %w", b.App.Name, err)
 	}
-	p, err := prepare(ord, restructure.Apply(b.Prog, b.Ix, ord))
+	p, err := prepare(b.Ix, ord, restructure.Apply(b.Prog, b.Ix, ord))
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %s: %w", b.App.Name, err)
 	}
@@ -249,11 +261,11 @@ func (b *Bench) SimulateOrder(ord *reorder.Order, covered []int, v Variant) (sim
 }
 
 func (b *Bench) simulate(ctx context.Context, p *prepared, covered []int, v Variant) (sim.Result, error) {
-	var part *datapart.Partition
+	plan := p.plan
 	if v.Mode == transfer.Partitioned {
-		part = p.part
+		plan = p.partPlan
 	}
-	files, err := transfer.BuildFiles(p.prog, p.lay, v.Mode, part)
+	files, err := transfer.BuildFiles(p.prog, plan, v.Mode)
 	if err != nil {
 		return sim.Result{}, err
 	}
@@ -263,12 +275,12 @@ func (b *Bench) simulate(ctx context.Context, p *prepared, covered []int, v Vari
 		eng, err = transfer.NewSequential(p.order.ClassOrder(b.Ix), files, v.Link)
 	case Parallel:
 		var sched *transfer.Schedule
-		sched, err = transfer.BuildSchedule(p.order, b.Ix, files, p.lay, part, covered)
+		sched, err = transfer.BuildSchedule(p.order, b.Ix, files, plan, covered)
 		if err == nil {
 			eng, err = transfer.NewParallel(sched, files, v.Link, v.Limit)
 		}
 	case Interleaved:
-		eng = transfer.NewInterleaved(p.order, b.Ix, p.lay, part, v.Link)
+		eng = transfer.NewInterleaved(plan, v.Link)
 	default:
 		err = fmt.Errorf("experiments: unknown engine %d", v.Engine)
 	}

@@ -132,13 +132,12 @@ func (s *Suite) CostModelStudy() ([]CostModelRow, error) {
 		}
 		r.CPISpread = float64(maxC) / float64(minC)
 
-		ord, _, lay, _ := b.Prepared(Test)
 		for li, link := range Links {
 			flat, err := b.Normalized(Variant{Order: Test, Engine: Interleaved, Mode: transfer.NonStrict, Link: link})
 			if err != nil {
 				return nil, err
 			}
-			eng := transfer.NewInterleaved(ord, b.Ix, lay, nil, link)
+			eng := transfer.NewInterleaved(b.byOrder[Test].plan, link)
 			res, err := sim.RunCosted(b.TestTrace, b.Ix, eng, func(id classfile.MethodID) int64 { return cpis[id] })
 			if err != nil {
 				return nil, err

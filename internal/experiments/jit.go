@@ -33,14 +33,14 @@ func (s *Suite) TableJIT(cfg sim.JITConfig) ([]JITRow, error) {
 	}
 	var rows []JITRow
 	for _, b := range bs {
-		ord, _, lay, _ := b.Prepared(Test)
+		_, _, lay, _ := b.Prepared(Test)
 		var bodyBytes int
 		for _, sz := range lay.BodySize {
 			bodyBytes += sz
 		}
 		r := JITRow{Name: b.App.Name}
 		for li, link := range Links {
-			eng := transfer.NewInterleaved(ord, b.Ix, lay, nil, link)
+			eng := transfer.NewInterleaved(b.byOrder[Test].plan, link)
 			sched, ok := eng.(transfer.ArrivalSchedule)
 			if !ok {
 				return nil, fmt.Errorf("experiments: interleaved engine lost its arrival schedule")

@@ -46,8 +46,8 @@ func TestJITOverlapHides(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ord, _, lay, _ := b.Prepared(Test)
-	eng := transfer.NewInterleaved(ord, b.Ix, lay, nil, transfer.Modem)
+	_, _, lay, _ := b.Prepared(Test)
+	eng := transfer.NewInterleaved(b.byOrder[Test].plan, transfer.Modem)
 	arr := eng.(transfer.ArrivalSchedule).Arrivals()
 
 	cfg := sim.JITConfig{CompileCyclesPerByte: 1000}
@@ -86,8 +86,7 @@ func TestJITExpensiveCompilerDominates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ord, _, lay, _ := b.Prepared(Test)
-	eng := transfer.NewInterleaved(ord, b.Ix, lay, nil, transfer.T1)
+	eng := transfer.NewInterleaved(b.byOrder[Test].plan, transfer.T1)
 	arr := eng.(transfer.ArrivalSchedule).Arrivals()
 
 	cheap, err := sim.RunJIT(b.TestTrace, b.Ix, arr, sim.JITConfig{CompileCyclesPerByte: 100}, b.App.CPI)

@@ -1,6 +1,7 @@
 // Package restructure rewrites class files into predicted first-use
-// method order (paper §4) and exposes the byte-level layout facts the
-// transfer schedules and the overlap simulator consume.
+// method order (paper §4), lays out the interleaved virtual file that the
+// stream writer ships and the transfer engines price (Plan, §5.2), and
+// exposes the per-method layout facts the paper's tables look up.
 package restructure
 
 import (
@@ -45,8 +46,6 @@ type Layouts struct {
 	// BodySize is each method's streamed body size (local data + code +
 	// delimiter).
 	BodySize map[classfile.Ref]int
-	// FileOrder lists each class's methods in file order.
-	FileOrder map[string][]classfile.Ref
 }
 
 // ComputeLayouts derives layout facts from p's current method order.
@@ -57,7 +56,6 @@ func ComputeLayouts(p *classfile.Program) *Layouts {
 		GlobalEnd: make(map[string]int),
 		Avail:     make(map[classfile.Ref]int),
 		BodySize:  make(map[classfile.Ref]int),
-		FileOrder: make(map[string][]classfile.Ref),
 	}
 	for _, c := range p.Classes {
 		cl := c.ComputeLayout()
@@ -67,7 +65,6 @@ func ComputeLayouts(p *classfile.Program) *Layouts {
 			r := classfile.Ref{Class: c.Name, Name: c.MethodName(m)}
 			l.Avail[r] = cl.Methods[i].DelimEnd
 			l.BodySize[r] = m.BodyWireSize()
-			l.FileOrder[c.Name] = append(l.FileOrder[c.Name], r)
 		}
 	}
 	return l

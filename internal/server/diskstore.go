@@ -136,9 +136,6 @@ func (s *DiskStore) admitLocked(name string, hdr artHeader) {
 	}
 }
 
-// Dir returns the store's directory.
-func (s *DiskStore) Dir() string { return s.dir }
-
 // Stats snapshots the store's counters and resident footprint.
 func (s *DiskStore) Stats() StoreStats {
 	st := s.storeCounters.snapshot()

@@ -39,12 +39,6 @@ func (m *Metrics) FaultCounts() stream.FaultCounts { return m.faults.Snapshot() 
 // Requests returns the total requests counted so far.
 func (m *Metrics) Requests() int64 { return m.requests.Load() }
 
-// BytesServed returns the total response-body bytes written.
-func (m *Metrics) BytesServed() int64 { return m.bytesServed.Load() }
-
-// NotModified returns the 304 responses served to revalidating clients.
-func (m *Metrics) NotModified() int64 { return m.notModified.Load() }
-
 // wrap counts one request around h.
 func (m *Metrics) wrap(h http.Handler) http.Handler {
 	return http.HandlerFunc(func(rw http.ResponseWriter, req *http.Request) {

@@ -94,7 +94,10 @@ func ExampleRun() {
 	fmt.Println()
 
 	rp := restructure.Apply(compiled, ix, order)
-	layouts := restructure.ComputeLayouts(rp)
+	plan, err := restructure.Plan(rp, ix, order, nil)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	// Partition the restructured program's global data (§7.3): the
 	// needed-first, per-method and unused shares must tile each class's
@@ -121,7 +124,7 @@ func ExampleRun() {
 		return res
 	}
 
-	strictFiles, err := transfer.BuildFiles(rp, layouts, transfer.Strict, nil)
+	strictFiles, err := transfer.BuildFiles(rp, plan, transfer.Strict)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -130,7 +133,7 @@ func ExampleRun() {
 		log.Fatal(err)
 	}
 	strictRes := simulate(strictEng)
-	ilvRes := simulate(transfer.NewInterleaved(order, ix, layouts, nil, link))
+	ilvRes := simulate(transfer.NewInterleaved(plan, link))
 
 	fmt.Printf("\n%-28s %15s %15s\n", "", "strict", "non-strict ilv")
 	fmt.Printf("%-28s %15d %15d\n", "invocation latency (cycles)",

@@ -163,7 +163,6 @@ func TestEndToEndOrdering(t *testing.T) {
 		t.Fatal(err)
 	}
 	rp := restructure.Apply(cp, ix, order)
-	lay := restructure.ComputeLayouts(rp)
 	part, err := datapart.Compute(rp)
 	if err != nil {
 		t.Fatal(err)
@@ -172,7 +171,11 @@ func TestEndToEndOrdering(t *testing.T) {
 	const cpi = 3
 
 	run := func(mode transfer.Mode, pt *datapart.Partition, engine string) Result {
-		files, err := transfer.BuildFiles(rp, lay, mode, pt)
+		plan, err := restructure.Plan(rp, ix, order, pt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files, err := transfer.BuildFiles(rp, plan, mode)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -182,12 +185,12 @@ func TestEndToEndOrdering(t *testing.T) {
 			eng, err = transfer.NewSequential(order.ClassOrder(ix), files, link)
 		case "par":
 			var sched *transfer.Schedule
-			sched, err = transfer.BuildSchedule(order, ix, files, lay, pt, nil)
+			sched, err = transfer.BuildSchedule(order, ix, files, plan, nil)
 			if err == nil {
 				eng, err = transfer.NewParallel(sched, files, link, 4)
 			}
 		case "ilv":
-			eng = transfer.NewInterleaved(order, ix, lay, pt, link)
+			eng = transfer.NewInterleaved(plan, link)
 		}
 		if err != nil {
 			t.Fatal(err)

@@ -27,6 +27,7 @@ import (
 	"nonstrict/internal/classfile"
 	"nonstrict/internal/obs"
 	"nonstrict/internal/reorder"
+	"nonstrict/internal/restructure"
 	"nonstrict/internal/verify"
 )
 
@@ -77,102 +78,73 @@ type Event struct {
 
 // Writer emits the interleaved stream for a restructured program.
 type Writer struct {
-	units []unit
+	prog  *classfile.Program
+	units []restructure.Unit // restructure.Plan's, unpartitioned
+	files [][]byte           // each class's serialized file
+	crcs  []uint32           // ChecksumPayload of each unit's payload
 }
 
-type unit struct {
-	class  int
-	cls    string // class name
-	kind   byte
-	body   int           // body index within the class; -1 for globals
-	method classfile.Ref // delivered method; zero for globals
-	data   []byte
-	crc    uint32 // ChecksumPayload(data)
-}
-
-// NewWriter plans the stream: each class's global data immediately before
-// its first method in the order, then bodies in order. The program must
-// already be restructured so that each class's file order equals the
-// order's restriction to it.
+// NewWriter plans the stream with restructure.Plan: each class's global
+// data immediately before its first method in the order, then bodies in
+// order. The program must already be restructured so that each class's
+// file order equals the order's restriction to it; Plan rejects it
+// otherwise.
 func NewWriter(p *classfile.Program, ix *classfile.Index, o *reorder.Order) (*Writer, error) {
 	if len(p.Classes) > MaxClasses {
 		return nil, fmt.Errorf("stream: program has %d classes; the unit header's u16 class index holds at most %d",
 			len(p.Classes), MaxClasses)
 	}
-	// Per class: its serialized file, the file offset of its next body
-	// (where its global data ends, until the first), and how many of
-	// its bodies are planned.
-	type file struct {
-		data     []byte
-		off      int
-		nextBody int
+	units, err := restructure.Plan(p, ix, o, nil)
+	if err != nil {
+		return nil, err
 	}
-	classIdx := make(map[string]int, len(p.Classes))
-	files := make([]file, len(p.Classes))
+	w := &Writer{prog: p, units: units, files: make([][]byte, len(p.Classes)), crcs: make([]uint32, len(units))}
 	for i, c := range p.Classes {
-		classIdx[c.Name] = i
-		f := &files[i]
-		f.data = c.Serialize()
-		f.off = len(f.data)
-		for _, m := range c.Methods {
-			f.off -= m.BodyWireSize()
-		}
+		w.files[i] = c.Serialize()
 	}
-	w := &Writer{units: make([]unit, 0, len(p.Classes)+len(o.Methods))}
-	add := func(u unit) {
-		u.crc = ChecksumPayload(u.data)
-		w.units = append(w.units, u)
-	}
-	for _, id := range o.Methods {
-		r := ix.Ref(id)
-		ci, ok := classIdx[r.Class]
-		if !ok {
-			return nil, fmt.Errorf("stream: order names unknown class %q", r.Class)
-		}
-		f := &files[ci]
-		if f.nextBody == 0 {
-			add(unit{class: ci, cls: r.Class, kind: KindGlobal, body: -1, data: f.data[:f.off]})
-		}
-		bi := f.nextBody
-		c := p.Classes[ci]
-		if bi >= len(c.Methods) {
-			return nil, fmt.Errorf("stream: class %q has more ordered methods than bodies", r.Class)
-		}
-		// The order restricted to this class must match file order;
-		// restructure.Apply guarantees it.
-		m := c.Methods[bi]
-		if got := c.MethodName(m); got != r.Name {
-			return nil, fmt.Errorf("stream: class %q file order has %q where order expects %q (program not restructured?)",
-				r.Class, got, r.Name)
-		}
-		end := f.off + m.BodyWireSize()
-		add(unit{class: ci, cls: r.Class, kind: KindBody, body: bi, method: r, data: f.data[f.off:end]})
-		f.off = end
-		f.nextBody++
+	for i := range units {
+		w.crcs[i] = ChecksumPayload(w.payload(i))
 	}
 	return w, nil
+}
+
+// payload returns unit i's bytes: its planned range of its class file.
+func (w *Writer) payload(i int) []byte {
+	u := &w.units[i]
+	return w.files[u.Class][u.Off : u.Off+u.Len]
+}
+
+// kind returns unit i's wire kind.
+func (w *Writer) kind(i int) byte {
+	if w.units[i].Kind == restructure.Global {
+		return KindGlobal
+	}
+	return KindBody
 }
 
 // WriteTo implements io.WriterTo: the stream header, then every unit,
 // unthrottled.
 func (w *Writer) WriteTo(out io.Writer) (int64, error) {
 	var n int64
-	shdr := make([]byte, streamHeaderSize)
-	putStreamHeader(shdr, len(w.units), w.digest())
-	k, err := out.Write(shdr)
+	// One buffer frames the stream header and then every unit header: a
+	// Writer must not retain what it is given.
+	hdr := make([]byte, streamHeaderSize)
+	putStreamHeader(hdr, len(w.units), w.digest())
+	k, err := out.Write(hdr)
 	n += int64(k)
 	if err != nil {
 		return n, err
 	}
-	hdr := make([]byte, headerSize)
-	for _, u := range w.units {
-		putUnitHeader(hdr, u.class, u.kind, len(u.data), u.crc)
+	hdr = hdr[:headerSize]
+	for i := range w.units {
+		data := w.payload(i)
+		putUnitHeader(hdr, w.units[i].Class, w.kind(i), len(data), w.crcs[i])
 		k, err := out.Write(hdr)
 		n += int64(k)
 		if err != nil {
 			return n, err
 		}
-		k, err = out.Write(u.data)
+		k, err = out.Write(data)
 		n += int64(k)
 		if err != nil {
 			return n, err
@@ -187,10 +159,11 @@ func (w *Writer) WriteTo(out io.Writer) (int64, error) {
 func (w *Writer) digest() uint32 {
 	var d uint32
 	var hdr [headerSize]byte
-	for _, u := range w.units {
-		putUnitHeader(hdr[:], u.class, u.kind, len(u.data), u.crc)
+	for i := range w.units {
+		data := w.payload(i)
+		putUnitHeader(hdr[:], w.units[i].Class, w.kind(i), len(data), w.crcs[i])
 		d = crc32.Update(d, crcTable, hdr[:])
-		d = crc32.Update(d, crcTable, u.data)
+		d = crc32.Update(d, crcTable, data)
 	}
 	return d
 }
@@ -202,7 +175,7 @@ func (w *Writer) Units() int { return len(w.units) }
 func (w *Writer) Size() int64 {
 	n := int64(streamHeaderSize)
 	for _, u := range w.units {
-		n += headerSize + int64(len(u.data))
+		n += headerSize + int64(u.Len)
 	}
 	return n
 }
@@ -237,13 +210,13 @@ type UnitInfo struct {
 func (w *Writer) TOC() []UnitInfo {
 	toc := make([]UnitInfo, 0, len(w.units))
 	off := int64(streamHeaderSize)
-	for _, u := range w.units {
+	for i, u := range w.units {
 		off += headerSize
 		toc = append(toc, UnitInfo{
-			Class: u.class, Kind: u.kind, Body: u.body, Method: u.method,
-			ClassName: u.cls, Off: off, Len: len(u.data), CRC: u.crc,
+			Class: u.Class, Kind: w.kind(i), Body: u.Body, Method: u.Method,
+			ClassName: w.prog.Classes[u.Class].Name, Off: off, Len: u.Len, CRC: w.crcs[i],
 		})
-		off += int64(len(u.data))
+		off += int64(u.Len)
 	}
 	return toc
 }

@@ -274,6 +274,29 @@ func TestLoaderRejectsMalformedStreams(t *testing.T) {
 			t.Errorf("err = %v, want ErrStreamIntegrity", err)
 		}
 	})
+	t.Run("resealed-bad-delimiter", func(t *testing.T) {
+		// The same flipped delimiter under a recomputed unit checksum:
+		// the unit passes integrity, so the body install is what rejects
+		// it.
+		mut := append([]byte(nil), good...)
+		for i := 0; ; i++ {
+			off, kind, n := unitAt(t, good, i)
+			if kind == KindBody {
+				payload := mut[off+headerSize : off+headerSize+n]
+				payload[n-1] ^= 0xFF
+				class, _, _, _, err := parseUnitHeader(good[off : off+headerSize])
+				if err != nil {
+					t.Fatal(err)
+				}
+				putUnitHeader(mut[off:off+headerSize], class, kind, n, ChecksumPayload(payload))
+				break
+			}
+		}
+		err := load(mut)
+		if err == nil || !errors.Is(err, ErrBadStream) || !strings.Contains(err.Error(), "bad delimiter") {
+			t.Errorf("err = %v, want ErrBadStream for a bad delimiter", err)
+		}
+	})
 	t.Run("incomplete-program", func(t *testing.T) {
 		// A clean cut between units used to slip past the loader and only
 		// surface in Program(); the stream header's unit count catches it

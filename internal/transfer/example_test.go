@@ -99,12 +99,15 @@ func ExampleNewParallel() {
 
 	simulate := func(o *reorder.Order, limit int) sim.Result {
 		rp := restructure.Apply(prog, ix, o)
-		layouts := restructure.ComputeLayouts(rp)
-		files, err := transfer.BuildFiles(rp, layouts, transfer.NonStrict, nil)
+		plan, err := restructure.Plan(rp, ix, o, nil)
 		if err != nil {
 			log.Fatal(err)
 		}
-		sched, err := transfer.BuildSchedule(o, ix, files, layouts, nil, nil)
+		files, err := transfer.BuildFiles(rp, plan, transfer.NonStrict)
+		if err != nil {
+			log.Fatal(err)
+		}
+		sched, err := transfer.BuildSchedule(o, ix, files, plan, nil)
 		if err != nil {
 			log.Fatal(err)
 		}

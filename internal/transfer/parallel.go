@@ -41,7 +41,6 @@ type Parallel struct {
 	active      []*pfile
 	now         float64 // transfer clock, cycles
 	mispredicts int
-	demands     int
 }
 
 // NewParallel builds the engine. limit caps concurrent transfers (the
@@ -242,7 +241,6 @@ func (e *Parallel) fireAt() {
 
 // Demand implements Engine.
 func (e *Parallel) Demand(m classfile.Ref, now int64) int64 {
-	e.demands++
 	e.advanceTo(float64(now))
 	pf, ok := e.byMethod[m]
 	if !ok {
@@ -338,22 +336,5 @@ func (e *Parallel) demandAll(now int64) int64 {
 // Mispredicts implements Engine.
 func (e *Parallel) Mispredicts() int { return e.mispredicts }
 
-// Stats implements StatsProvider. BytesDelivered sums every file's
-// delivered bytes at the engine's current transfer clock.
-func (e *Parallel) Stats() Stats {
-	var bytes float64
-	for _, pf := range e.files {
-		bytes += pf.delivered
-	}
-	return Stats{
-		DemandFetches:  e.demands,
-		Mispredicts:    e.mispredicts,
-		BytesDelivered: int64(bytes),
-	}
-}
-
 // Active returns the number of currently transferring files (for tests).
 func (e *Parallel) Active() int { return len(e.active) }
-
-// Delivered returns the bytes of class cls delivered so far (for tests).
-func (e *Parallel) Delivered(cls string) float64 { return e.files[cls].delivered }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"nonstrict/internal/classfile"
-	"nonstrict/internal/datapart"
 	"nonstrict/internal/reorder"
 	"nonstrict/internal/restructure"
 )
@@ -30,82 +29,59 @@ type Schedule struct {
 // BuildSchedule runs the paper's greedy algorithm. Class B depends on
 // every class A whose first method executes before B's first method; the
 // trigger threshold is the number of "unique bytes" of A predicted to be
-// consumed before B is first needed — the stream offset in A of the last
+// consumed before B is first needed — the running sum of A's units in
+// plan (restructure.Plan, the one files came from) through the last
 // A-method preceding B's first use.
 //
 // covered selects the estimate: nil uses static sizes (the SCG variant);
 // otherwise covered[id] is the profiled unique executed code bytes of
-// method id (the Train/Test variants), and prefix sums use covered code
-// bytes in place of full code bytes.
+// method id (the Train/Test variants), and each body unit counts covered
+// code bytes in place of its full code bytes.
 func BuildSchedule(order *reorder.Order, ix *classfile.Index, files map[string]*File,
-	l *restructure.Layouts, part *datapart.Partition, covered []int) (*Schedule, error) {
+	plan []restructure.Unit, covered []int) (*Schedule, error) {
 
 	s := &Schedule{
 		ClassOrder: order.ClassOrder(ix),
 		Deps:       make(map[string][]Dep),
 	}
 
-	// uniqueOffset[class][i] = predicted bytes of the class consumed
-	// once its first i+1 file-order methods have first-run.
-	uniqueOffset := make(map[string][]int, len(files))
-	for cls, refs := range l.FileOrder {
-		offs := make([]int, len(refs))
-		var off int
-		if part != nil {
-			off = part.NeededFirst[cls]
-		} else {
-			off = l.GlobalEnd[cls]
+	// consumed[class] lists, per body unit of the class in plan order,
+	// its method's order position and the predicted bytes of the class
+	// consumed once that method has first-run.
+	type mark struct{ rank, bytes int }
+	consumed := make([][]mark, len(s.ClassOrder))
+	sums := make([]int, len(s.ClassOrder))
+	for _, u := range plan {
+		sums[u.Class] += u.Len
+		if u.Kind != restructure.Body {
+			continue
 		}
-		for i, r := range refs {
-			if part != nil {
-				off += part.GMD[r]
-			}
-			if covered != nil {
-				id := ix.ID(r)
-				if id == classfile.NoMethod {
-					return nil, fmt.Errorf("transfer: schedule: unknown method %v", r)
-				}
-				body := l.BodySize[r]
-				code := len(ix.Method(id).Code)
-				off += body - code + covered[id]
-			} else {
-				off += l.BodySize[r]
-			}
-			offs[i] = off
+		id := ix.ID(u.Method)
+		if id == classfile.NoMethod {
+			return nil, fmt.Errorf("transfer: schedule: unknown method %v", u.Method)
 		}
-		uniqueOffset[cls] = offs
-	}
-
-	// rankOfFirst[class] = order position of the class's first method.
-	rankOfFirst := make(map[string]int, len(files))
-	for pos, id := range order.Methods {
-		cls := ix.Class(id).Name
-		if _, ok := rankOfFirst[cls]; !ok {
-			rankOfFirst[cls] = pos
+		if covered != nil {
+			sums[u.Class] += covered[id] - len(ix.Method(id).Code)
 		}
+		consumed[u.Class] = append(consumed[u.Class], mark{order.Rank[id], sums[u.Class]})
 	}
 
 	for _, cls := range s.ClassOrder {
-		rB := rankOfFirst[cls]
+		b := consumed[ix.ClassIndex(cls)]
 		var deps []Dep
 		for _, a := range s.ClassOrder {
-			if a == cls {
-				continue
-			}
-			if rankOfFirst[a] >= rB {
+			as := consumed[ix.ClassIndex(a)]
+			if a == cls || len(b) == 0 || len(as) == 0 || as[0].rank >= b[0].rank {
 				continue // A does not execute before B's first method
 			}
-			// Last file-order index in A whose method ranks before rB.
-			last := -1
-			for i, r := range l.FileOrder[a] {
-				if order.Rank[ix.ID(r)] < rB && i > last {
-					last = i
+			// A's bytes through its last method ranked before B's first.
+			bytes := 0
+			for _, m := range as {
+				if m.rank >= b[0].rank {
+					break
 				}
+				bytes = m.bytes
 			}
-			if last < 0 {
-				continue
-			}
-			bytes := uniqueOffset[a][last]
 			if max := files[a].Size; bytes > max {
 				bytes = max
 			}

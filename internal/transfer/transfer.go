@@ -9,14 +9,14 @@
 // execution sets every method's offset to the whole file; non-strict
 // execution uses the method-delimiter offset; data partitioning shrinks
 // the global-data prefix to the needed-first section plus per-method GMDs.
+// The engines take every byte count from restructure.Plan, the layout the
+// stream writer ships.
 package transfer
 
 import (
 	"fmt"
 
 	"nonstrict/internal/classfile"
-	"nonstrict/internal/datapart"
-	"nonstrict/internal/reorder"
 	"nonstrict/internal/restructure"
 )
 
@@ -67,45 +67,39 @@ func (m Mode) String() string {
 	return fmt.Sprintf("Mode(%d)", int(m))
 }
 
-// BuildFiles derives the per-class streams of program p (already
-// restructured) for the given mode. part may be nil unless mode is
-// Partitioned.
-func BuildFiles(p *classfile.Program, l *restructure.Layouts, mode Mode, part *datapart.Partition) (map[string]*File, error) {
-	if mode == Partitioned && part == nil {
-		return nil, fmt.Errorf("transfer: Partitioned mode requires a partition")
+// BuildFiles derives the per-class streams of program p from its plan
+// (restructure.Plan, with a partition exactly when mode is Partitioned).
+// A class's stream is its units in plan order, and its Size their sum.
+// A method is available once its body unit has arrived: at the running
+// sum of its class's units through that unit, which is its delimiter
+// (NonStrict) or the end of its GMD + body (Partitioned); under Strict,
+// at the class's Size.
+func BuildFiles(p *classfile.Program, plan []restructure.Unit, mode Mode) (map[string]*File, error) {
+	if mode != Strict && mode != NonStrict && mode != Partitioned {
+		return nil, fmt.Errorf("transfer: unknown mode %v", mode)
+	}
+	if partitioned := len(plan) > 0 && plan[0].Kind == restructure.NeededFirst; partitioned != (mode == Partitioned) {
+		return nil, fmt.Errorf("transfer: %v mode over a plan whose partitioning does not match it", mode)
 	}
 	out := make(map[string]*File, len(p.Classes))
-	for _, c := range p.Classes {
-		f := &File{
-			Name:  c.Name,
-			Size:  l.FileSize[c.Name],
-			Avail: make(map[classfile.Ref]int, len(c.Methods)),
+	files := make([]*File, len(p.Classes))
+	for i, c := range p.Classes {
+		files[i] = &File{Name: c.Name, Avail: make(map[classfile.Ref]int, len(c.Methods))}
+		out[c.Name] = files[i]
+	}
+	for _, u := range plan {
+		f := files[u.Class]
+		f.Size += u.Len
+		if u.Kind == restructure.Body {
+			f.Avail[u.Method] = f.Size
 		}
-		switch mode {
-		case Strict:
-			for _, r := range l.FileOrder[c.Name] {
+	}
+	if mode == Strict {
+		for _, f := range files {
+			for r := range f.Avail {
 				f.Avail[r] = f.Size
 			}
-		case NonStrict:
-			for _, r := range l.FileOrder[c.Name] {
-				f.Avail[r] = l.Avail[r]
-			}
-		case Partitioned:
-			off := part.NeededFirst[c.Name]
-			for _, r := range l.FileOrder[c.Name] {
-				off += part.GMD[r] + l.BodySize[r]
-				f.Avail[r] = off
-			}
-			// The unused global bytes trail the stream; total size is
-			// unchanged.
-			if got := off + part.Unused[c.Name]; got != f.Size {
-				return nil, fmt.Errorf("transfer: class %s: partitioned stream is %d bytes, file is %d",
-					c.Name, got, f.Size)
-			}
-		default:
-			return nil, fmt.Errorf("transfer: unknown mode %v", mode)
 		}
-		out[c.Name] = f
 	}
 	return out, nil
 }
@@ -122,25 +116,11 @@ type Engine interface {
 	Mispredicts() int
 }
 
-// TotalBytes sums the stream sizes of files.
-func TotalBytes(files map[string]*File) int {
-	n := 0
-	for _, f := range files {
-		n += f.Size
-	}
-	return n
-}
-
 // sequential is the strict baseline engine: class files transfer one at a
 // time, to completion, in a fixed order.
 type sequential struct {
-	link   Link
 	finish map[string]int64 // per-class completion cycle
 	avail  map[classfile.Ref]int64
-
-	total     int64 // total stream bytes
-	demands   int
-	lastClock int64 // latest cycle any demand was answered at
 }
 
 // NewSequential builds the one-at-a-time engine. classOrder fixes the
@@ -151,7 +131,6 @@ func NewSequential(classOrder []string, files map[string]*File, link Link) (Engi
 		return nil, fmt.Errorf("transfer: class order has %d classes, files %d", len(classOrder), len(files))
 	}
 	e := &sequential{
-		link:   link,
 		finish: make(map[string]int64, len(files)),
 		avail:  make(map[classfile.Ref]int64),
 	}
@@ -167,12 +146,10 @@ func NewSequential(classOrder []string, files map[string]*File, link Link) (Engi
 		off += int64(f.Size)
 		e.finish[name] = off * link.CyclesPerByte
 	}
-	e.total = off
 	return e, nil
 }
 
 func (e *sequential) Demand(m classfile.Ref, now int64) int64 {
-	e.demands++
 	t, ok := e.avail[m]
 	if !ok {
 		// Unknown method: conservatively wait for everything.
@@ -184,34 +161,13 @@ func (e *sequential) Demand(m classfile.Ref, now int64) int64 {
 		}
 		t = max
 	}
-	at := maxi64(now, t)
-	if at > e.lastClock {
-		e.lastClock = at
-	}
-	return at
+	return maxi64(now, t)
 }
 
 func (e *sequential) Mispredicts() int { return 0 }
 
-// Stats implements StatsProvider. Transfer runs continuously, so by the
-// last answered demand the link has delivered clock/CyclesPerByte bytes,
-// capped at the stream total.
-func (e *sequential) Stats() Stats {
-	return Stats{
-		DemandFetches:  e.demands,
-		BytesDelivered: mini64(e.total, e.lastClock/e.link.CyclesPerByte),
-	}
-}
-
 func maxi64(a, b int64) int64 {
 	if a > b {
-		return a
-	}
-	return b
-}
-
-func mini64(a, b int64) int64 {
-	if a < b {
 		return a
 	}
 	return b
@@ -231,48 +187,26 @@ type ArrivalSchedule interface {
 	Arrivals() []Arrival
 }
 
-// interleaved is the §5.2 engine: one virtual file containing every
-// class's global data and method bodies, merged in predicted first-use
-// order; each class's global data (or needed-first section) immediately
-// precedes its first method unit.
+// interleaved is the §5.2 engine: one virtual file, restructure.Plan's
+// units, whose every method becomes available once the file's bytes
+// through its body unit have arrived.
 type interleaved struct {
 	avail    map[classfile.Ref]int64
 	total    int64
 	arrivals []Arrival
-
-	link      Link
-	demands   int
-	lastClock int64
 }
 
-// NewInterleaved builds the virtual-file engine. ix indexes the original
-// program (orders are expressed in its MethodIDs); l and part describe
-// the restructured layout.
-func NewInterleaved(order *reorder.Order, ix *classfile.Index, l *restructure.Layouts, part *datapart.Partition, link Link) Engine {
-	e := &interleaved{avail: make(map[classfile.Ref]int64, len(order.Methods)), link: link}
-	emitted := make(map[string]bool)
+// NewInterleaved builds the virtual-file engine over plan, a
+// restructure.Plan with or without a partition.
+func NewInterleaved(plan []restructure.Unit, link Link) Engine {
+	e := &interleaved{avail: make(map[classfile.Ref]int64, len(plan))}
 	var off int64
-	for _, id := range order.Methods {
-		r := ix.Ref(id)
-		if !emitted[r.Class] {
-			emitted[r.Class] = true
-			if part != nil {
-				off += int64(part.NeededFirst[r.Class])
-			} else {
-				off += int64(l.GlobalEnd[r.Class])
-			}
-		}
-		unitBytes := l.BodySize[r]
-		if part != nil {
-			unitBytes += part.GMD[r]
-		}
-		off += int64(unitBytes)
-		e.avail[r] = off * link.CyclesPerByte
-		e.arrivals = append(e.arrivals, Arrival{Ref: r, At: e.avail[r], Bytes: unitBytes})
-	}
-	if part != nil {
-		for cls := range emitted {
-			off += int64(part.Unused[cls])
+	for _, u := range plan {
+		off += int64(u.Len)
+		if u.Kind == restructure.Body {
+			at := off * link.CyclesPerByte
+			e.avail[u.Method] = at
+			e.arrivals = append(e.arrivals, Arrival{Ref: u.Method, At: at, Bytes: u.Len})
 		}
 	}
 	e.total = off * link.CyclesPerByte
@@ -280,27 +214,14 @@ func NewInterleaved(order *reorder.Order, ix *classfile.Index, l *restructure.La
 }
 
 func (e *interleaved) Demand(m classfile.Ref, now int64) int64 {
-	e.demands++
 	t, ok := e.avail[m]
 	if !ok {
 		t = e.total
 	}
-	at := maxi64(now, t)
-	if at > e.lastClock {
-		e.lastClock = at
-	}
-	return at
+	return maxi64(now, t)
 }
 
 func (e *interleaved) Mispredicts() int { return 0 }
-
-// Stats implements StatsProvider.
-func (e *interleaved) Stats() Stats {
-	return Stats{
-		DemandFetches:  e.demands,
-		BytesDelivered: mini64(e.total/e.link.CyclesPerByte, e.lastClock/e.link.CyclesPerByte),
-	}
-}
 
 // Arrivals implements ArrivalSchedule: methods in stream order with
 // their delivery cycles.

@@ -210,7 +210,8 @@ type pipeline struct {
 	ix    *classfile.Index
 	order *reorder.Order
 	lay   *restructure.Layouts
-	part  *datapart.Partition
+	// plan and partPlan are restructure.Plan without and with part.
+	plan, partPlan []restructure.Unit
 }
 
 func buildPipeline(t *testing.T) *pipeline {
@@ -259,21 +260,29 @@ func buildPipeline(t *testing.T) *pipeline {
 	if err := part.Check(rp); err != nil {
 		t.Fatal(err)
 	}
-	return &pipeline{prog: rp, ix: ix, order: o, lay: restructure.ComputeLayouts(rp), part: part}
+	plan, err := restructure.Plan(rp, ix, o, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	partPlan, err := restructure.Plan(rp, ix, o, part)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &pipeline{prog: rp, ix: ix, order: o, lay: restructure.ComputeLayouts(rp), plan: plan, partPlan: partPlan}
 }
 
 func TestBuildFilesModes(t *testing.T) {
 	pl := buildPipeline(t)
 
-	strict, err := BuildFiles(pl.prog, pl.lay, Strict, nil)
+	strict, err := BuildFiles(pl.prog, pl.plan, Strict)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nonstrict, err := BuildFiles(pl.prog, pl.lay, NonStrict, nil)
+	nonstrict, err := BuildFiles(pl.prog, pl.plan, NonStrict)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parted, err := BuildFiles(pl.prog, pl.lay, Partitioned, pl.part)
+	parted, err := BuildFiles(pl.prog, pl.partPlan, Partitioned)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,18 +313,21 @@ func TestBuildFilesModes(t *testing.T) {
 			parted["M"].Avail[mainRef], nonstrict["M"].Avail[mainRef])
 	}
 
-	if _, err := BuildFiles(pl.prog, pl.lay, Partitioned, nil); err == nil {
+	if _, err := BuildFiles(pl.prog, pl.plan, Partitioned); err == nil {
 		t.Error("Partitioned without partition accepted")
+	}
+	if _, err := BuildFiles(pl.prog, pl.partPlan, NonStrict); err == nil {
+		t.Error("NonStrict over a partitioned plan accepted")
 	}
 }
 
 func TestBuildSchedule(t *testing.T) {
 	pl := buildPipeline(t)
-	files, err := BuildFiles(pl.prog, pl.lay, NonStrict, nil)
+	files, err := BuildFiles(pl.prog, pl.plan, NonStrict)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sched, err := BuildSchedule(pl.order, pl.ix, files, pl.lay, nil, nil)
+	sched, err := BuildSchedule(pl.order, pl.ix, files, pl.plan, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,7 +361,7 @@ func TestBuildSchedule(t *testing.T) {
 
 func TestBuildScheduleWithCoverage(t *testing.T) {
 	pl := buildPipeline(t)
-	files, err := BuildFiles(pl.prog, pl.lay, NonStrict, nil)
+	files, err := BuildFiles(pl.prog, pl.plan, NonStrict)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,11 +370,11 @@ func TestBuildScheduleWithCoverage(t *testing.T) {
 	for id := range covered {
 		covered[id] = len(pl.ix.Method(classfile.MethodID(id)).Code) / 2
 	}
-	static, err := BuildSchedule(pl.order, pl.ix, files, pl.lay, nil, nil)
+	static, err := BuildSchedule(pl.order, pl.ix, files, pl.plan, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	prof, err := BuildSchedule(pl.order, pl.ix, files, pl.lay, nil, covered)
+	prof, err := BuildSchedule(pl.order, pl.ix, files, pl.plan, covered)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,7 +388,7 @@ func TestBuildScheduleWithCoverage(t *testing.T) {
 func TestInterleavedEngine(t *testing.T) {
 	pl := buildPipeline(t)
 	link := Link{Name: "t", CyclesPerByte: 100}
-	e := NewInterleaved(pl.order, pl.ix, pl.lay, nil, link)
+	e := NewInterleaved(pl.plan, link)
 
 	// main is the first unit after its class's global data.
 	mainRef := ref("M", "main")
@@ -409,21 +421,14 @@ func TestInterleavedEngine(t *testing.T) {
 func TestInterleavedPartitionedBeatsWhole(t *testing.T) {
 	pl := buildPipeline(t)
 	link := Link{Name: "t", CyclesPerByte: 100}
-	whole := NewInterleaved(pl.order, pl.ix, pl.lay, nil, link)
-	parted := NewInterleaved(pl.order, pl.ix, pl.lay, pl.part, link)
+	whole := NewInterleaved(pl.plan, link)
+	parted := NewInterleaved(pl.partPlan, link)
 	for _, id := range pl.order.Methods {
 		r := pl.ix.Ref(id)
 		if parted.Demand(r, 0) > whole.Demand(r, 0) {
 			t.Errorf("%v: partitioned avail %d exceeds whole-pool %d",
 				r, parted.Demand(r, 0), whole.Demand(r, 0))
 		}
-	}
-}
-
-func TestTotalBytes(t *testing.T) {
-	files := twoFiles()
-	if got := TotalBytes(files); got != 2000 {
-		t.Errorf("TotalBytes = %d, want 2000", got)
 	}
 }
 
@@ -496,7 +501,7 @@ func TestInterleavedMonotone(t *testing.T) {
 	f := func(cpbRaw uint32) bool {
 		cpb := int64(cpbRaw%1000000) + 1
 		link := Link{Name: "q", CyclesPerByte: cpb}
-		e := NewInterleaved(pl.order, pl.ix, pl.lay, nil, link)
+		e := NewInterleaved(pl.plan, link)
 		var prev int64
 		for _, id := range pl.order.Methods {
 			at := e.Demand(pl.ix.Ref(id), 0)
@@ -535,8 +540,12 @@ func TestParallelDemandUnknownRef(t *testing.T) {
 	if got := e.Demand(ref("B", "m"), 20000); got != 20000 {
 		t.Errorf("B.m after degrade at %d, want 20000", got)
 	}
-	if got := e.Stats().BytesDelivered; got != 2000 {
-		t.Errorf("delivered %d bytes, want 2000", got)
+	var delivered float64
+	for _, pf := range e.files {
+		delivered += pf.delivered
+	}
+	if delivered != 2000 || e.Active() != 0 {
+		t.Errorf("delivered %g bytes with %d files active, want 2000 and none", delivered, e.Active())
 	}
 }
 
