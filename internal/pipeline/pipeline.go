@@ -6,7 +6,7 @@
 //   - Build (the code server, the synth listing, the checker's fixture)
 //     runs compile, static, order, restructure, write for the static
 //     order, and adds link plus exactly one profiled run — the input the
-//     order is named after — for a profile-guided one.
+//     order is named after, run beside static — for a profile-guided one.
 //   - experiments.LoadCtx (the paper tables) runs compile, link, both
 //     profiled runs, static, then order and restructure once per predictor.
 //   - Static, the static stage's body, runs over a program compiled
@@ -14,9 +14,13 @@
 //     examples ExampleRun (internal/sim) and ExampleNewParallel
 //     (internal/transfer).
 //
-// Stages are sequential and deterministic. Each checks ctx before it
+// Stages are deterministic, and all but two run one after another: in a
+// profile-guided Build the static stage runs beside the profiled run,
+// since neither reads the other's output. Each stage checks ctx before it
 // starts and adds its wall-clock time to the run's Durations, so a caller
-// can say where a build's time went without timing anything itself.
+// can say where a build's time went without timing anything itself; for
+// a profile-guided Build the stages therefore sum to more than its wall
+// time, by up to the shorter of static and profile.
 package pipeline
 
 import (
@@ -215,7 +219,9 @@ type Stream struct {
 	// Units locates every unit in Data; TOC is its wire encoding.
 	Units []stream.UnitInfo
 	TOC   []byte
-	// Stages is what each stage of the build cost.
+	// Stages is what each stage of the build cost. Stages that ran side
+	// by side each count in full, so Stages.Total() can exceed the
+	// build's wall time.
 	Stages Durations
 }
 
@@ -246,7 +252,9 @@ func (r *Run) Write(ctx context.Context, rp *classfile.Program, o *reorder.Order
 
 // Build takes app to a served stream under one order policy. The static
 // order never links or executes the program; train and test link it and
-// run it once, on the input the policy names.
+// run it once, on the input the policy names, while the static stage
+// runs on a second goroutine. A failed or cancelled build returns only
+// after both have stopped, so it leaves nothing running.
 func Build(ctx context.Context, app *apps.App, order string) (*Stream, error) {
 	if order != OrderStatic && order != OrderTrain && order != OrderTest {
 		return nil, fmt.Errorf("pipeline: unknown order policy %q (want %s, %s, or %s)",
@@ -257,18 +265,27 @@ func Build(ctx context.Context, app *apps.App, order string) (*Stream, error) {
 		return nil, err
 	}
 	var prof *vm.Profile
-	if order != OrderStatic {
+	if order == OrderStatic {
+		if err := r.Static(ctx); err != nil {
+			return nil, err
+		}
+	} else {
 		if err := r.Link(ctx); err != nil {
 			return nil, err
 		}
+		// Static reads only the linker's index and Profile only the
+		// linked program, so the two run side by side. Both have stopped
+		// before Build returns, whichever of them failed.
+		static := make(chan error, 1)
+		go func() { static <- r.Static(ctx) }()
 		m, err := r.Profile(ctx, order == OrderTrain, false)
+		if serr := <-static; err == nil {
+			err = serr
+		}
 		if err != nil {
 			return nil, err
 		}
 		prof = m.Profile()
-	}
-	if err := r.Static(ctx); err != nil {
-		return nil, err
 	}
 	o, err := r.Order(ctx, prof)
 	if err != nil {

@@ -43,12 +43,14 @@ type Artifact struct {
 	ETag, TOCETag string
 	// Units is the stream's unit count.
 	Units int
-	// BuildTime is how long the compile → predict → restructure →
-	// serialize pipeline took for this artifact: the sum of Stages.
+	// BuildTime is the wall-clock time the compile → predict →
+	// restructure → serialize pipeline took for this artifact.
 	BuildTime time.Duration
-	// Stages splits BuildTime by pipeline stage. It describes the build
-	// that ran in this process and is not persisted: an artifact reloaded
-	// from a store or filled from a peer carries zeros.
+	// Stages splits BuildTime by pipeline stage. Stages that ran side by
+	// side each count in full, so they can sum to more than BuildTime. It
+	// describes the build that ran in this process and is not persisted:
+	// an artifact reloaded from a store or filled from a peer carries
+	// zeros.
 	Stages pipeline.Durations
 	// PeerFilled marks an artifact whose bytes were transferred from a
 	// cluster peer instead of produced by the local build pipeline. The
@@ -56,10 +58,42 @@ type Artifact struct {
 	// cluster-wide "one pipeline build per key" invariant is checkable by
 	// summing Builds across nodes.
 	PeerFilled bool
+
+	// durable, when non-nil, is closed once the cache's store write-back
+	// of this artifact has returned. It is nil when there is nothing to
+	// write: no store, or an artifact the store itself returned.
+	durable chan struct{}
 }
 
 // size is the artifact's accountable footprint against the cache budget.
 func (a *Artifact) size() int64 { return int64(len(a.Data) + len(a.TOC)) }
+
+// waitDurable returns once a's store write-back has returned (at once
+// when a has none), or with ctx's error if ctx ends first.
+func (a *Artifact) waitDurable(ctx context.Context) error {
+	if a.durable == nil {
+		return nil
+	}
+	select {
+	case <-a.durable:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+
+// persisting reports whether a's store write-back is still running.
+func (a *Artifact) persisting() bool {
+	if a.durable == nil {
+		return false
+	}
+	select {
+	case <-a.durable:
+		return false
+	default:
+		return true
+	}
+}
 
 // CacheStats is a point-in-time snapshot of the cache's counters. The
 // JSON tags are the schema of the "cache" block in the fleet report.
@@ -125,8 +159,10 @@ type Cache struct {
 	// Store, when non-nil, is the persistent tier consulted before the
 	// build pipeline and written back after it: a miss that the store
 	// satisfies publishes the stored artifact without counting a build,
-	// so a restarted server is warm. Set it before the cache sees
-	// traffic.
+	// so a restarted server is warm. A built artifact is published
+	// before it is persisted: the write-back runs on a goroutine of its
+	// own after the flight resolves, and the artifact's durable signal
+	// says when it has returned. Set it before the cache sees traffic.
 	Store Store
 
 	// Admit is the overload policy; the zero value disables admission
@@ -319,6 +355,11 @@ func (c *Cache) BreakerState(k Key) BreakerState {
 // br, when non-nil, is k's circuit breaker; the outcome is recorded
 // BEFORE f.done closes, so a caller that saw the flight resolve also
 // sees the breaker state the outcome implies.
+//
+// A built artifact is published first and persisted after: once f.done
+// has closed, the store write-back starts on a goroutine of its own, so
+// neither the waiters nor the caller's admission slot wait for the disk.
+// The artifact's durable signal closes when the write-back returns.
 func (c *Cache) runBuild(k Key, f *flight, br *Breaker) {
 	start := time.Now()
 	defer func() {
@@ -354,6 +395,9 @@ func (c *Cache) runBuild(k Key, f *flight, br *Breaker) {
 		}
 		c.mu.Unlock()
 		close(f.done)
+		if f.err == nil && f.art.durable != nil {
+			go c.writeBack(f.art)
+		}
 	}()
 	if c.Store != nil {
 		if art, err := c.Store.Get(k); err == nil {
@@ -371,13 +415,23 @@ func (c *Cache) runBuild(k Key, f *flight, br *Breaker) {
 	if err != nil {
 		err = fmt.Errorf("server: building %s: %w", k, err)
 	}
-	f.art, f.err = art, err
 	if err == nil && c.Store != nil {
-		// Write-back is best-effort: a store that cannot persist must
-		// not fail the request the pipeline just satisfied. The store
-		// counts its own put errors.
-		_ = c.Store.Put(art)
+		// The build function's artifact may be shared with its caller;
+		// the one this cache publishes carries its own durable signal.
+		a := *art
+		a.durable = make(chan struct{})
+		art = &a
 	}
+	f.art, f.err = art, err
+}
+
+// writeBack persists a built artifact and then closes its durable
+// signal. Write-back is best-effort: a store that cannot persist must
+// not fail the requests the pipeline already satisfied. The store counts
+// its own put errors.
+func (c *Cache) writeBack(a *Artifact) {
+	defer close(a.durable)
+	_ = c.Store.Put(a)
 }
 
 // Peek returns the resident artifact for k without building, waiting, or
@@ -419,7 +473,9 @@ func (c *Cache) insertLocked(k Key, art *Artifact) {
 // published artifacts say (Artifact.Stages). The sum stays below
 // BuildSeconds: that also covers failed builds, builds whose artifact
 // carries no stage times, and the work around the stages (constructing
-// the app, hashing, the store probe and write-back).
+// the app, hashing, the store probe). The one exception is a
+// profile-guided build, whose static and profile stages run side by side
+// and so count twice over the same wall time.
 func (c *Cache) BuildStages() pipeline.Durations {
 	var d pipeline.Durations
 	for s := range d {

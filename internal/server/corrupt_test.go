@@ -272,6 +272,7 @@ func TestDiskStoreRejectsEveryCorruption(t *testing.T) {
 				if st := c.Stats(); st.Builds != 1 || st.StoreHits != 0 {
 					t.Fatalf("%s flip: cache stats %+v, want one build and no store hit", r.name, st)
 				}
+				awaitWriteBack(got)
 				// The rebuild's write-back replaced the damage.
 				again, err := s.Get(k)
 				if err != nil || again.ETag != pinETag {

@@ -239,6 +239,7 @@ func TestCancelledBuildPublishesNothing(t *testing.T) {
 				if n == 0 {
 					t.Errorf("%s: the build never checked its context", order)
 				}
+				awaitWriteBack(art)
 				if c.Peek(k) != art || store.Stats().Entries != 1 {
 					t.Errorf("%s: an uncancelled build was not published", order)
 				}
@@ -295,7 +296,9 @@ func scrapeStages(t *testing.T, url string) (stages map[string]float64, total fl
 
 // TestMetricsBuildStages: /metrics splits build time by pipeline stage, the
 // split stays within the wall-clock build-seconds total, and only a
-// profile-guided order spends time linking and profiling.
+// profile-guided order spends time linking and profiling. A profile-guided
+// build runs its static and profile stages side by side, so its stages
+// stay within the total once the shorter of the two is taken out.
 func TestMetricsBuildStages(t *testing.T) {
 	for _, order := range []string{OrderTrain, OrderStatic} {
 		_, ts := testServer(t, Config{Apps: []string{"Hanoi"}, Order: order})
@@ -314,8 +317,12 @@ func TestMetricsBuildStages(t *testing.T) {
 			}
 			sum += v
 		}
-		if sum <= 0 || sum > total {
-			t.Errorf("%s: stages sum to %g s, nonstrict_cache_build_seconds_total is %g s", order, sum, total)
+		overlap := 0.0
+		if order != OrderStatic {
+			overlap = min(stages["static"], stages["profile"])
+		}
+		if sum <= 0 || sum-overlap > total {
+			t.Errorf("%s: stages sum to %g s (%g s side by side), nonstrict_cache_build_seconds_total is %g s", order, sum, overlap, total)
 		}
 		for _, s := range []string{"link", "profile"} {
 			if profiled := order != OrderStatic; (stages[s] > 0) != profiled {

@@ -211,13 +211,17 @@ func (s *Server) CacheStats() CacheStats { return s.cache.Stats() }
 
 // Warm builds (or finds) the named app's artifact and returns its stream
 // size — the serve command uses it to prebuild its default app so the
-// first real client never pays the cold build.
+// first real client never pays the cold build. Like a served response,
+// it returns only once the artifact's store record is committed.
 func (s *Server) Warm(ctx context.Context, name string) (int64, error) {
 	if !s.mounted[name] {
 		return 0, fmt.Errorf("server: app %q is not mounted", name)
 	}
 	art, _, err := s.cache.Get(ctx, Key{App: name, Order: s.order})
 	if err != nil {
+		return 0, err
+	}
+	if err := art.waitDurable(ctx); err != nil {
 		return 0, err
 	}
 	return int64(len(art.Data)), nil
@@ -228,7 +232,10 @@ func (s *Server) Warm(ctx context.Context, name string) (int64, error) {
 // shared immutable bytes. http.ServeContent supplies Range (206) and
 // If-None-Match (304) handling against the reader and ETag we hand it;
 // the body goes out through the stream pool's copy buffer (pooledCopy),
-// so a warm response allocates per request, never per byte.
+// so a warm response allocates per request, never per byte. An artifact
+// whose store write-back is still running is served all but its last
+// byte at once; the last byte waits for the write-back (heldTail), so a
+// client holding a complete response knows the record is committed.
 func (s *Server) serveArtifact(w http.ResponseWriter, r *http.Request, name string, toc bool) {
 	if !s.mounted[name] {
 		http.NotFound(w, r)
@@ -274,7 +281,11 @@ func (s *Server) serveArtifact(w http.ResponseWriter, r *http.Request, name stri
 	if s.rate > 0 {
 		rw = &pacedWriter{rw: w, rate: s.rate, ctx: r.Context()}
 	}
-	http.ServeContent(pooledCopy{rw}, r, "", time.Time{}, bytes.NewReader(data))
+	var body http.ResponseWriter = pooledCopy{rw}
+	if art.persisting() {
+		body = heldTail{rw, art, r.Context()}
+	}
+	http.ServeContent(body, r, "", time.Time{}, bytes.NewReader(data))
 }
 
 // pooledCopy is the writer serveArtifact hands http.ServeContent. The
@@ -289,6 +300,37 @@ func (p pooledCopy) ReadFrom(src io.Reader) (int64, error) {
 	bp := stream.GetCopyBuf()
 	defer stream.PutCopyBuf(bp)
 	return io.CopyBuffer(p.ResponseWriter, src, *bp)
+}
+
+// heldTail is pooledCopy for an artifact whose store write-back is still
+// running: it writes and flushes all of the body but its last byte, then
+// waits for the write-back before writing that byte. http.ServeContent
+// hands a single-part body over as an io.LimitedReader of exactly the
+// body's length; any other source (a multipart range body) is held whole.
+type heldTail struct {
+	http.ResponseWriter
+	art *Artifact
+	ctx context.Context
+}
+
+func (h heldTail) ReadFrom(src io.Reader) (n int64, err error) {
+	out := pooledCopy{h.ResponseWriter}
+	if lr, ok := src.(*io.LimitedReader); ok && lr.N > 1 {
+		lr.N--
+		n, err = out.ReadFrom(lr)
+		lr.N++
+		if err != nil {
+			return n, err
+		}
+		if fl, ok := h.ResponseWriter.(http.Flusher); ok {
+			fl.Flush()
+		}
+	}
+	if err := h.art.waitDurable(h.ctx); err != nil {
+		return n, err
+	}
+	m, err := out.ReadFrom(src)
+	return n + m, err
 }
 
 // shedResponse writes the load-shedding answer: 503 with a Retry-After
@@ -363,10 +405,12 @@ func Build(ctx context.Context, k Key) (*Artifact, error) {
 	if err != nil {
 		return nil, err
 	}
+	start := time.Now()
 	st, err := pipeline.Build(ctx, app, k.Order)
 	if err != nil {
 		return nil, err
 	}
+	took := time.Since(start)
 	return &Artifact{
 		Key:       k,
 		Data:      st.Data,
@@ -374,7 +418,7 @@ func Build(ctx context.Context, k Key) (*Artifact, error) {
 		ETag:      digestOf(st.Data).etag(),
 		TOCETag:   digestOf(st.TOC).etag(),
 		Units:     len(st.Units),
-		BuildTime: st.Stages.Total(),
+		BuildTime: took,
 		Stages:    st.Stages,
 	}, nil
 }

@@ -280,6 +280,7 @@ func TestCacheStoreWarmRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	awaitWriteBack(first)
 	if st := c1.Stats(); st.Builds != 1 || st.StoreHits != 0 || st.StoreMisses != 1 {
 		t.Fatalf("cold stats = %+v", st)
 	}
@@ -322,12 +323,16 @@ func TestCacheStoreEvictionRefetch(t *testing.T) {
 	ctx := context.Background()
 	ka := Key{App: "aaaa", Order: OrderStatic}
 	kb := Key{App: "bbbb", Order: OrderStatic}
-	if _, _, err := c.Get(ctx, ka); err != nil {
+	a, _, err := c.Get(ctx, ka)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := c.Get(ctx, kb); err != nil { // evicts ka
+	awaitWriteBack(a)
+	b, _, err := c.Get(ctx, kb) // evicts ka
+	if err != nil {
 		t.Fatal(err)
 	}
+	awaitWriteBack(b)
 	if cs := c.Stats(); cs.Evictions != 1 {
 		t.Fatalf("evictions = %d, want 1", cs.Evictions)
 	}
@@ -341,6 +346,10 @@ func TestCacheStoreEvictionRefetch(t *testing.T) {
 		t.Fatalf("store hits = %d, want 1", cs.StoreHits)
 	}
 }
+
+// awaitWriteBack returns once the cache's store write-back of a has
+// returned: a cache publishes a built artifact before it persists it.
+func awaitWriteBack(a *Artifact) { _ = a.waitDurable(context.Background()) }
 
 // storeFiles lists the committed record files in dir.
 func storeFiles(t *testing.T, dir string) []string {
