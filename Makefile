@@ -40,6 +40,11 @@ lint:
 	@# file name all read that one sum.
 	@if grep -rn --include='*.go' 'sha256\.' internal/server | grep -v '^internal/server/digest\.go:'; then \
 		echo "sha256 outside internal/server/digest.go; derive from the payload's digest instead" >&2; exit 1; fi
+	@# A parsed class's names view the stream payload that holds them
+	@# (classfile.ParseGlobal); that view is the one use of unsafe outside
+	@# tests, and it lives in internal/classfile/view.go.
+	@if grep -rln --include='*.go' --exclude='*_test.go' '"unsafe"' . | grep -vx './internal/classfile/view.go'; then \
+		echo "unsafe outside internal/classfile/view.go; view bytes through classfile.ParseGlobal instead" >&2; exit 1; fi
 	@# The virtual file's layout lives in restructure.Plan: the stream
 	@# writer and the transfer engines read its units and never size a
 	@# class's global data or a method body themselves.

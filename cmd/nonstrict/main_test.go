@@ -12,6 +12,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"nonstrict/internal/cluster"
 	"nonstrict/internal/server"
@@ -445,6 +446,12 @@ func metricValue(t *testing.T, metrics, name string) int64 {
 // TestServeMetricsDuringChaos: the serve command must expose scrapeable
 // Prometheus counters while a chaos schedule runs — request and byte
 // totals from real traffic and fault injections attributed by kind.
+//
+// run-remote fetches the unit table beside the stream, and a run that
+// finishes first cancels that fetch, possibly before it reaches the
+// server. So the flaky table is the test's own: it fetches /app.toc
+// through a retrying client, which takes the one injected 503 and then
+// the table, and run-remote runs after it against a healthy table.
 func TestServeMetricsDuringChaos(t *testing.T) {
 	srv, _, err := newServer("Hanoi", 0, stream.Fault{FlakyTOC: 1, Seed: 7})
 	if err != nil {
@@ -465,13 +472,19 @@ func TestServeMetricsDuringChaos(t *testing.T) {
 	}
 	metricValue(t, metrics, "nonstrict_active_streams")
 
+	client := &stream.FetchClient{BackoffBase: time.Millisecond}
+	if _, err := client.Fetch(context.Background(), base+"/app.toc", io.Discard); err != nil {
+		t.Fatalf("fetching the unit table under a flaky schedule: %v", err)
+	}
+
 	out := capture(t, "run-remote", base+"/app", "-name", "Hanoi", "-backoff", "1ms", "-latencies", "0")
 	if !strings.Contains(out, "self-check: ok") {
-		t.Fatalf("run-remote under flaky TOC failed:\n%s", out)
+		t.Fatalf("run-remote after a flaky TOC failed:\n%s", out)
 	}
 
 	metrics = httpGet(t, base+"/metrics")
-	// The client fetched /app, failed once on /app.toc, then got it.
+	// The test failed once on /app.toc, then got it; run-remote fetched
+	// /app.
 	if got := metricValue(t, metrics, "nonstrict_http_requests_total"); got < 3 {
 		t.Errorf("requests_total = %d, want >= 3 (app + toc retry + toc)", got)
 	}

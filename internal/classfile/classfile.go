@@ -76,12 +76,15 @@ func (k ConstKind) String() string {
 //	NameAndType:         A (name Utf8), B (descriptor Utf8)
 //	FieldRef, MethodRef,
 //	InterfaceMethodRef:  A (Class index), B (NameAndType index)
+//
+// Kind is last so that it packs beside A and B: 40 bytes an entry, not
+// 48.
 type Constant struct {
-	Kind  ConstKind
 	Str   string
 	Int   int64
 	Float float64
 	A, B  uint16
+	Kind  ConstKind
 }
 
 // WireSize returns the serialized size of the entry in bytes, including

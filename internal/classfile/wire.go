@@ -281,6 +281,14 @@ func (r *reader) attr() (Attribute, error) {
 // and position before any method body has arrived. The returned class has
 // method headers with empty LocalData/Code; bodies are described by the
 // returned Layout. This is the entry point used by the streaming loader.
+//
+// The returned class views data instead of copying it: its names, every
+// Utf8 constant, are strings over data's pool region, and its attributes'
+// Data are slices of it. So data must never be written after a successful
+// parse, nor handed back to a buffer pool, for as long as the class is in
+// use. The streaming loader keeps every installed unit's payload for the
+// life of the session, and recycles only the buffers of units it did not
+// install. A failed parse keeps nothing.
 func ParseGlobal(data []byte) (*Class, Layout, error) {
 	r := &reader{b: data}
 	magic, err := r.u32()
@@ -374,9 +382,9 @@ func ParseGlobal(data []byte) (*Class, Layout, error) {
 		}
 		c.CP = append(c.CP, e)
 	}
-	// One string for the whole pool region, every Utf8 entry a substring
-	// of it: a class's names cost one allocation, not one each.
-	pool := string(data[cpStart:r.off])
+	// Every Utf8 entry is a view of the pool region of data itself, so a
+	// class's names cost no allocation at all (see view.go).
+	pool := view(data[cpStart:r.off])
 	for i, pos := 1, 0; i < len(c.CP); i++ {
 		e := &c.CP[i]
 		if e.Kind == KUtf8 {

@@ -232,7 +232,9 @@ type span struct{ From, To time.Duration }
 func Run(ctx context.Context, opts Options) (*vm.Machine, *Stats, error) {
 	s := newSession(opts)
 	lv := vm.NewLive(opts.Name, opts.MainClass, s)
-	s.open(ctx, lv.AddClass)
+	// A class arrives after the stream header, so the first one sizes the
+	// linker's tables from the header's unit count.
+	s.open(ctx, func(c *classfile.Class) error { return lv.AddClass(c, s.loader.Units()) })
 	runOpts := opts.Run
 	if s.obs != nil {
 		inner := runOpts.OnFirstUse

@@ -61,6 +61,9 @@ type Session struct {
 	now       func() time.Time
 	afterFunc func(time.Duration, func()) gateTimer
 
+	// arrived and waits are made at their first entry, sized once from
+	// the stream header's unit count (Loader.Units): a unit delivers at
+	// most one need, and a method is first used at most once.
 	mu          sync.Mutex
 	cond        *sync.Cond
 	arrived     map[classfile.Ref]time.Duration // when each need's unit verified and installed, from run start
@@ -120,7 +123,6 @@ func newSession(opts Options) *Session {
 		loader:   stream.NewLoader(opts.Name, opts.MainClass, nil),
 		obs:      opts.Obs,
 		now:      time.Now,
-		arrived:  make(map[classfile.Ref]time.Duration),
 		demanded: make(map[classfile.Ref]bool),
 	}
 	s.afterFunc = func(d time.Duration, f func()) gateTimer { return time.AfterFunc(d, f) }
@@ -314,6 +316,9 @@ func (s *Session) handleEvent(e stream.Event) error {
 // declares.
 func (s *Session) arrive(n classfile.Ref, methods int) {
 	s.mu.Lock()
+	if s.arrived == nil {
+		s.arrived = make(map[classfile.Ref]time.Duration, s.loader.Units())
+	}
 	if _, dup := s.arrived[n]; !dup {
 		s.arrived[n] = s.sinceStart()
 		if n.Name == "" {
@@ -436,6 +441,9 @@ func (s *Session) await(n classfile.Ref) error {
 	if n.Name != "" {
 		at := began.Sub(s.start)
 		transfer, repair, gate := attributeWait(at, at+w, ready, s.repairSpans)
+		if s.waits == nil {
+			s.waits = make([]Wait, 0, s.loader.Units())
+		}
 		s.waits = append(s.waits, Wait{
 			Method:   n,
 			At:       at,

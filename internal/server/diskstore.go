@@ -318,11 +318,17 @@ func (s *DiskStore) put(a *Artifact) error {
 	s.mu.Lock()
 	prev, had := s.index[a.Key]
 	s.admitLocked(final, hdr)
+	won := s.index[a.Key].file
 	s.mu.Unlock()
 
-	// Garbage-collect the replaced generation. A crash before this
-	// leaves both committed generations; reopen resolves by Seq.
-	if had && prev.file != final {
+	// Garbage-collect the generation that lost: the replaced one, or
+	// this Put's own record when a newer generation committed first. A
+	// crash before this leaves both committed generations; reopen
+	// resolves by Seq.
+	switch {
+	case won != final:
+		os.Remove(filepath.Join(s.dir, final))
+	case had && prev.file != final:
 		os.Remove(filepath.Join(s.dir, prev.file))
 	}
 	if err := step("stale-deleted"); err != nil {

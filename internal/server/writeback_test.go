@@ -302,3 +302,65 @@ func TestConcurrentPutsOneKey(t *testing.T) {
 		t.Fatalf("restart: stats %+v, ETag %s; want a store hit serving %s", cs, got.ETag, first.ETag)
 	}
 }
+
+// TestOlderGenerationCommitsLast: two Puts of one key with different
+// bytes, the older (lower Seq) one parked after its fsync until the
+// newer one has committed. The older record loses at admission, so it is
+// the file garbage-collected: the index, the directory and a reopened
+// store all keep the newer generation, with nothing quarantined.
+func TestOlderGenerationCommitsLast(t *testing.T) {
+	dir := t.TempDir()
+	ds, err := OpenDiskStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var parkedOnce atomic.Bool
+	parked, release := make(chan struct{}), make(chan struct{})
+	ds.CrashHook = func(step string) error {
+		if step == "synced" && parkedOnce.CompareAndSwap(false, true) {
+			close(parked)
+			<-release
+		}
+		return nil
+	}
+	unpark := sync.OnceFunc(func() { close(release) })
+	t.Cleanup(unpark)
+	older := storeArt("aaaa", OrderStatic, bytes.Repeat([]byte("old"), 100), []byte("toc"))
+	newer := storeArt("aaaa", OrderStatic, bytes.Repeat([]byte("new"), 100), []byte("toc"))
+
+	olderDone := make(chan error, 1)
+	go func() { olderDone <- ds.Put(older) }()
+	<-parked // older holds the lower Seq and waits after its fsync
+	if err := ds.Put(newer); err != nil {
+		t.Fatal(err)
+	}
+	unpark()
+	if err := <-olderDone; err != nil {
+		t.Fatal(err)
+	}
+
+	got, err := ds.Get(older.Key)
+	if err != nil {
+		t.Fatalf("Get after both Puts: %v", err)
+	}
+	if got.ETag != newer.ETag {
+		t.Fatalf("Get serves %s, want the newer generation %s", got.ETag, newer.ETag)
+	}
+	if st := ds.Stats(); st.Quarantined != 0 || st.PutErrors != 0 || st.Entries != 1 {
+		t.Fatalf("store stats %+v, want one entry, nothing quarantined, no Put error", st)
+	}
+	want := storeFileName(newer.Key, digestOf(newer.Data))
+	if files := storeFiles(t, dir); len(files) != 1 || files[0] != want {
+		t.Fatalf("store holds %v, want only the newer record %s", files, want)
+	}
+	if got := leftovers(t, dir); len(got) != 0 {
+		t.Fatalf("store directory holds %v", got)
+	}
+	reopened, err := OpenDiskStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := reopened.Get(older.Key); err != nil || got.ETag != newer.ETag {
+		t.Fatalf("reopened store: %v, want the newer generation %s", err, newer.ETag)
+	}
+}

@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -243,6 +244,10 @@ func parseRetryAfter(h string, now time.Time) time.Duration {
 // connection is made eagerly so unreachable servers and permanent HTTP
 // errors surface here.
 func (c *FetchClient) Open(ctx context.Context, url string) (io.ReadCloser, error) {
+	return c.open(ctx, url)
+}
+
+func (c *FetchClient) open(ctx context.Context, url string) (*resumeReader, error) {
 	r := &resumeReader{c: c, ctx: ctx, url: url, end: -1, total: -1}
 	if err := r.connect(nil); err != nil {
 		return nil, err
@@ -251,13 +256,21 @@ func (c *FetchClient) Open(ctx context.Context, url string) (io.ReadCloser, erro
 }
 
 // Fetch downloads url into w, resuming through failures, and returns the
-// byte count delivered.
+// byte count delivered. A *bytes.Buffer is grown once to the response's
+// length, when the response states one no larger than the payload pool's
+// bound, so the body lands without the buffer regrowing as it arrives; a
+// larger or unstated length grows it as it comes, so a length the server
+// lies about cannot reserve more than that.
 func (c *FetchClient) Fetch(ctx context.Context, url string, w io.Writer) (int64, error) {
-	r, err := c.Open(ctx, url)
+	r, err := c.open(ctx, url)
 	if err != nil {
 		return 0, err
 	}
 	defer r.Close()
+	if b, ok := w.(*bytes.Buffer); ok && r.total > 0 && r.total <= maxPooledBuf {
+		// ReadFrom keeps MinRead bytes free to see EOF into.
+		b.Grow(int(r.total) + bytes.MinRead)
+	}
 	return io.Copy(w, r)
 }
 

@@ -3,6 +3,8 @@ package stream
 import (
 	"math/bits"
 	"sync"
+
+	"nonstrict/internal/verify"
 )
 
 // Buffer pools for the transfer hot paths. The fetch client's skip path,
@@ -81,3 +83,10 @@ func putPayloadBuf(b []byte, box *[]byte) {
 	*box = b[:0]
 	payloadPools[bits.Len(uint(cap(b)))].Put(box)
 }
+
+// scratchPool recycles the method verifier's working memory from one
+// Loader to the next, so a session's verifier starts at the size the
+// last one grew to instead of growing again from zero. A Loader holds
+// one while its main stream runs (see Loader.verifier). The receive path
+// owns this pool; the build path keeps no package-level pool.
+var scratchPool = sync.Pool{New: func() any { return new(verify.Scratch) }}

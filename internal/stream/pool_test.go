@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"nonstrict/internal/apps"
+	"nonstrict/internal/classfile"
 )
 
 // TestDiscardNZeroAlloc: the skip path must not allocate per call — the
@@ -186,5 +187,111 @@ func TestLoaderDuplicateReturnsPayload(t *testing.T) {
 				t.Errorf("a Load of duplicates allocates %.2f× its payload bytes, want under 0.75× (each duplicate's buffer back in the pool)", ratio)
 			}
 		})
+	}
+}
+
+// drainPayloadPools empties every payload pool, hands each buffer to f at
+// its full capacity when f is non-nil, and returns how many there were.
+func drainPayloadPools(f func([]byte)) int {
+	n := 0
+	for i := range payloadPools {
+		for v := payloadPools[i].Get(); v != nil; v = payloadPools[i].Get() {
+			if f != nil {
+				b := *v.(*[]byte)
+				f(b[:cap(b)])
+			}
+			n++
+		}
+	}
+	return n
+}
+
+// TestParsedNamesOutlivePoolReuse: an installed class's names view its
+// global unit's payload, and a method's code views its body unit's, so
+// no buffer an installed unit holds may ever reach the payload pool. The
+// stream here sends buffers back to the pool on both routes that do so:
+// duplicates of units the demand path installed first, global and body
+// units alike, and the corrupt copy of a global unit the Repair hook
+// heals. The test then drains the pools and overwrites every buffer in
+// them, as their next users would. Every installed class's names and
+// constants, and every method's code and local data, must still equal a
+// fresh parse of the reference bytes.
+func TestParsedNamesOutlivePoolReuse(t *testing.T) {
+	// One P: a buffer Put into another P's private slot would escape the
+	// drain below, and so the overwrite.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	_, rp, _, w := plan(t, "JavaCup")
+	var buf bytes.Buffer
+	if _, err := w.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	good := buf.Bytes()
+	toc := w.TOC()
+	payload := func(u UnitInfo) []byte { return append([]byte(nil), good[u.Off:u.Off+int64(u.Len)]...) }
+
+	// The last global unit arrives corrupt; the demand path races every
+	// other global unit and the bodies of the second half of the stream.
+	corrupt := len(toc) - 1
+	for toc[corrupt].Kind != KindGlobal {
+		corrupt--
+	}
+	if corrupt <= len(toc)/2 {
+		t.Fatalf("JavaCup's last global unit is unit %d of %d", corrupt, len(toc))
+	}
+	mut := corruptUnit(t, good, corrupt)
+	l := NewLoader(rp.Name, rp.MainClass, nil)
+	l.Repair = func(RepairRequest) ([]byte, error) { return payload(toc[corrupt]), nil }
+	raced := 0
+	for i, u := range toc {
+		if i == corrupt || (u.Kind == KindBody && (i < len(toc)/2 || u.Class == toc[corrupt].Class)) {
+			continue // a body of the corrupt class needs its global in first
+		}
+		if _, err := l.FeedDemand(u.Class, u.Kind, u.Body, payload(u), u.CRC); err != nil {
+			t.Fatalf("demand unit %d: %v", i, err)
+		}
+		raced++
+	}
+
+	drainPayloadPools(nil) // what the pools hold after the load is the load's
+	if err := l.Load(bytes.NewReader(mut), nil); err != nil {
+		t.Fatal(err)
+	}
+	if st := l.Integrity(); st.Repaired != 1 || st.Outstanding != 0 {
+		t.Fatalf("integrity %+v, want the one corrupt unit repaired", st)
+	}
+	recycled := drainPayloadPools(func(b []byte) {
+		for i := range b {
+			b[i] = 0xA5
+		}
+	})
+	t.Logf("%d units raced by the demand path, %d buffers recycled and overwritten", raced, recycled)
+	if recycled == 0 {
+		t.Fatal("no buffer reached the pool: the test exercises nothing")
+	}
+
+	p, err := l.Program()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for ci, c := range p.Classes {
+		ref := rp.Classes[ci]
+		fresh, _, err := classfile.ParseGlobal(ref.Serialize())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.Name != fresh.Name || c.Super != fresh.Super || len(c.CP) != len(fresh.CP) {
+			t.Fatalf("class %d: %q extends %q with %d constants, want %q extends %q with %d",
+				ci, c.Name, c.Super, len(c.CP), fresh.Name, fresh.Super, len(fresh.CP))
+		}
+		for i := range c.CP {
+			if c.CP[i] != fresh.CP[i] {
+				t.Fatalf("class %s constant %d: %+v, want %+v", c.Name, i, c.CP[i], fresh.CP[i])
+			}
+		}
+		for mi, m := range c.Methods {
+			if !bytes.Equal(m.Code, ref.Methods[mi].Code) || !bytes.Equal(m.LocalData, ref.Methods[mi].LocalData) {
+				t.Fatalf("class %s method %d: code or local data differs from the reference", c.Name, mi)
+			}
+		}
 	}
 }

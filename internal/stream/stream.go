@@ -47,6 +47,16 @@ const UnitHeaderSize = headerSize
 // malformed stream regardless of what the header claims.
 const maxUnitSize = 1 << 28
 
+// maxUnitsHint bounds the unit count Units hands out as a capacity hint.
+// The stream header's count is checked against the units received only
+// at EOF, and its CRC guards against damage, not against a lying server,
+// so a session that sized its tables from a header claiming 2^32 units
+// would try to reserve hundreds of gigabytes before the lie surfaced.
+// The largest app streams about 1 550 units; a program with more than
+// this many still loads, and its tables grow past the hint as they
+// would without one.
+const maxUnitsHint = 1 << 14
+
 // MaxClasses is the largest class count a stream can carry: the unit
 // header stores the class index as a u16.
 const MaxClasses = 1<<16 - 1
@@ -233,6 +243,17 @@ var ErrBadStream = errors.New("stream: malformed stream")
 // Units delivered twice — a demand-fetched unit later re-arriving in the
 // main stream, or vice versa — are verified and installed exactly once,
 // and fire their events exactly once.
+//
+// What a Loader installs, it keeps: a class parsed from a global unit
+// views that unit's payload (its names are strings over the payload's
+// bytes, see classfile.ParseGlobal), and a method's LocalData and Code
+// are slices of its body unit's payload. So an installed payload is never
+// written again or handed back to the payload pool, whether the loader
+// read it from the main stream into a pooled buffer or was given it by
+// FeedDemand or the Repair hook. Only the buffers of units that did not
+// install — duplicates, corrupt copies, quarantine-shadowed bodies — go
+// back to the pool. The verifier's scratch is the loader's only while the
+// main stream runs: it comes from a pool and goes back when Load returns.
 type Loader struct {
 	mainClass string
 	name      string
@@ -268,6 +289,7 @@ type Loader struct {
 	mainNext   map[int]int    // per class: next body index in the main stream
 	fromDemand map[int]bool   // class's global unit arrived via FeedDemand
 	mainUnits  int            // units consumed from the main stream
+	units      int            // units the stream header promised; 0 before it arrives
 	consumed   int64          // main-stream bytes, headers included
 	demanded   int64          // demand-fetched payload bytes
 
@@ -276,9 +298,11 @@ type Loader struct {
 	integ       IntegrityStats
 
 	// verifier is the method verifier's working memory, reused from one
-	// body to the next. Every install — main stream, FeedDemand, repaired
-	// unit — runs under mu, so it is never in two verifications at once.
-	verifier verify.Scratch
+	// body to the next: taken from scratchPool by the first install that
+	// needs it, and given back when Load returns. Every install — main
+	// stream, FeedDemand, repaired unit — runs under mu, so it is never in
+	// two verifications at once.
+	verifier *verify.Scratch
 }
 
 // NewLoader builds a loader for a program named name whose entry class
@@ -313,6 +337,7 @@ func NewLoader(name, mainClass string, resolver verify.Resolver) *Loader {
 // per-unit checks still surfaces as an error rather than a silently
 // incomplete program.
 func (l *Loader) Load(r io.Reader, onEvent func(Event)) error {
+	defer l.releaseVerifier()
 	shdr := make([]byte, streamHeaderSize)
 	if _, err := io.ReadFull(r, shdr); err != nil {
 		return fmt.Errorf("%w: reading stream header: %v", ErrBadStream, err)
@@ -323,6 +348,7 @@ func (l *Loader) Load(r io.Reader, onEvent func(Event)) error {
 	}
 	l.mu.Lock()
 	l.consumed += streamHeaderSize
+	l.units = unitCount
 	l.mu.Unlock()
 	var digest uint32
 	digestKnown := true // false once a quarantined unit's true bytes are unknown
@@ -561,7 +587,8 @@ func (l *Loader) feed(ci int, kind byte, payload []byte) (ev events, retained bo
 // FeedDemand too if the main stream has not delivered it). Units that
 // already arrived are skipped without error, so the demand path may race
 // the main stream freely, and a clean demand copy clears any quarantine
-// the main stream left behind for the unit.
+// the main stream left behind for the unit. An installed payload is the
+// loader's from then on: the caller must not write it again.
 func (l *Loader) FeedDemand(ci int, kind byte, body int, payload []byte, crc uint32) ([]Event, error) {
 	if ChecksumPayload(payload) != crc {
 		return nil, fmt.Errorf("%w: demand-fetched %s unit for class %d failed its checksum",
@@ -687,6 +714,9 @@ func (l *Loader) installBody(ci, bi int, payload []byte) (events, error) {
 	if lr, ok := res.(loaderResolver); ok && lr.l == l {
 		res = rawResolver{l} // avoid self-deadlock on l.mu
 	}
+	if l.verifier == nil {
+		l.verifier = scratchPool.Get().(*verify.Scratch)
+	}
 	if err := l.verifier.VerifyMethod(c, m, res); err != nil {
 		return events{}, err
 	}
@@ -729,6 +759,28 @@ func (l *Loader) Program() (*classfile.Program, error) {
 		return nil, fmt.Errorf("stream: entry class %q never arrived", l.mainClass)
 	}
 	return p, nil
+}
+
+// releaseVerifier gives the verifier's scratch back to the pool. A
+// FeedDemand after it takes another, which the loader keeps.
+func (l *Loader) releaseVerifier() {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.verifier != nil {
+		scratchPool.Put(l.verifier)
+		l.verifier = nil
+	}
+}
+
+// Units returns how many units the main stream's header promised: one
+// global unit per class and one body unit per method, capped at
+// maxUnitsHint. It is 0 until Load has read the header, so a session can
+// size its per-unit tables once, from the first event on. It is a
+// capacity hint, not a fact: Load checks the header's count only at EOF.
+func (l *Loader) Units() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return min(l.units, maxUnitsHint)
 }
 
 // Consumed returns the main-stream bytes processed so far.

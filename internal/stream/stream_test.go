@@ -6,6 +6,7 @@ import (
 	"errors"
 	"hash/crc32"
 	"io"
+	"math"
 	"strings"
 	"testing"
 
@@ -214,6 +215,20 @@ func TestLoaderRejectsMalformedStreams(t *testing.T) {
 		resealStreamHeader(mut)
 		if err := load(mut); err == nil || !errors.Is(err, ErrBadStream) {
 			t.Errorf("err = %v, want ErrBadStream", err)
+		}
+	})
+	t.Run("lying-unit-count", func(t *testing.T) {
+		// A resealed header may claim any count; what a session sizes
+		// from it stays bounded.
+		mut := append([]byte(nil), good...)
+		binary.BigEndian.PutUint32(mut[6:], math.MaxUint32)
+		resealStreamHeader(mut)
+		l := NewLoader(rp.Name, rp.MainClass, nil)
+		if err := l.Load(bytes.NewReader(mut), nil); err == nil || !errors.Is(err, ErrBadStream) {
+			t.Errorf("err = %v, want ErrBadStream", err)
+		}
+		if got := l.Units(); got != maxUnitsHint {
+			t.Errorf("Units() = %d, want the hint's bound %d", got, maxUnitsHint)
 		}
 	})
 	t.Run("digest-mismatch", func(t *testing.T) {

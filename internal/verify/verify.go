@@ -127,7 +127,6 @@ func VerifyGlobal(c *classfile.Class) error {
 			return err
 		}
 	}
-	seen := make(map[string]bool, len(c.Methods))
 	for mi, m := range c.Methods {
 		what := func() string { return fmt.Sprintf("method %d", mi) }
 		if err := wantKind(c, m.Name, classfile.KUtf8, what); err != nil {
@@ -136,11 +135,12 @@ func VerifyGlobal(c *classfile.Class) error {
 		if err := wantKind(c, m.Desc, classfile.KUtf8, what); err != nil {
 			return err
 		}
+	}
+	if name, dup := dupMethod(c); dup {
+		return classErr(c, "duplicate method %q", name)
+	}
+	for _, m := range c.Methods {
 		name := c.Utf8(m.Name)
-		if seen[name] {
-			return classErr(c, "duplicate method %q", name)
-		}
-		seen[name] = true
 		na, nr, err := classfile.ParseDescriptor(c.Utf8(m.Desc))
 		if err != nil {
 			return classErr(c, "method %q: %v", name, err)
@@ -154,6 +154,36 @@ func VerifyGlobal(c *classfile.Class) error {
 		}
 	}
 	return nil
+}
+
+// pairwiseMethods is the largest method count dupMethod checks pair by
+// pair: up to it, the check allocates nothing and stays cheap.
+const pairwiseMethods = 32
+
+// dupMethod reports a method name c declares twice. A class of a few
+// methods, which is most of them, is checked pairwise; a larger one
+// through a set, so a hostile method count costs linear time.
+func dupMethod(c *classfile.Class) (string, bool) {
+	if len(c.Methods) <= pairwiseMethods {
+		for i, m := range c.Methods {
+			name := c.Utf8(m.Name)
+			for _, o := range c.Methods[:i] {
+				if c.Utf8(o.Name) == name {
+					return name, true
+				}
+			}
+		}
+		return "", false
+	}
+	seen := make(map[string]bool, len(c.Methods))
+	for _, m := range c.Methods {
+		name := c.Utf8(m.Name)
+		if seen[name] {
+			return name, true
+		}
+		seen[name] = true
+	}
+	return "", false
 }
 
 // Resolver answers cross-class questions during method verification. In

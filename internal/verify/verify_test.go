@@ -1,6 +1,7 @@
 package verify
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -99,6 +100,27 @@ func TestVerifyGlobalRejects(t *testing.T) {
 				t.Fatalf("err = %v, want mention of %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestVerifyGlobalDuplicateMethodBothPaths: the duplicate-name check
+// runs pairwise up to pairwiseMethods methods and through a set above
+// it; both accept distinct names and both reject a name declared twice.
+func TestVerifyGlobalDuplicateMethodBothPaths(t *testing.T) {
+	code := bytecode.Encode([]bytecode.Instr{{Op: bytecode.RETURN}})
+	for _, n := range []int{pairwiseMethods, pairwiseMethods + 1} {
+		b := classfile.NewBuilder("C", "")
+		for i := range n {
+			b.AddMethod(fmt.Sprintf("m%d", i), 0, 0, 0, 1, nil, code)
+		}
+		c := b.Build()
+		if err := VerifyGlobal(c); err != nil {
+			t.Fatalf("%d distinct methods: %v", n, err)
+		}
+		c.Methods[n-1].Name = c.Methods[0].Name
+		if err := VerifyGlobal(c); err == nil || !strings.Contains(err.Error(), "duplicate method") {
+			t.Fatalf("%d methods, last named like the first: err = %v, want a duplicate method", n, err)
+		}
 	}
 }
 

@@ -300,6 +300,7 @@ func Link(p *classfile.Program) (*Linked, error) {
 
 	ls := newLinkState(ln)
 	var res opResolver = eagerResolver{ln: ln, ix: ix} // boxed once, not per method
+	ln.methods = make([]*linkedMethod, 0, ix.Len())
 
 	for id := classfile.MethodID(0); int(id) < ix.Len(); id++ {
 		c := ix.Class(id)

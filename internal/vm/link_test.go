@@ -183,7 +183,7 @@ func (g *demandGate) AwaitClass(name string) error {
 	if !ok {
 		return fmt.Errorf("no class %s", name)
 	}
-	return g.lv.AddClass(c)
+	return g.lv.AddClass(c, 0)
 }
 
 func (g *demandGate) AwaitMethod(ref classfile.Ref) error { return g.AwaitClass(ref.Class) }

@@ -58,7 +58,6 @@ func NewLive(name, mainClass string, gate Gate) *LiveLinked {
 	lv := &LiveLinked{
 		ln:          ln,
 		gate:        gate,
-		byRef:       make(map[classfile.Ref]classfile.MethodID),
 		classByName: make(map[string]*classfile.Class),
 	}
 	lv.ls = newLinkState(ln)
@@ -72,7 +71,13 @@ func NewLive(name, mainClass string, gate Gate) *LiveLinked {
 // here; c.Methods[i].Code may still be nil. Idempotent on class name, so
 // a demand-fetched duplicate global unit is harmless. Safe to call from
 // the loader goroutine while the machine runs.
-func (lv *LiveLinked) AddClass(c *classfile.Class) error {
+//
+// units is how many units the program's stream carries — one per class
+// and one per method, so at least its method count — or 0 when unknown.
+// The first class sizes the method table and its index from it, and the
+// machine's per-method arrays take the table's capacity, so none of them
+// grows an entry at a time.
+func (lv *LiveLinked) AddClass(c *classfile.Class, units int) error {
 	lv.mu.Lock()
 	defer lv.mu.Unlock()
 	if _, dup := lv.classByName[c.Name]; dup {
@@ -84,6 +89,10 @@ func (lv *LiveLinked) AddClass(c *classfile.Class) error {
 			return fmt.Errorf("vm: duplicate field %s.%s", k.class, k.field)
 		}
 	}
+	if lv.byRef == nil {
+		lv.byRef = make(map[classfile.Ref]classfile.MethodID, units)
+		lv.ln.methods = make([]*linkedMethod, 0, units)
+	}
 	lv.classByName[c.Name] = c
 	lv.ln.prog.Classes = append(lv.ln.prog.Classes, c)
 	for _, f := range c.Fields {
@@ -91,12 +100,12 @@ func (lv *LiveLinked) AddClass(c *classfile.Class) error {
 		lv.ln.globals[k] = lv.ln.nglob
 		lv.ln.nglob++
 	}
-	for i := range c.Methods {
-		mm := c.Methods[i]
+	lms := make([]linkedMethod, len(c.Methods)) // one allocation per class
+	for i, mm := range c.Methods {
 		ref := classfile.Ref{Class: c.Name, Name: c.Utf8(mm.Name)}
 		id := classfile.MethodID(len(lv.ln.methods))
 		lv.byRef[ref] = id
-		lv.ln.methods = append(lv.ln.methods, &linkedMethod{
+		lms[i] = linkedMethod{
 			id:     id,
 			ref:    ref,
 			nargs:  mm.NArgs,
@@ -105,7 +114,8 @@ func (lv *LiveLinked) AddClass(c *classfile.Class) error {
 			nstack: int(mm.MaxStack),
 			owner:  c,
 			def:    mm,
-		})
+		}
+		lv.ln.methods = append(lv.ln.methods, &lms[i])
 	}
 	return nil
 }

@@ -189,13 +189,13 @@ func TestLiveLinkedConcurrentAddClass(t *testing.T) {
 							return
 						}
 					}
-					if err := lv.AddClass(c); err != nil {
+					if err := lv.AddClass(c, 0); err != nil {
 						t.Errorf("AddClass(%s): %v", c.Name, err)
 						return
 					}
 					// Idempotence under the same race: a demand-fetched
 					// duplicate global unit re-adds the class.
-					if err := lv.AddClass(c); err != nil {
+					if err := lv.AddClass(c, 0); err != nil {
 						t.Errorf("duplicate AddClass(%s): %v", c.Name, err)
 						return
 					}

@@ -127,19 +127,22 @@ type frame struct {
 // returns the finished machine with its profile (and trace, if enabled).
 func (ln *Linked) Run(opts Options) (*Machine, error) {
 	// In live mode the loader may still be appending classes; size the
-	// machine from a consistent snapshot and grow on demand later.
+	// machine from a consistent snapshot and grow on demand later, within
+	// the capacity the live linker reserved for the whole program (the
+	// eager linker's table is exactly full).
 	if ln.live != nil {
 		ln.live.mu.Lock()
 	}
+	n, c := len(ln.methods), cap(ln.methods)
 	m := &Machine{
 		ln:      ln,
-		meths:   ln.methods[:len(ln.methods):len(ln.methods)],
+		meths:   ln.methods[:n:n],
 		globals: make([]slotv, ln.nglob),
-		invoked: make([]bool, len(ln.methods)),
-		covered: make([][]bool, len(ln.methods)),
+		invoked: make([]bool, n, c),
+		covered: make([][]bool, n, c),
 	}
-	m.prof.MethodInstrs = make([]int64, len(ln.methods))
-	m.prof.CoveredBytes = make([]int, len(ln.methods))
+	m.prof.MethodInstrs = make([]int64, n, c)
+	m.prof.CoveredBytes = make([]int, n, c)
 	if ln.live != nil {
 		ln.live.mu.Unlock()
 	}
@@ -760,7 +763,8 @@ func (m *Machine) firstUse(id classfile.MethodID) error {
 
 // growTo extends the per-method instrumentation arrays (and, in live
 // mode, the method snapshot) to cover ids below n. The eager linker
-// sizes everything up front, so this only fires in live mode.
+// sizes everything up front, so this only fires in live mode, where the
+// arrays already have the live linker's capacity.
 func (m *Machine) growTo(n int) {
 	if lv := m.ln.live; lv != nil {
 		lv.mu.Lock()

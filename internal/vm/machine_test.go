@@ -319,7 +319,7 @@ func TestMaxStepsExactLive(t *testing.T) {
 	const steps = 3
 	for budget := int64(1); budget <= steps+3; budget++ {
 		lv := NewLive("raw", "M", classGate{"M": true})
-		if err := lv.AddClass(c); err != nil {
+		if err := lv.AddClass(c, 0); err != nil {
 			t.Fatal(err)
 		}
 		_, err := lv.Run(Options{MaxSteps: budget})
