@@ -50,6 +50,11 @@ lint:
 	@# class's global data or a method body themselves.
 	@if grep -rnE --include='*.go' --exclude='*_test.go' 'BodyWireSize\(|GlobalEnd\[|NeededFirst\[' internal/stream internal/transfer; then \
 		echo "layout arithmetic in internal/stream or internal/transfer; read restructure.Plan's units instead" >&2; exit 1; fi
+	@# The serving build keeps no whole-program graph map: its static
+	@# order builds each method's CFG while the walk is inside the method
+	@# (reorder.StaticLazy). cfg.BuildAll is for the paper tables.
+	@if grep -rn --include='*.go' --exclude='*_test.go' 'cfg\.BuildAll(' internal/pipeline internal/server internal/cluster; then \
+		echo "cfg.BuildAll on the serving build path; use reorder.StaticLazy" >&2; exit 1; fi
 	@if [ -n "$$CI" ] && ! command -v staticcheck >/dev/null 2>&1; then \
 		$(GO) install $(STATICCHECK); fi
 	@if command -v staticcheck >/dev/null 2>&1; then \

@@ -1,6 +1,7 @@
 package cfg
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -84,7 +85,7 @@ func TestWhileLoop(t *testing.T) {
 		t.Error("header not marked")
 	}
 	body := g.LoopBody(h)
-	if len(body) < 2 || !body[h] {
+	if len(body) < 2 || !slices.Contains(body, h) {
 		t.Errorf("loop body %v", body)
 	}
 	// Exactly one back edge, targeting the header.
@@ -96,7 +97,7 @@ func TestWhileLoop(t *testing.T) {
 				if e.To != h {
 					t.Errorf("back edge to %d, header is %d", e.To, h)
 				}
-				if !body[b.ID] {
+				if !slices.Contains(body, b.ID) {
 					t.Errorf("back-edge source %d outside loop body", b.ID)
 				}
 			}
@@ -126,7 +127,7 @@ func TestNestedLoops(t *testing.T) {
 		outer, inner = inner, outer
 	}
 	// Inner loop body is contained in the outer body.
-	for b := range g.LoopBody(inner) {
+	for _, b := range g.LoopBody(inner) {
 		if !g.InLoop(b, outer) {
 			t.Errorf("inner-loop block %d not in outer loop", b)
 		}

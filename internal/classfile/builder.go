@@ -1,6 +1,9 @@
 package classfile
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 func floatBits32(f float64) uint32 { return math.Float32bits(float32(f)) }
 func floatFrom32(b uint32) float64 { return float64(math.Float32frombits(b)) }
@@ -8,9 +11,14 @@ func floatBits64(f float64) uint64 { return math.Float64bits(f) }
 func floatFrom64(b uint64) float64 { return math.Float64frombits(b) }
 
 // Builder constructs a class and its constant pool with deduplication.
-// The zero value is not usable; call NewBuilder.
+// One Builder builds one class after another: Reset starts the next
+// class and keeps the interning tables' and the pool's storage, so a
+// compile that builds every class of a program through one Builder
+// allocates them once. A zero Builder is ready once Reset names its
+// first class; NewBuilder does both.
 type Builder struct {
-	c *Class
+	c  *Class
+	cp []Constant // c's pool while it is built; Build copies it out to size
 
 	utf8    map[string]uint16
 	ints    map[int64]uint16
@@ -25,28 +33,46 @@ type Builder struct {
 
 // NewBuilder starts a class named name extending super ("" for none).
 func NewBuilder(name, super string) *Builder {
-	b := &Builder{
-		c:       &Class{Name: name, Super: super, CP: make([]Constant, 1)},
-		utf8:    make(map[string]uint16),
-		ints:    make(map[int64]uint16),
-		longs:   make(map[int64]uint16),
-		strings: make(map[string]uint16),
-		classes: make(map[string]uint16),
-		nats:    make(map[[2]uint16]uint16),
-		frefs:   make(map[[2]uint16]uint16),
-		mrefs:   make(map[[2]uint16]uint16),
-		imrefs:  make(map[[2]uint16]uint16),
+	b := new(Builder)
+	b.Reset(name, super)
+	return b
+}
+
+// Reset starts a new class named name extending super ("" for none).
+// The class Build returned before is the caller's and is not touched.
+func (b *Builder) Reset(name, super string) {
+	if b.utf8 == nil {
+		b.utf8 = make(map[string]uint16)
+		b.ints = make(map[int64]uint16)
+		b.longs = make(map[int64]uint16)
+		b.strings = make(map[string]uint16)
+		b.classes = make(map[string]uint16)
+		b.nats = make(map[[2]uint16]uint16)
+		b.frefs = make(map[[2]uint16]uint16)
+		b.mrefs = make(map[[2]uint16]uint16)
+		b.imrefs = make(map[[2]uint16]uint16)
+	} else {
+		clear(b.utf8)
+		clear(b.ints)
+		clear(b.longs)
+		clear(b.strings)
+		clear(b.classes)
+		clear(b.nats)
+		clear(b.frefs)
+		clear(b.mrefs)
+		clear(b.imrefs)
 	}
+	b.cp = append(b.cp[:0], Constant{})
+	b.c = &Class{Name: name, Super: super}
 	b.c.ThisClass = b.Class(name)
 	if super != "" {
 		b.c.SuperClass = b.Class(super)
 	}
-	return b
 }
 
 func (b *Builder) add(e Constant) uint16 {
-	b.c.CP = append(b.c.CP, e)
-	return uint16(len(b.c.CP) - 1)
+	b.cp = append(b.cp, e)
+	return uint16(len(b.cp) - 1)
 }
 
 // Utf8 interns a Utf8 constant and returns its index.
@@ -182,5 +208,9 @@ func (b *Builder) AddMethod(name string, nargs, nret int, maxLocals, maxStack in
 	return m
 }
 
-// Build returns the finished class. The builder must not be reused.
-func (b *Builder) Build() *Class { return b.c }
+// Build returns the finished class, its constant pool copied to size.
+// Call Reset before building another class with b.
+func (b *Builder) Build() *Class {
+	b.c.CP = slices.Clone(b.cp)
+	return b.c
+}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"nonstrict/internal/cfg"
 	"nonstrict/internal/reorder"
 	"nonstrict/internal/transfer"
 )
@@ -35,7 +36,11 @@ func (s *Suite) AblationHeuristic() ([]HeuristicRow, error) {
 	var rows []HeuristicRow
 	for _, b := range bs {
 		full, _, _, _ := b.Prepared(SCG)
-		plain, err := reorder.StaticPlain(b.Ix, b.Graphs)
+		graphs, err := cfg.BuildAll(b.Ix)
+		if err != nil {
+			return nil, err
+		}
+		plain, err := reorder.StaticPlain(b.Ix, graphs)
 		if err != nil {
 			return nil, err
 		}
@@ -191,10 +196,13 @@ func (s *Suite) AblationBlockDelimiters() ([]BlockDelimRow, error) {
 	}
 	var rows []BlockDelimRow
 	for _, b := range bs {
+		graphs, err := cfg.BuildAll(b.Ix)
+		if err != nil {
+			return nil, err
+		}
 		totalBlocks := 0
 		totalInstrs := 0
-		for id, g := range b.Graphs {
-			_ = id
+		for _, g := range graphs {
 			totalBlocks += len(g.Blocks)
 			totalInstrs += len(g.Instrs)
 		}
@@ -206,7 +214,7 @@ func (s *Suite) AblationBlockDelimiters() ([]BlockDelimRow, error) {
 		_, rp, lay, _ := b.Prepared(SCG)
 		mainRef := rp.Main()
 		mainID := b.Ix.ID(mainRef)
-		g := b.Graphs[mainID]
+		g := graphs[mainID]
 		firstBlockInstrs := g.Blocks[0].End - g.Blocks[0].Start
 		mainBody := lay.BodySize[mainRef]
 		// First-block share of main's code bytes, applied to the body.

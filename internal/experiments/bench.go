@@ -17,7 +17,6 @@ import (
 	"sync"
 
 	"nonstrict/internal/apps"
-	"nonstrict/internal/cfg"
 	"nonstrict/internal/classfile"
 	"nonstrict/internal/datapart"
 	"nonstrict/internal/pipeline"
@@ -84,8 +83,6 @@ type Bench struct {
 	App  *apps.App
 	Prog *classfile.Program
 	Ix   *classfile.Index
-	// Graphs holds the per-method CFGs used by the static estimator.
-	Graphs map[classfile.MethodID]*cfg.Graph
 
 	TestProfile  *vm.Profile
 	TrainProfile *vm.Profile
@@ -134,7 +131,6 @@ func LoadCtx(ctx context.Context, app *apps.App) (*Bench, error) {
 		App:          app,
 		Prog:         r.Prog,
 		Ix:           r.Ix,
-		Graphs:       r.Graphs,
 		TestProfile:  testM.Profile(),
 		TrainProfile: trainM.Profile(),
 		TestTrace:    testM.Trace(),

@@ -36,8 +36,11 @@ func Compile(p *Program) (*classfile.Program, error) {
 
 	out := &classfile.Program{Name: p.Name, MainClass: p.Main, Classes: make([]*classfile.Class, 0, len(p.Classes))}
 	e := &emitter{prog: p, syms: syms, locals: make(map[string]int)}
+	// One constant-pool builder for the whole compile; it is this
+	// call's scratch, so concurrent compiles share nothing.
+	b := new(classfile.Builder)
 	for _, c := range p.Classes {
-		b := classfile.NewBuilder(c.Name, c.Super)
+		b.Reset(c.Name, c.Super)
 		for _, ifc := range c.Interfaces {
 			b.AddInterface(ifc)
 		}

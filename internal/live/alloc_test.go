@@ -41,18 +41,18 @@ func (t *trickle) Read(p []byte) (int, error) {
 
 // runBudget and runObjects are what one live.Run of Jess may allocate,
 // in bytes and heap objects: the least of three runs, each read with
-// the garbage collector off. Twenty plain readings were all 2 756 200
-// bytes and 4 863 objects (go1.24, linux/amd64); the plain budgets are
+// the garbage collector off. Twenty plain readings were all 2 724 744
+// bytes and 4 823 objects (go1.24, linux/amd64); the plain budgets are
 // that plus about 0.5 %. Under -race, sync.Pool drops a random quarter of
 // its Puts, and a run whose verifier scratch was dropped grows a new one:
-// twenty -race readings were 2 780 664–2 780 856 bytes and 4 869–4 871
+// twenty -race readings were 2 754 824–2 755 016 bytes and 4 835–4 837
 // objects, and with every scratch dropped, the worst the drops can do,
-// 2 853 400 bytes and 4 901 objects. The race budgets are that worst
+// 2 827 560 bytes and 4 867 objects. The race budgets are that worst
 // case plus about 0.5 %; the plain budgets are the ones that pin the
 // pooling.
 var (
-	runBudget  = struct{ plain, race uint64 }{plain: 2_770_000, race: 2_868_000}
-	runObjects = struct{ plain, race uint64 }{plain: 4_887, race: 4_926}
+	runBudget  = struct{ plain, race uint64 }{plain: 2_739_000, race: 2_842_000}
+	runObjects = struct{ plain, race uint64 }{plain: 4_848, race: 4_892}
 )
 
 // TestRunAllocBudget pins what a whole session allocates: Jess run by

@@ -10,34 +10,36 @@ import (
 )
 
 // buildBudget is what Build may allocate, in bytes, for the six paper
-// apps under each order policy: the measured figure plus under 8 %
-// headroom. A profile-guided order adds the link and the profiled run.
-// The race detector's instrumentation allocates about 1.2 MB more per
-// six builds, so a -race binary has budgets of its own.
+// apps under each order policy, and buildObjects how many heap objects.
+// Twenty runs of each binary (go1.24, linux/amd64) read, plain:
+// scg 4 161 272–4 161 352 B in 11 359–11 362 objects, train
+// 6 474 976–6 480 432 B in 16 703–16 708, test 7 666 424–7 667 848 B in
+// 16 965–16 969; under -race: scg 5 082 248–5 082 488 B in
+// 11 842–11 846, train 7 429 616–7 435 136 B in 17 221–17 228, test
+// 8 621 256–8 622 648 B in 17 483–17 489. The budgets are each maximum
+// plus about 0.5 %, so an allocation per method, block or unit trips
+// them long before it shows in bytes. A profile-guided order adds the
+// link and the profiled run, and the goroutine and channel that run the
+// static stage beside it.
 var buildBudget = map[string]struct{ plain, race uint64 }{
-	OrderStatic: {plain: 9_100_000, race: 10_400_000},
-	OrderTrain:  {plain: 11_600_000, race: 13_000_000},
-	OrderTest:   {plain: 12_900_000, race: 14_300_000},
+	OrderStatic: {plain: 4_182_000, race: 5_108_000},
+	OrderTrain:  {plain: 6_513_000, race: 7_473_000},
+	OrderTest:   {plain: 7_707_000, race: 8_666_000},
 }
 
-// buildObjects is how many heap objects Build may allocate for the six
-// paper apps under each order policy. Twenty runs of each binary stayed
-// within 15 objects of each other (go1.24, linux/amd64); the budgets are
-// their maximum plus about 0.5 %, so an allocation per method, block or
-// unit trips them long before it shows in bytes. A profile-guided order
-// includes the goroutine and channel that run the static stage beside
-// the profiled run.
 var buildObjects = map[string]struct{ plain, race uint64 }{
-	OrderStatic: {plain: 26_000, race: 28_050},
-	OrderTrain:  {plain: 31_400, race: 33_500},
-	OrderTest:   {plain: 31_650, race: 33_750},
+	OrderStatic: {plain: 11_420, race: 11_910},
+	OrderTrain:  {plain: 16_795, race: 17_315},
+	OrderTest:   {plain: 17_055, race: 17_580},
 }
 
 // TestBuildAllocBudget: a build allocates what it returns, not a copy
 // of every instruction, block and unit along the way. The compiler, the
 // CFG builder and the stream writer each run out of scratch their own
-// call owns; a stage that goes back to allocating per instruction,
-// block or unit blows the byte or the object budget.
+// call owns, and the static order holds one method's CFG per call depth,
+// never the whole program's; a stage that goes back to allocating per
+// instruction, block or unit, or a static stage that builds every graph
+// up front, blows the byte or the object budget.
 func TestBuildAllocBudget(t *testing.T) {
 	all := apps.All()
 	for _, order := range []string{OrderStatic, OrderTrain, OrderTest} {

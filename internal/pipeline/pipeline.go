@@ -14,6 +14,11 @@
 //     examples ExampleRun (internal/sim) and ExampleNewParallel
 //     (internal/transfer).
 //
+// The static stage keeps no graph: each method's CFG is built when the
+// §4.1 walk first reaches the method and is reused for the next method
+// the walk enters at the same call depth (reorder.StaticLazy), so a
+// build holds the graphs of one call chain, never the whole program's.
+//
 // Stages are deterministic, and all but two run one after another: in a
 // profile-guided Build the static stage runs beside the profiled run,
 // since neither reads the other's output. Each stage checks ctx before it
@@ -30,7 +35,6 @@ import (
 	"time"
 
 	"nonstrict/internal/apps"
-	"nonstrict/internal/cfg"
 	"nonstrict/internal/classfile"
 	"nonstrict/internal/jir"
 	"nonstrict/internal/reorder"
@@ -57,7 +61,7 @@ const (
 	StageCompile     Stage = iota // IR → class files
 	StageLink                     // resolve the program for execution
 	StageProfile                  // one VM run and its self-check
-	StageStatic                   // per-method CFGs + static call-graph order
+	StageStatic                   // static call-graph order over per-method CFGs
 	StageOrder                    // first-use order from a profile, validated
 	StageRestructure              // class files rewritten into first-use order
 	StageWrite                    // interleaved stream + unit table
@@ -91,9 +95,8 @@ type Run struct {
 	// Ix is the program's one method index: the linker's when the run
 	// links, else built by Static.
 	Ix *classfile.Index
-	// Graphs and SCG are set by Static.
-	Graphs map[classfile.MethodID]*cfg.Graph
-	SCG    *reorder.Order
+	// SCG is set by Static.
+	SCG *reorder.Order
 	// Times is what each stage has cost so far.
 	Times Durations
 
@@ -159,31 +162,24 @@ func (r *Run) Profile(ctx context.Context, train, trace bool) (*vm.Machine, erro
 	return m, err
 }
 
-// Static builds the per-method CFGs and the static call-graph order —
-// itself an order, and the fallback every profile-guided order uses for
-// methods its profile never saw.
+// Static computes the static call-graph order — itself an order, and
+// the fallback every profile-guided order uses for methods its profile
+// never saw.
 func (r *Run) Static(ctx context.Context) error {
 	return r.stage(ctx, StageStatic, func() (err error) {
 		if r.Ix == nil {
 			r.Ix = r.Prog.IndexMethods()
 		}
-		r.Graphs, r.SCG, err = Static(r.Ix)
+		r.SCG, err = Static(r.Ix)
 		return err
 	})
 }
 
-// Static is the static stage over an indexed program: the per-method CFGs
-// and the §4.1 static call-graph order predicted from them.
-func Static(ix *classfile.Index) (map[classfile.MethodID]*cfg.Graph, *reorder.Order, error) {
-	graphs, err := cfg.BuildAll(ix)
-	if err != nil {
-		return nil, nil, err
-	}
-	o, err := reorder.Static(ix, graphs)
-	if err != nil {
-		return nil, nil, err
-	}
-	return graphs, o, nil
+// Static is the static stage over an indexed program: the §4.1 static
+// call-graph order. A method's CFG lives only while the walk is inside
+// the method (reorder.StaticLazy), so the stage keeps no graph.
+func Static(ix *classfile.Index) (*reorder.Order, error) {
+	return reorder.StaticLazy(ix)
 }
 
 // Order returns the validated first-use order a profile predicts, or the

@@ -67,8 +67,10 @@ func Declaration(ix *classfile.Index) *Order {
 }
 
 // Static computes the first-use order with the paper's static call-graph
-// estimation (§4.1). Methods unreachable from main are appended in
-// declaration order.
+// estimation (§4.1) over graphs, the CFGs of the program's methods: a
+// method with no graph takes its place in the order but is not walked.
+// A nil graphs is StaticLazy. Methods unreachable from main are appended
+// in declaration order.
 func Static(ix *classfile.Index, graphs map[classfile.MethodID]*cfg.Graph) (*Order, error) {
 	main := ix.ID(ix.Program().Main())
 	if main == classfile.NoMethod {
@@ -77,6 +79,9 @@ func Static(ix *classfile.Index, graphs map[classfile.MethodID]*cfg.Graph) (*Ord
 	t := &traversal{ix: ix, graphs: graphs, seen: make([]bool, ix.Len()),
 		order: make([]classfile.MethodID, 0, ix.Len())}
 	t.visitMethod(main)
+	if t.err != nil {
+		return nil, t.err
+	}
 	for id := classfile.MethodID(0); int(id) < ix.Len(); id++ {
 		if !t.seen[id] {
 			t.order = append(t.order, id)
@@ -85,14 +90,26 @@ func Static(ix *classfile.Index, graphs map[classfile.MethodID]*cfg.Graph) (*Ord
 	return newOrder(t.order, ix.Len()), nil
 }
 
+// StaticLazy is Static over every method's CFG, built as the walk first
+// reaches the method. The walk holds one graph per call depth and
+// rebuilds it for the next method entered at that depth once the
+// method's walk has returned, so the CFGs in memory are those of the
+// methods on the walk's call stack, and a method the walk never
+// reaches gets no graph. Its order is Static's over cfg.BuildAll's.
+func StaticLazy(ix *classfile.Index) (*Order, error) { return Static(ix, nil) }
+
 // traversal is one Static call. A method's traversal is suspended at
 // each call site while the callee's runs, so visited, exits and normal
 // are stacks: each method, and each block's successor list, takes the
 // region above what the suspended traversals hold and gives it back
-// when it is done.
+// when it is done. So is frames, when the traversal builds its graphs.
 type traversal struct {
 	ix      *classfile.Index
-	graphs  map[classfile.MethodID]*cfg.Graph
+	graphs  map[classfile.MethodID]*cfg.Graph // nil: build into frames
+	builder cfg.Builder
+	frames  []*cfg.Graph // per method on the call stack, its graph
+	depth   int          // methods on the call stack
+	err     error        // the first graph that failed to build
 	seen    []bool
 	order   []classfile.MethodID
 	visited []bool // per method on the call stack, its blocks
@@ -104,16 +121,35 @@ type traversal struct {
 // traverses its CFG, recursing into callees as they are encountered —
 // the interprocedural edges of the paper's combined flow graph.
 func (t *traversal) visitMethod(m classfile.MethodID) {
-	if t.seen[m] {
+	if t.seen[m] || t.err != nil {
 		return
 	}
 	t.seen[m] = true
 	t.order = append(t.order, m)
-	g := t.graphs[m]
+	g := t.graph(m)
 	if g == nil {
 		return
 	}
+	t.depth++
 	t.traverseCFG(g)
+	t.depth--
+}
+
+// graph returns m's CFG: the caller's, or m's built into the graph of
+// the current call depth, which no suspended walk is reading.
+func (t *traversal) graph(m classfile.MethodID) *cfg.Graph {
+	if t.graphs != nil {
+		return t.graphs[m]
+	}
+	if t.depth == len(t.frames) {
+		t.frames = append(t.frames, new(cfg.Graph))
+	}
+	g := t.frames[t.depth]
+	if err := t.builder.BuildInto(g, t.ix.Class(m), t.ix.Method(m)); err != nil {
+		t.err = err
+		return nil
+	}
+	return g
 }
 
 // pend is a deferred loop-exit continuation: the (basic block, loop

@@ -83,7 +83,7 @@ func ExampleRun() {
 
 	// Predict first use statically and restructure.
 	ix := compiled.IndexMethods()
-	_, order, err := pipeline.Static(ix)
+	order, err := pipeline.Static(ix)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -17,14 +17,14 @@ import (
 
 // loaderBudget is what Loader.Load may allocate per stream byte over the
 // six paper apps' train streams, in bytes and in heap objects. Twenty
-// plain runs read 2.22894–2.22914 bytes and 0.0060105–0.0060121 objects
+// plain runs read 2.14416–2.14437 bytes and 0.0058091–0.0058107 objects
 // (go1.24, linux/amd64); the plain budgets are their maximum plus about
 // 0.5 %. Under -race, sync.Pool drops a random quarter of its Puts, so a
 // load may grow the verifier's scratch again: the race budgets are the
-// worst case, every scratch dropped (2.55975 bytes, 0.0063795 objects),
+// worst case, every scratch dropped (2.48707 bytes, 0.0062216 objects),
 // plus about 0.5 %. The plain budgets are the ones that pin the pooling.
 var loaderBudget = struct{ bytes, objects, bytesRace, objectsRace float64 }{
-	bytes: 2.240, objects: 0.006043, bytesRace: 2.573, objectsRace: 0.006412,
+	bytes: 2.155, objects: 0.005840, bytesRace: 2.500, objectsRace: 0.006253,
 }
 
 // TestLoaderAllocBudget pins the client receive path: loading the six

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -302,6 +303,28 @@ func TestFeedDemandRejectsCorruptPayload(t *testing.T) {
 	}
 	if l.LoadedClass(u.ClassName) != nil {
 		t.Error("corrupt global installed anyway")
+	}
+}
+
+// TestFeedDemandRejectsClassOutOfRange: the loader's per-class table is
+// indexed by class index, so a demand unit whose index no unit header
+// can carry is refused before the table grows to hold it.
+func TestFeedDemandRejectsClassOutOfRange(t *testing.T) {
+	_, rp, _, w := plan(t, "Hanoi")
+	var buf bytes.Buffer
+	if _, err := w.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	u := w.TOC()[0]
+	payload := buf.Bytes()[u.Off : u.Off+int64(u.Len)]
+	l := NewLoader(rp.Name, rp.MainClass, nil)
+	for _, ci := range []int{-1, MaxClasses + 1} {
+		if _, err := l.FeedDemand(ci, u.Kind, u.Body, payload, u.CRC); err == nil || !strings.Contains(err.Error(), "out of range") {
+			t.Errorf("class %d: err = %v, want out of range", ci, err)
+		}
+	}
+	if l.LoadedClass(u.ClassName) != nil {
+		t.Error("a unit with an out-of-range class index installed")
 	}
 }
 

@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 	"sync"
 	"time"
 
@@ -281,19 +282,15 @@ type Loader struct {
 	// change while loading.
 	Obs *obs.Recorder
 
-	mu         sync.Mutex
-	classes    map[int]*classfile.Class
-	layouts    map[int]classfile.Layout
-	present    map[int][]bool // per class: which body units have arrived
-	ready      map[int]int    // per class: count of arrived bodies
-	mainNext   map[int]int    // per class: next body index in the main stream
-	fromDemand map[int]bool   // class's global unit arrived via FeedDemand
-	mainUnits  int            // units consumed from the main stream
-	units      int            // units the stream header promised; 0 before it arrives
-	consumed   int64          // main-stream bytes, headers included
-	demanded   int64          // demand-fetched payload bytes
+	mu        sync.Mutex
+	classes   []classState   // by class index, grown to the highest index seen
+	byName    map[string]int // installed class name -> class index
+	installed int            // classes whose global data is installed
+	mainUnits int            // units consumed from the main stream
+	units     int            // units the stream header promised; 0 before it arrives
+	consumed  int64          // main-stream bytes, headers included
+	demanded  int64          // demand-fetched payload bytes
 
-	quarGlobal  map[int]bool                // class's global unit is quarantined
 	quarantined map[quarKey]QuarantinedUnit // corrupt units awaiting a clean copy
 	integ       IntegrityStats
 
@@ -305,6 +302,26 @@ type Loader struct {
 	verifier *verify.Scratch
 }
 
+// classState is what the loader knows of one class index.
+type classState struct {
+	c          *classfile.Class         // nil until the global unit installs
+	methods    []classfile.MethodLayout // c's body layouts
+	present    []bool                   // which body units have arrived
+	ready      int                      // count of arrived bodies
+	mainNext   int                      // next body index in the main stream
+	fromDemand bool                     // the global unit arrived via FeedDemand
+	quarGlobal bool                     // the global unit is quarantined
+}
+
+// class returns class index ci's state, growing the table to hold it.
+// The pointer is good until the next call. Callers hold l.mu.
+func (l *Loader) class(ci int) *classState {
+	if ci >= len(l.classes) {
+		l.classes = slices.Grow(l.classes, ci+1-len(l.classes))[:ci+1]
+	}
+	return &l.classes[ci]
+}
+
 // NewLoader builds a loader for a program named name whose entry class
 // is mainClass. resolver answers cross-class verification queries and
 // may be nil to defer them (the paper's incremental dependence
@@ -314,13 +331,7 @@ func NewLoader(name, mainClass string, resolver verify.Resolver) *Loader {
 		name:        name,
 		mainClass:   mainClass,
 		resolver:    resolver,
-		classes:     make(map[int]*classfile.Class),
-		layouts:     make(map[int]classfile.Layout),
-		present:     make(map[int][]bool),
-		ready:       make(map[int]int),
-		mainNext:    make(map[int]int),
-		fromDemand:  make(map[int]bool),
-		quarGlobal:  make(map[int]bool),
+		byName:      make(map[string]int),
 		quarantined: make(map[quarKey]QuarantinedUnit),
 	}
 }
@@ -442,7 +453,7 @@ func (l *Loader) repairUnit(ci int, kind byte, n int, crc uint32) ([]byte, error
 	repair := l.Repair
 	body := -1
 	if kind == KindBody {
-		body = l.mainNext[ci]
+		body = l.class(ci).mainNext
 	}
 	l.mu.Unlock()
 	l.emit(obs.CRCFail, ci, kind, n, 0)
@@ -471,14 +482,15 @@ func (l *Loader) repairUnit(ci int, kind byte, n int, crc uint32) ([]byte, error
 func (l *Loader) quarantine(ci int, kind byte, n int, crc uint32) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	cs := l.class(ci)
 	body := -1
 	installed := false
 	if kind == KindBody {
-		body = l.mainNext[ci]
-		l.mainNext[ci] = body + 1
-		installed = body < len(l.present[ci]) && l.present[ci][body]
+		body = cs.mainNext
+		cs.mainNext++
+		installed = body < len(cs.present) && cs.present[body]
 	} else {
-		_, installed = l.classes[ci]
+		installed = cs.c != nil
 	}
 	l.consumed += headerSize + int64(n)
 	l.mainUnits++
@@ -494,12 +506,12 @@ func (l *Loader) quarantine(ci int, kind byte, n int, crc uint32) {
 		if kind == KindGlobal {
 			// The main stream's only copy of this global is spent; the
 			// usual duplicate-global redelivery cannot happen.
-			delete(l.fromDemand, ci)
+			cs.fromDemand = false
 		}
 		return
 	}
 	if kind != KindBody {
-		l.quarGlobal[ci] = true
+		cs.quarGlobal = true
 	}
 	l.quarantined[quarKey{ci, kind, body}] = QuarantinedUnit{Class: ci, Kind: kind, Body: body, Len: n, CRC: crc}
 	l.integ.Quarantined++
@@ -530,13 +542,14 @@ func kindName(kind byte) string {
 // quarantine-shadowed bodies leave it free for the pool. Callers hold
 // l.mu.
 func (l *Loader) feed(ci int, kind byte, payload []byte) (ev events, retained bool, err error) {
+	cs := l.class(ci)
 	switch kind {
 	case KindGlobal:
-		if _, dup := l.classes[ci]; dup {
-			if l.fromDemand[ci] {
+		if cs.c != nil {
+			if cs.fromDemand {
 				// The demand path already delivered this class's global
 				// data; the main stream's copy is redundant.
-				l.fromDemand[ci] = false
+				cs.fromDemand = false
 				return events{}, false, nil
 			}
 			return events{}, false, fmt.Errorf("%w: duplicate global unit for class %d", ErrBadStream, ci)
@@ -545,16 +558,16 @@ func (l *Loader) feed(ci int, kind byte, payload []byte) (ev events, retained bo
 		return ev, err == nil, err
 
 	case KindBody:
-		c, ok := l.classes[ci]
-		if !ok {
-			if l.quarGlobal[ci] {
+		c := cs.c
+		if c == nil {
+			if cs.quarGlobal {
 				// The class's global unit is quarantined, so this body —
 				// even though its own checksum passed — cannot be
 				// verified or installed: there is no layout to check it
 				// against. Quarantine it alongside the global; the
 				// demand path redelivers both.
-				bi := l.mainNext[ci]
-				l.mainNext[ci] = bi + 1
+				bi := cs.mainNext
+				cs.mainNext++
 				l.quarantined[quarKey{ci, KindBody, bi}] = QuarantinedUnit{
 					Class: ci, Kind: KindBody, Body: bi, Len: len(payload), CRC: ChecksumPayload(payload)}
 				l.integ.Quarantined++
@@ -562,12 +575,12 @@ func (l *Loader) feed(ci int, kind byte, payload []byte) (ev events, retained bo
 			}
 			return events{}, false, fmt.Errorf("%w: body before global data for class %d", ErrBadStream, ci)
 		}
-		bi := l.mainNext[ci]
+		bi := cs.mainNext
 		if bi >= len(c.Methods) {
 			return events{}, false, fmt.Errorf("%w: class %s: extra body unit", ErrBadStream, c.Name)
 		}
-		l.mainNext[ci] = bi + 1
-		if l.present[ci][bi] {
+		cs.mainNext++
+		if cs.present[bi] {
 			// Already demand-fetched out of order; skip the re-delivery.
 			return events{}, false, nil
 		}
@@ -594,35 +607,40 @@ func (l *Loader) FeedDemand(ci int, kind byte, body int, payload []byte, crc uin
 		return nil, fmt.Errorf("%w: demand-fetched %s unit for class %d failed its checksum",
 			ErrStreamIntegrity, kindName(kind), ci)
 	}
+	if ci < 0 || ci > MaxClasses {
+		return nil, fmt.Errorf("stream: demand unit for class %d out of range [0,%d]", ci, MaxClasses)
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.demanded += int64(len(payload))
 	switch kind {
 	case KindGlobal:
-		if _, dup := l.classes[ci]; dup {
+		if l.class(ci).c != nil {
 			return nil, nil
 		}
 		ev, err := l.installGlobal(ci, payload)
 		if err == nil {
-			l.fromDemand[ci] = true
-			if l.quarGlobal[ci] {
-				delete(l.quarGlobal, ci)
+			cs := &l.classes[ci]
+			cs.fromDemand = true
+			if cs.quarGlobal {
+				cs.quarGlobal = false
 				l.unquarantine(quarKey{ci, KindGlobal, -1})
 				// The main stream consumed its corrupt copy already; the
 				// usual duplicate-global redelivery cannot happen.
-				l.fromDemand[ci] = false
+				cs.fromDemand = false
 			}
 		}
 		return ev.list(), err
 	case KindBody:
-		c, ok := l.classes[ci]
-		if !ok {
+		cs := l.class(ci)
+		c := cs.c
+		if c == nil {
 			return nil, fmt.Errorf("stream: demand body for class %d before its global data", ci)
 		}
 		if body < 0 || body >= len(c.Methods) {
 			return nil, fmt.Errorf("stream: demand body %d of class %s out of range [0,%d)", body, c.Name, len(c.Methods))
 		}
-		if l.present[ci][body] {
+		if cs.present[body] {
 			return nil, nil
 		}
 		ev, err := l.installBody(ci, body, payload)
@@ -672,9 +690,12 @@ func (l *Loader) installGlobal(ci int, payload []byte) (events, error) {
 	if err := verify.VerifyGlobal(c); err != nil {
 		return events{}, err
 	}
-	l.classes[ci] = c
-	l.layouts[ci] = lay
-	l.present[ci] = make([]bool, len(c.Methods))
+	cs := l.class(ci)
+	cs.c, cs.methods, cs.present = c, lay.Methods, make([]bool, len(c.Methods))
+	l.installed++
+	if _, dup := l.byName[c.Name]; !dup {
+		l.byName[c.Name] = ci
+	}
 	return events{n: 1, ev: [2]Event{{Kind: ClassLinked, Class: c.Name, Bytes: l.consumed}}}, nil
 }
 
@@ -696,9 +717,10 @@ func (e *events) list() []Event {
 // installBody verifies and installs one method body. Callers hold l.mu
 // and have checked that the body is absent and in range.
 func (l *Loader) installBody(ci, bi int, payload []byte) (events, error) {
-	c := l.classes[ci]
+	cs := &l.classes[ci]
+	c := cs.c
 	m := c.Methods[bi]
-	ml := l.layouts[ci].Methods[bi]
+	ml := cs.methods[bi]
 	localLen := ml.CodeStart - ml.BodyStart
 	codeLen := ml.DelimEnd - classfile.DelimSize - ml.CodeStart
 	if len(payload) != localLen+codeLen+classfile.DelimSize {
@@ -720,11 +742,11 @@ func (l *Loader) installBody(ci, bi int, payload []byte) (events, error) {
 	if err := l.verifier.VerifyMethod(c, m, res); err != nil {
 		return events{}, err
 	}
-	l.present[ci][bi] = true
-	l.ready[ci]++
+	cs.present[bi] = true
+	cs.ready++
 	ref := classfile.Ref{Class: c.Name, Name: c.MethodName(m)}
 	out := events{n: 1, ev: [2]Event{{Kind: MethodReady, Class: c.Name, Method: ref, Bytes: l.consumed}}}
-	if l.ready[ci] == len(c.Methods) {
+	if cs.ready == len(c.Methods) {
 		out.ev[1] = Event{Kind: ClassComplete, Class: c.Name, Bytes: l.consumed}
 		out.n = 2
 	}
@@ -737,22 +759,22 @@ func (l *Loader) Program() (*classfile.Program, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	p := &classfile.Program{Name: l.name, MainClass: l.mainClass}
-	for ci := 0; ; ci++ {
-		c, ok := l.classes[ci]
-		if !ok {
+	for _, cs := range l.classes {
+		c := cs.c
+		if c == nil {
 			break
 		}
-		if l.ready[ci] != len(c.Methods) {
+		if cs.ready != len(c.Methods) {
 			if n := len(l.quarantined); n > 0 {
 				return nil, fmt.Errorf("stream: class %s has %d of %d method bodies (%d corrupt units quarantined and never repaired)",
-					c.Name, l.ready[ci], len(c.Methods), n)
+					c.Name, cs.ready, len(c.Methods), n)
 			}
 			return nil, fmt.Errorf("stream: class %s has %d of %d method bodies",
-				c.Name, l.ready[ci], len(c.Methods))
+				c.Name, cs.ready, len(c.Methods))
 		}
 		p.Classes = append(p.Classes, c)
 	}
-	if len(p.Classes) != len(l.classes) {
+	if len(p.Classes) != l.installed {
 		return nil, fmt.Errorf("stream: class indices are not contiguous")
 	}
 	if p.Class(l.mainClass) == nil {
@@ -812,14 +834,14 @@ func (l *Loader) UnitsConsumed() int {
 func (l *Loader) MethodInstalled(ref classfile.Ref) bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	for ci, c := range l.classes {
-		if c.Name != ref.Class {
-			continue
-		}
-		for bi, m := range c.Methods {
-			if c.MethodName(m) == ref.Name {
-				return l.present[ci][bi]
-			}
+	ci, ok := l.byName[ref.Class]
+	if !ok {
+		return false
+	}
+	cs := &l.classes[ci]
+	for bi, m := range cs.c.Methods {
+		if cs.c.MethodName(m) == ref.Name {
+			return cs.present[bi]
 		}
 	}
 	return false
@@ -830,10 +852,8 @@ func (l *Loader) MethodInstalled(ref classfile.Ref) bool {
 func (l *Loader) LoadedClass(name string) *classfile.Class {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	for _, c := range l.classes {
-		if c.Name == name {
-			return c
-		}
+	if ci, ok := l.byName[name]; ok {
+		return l.classes[ci].c
 	}
 	return nil
 }
@@ -865,30 +885,27 @@ func (r loaderResolver) HasField(class, name string) (bool, bool) {
 type rawResolver struct{ l *Loader }
 
 func (r rawResolver) MethodArity(class, name string) (int, int, bool) {
-	for _, c := range r.l.classes {
-		if c.Name != class {
-			continue
-		}
-		m := c.MethodByName(name)
-		if m == nil {
-			return 0, 0, true // class known, method definitively missing
-		}
-		return m.NArgs, m.NRet, true
+	ci, ok := r.l.byName[class]
+	if !ok {
+		return 0, 0, false // class not yet arrived: defer
 	}
-	return 0, 0, false // class not yet arrived: defer
+	m := r.l.classes[ci].c.MethodByName(name)
+	if m == nil {
+		return 0, 0, true // class known, method definitively missing
+	}
+	return m.NArgs, m.NRet, true
 }
 
 func (r rawResolver) HasField(class, name string) (bool, bool) {
-	for _, c := range r.l.classes {
-		if c.Name != class {
-			continue
-		}
-		for _, f := range c.Fields {
-			if c.Utf8(f.Name) == name {
-				return true, true
-			}
-		}
-		return false, true
+	ci, ok := r.l.byName[class]
+	if !ok {
+		return false, false
 	}
-	return false, false
+	c := r.l.classes[ci].c
+	for _, f := range c.Fields {
+		if c.Utf8(f.Name) == name {
+			return true, true
+		}
+	}
+	return false, true
 }

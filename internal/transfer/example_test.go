@@ -71,7 +71,7 @@ func ExampleNewParallel() {
 		log.Fatal(err)
 	}
 	ix := prog.IndexMethods()
-	_, order, err := pipeline.Static(ix)
+	order, err := pipeline.Static(ix)
 	if err != nil {
 		log.Fatal(err)
 	}
