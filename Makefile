@@ -55,6 +55,11 @@ lint:
 	@# (reorder.StaticLazy). cfg.BuildAll is for the paper tables.
 	@if grep -rn --include='*.go' --exclude='*_test.go' 'cfg\.BuildAll(' internal/pipeline internal/server internal/cluster; then \
 		echo "cfg.BuildAll on the serving build path; use reorder.StaticLazy" >&2; exit 1; fi
+	@# One method index: classfile.Index numbers methods for the build and
+	@# for the client's linker alike. A Ref→MethodID map anywhere else
+	@# numbers them a second time, and the two can drift apart.
+	@if grep -rn --include='*.go' 'map\[classfile\.Ref\]classfile\.MethodID' . | grep -v '^\./internal/classfile/'; then \
+		echo "a Ref→MethodID map outside internal/classfile; look methods up through classfile.Index" >&2; exit 1; fi
 	@if [ -n "$$CI" ] && ! command -v staticcheck >/dev/null 2>&1; then \
 		$(GO) install $(STATICCHECK); fi
 	@if command -v staticcheck >/dev/null 2>&1; then \

@@ -3,7 +3,6 @@ package bytecode
 import (
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -120,11 +119,11 @@ func TestDecodeBadOpcode(t *testing.T) {
 
 func TestDecodeAtBounds(t *testing.T) {
 	code := Encode([]Instr{{Op: NOP}})
-	if _, _, err := DecodeAt(code, -1); err == nil {
-		t.Error("DecodeAt(-1) succeeded")
+	if _, _, err := decodeAt(code, -1); err == nil {
+		t.Error("decodeAt(-1) succeeded")
 	}
-	if _, _, err := DecodeAt(code, len(code)); err == nil {
-		t.Error("DecodeAt(len) succeeded")
+	if _, _, err := decodeAt(code, len(code)); err == nil {
+		t.Error("decodeAt(len) succeeded")
 	}
 }
 
@@ -177,21 +176,6 @@ func TestSignedOperandRoundTrip(t *testing.T) {
 		}
 		if got[0] != in {
 			t.Errorf("round trip %v -> %v", in, got[0])
-		}
-	}
-}
-
-func TestDisassemble(t *testing.T) {
-	code := Encode([]Instr{
-		{Op: LOAD, Arg: 1},
-		{Op: IFEQ, Arg: 7}, // branch from offset 2 to 9
-		{Op: BIPUSH, Arg: 42},
-		{Op: IRETURN},
-	})
-	dis := Disassemble(code)
-	for _, want := range []string{"0: load 1", "2: ifeq -> 9", "5: bipush 42", "7: ireturn"} {
-		if !strings.Contains(dis, want) {
-			t.Errorf("disassembly missing %q:\n%s", want, dis)
 		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"strings"
 )
 
 // Instr is one decoded instruction. Arg holds the operand value: an
@@ -69,9 +68,9 @@ var ErrTruncated = errors.New("bytecode: truncated instruction")
 // ErrBadOpcode is returned when a code stream contains an undefined opcode.
 var ErrBadOpcode = errors.New("bytecode: undefined opcode")
 
-// DecodeAt decodes the instruction starting at pc. It returns the
+// decodeAt decodes the instruction starting at pc. It returns the
 // instruction and the pc of the next instruction.
-func DecodeAt(code []byte, pc int) (Instr, int, error) {
+func decodeAt(code []byte, pc int) (Instr, int, error) {
 	if pc < 0 || pc >= len(code) {
 		return Instr{}, 0, ErrTruncated
 	}
@@ -112,7 +111,7 @@ func Decode(code []byte) ([]Instr, error) {
 	}
 	out := make([]Instr, 0, n)
 	for pc := 0; pc < len(code); {
-		in, next, _ := DecodeAt(code, pc) // Count proved the stream decodes
+		in, next, _ := decodeAt(code, pc) // Count proved the stream decodes
 		out = append(out, in)
 		pc = next
 	}
@@ -141,7 +140,7 @@ func Index(code []byte, instrs []Instr, at []int32) ([]Instr, []int32, error) {
 		at[i] = -1
 	}
 	for pc := 0; pc < len(code); {
-		in, next, _ := DecodeAt(code, pc) // Count proved the stream decodes
+		in, next, _ := decodeAt(code, pc) // Count proved the stream decodes
 		at[pc] = int32(len(instrs))
 		instrs = append(instrs, in)
 		pc = next
@@ -163,7 +162,7 @@ func Encode(instrs []Instr) []byte {
 func Count(code []byte) (int, error) {
 	n := 0
 	for pc := 0; pc < len(code); {
-		_, next, err := DecodeAt(code, pc)
+		_, next, err := decodeAt(code, pc)
 		if err != nil {
 			return 0, err
 		}
@@ -171,28 +170,4 @@ func Count(code []byte) (int, error) {
 		pc = next
 	}
 	return n, nil
-}
-
-// Disassemble renders the code stream one instruction per line with byte
-// offsets, resolving branch displacements to absolute targets:
-//
-//	0: load 1
-//	2: ifeq -> 12
-//	5: ...
-func Disassemble(code []byte) string {
-	var b strings.Builder
-	for pc := 0; pc < len(code); {
-		in, next, err := DecodeAt(code, pc)
-		if err != nil {
-			fmt.Fprintf(&b, "%4d: <%v>\n", pc, err)
-			break
-		}
-		if in.Op.Info().Branch {
-			fmt.Fprintf(&b, "%4d: %s -> %d\n", pc, in.Op, pc+int(in.Arg))
-		} else {
-			fmt.Fprintf(&b, "%4d: %s\n", pc, in)
-		}
-		pc = next
-	}
-	return b.String()
 }

@@ -139,7 +139,7 @@ func (b *Builder) NameAndType(name, desc string) uint16 {
 // MethodRef interns a MethodRef constant for class.name with the given
 // arity.
 func (b *Builder) MethodRef(class, name string, nargs, nret int) uint16 {
-	key := [2]uint16{b.Class(class), b.NameAndType(name, MethodDescriptor(nargs, nret))}
+	key := [2]uint16{b.Class(class), b.NameAndType(name, methodDescriptor(nargs, nret))}
 	if i, ok := b.mrefs[key]; ok {
 		return i
 	}
@@ -152,7 +152,7 @@ func (b *Builder) MethodRef(class, name string, nargs, nret int) uint16 {
 // never invokes through interfaces, but real class files carry these
 // entries and they participate in the Table 8 size breakdown.
 func (b *Builder) InterfaceMethodRef(class, name string, nargs, nret int) uint16 {
-	key := [2]uint16{b.Class(class), b.NameAndType(name, MethodDescriptor(nargs, nret))}
+	key := [2]uint16{b.Class(class), b.NameAndType(name, methodDescriptor(nargs, nret))}
 	if i, ok := b.imrefs[key]; ok {
 		return i
 	}
@@ -196,7 +196,7 @@ func (b *Builder) AddMethod(name string, nargs, nret int, maxLocals, maxStack in
 	m := &Method{
 		Flags:     0x0008, // ACC_STATIC
 		Name:      b.Utf8(name),
-		Desc:      b.Utf8(MethodDescriptor(nargs, nret)),
+		Desc:      b.Utf8(methodDescriptor(nargs, nret)),
 		MaxLocals: uint16(maxLocals),
 		MaxStack:  uint16(maxStack),
 		LocalData: localData,

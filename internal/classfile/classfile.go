@@ -243,9 +243,9 @@ type Ref struct {
 // String returns "Class.Name".
 func (r Ref) String() string { return r.Class + "." + r.Name }
 
-// MethodDescriptor builds a descriptor string "(I…I)I" or "(…)V" for a
+// methodDescriptor builds a descriptor string "(I…I)I" or "(…)V" for a
 // method with nargs integer parameters and nret (0 or 1) results.
-func MethodDescriptor(nargs, nret int) string {
+func methodDescriptor(nargs, nret int) string {
 	var b strings.Builder
 	b.WriteByte('(')
 	for i := 0; i < nargs; i++ {
@@ -260,7 +260,7 @@ func MethodDescriptor(nargs, nret int) string {
 	return b.String()
 }
 
-// ParseDescriptor inverts MethodDescriptor.
+// ParseDescriptor inverts methodDescriptor.
 func ParseDescriptor(d string) (nargs, nret int, err error) {
 	if len(d) < 3 || d[0] != '(' {
 		return 0, 0, fmt.Errorf("classfile: bad descriptor %q", d)

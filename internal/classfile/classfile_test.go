@@ -242,7 +242,7 @@ func TestDescriptorRoundTrip(t *testing.T) {
 		if ret {
 			nr = 1
 		}
-		d := MethodDescriptor(na, nr)
+		d := methodDescriptor(na, nr)
 		ga, gr, err := ParseDescriptor(d)
 		return err == nil && ga == na && gr == nr
 	}
@@ -313,6 +313,68 @@ func TestIndexMethods(t *testing.T) {
 	}
 	if ix.ClassIndex("App") != 0 || ix.ClassIndex("zzz") != -1 {
 		t.Error("ClassIndex broken")
+	}
+}
+
+// TestIndexGrowsOneClassAtATime: an index grown class by class over an
+// arriving program numbers methods as IndexMethods numbers the whole
+// program, and Add refuses, without changing the index, a class already
+// indexed, a class with a method declared twice, and a class that is not
+// the program's next one.
+func TestIndexGrowsOneClassAtATime(t *testing.T) {
+	ret := bytecode.Encode([]bytecode.Instr{{Op: bytecode.RETURN}})
+	class := func(name string, methods ...string) *Class {
+		b := NewBuilder(name, "Object")
+		for _, m := range methods {
+			b.AddMethod(m, 0, 0, 0, 1, nil, ret)
+		}
+		return b.Build()
+	}
+	app, b := buildSample(), class("B", "x", "y")
+	whole := (&Program{Name: "t", Classes: []*Class{app, b}, MainClass: "App"}).IndexMethods()
+
+	arriving := &Program{Name: "t", MainClass: "App"}
+	ix := NewIndex(arriving, 0)
+	for _, c := range []*Class{app, b} {
+		if err := ix.Add(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(arriving.Classes) != 2 || arriving.Classes[1] != b {
+		t.Fatalf("the arriving program holds %d classes, want App and B", len(arriving.Classes))
+	}
+	if ix.Len() != whole.Len() {
+		t.Fatalf("grown index has %d methods, whole %d", ix.Len(), whole.Len())
+	}
+	for id := MethodID(0); int(id) < ix.Len(); id++ {
+		if ix.Ref(id) != whole.Ref(id) || ix.Class(id) != whole.Class(id) || ix.Method(id) != whole.Method(id) {
+			t.Errorf("method %d: grown %v, whole %v", id, ix.Ref(id), whole.Ref(id))
+		}
+		if ix.ID(ix.Ref(id)) != id {
+			t.Errorf("ID(Ref(%d)) = %d", id, ix.ID(ix.Ref(id)))
+		}
+	}
+	if ix.ClassIndex("B") != 1 {
+		t.Errorf("ClassIndex(B) = %d, want 1", ix.ClassIndex("B"))
+	}
+
+	for _, tc := range []struct {
+		name string
+		ix   *Index
+		c    *Class
+		want string
+	}{
+		{"duplicate-class", ix, class("B", "z"), "duplicate class B"},
+		{"duplicate-method", ix, class("C", "p", "q", "p"), "duplicate method C.p"},
+		{"not-next-class", NewIndex(&Program{Name: "t", Classes: []*Class{app, b}}, 0), b, "not class 0"},
+	} {
+		n, classes := tc.ix.Len(), len(tc.ix.Program().Classes)
+		if err := tc.ix.Add(tc.c); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want %q", tc.name, err, tc.want)
+		}
+		if tc.ix.Len() != n || len(tc.ix.Program().Classes) != classes || tc.ix.ID(Ref{Class: tc.c.Name, Name: "p"}) != NoMethod {
+			t.Errorf("%s: a refused Add changed the index", tc.name)
+		}
 	}
 }
 

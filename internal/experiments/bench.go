@@ -94,14 +94,9 @@ type Bench struct {
 	byOrder map[OrderKind]*prepared
 }
 
-// Load compiles, links, profiles (both inputs), and prepares all three
-// predictor orders for one benchmark.
-func Load(app *apps.App) (*Bench, error) {
-	return LoadCtx(context.Background(), app)
-}
-
-// LoadCtx is Load with cancellation: every pipeline stage checks ctx
-// before it starts and abandons the load once ctx is done.
+// LoadCtx compiles, links, profiles (both inputs), and prepares all
+// three predictor orders for one benchmark. Every pipeline stage checks
+// ctx before it starts and abandons the load once ctx is done.
 //
 // The stages are the serving path's (pipeline.Build), so a served stream
 // and a paper table derive an order from one definition. What the

@@ -1,6 +1,7 @@
 package experiments_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -15,7 +16,7 @@ func load(name string) *experiments.Bench {
 	if err != nil {
 		log.Fatal(err)
 	}
-	bench, err := experiments.Load(app)
+	bench, err := experiments.LoadCtx(context.Background(), app)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -43,8 +44,8 @@ func ExampleBench_Simulate() {
 	// mispredicts under the perfect profile: 0
 }
 
-// Load executes a benchmark in the VM; inspect its first-use profile.
-func ExampleLoad() {
+// LoadCtx executes a benchmark in the VM; inspect its first-use profile.
+func ExampleLoadCtx() {
 	bench := load("Hanoi")
 	prof := bench.TestProfile
 	fmt.Printf("methods executed: %d of %d\n", prof.Executed(), bench.Prog.NumMethods())

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -44,7 +45,7 @@ func (s *Suite) SplitStudy(budget int) ([]SplitRow, error) {
 		}
 		app := *b.App
 		app.IR = ir
-		sb, err := Load(&app) // re-runs the workload self-checks
+		sb, err := LoadCtx(context.Background(), &app) // re-runs the workload self-checks
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %s after splitting: %w", app.Name, err)
 		}

@@ -199,9 +199,8 @@ func Le(a, b Expr) Expr  { return BinExpr{Op: OpLe, A: a, B: b} }
 func Gt(a, b Expr) Expr  { return BinExpr{Op: OpGt, A: a, B: b} }
 func Ge(a, b Expr) Expr  { return BinExpr{Op: OpGe, A: a, B: b} }
 
-// Neg negates a; Not is logical negation.
+// Neg negates a.
 func Neg(a Expr) Expr { return NegExpr{A: a} }
-func Not(a Expr) Expr { return NotExpr{A: a} }
 
 // Call invokes class.fn(args...).
 func Call(class, fn string, args ...Expr) Expr {

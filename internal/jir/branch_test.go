@@ -46,10 +46,10 @@ func TestBranchBoundaries(t *testing.T) {
 					if got != want {
 						t.Errorf("If(%d %s %d) took branch %d, want %d", a, c.name, b, got, want)
 					}
-					// Same condition negated via Not.
+					// Same condition negated via NotExpr.
 					gotN := runMain(t, nil, []*Func{mainFn(nil,
 						Let("a", I(a)),
-						If(Not(c.mk(L("a"), I(b))),
+						If(NotExpr{A: c.mk(L("a"), I(b))},
 							Block(SetG("Main", "out", I(1))),
 							Block(SetG("Main", "out", I(0)))),
 						Halt())})

@@ -68,8 +68,8 @@ func TestArithmetic(t *testing.T) {
 		{"shl", Shl(I(3), I(4)), 48},
 		{"shr", Shr(I(-64), I(2)), -16}, // arithmetic shift
 		{"neg", Neg(I(9)), -9},
-		{"not0", Not(I(0)), 1},
-		{"not5", Not(I(5)), 0},
+		{"not0", NotExpr{A: I(0)}, 1},
+		{"not5", NotExpr{A: I(5)}, 0},
 		{"bigconst", Add(I(1_000_000_007), I(0)), 1_000_000_007}, // forces LDC
 		{"hugeconst", Add(I(1<<40), I(1)), 1<<40 + 1},            // forces Long
 	}

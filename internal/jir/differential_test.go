@@ -109,9 +109,9 @@ func TestDifferentialExpressions(t *testing.T) {
 		case 14:
 			x, xv := gen(depth - 1)
 			if xv == 0 {
-				return Not(x), 1
+				return NotExpr{A: x}, 1
 			}
-			return Not(x), 0
+			return NotExpr{A: x}, 0
 		default:
 			x, xv := gen(depth - 1)
 			y, yv := gen(depth - 1)

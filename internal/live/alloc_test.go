@@ -57,7 +57,7 @@ var (
 
 // TestRunAllocBudget pins what a whole session allocates: Jess run by
 // live.Run over an in-memory transport. The receive path's per-session
-// tables — the session's arrivals and waits, the live linker's method
+// tables — the session's arrivals and waits, the linker's method
 // table and its index, the machine's per-method arrays — are each sized
 // once, from the unit count the stream header carries; one that goes
 // back to growing an entry at a time costs its doubling garbage and

@@ -2,7 +2,7 @@
 // paper's non-strict execution, for real rather than simulated. It
 // pipelines FetchClient → stream.Loader → vm in goroutines: the fetch
 // goroutine streams the interleaved virtual file and feeds the loader,
-// whose verified units flow into the VM's incremental link state, while
+// whose verified classes flow into the VM's one linker (vm.NewLive), while
 // the VM goroutine executes. First invocation of a method blocks at the
 // availability gate until the loader fires MethodReady; a method wanted
 // out of predicted order is demand-fetched through a byte-range request
@@ -227,7 +227,7 @@ type span struct{ From, To time.Duration }
 
 // Run executes the program at opts.URL while it streams in, returning
 // the finished machine and the measured overlap statistics: a Session
-// with the VM's incremental linker behind it. The machine is valid
+// with the VM's linker (vm.NewLive) behind it. The machine is valid
 // (with partial profile) even when err is non-nil.
 func Run(ctx context.Context, opts Options) (*vm.Machine, *Stats, error) {
 	s := newSession(opts)

@@ -29,7 +29,7 @@ var ErrGateTimeout = errors.New("live: gate deadline exceeded")
 // transfer loop with its degradation to demand fetching, the
 // availability gate with its deadline and demand policy, the cut at the
 // end of execution, and the Stats. It implements vm.Gate, and the executor is whatever calls the
-// gate: the VM's incremental linker under Run, or a bare loop over a
+// gate: the VM's linker under Run, or a bare loop over a
 // need trace (the fleet's clients), which installs nothing and only
 // waits.
 //

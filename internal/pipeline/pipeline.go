@@ -93,7 +93,8 @@ type Run struct {
 	// Linked is set by Link.
 	Linked *vm.Linked
 	// Ix is the program's one method index: the linker's when the run
-	// links, else built by Static.
+	// links, which numbers methods as IndexMethods does, else built by
+	// Static.
 	Ix *classfile.Index
 	// SCG is set by Static.
 	SCG *reorder.Order
@@ -269,8 +270,9 @@ func Build(ctx context.Context, app *apps.App, order string) (*Stream, error) {
 		if err := r.Link(ctx); err != nil {
 			return nil, err
 		}
-		// Static reads only the linker's index and Profile only the
-		// linked program, so the two run side by side. Both have stopped
+		// Static reads only the linker's index, which Link has filled,
+		// and Profile only the linked program, so the two run side by
+		// side. Both have stopped
 		// before Build returns, whichever of them failed.
 		static := make(chan error, 1)
 		go func() { static <- r.Static(ctx) }()

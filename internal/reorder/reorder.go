@@ -55,17 +55,6 @@ func (o *Order) Validate(ix *classfile.Index) error {
 	return nil
 }
 
-// Declaration returns the identity order: methods as declared in their
-// class files, classes in program order. This is the unrestructured
-// baseline.
-func Declaration(ix *classfile.Index) *Order {
-	ms := make([]classfile.MethodID, ix.Len())
-	for i := range ms {
-		ms[i] = classfile.MethodID(i)
-	}
-	return newOrder(ms, ix.Len())
-}
-
 // Static computes the first-use order with the paper's static call-graph
 // estimation (§4.1) over graphs, the CFGs of the program's methods: a
 // method with no graph takes its place in the order but is not walked.

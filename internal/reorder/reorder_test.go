@@ -41,7 +41,12 @@ func TestDeclarationOrder(t *testing.T) {
 			{Name: "b", Body: jir.Block(jir.RetV())},
 		},
 	}}})
-	o := Declaration(ix)
+	// The identity order: methods as declared, classes in program order.
+	ms := make([]classfile.MethodID, ix.Len())
+	for i := range ms {
+		ms[i] = classfile.MethodID(i)
+	}
+	o := newOrder(ms, ix.Len())
 	if err := o.Validate(ix); err != nil {
 		t.Fatal(err)
 	}

@@ -82,7 +82,7 @@ func RunContext(ctx context.Context, trace []vm.Segment, ix *classfile.Index, en
 	if cpi <= 0 {
 		return Result{}, fmt.Errorf("sim: non-positive CPI %d", cpi)
 	}
-	return RunCostedContext(ctx, trace, ix, eng, func(classfile.MethodID) int64 { return cpi })
+	return runCosted(ctx, trace, ix, eng, func(classfile.MethodID) int64 { return cpi })
 }
 
 // RunCosted is Run with a per-method cycle cost — the refinement the
@@ -91,15 +91,15 @@ func RunContext(ctx context.Context, trace []vm.Segment, ix *classfile.Index, en
 // CPIs derived from each method's opcode mix replace the single
 // program-wide average.
 func RunCosted(trace []vm.Segment, ix *classfile.Index, eng transfer.Engine, cpiOf func(classfile.MethodID) int64) (Result, error) {
-	return RunCostedContext(context.Background(), trace, ix, eng, cpiOf)
+	return runCosted(context.Background(), trace, ix, eng, cpiOf)
 }
 
 // ctxCheckEvery is how many trace segments replay between cancellation
 // checks; a power of two keeps the check a mask test.
 const ctxCheckEvery = 1 << 14
 
-// RunCostedContext is RunCosted with cancellation.
-func RunCostedContext(ctx context.Context, trace []vm.Segment, ix *classfile.Index, eng transfer.Engine, cpiOf func(classfile.MethodID) int64) (Result, error) {
+// runCosted is RunCosted with cancellation, which RunContext needs too.
+func runCosted(ctx context.Context, trace []vm.Segment, ix *classfile.Index, eng transfer.Engine, cpiOf func(classfile.MethodID) int64) (Result, error) {
 	if len(trace) == 0 {
 		return Result{}, fmt.Errorf("sim: empty trace")
 	}

@@ -690,12 +690,15 @@ func (l *Loader) installGlobal(ci int, payload []byte) (events, error) {
 	if err := verify.VerifyGlobal(c); err != nil {
 		return events{}, err
 	}
+	// Two class indices naming one class would reach the executor as a
+	// program that holds the class twice.
+	if prev, dup := l.byName[c.Name]; dup && prev != ci {
+		return events{}, fmt.Errorf("%w: class %d is %s, which class %d already is", ErrBadStream, ci, c.Name, prev)
+	}
 	cs := l.class(ci)
 	cs.c, cs.methods, cs.present = c, lay.Methods, make([]bool, len(c.Methods))
 	l.installed++
-	if _, dup := l.byName[c.Name]; !dup {
-		l.byName[c.Name] = ci
-	}
+	l.byName[c.Name] = ci
 	return events{n: 1, ev: [2]Event{{Kind: ClassLinked, Class: c.Name, Bytes: l.consumed}}}, nil
 }
 

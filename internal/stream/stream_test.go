@@ -312,6 +312,41 @@ func TestLoaderRejectsMalformedStreams(t *testing.T) {
 			t.Errorf("err = %v, want ErrBadStream for a bad delimiter", err)
 		}
 	})
+	t.Run("duplicate-class-name", func(t *testing.T) {
+		// Class 0's units again under a new class index, each with a
+		// valid checksum, and the stream header resealed over them: every
+		// unit passes integrity, so the loader must refuse the name.
+		mut := append([]byte(nil), good...)
+		units := w.Units()
+		for i := 0; i < w.Units(); i++ {
+			off, kind, n := unitAt(t, good, i)
+			class, _, _, crc, err := parseUnitHeader(good[off : off+headerSize])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if class != 0 {
+				continue
+			}
+			var hdr [headerSize]byte
+			putUnitHeader(hdr[:], len(rp.Classes), kind, n, crc)
+			mut = append(append(mut, hdr[:]...), good[off+headerSize:off+headerSize+n]...)
+			units++
+		}
+		var digest uint32
+		for off := streamHeaderSize; off < len(mut); {
+			_, _, n, _, err := parseUnitHeader(mut[off : off+headerSize])
+			if err != nil {
+				t.Fatal(err)
+			}
+			digest = crc32.Update(digest, crcTable, mut[off:off+headerSize+n])
+			off += headerSize + n
+		}
+		putStreamHeader(mut, units, digest)
+		err := load(mut)
+		if err == nil || !errors.Is(err, ErrBadStream) || !strings.Contains(err.Error(), "already is") {
+			t.Errorf("err = %v, want ErrBadStream for a class name held by two class indices", err)
+		}
+	})
 	t.Run("incomplete-program", func(t *testing.T) {
 		// A clean cut between units used to slip past the loader and only
 		// surface in Program(); the stream header's unit count catches it

@@ -412,13 +412,8 @@ func refOperand(c *classfile.Class, idx uint16, want classfile.ConstKind) (cls, 
 	return cls, name, desc, nil
 }
 
-// VerifyClass runs the global check followed by every method check — the
-// strict-execution behaviour, provided for parity and for tests.
-func VerifyClass(c *classfile.Class, res Resolver) error {
-	var s Scratch
-	return s.verifyClass(c, res)
-}
-
+// verifyClass runs the global check followed by every method check — the
+// strict-execution behaviour.
 func (s *Scratch) verifyClass(c *classfile.Class, res Resolver) error {
 	if err := VerifyGlobal(c); err != nil {
 		return err

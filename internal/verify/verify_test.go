@@ -50,7 +50,7 @@ func TestVerifyGlobalAcceptsWellFormed(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := &classfile.Program{Name: "t", Classes: []*classfile.Class{c}, MainClass: "C"}
-	if err := VerifyClass(c, ProgramResolver{Prog: p}); err != nil {
+	if err := VerifyProgram(p); err != nil {
 		t.Fatal(err)
 	}
 }

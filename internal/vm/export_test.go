@@ -21,14 +21,13 @@ func (ln *Linked) BlockMarks(id classfile.MethodID) []int {
 	return marks
 }
 
-// Relink runs linkCode over every method of an eagerly linked program
-// again, through one link state — what the external allocation pin
+// Relink runs linkCode over every method of a linked program again,
+// through one fresh link state — what the external allocation pin
 // measures, since the workloads it needs import this package.
 func (ln *Linked) Relink() error {
 	ls := newLinkState(ln)
-	var res opResolver = eagerResolver{ln: ln, ix: ln.index}
-	for id := classfile.MethodID(0); int(id) < ln.index.Len(); id++ {
-		if err := linkCode(ln.index.Class(id), ln.index.Method(id), ln.methods[id], ls, res); err != nil {
+	for _, lm := range ln.methods {
+		if err := linkCode(lm, ls); err != nil {
 			return err
 		}
 	}
@@ -36,7 +35,7 @@ func (ln *Linked) Relink() error {
 }
 
 // FusedRuns returns the first index and the length of every fused run in
-// the linked code of method id (none before a live method links).
+// the linked code of method id (none before the method links).
 func (ln *Linked) FusedRuns(id classfile.MethodID) [][2]int {
 	var runs [][2]int
 	for i, in := range ln.methods[id].code {
@@ -48,7 +47,7 @@ func (ln *Linked) FusedRuns(id classfile.MethodID) [][2]int {
 }
 
 // Unresolved reports, per linked instruction of method id, whether it is
-// a cross-class reference the live linker left unresolved.
+// a cross-class reference the linker left unresolved.
 func (ln *Linked) Unresolved(id classfile.MethodID) []bool {
 	code := ln.methods[id].code
 	u := make([]bool, len(code))
@@ -58,5 +57,16 @@ func (ln *Linked) Unresolved(id classfile.MethodID) []bool {
 	return u
 }
 
-// Linked returns the program a live link grows.
-func (lv *LiveLinked) Linked() *Linked { return lv.ln }
+// Classes reports how many classes have been added.
+func (ln *Linked) Classes() int {
+	ln.mu.Lock()
+	defer ln.mu.Unlock()
+	return len(ln.prog.Classes)
+}
+
+// Methods reports how many methods have been added.
+func (ln *Linked) Methods() int {
+	ln.mu.Lock()
+	defer ln.mu.Unlock()
+	return len(ln.methods)
+}

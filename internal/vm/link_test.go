@@ -174,7 +174,7 @@ var pinnedFusedShare = map[string]float64{
 // waits for it, so every cross-class reference links unresolved and is
 // patched where it first runs.
 type demandGate struct {
-	lv      *vm.LiveLinked
+	lv      *vm.Linked
 	classes map[string]*classfile.Class
 }
 
@@ -248,6 +248,6 @@ func TestFusionStaysInBlock(t *testing.T) {
 		if err := app.Check(m, false); err != nil {
 			t.Errorf("%s live: %v", app.Name, err)
 		}
-		check(app.Name+" live", lv.Linked(), lv.Methods())
+		check(app.Name+" live", lv, lv.Methods())
 	}
 }

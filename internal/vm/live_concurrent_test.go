@@ -118,17 +118,17 @@ func profileByRef(m *Machine) refProfile {
 	return rp
 }
 
-// TestLiveLinkedConcurrentAddClass is the -race test of LiveLinked's
-// shared state in isolation (internal/live covers the full stack): a
-// feeder goroutine trickles classes in through AddClass while the
-// machine executes and stat readers hammer Classes/Methods. The run
+// TestAddClassConcurrentWithRun is the -race test of the linker's shared
+// state in isolation (internal/live covers the full stack): a feeder
+// goroutine trickles classes in through AddClass while the machine
+// executes and stat readers hammer Classes/Methods. The run
 // must match the strict linker's profile exactly — instruction count,
 // first-use order, and each method's instructions and covered bytes —
 // and the stat counters must only ever move forward. In every other
 // round the feeder holds the remaining classes back until the main
 // method has linked, so its cross-class references are patched at run
 // time.
-func TestLiveLinkedConcurrentAddClass(t *testing.T) {
+func TestAddClassConcurrentWithRun(t *testing.T) {
 	for _, prog := range []func() *jir.Program{chainProgram, leaderProgram} {
 		cp, err := jir.Compile(prog())
 		if err != nil {

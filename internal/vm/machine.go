@@ -89,10 +89,10 @@ var ErrMaxSteps = errors.New("vm: step budget exhausted")
 // Machine holds the state and instrumentation results of one run.
 type Machine struct {
 	ln *Linked
-	// meths is the machine's private view of ln.methods. In live mode
-	// the loader goroutine appends to ln.methods under the live lock, so
-	// the hot loop reads this snapshot and refreshes it (under the lock)
-	// only at resolution points where new methods can become reachable.
+	// meths is the machine's private view of ln.methods. The loader
+	// goroutine may append to ln.methods under the link lock, so the hot
+	// loop reads this snapshot and refreshes it (under the lock) only
+	// where a method beyond it is called.
 	meths   []*linkedMethod
 	globals []slotv
 	prof    Profile
@@ -123,16 +123,21 @@ type frame struct {
 	cov   []bool // Machine.covered of m, marked per block leader
 }
 
-// Run links nothing new — it executes the already-linked program once and
-// returns the finished machine with its profile (and trace, if enabled).
+// Run waits at the gate for the entry class, then executes the program
+// once and returns the finished machine with its profile (and trace, if
+// enabled). Execution overlaps with whatever part of the program is
+// still arriving; every first use of a method blocks at the gate until
+// its bytes are in.
 func (ln *Linked) Run(opts Options) (*Machine, error) {
-	// In live mode the loader may still be appending classes; size the
-	// machine from a consistent snapshot and grow on demand later, within
-	// the capacity the live linker reserved for the whole program (the
-	// eager linker's table is exactly full).
-	if ln.live != nil {
-		ln.live.mu.Lock()
+	mainRef := ln.prog.Main()
+	if err := ln.gate.AwaitClass(mainRef.Class); err != nil {
+		return nil, fmt.Errorf("vm: waiting for entry class %q: %w", mainRef.Class, err)
 	}
+	// The loader may still be adding classes: size the machine from a
+	// consistent snapshot and grow on demand later, within the capacity
+	// AddClass reserved for the whole program.
+	ln.mu.Lock()
+	main := ln.entry()
 	n, c := len(ln.methods), cap(ln.methods)
 	m := &Machine{
 		ln:      ln,
@@ -143,14 +148,11 @@ func (ln *Linked) Run(opts Options) (*Machine, error) {
 	}
 	m.prof.MethodInstrs = make([]int64, n, c)
 	m.prof.CoveredBytes = make([]int, n, c)
-	if ln.live != nil {
-		ln.live.mu.Unlock()
+	ln.mu.Unlock()
+	if main == classfile.NoMethod {
+		return nil, fmt.Errorf("vm: program %q has no entry point %v", ln.prog.Name, mainRef)
 	}
-	err := m.run(opts)
-	if err != nil {
-		return m, err
-	}
-	return m, nil
+	return m, m.run(opts, main)
 }
 
 func (m *Machine) trap(f *frame, format string, args ...any) error {
@@ -193,7 +195,7 @@ func (m *Machine) flushSeg(f *frame, steps int64) {
 	}
 }
 
-func (m *Machine) run(opts Options) error {
+func (m *Machine) run(opts Options, main classfile.MethodID) error {
 	maxSteps := opts.MaxSteps
 	if maxSteps <= 0 {
 		maxSteps = 1e10
@@ -207,7 +209,7 @@ func (m *Machine) run(opts Options) error {
 	m.maxSteps = maxSteps
 	m.stopPC = math.MaxInt32
 
-	entry := m.meths[m.ln.main]
+	entry := m.meths[main]
 	if len(opts.Args) != entry.nargs {
 		return fmt.Errorf("vm: main takes %d args, got %d", entry.nargs, len(opts.Args))
 	}
@@ -467,8 +469,8 @@ func (m *Machine) run(opts Options) error {
 			}
 
 		case bytecode.GETSTATIC:
-			// Live mode: the slot may belong to a class that arrived
-			// after the machine sized its globals array.
+			// The slot may belong to a class that arrived after the
+			// machine sized its globals array.
 			for int(in.a) >= len(m.globals) {
 				m.globals = append(m.globals, slotv{})
 			}
@@ -678,9 +680,9 @@ func (m *Machine) run(opts Options) error {
 			return m.trap(fr, "pc out of range")
 
 		default:
-			if m.ln.live != nil && in.op >= xInvokeU && in.op <= xPutStaticU {
-				// First execution of a reference the live linker could
-				// not resolve at decode time: block until the target
+			if in.op >= xInvokeU && in.op <= xPutStaticU {
+				// First execution of a reference the linker could not
+				// resolve at decode time: block until the target
 				// class links, patch the instruction in place, and rerun
 				// it. A patched leader is entered again, so its block's
 				// charge is taken back to count once.
@@ -703,28 +705,20 @@ func (m *Machine) run(opts Options) error {
 
 // resolveOp resolves one unresolved pseudo-op. It blocks at the gate
 // until the referenced class is linked, then looks the target up under
-// the live lock and refreshes the machine's snapshots.
+// the link lock. The resolved op grows the machine's snapshots itself
+// when it reruns.
 func (m *Machine) resolveOp(fr *frame, in linkedInstr) (linkedInstr, error) {
-	lv := m.ln.live
-	p := lv.pendingAt(in.a)
-	if err := lv.gate.AwaitClass(p.class); err != nil {
+	// The pending table is append-only and only the executing goroutine
+	// appends to it, so it is read without the lock.
+	p := m.ln.pending[in.a]
+	if err := m.ln.gate.AwaitClass(p.class); err != nil {
 		// Surface a dead or deadlined transfer as a clean per-reference
 		// error naming what execution was blocked on, not a hang.
 		return linkedInstr{}, fmt.Errorf("vm: resolving reference to class %q: %w", p.class, err)
 	}
-	lv.mu.Lock()
-	defer lv.mu.Unlock()
-	var ri linkedInstr
-	var err error
-	if in.op == xInvokeU {
-		ri, err = lv.tryInvoke(p)
-		m.meths = m.ln.methods[:len(m.ln.methods):len(m.ln.methods)]
-	} else {
-		ri, err = lv.tryStatic(in.op, p)
-		for err == nil && len(m.globals) <= int(ri.a) {
-			m.globals = append(m.globals, slotv{})
-		}
-	}
+	m.ln.mu.Lock()
+	ri, err := m.ln.resolve(p)
+	m.ln.mu.Unlock()
 	if err != nil {
 		return linkedInstr{}, m.trap(fr, "%v", err)
 	}
@@ -740,17 +734,15 @@ func (m *Machine) firstUse(id classfile.MethodID) error {
 		return nil
 	}
 	lm := m.meths[id]
-	if lv := m.ln.live; lv != nil {
-		// Non-strict gate: block until the method's bytes (and delimiter)
-		// have arrived and verified, then link its body lazily. A gate
-		// failure (dead stream, deadline) is reported per invocation so
-		// the caller can see exactly which first use could not proceed.
-		if err := lv.gate.AwaitMethod(lm.ref); err != nil {
-			return fmt.Errorf("vm: first invocation of %v: %w", lm.ref, err)
-		}
-		if err := lv.ensureLink(lm); err != nil {
-			return err
-		}
+	// Non-strict gate: block until the method's bytes (and delimiter)
+	// have arrived and verified, then link its body lazily. A gate
+	// failure (dead stream, deadline) is reported per invocation so the
+	// caller can see exactly which first use could not proceed.
+	if err := m.ln.gate.AwaitMethod(lm.ref); err != nil {
+		return fmt.Errorf("vm: first invocation of %v: %w", lm.ref, err)
+	}
+	if err := m.ln.ensureLink(lm); err != nil {
+		return err
 	}
 	m.invoked[id] = true
 	m.prof.FirstUse = append(m.prof.FirstUse, id)
@@ -761,16 +753,13 @@ func (m *Machine) firstUse(id classfile.MethodID) error {
 	return nil
 }
 
-// growTo extends the per-method instrumentation arrays (and, in live
-// mode, the method snapshot) to cover ids below n. The eager linker
-// sizes everything up front, so this only fires in live mode, where the
-// arrays already have the live linker's capacity.
+// growTo extends the method snapshot and the per-method instrumentation
+// arrays to cover ids below n. It fires only for a class added after
+// Run began, and the arrays already have the capacity AddClass reserved.
 func (m *Machine) growTo(n int) {
-	if lv := m.ln.live; lv != nil {
-		lv.mu.Lock()
-		m.meths = m.ln.methods[:len(m.ln.methods):len(m.ln.methods)]
-		lv.mu.Unlock()
-	}
+	m.ln.mu.Lock()
+	m.meths = m.ln.methods[:len(m.ln.methods):len(m.ln.methods)]
+	m.ln.mu.Unlock()
 	for len(m.invoked) < n {
 		m.invoked = append(m.invoked, false)
 		m.covered = append(m.covered, nil)
@@ -788,13 +777,11 @@ func (m *Machine) Trace() []Segment { return m.trace }
 // Steps returns the dynamic instruction count.
 func (m *Machine) Steps() int64 { return m.prof.TotalInstrs }
 
-// lookupGlobal resolves a static field to its slot, locking the live
-// link state when the program is still growing.
+// lookupGlobal resolves a static field to its slot under the link lock,
+// since the program may still be growing.
 func (m *Machine) lookupGlobal(class, field string) (int, bool) {
-	if lv := m.ln.live; lv != nil {
-		lv.mu.Lock()
-		defer lv.mu.Unlock()
-	}
+	m.ln.mu.Lock()
+	defer m.ln.mu.Unlock()
 	slot, ok := m.ln.globals[globalKey{class, field}]
 	return slot, ok
 }

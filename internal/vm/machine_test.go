@@ -473,6 +473,16 @@ func TestLinkRejectsLDCOfWrongKind(t *testing.T) {
 	}
 }
 
+func TestLinkRejectsDuplicateClass(t *testing.T) {
+	// Two classes of one name, as a loader that took both from a hostile
+	// stream would hand them over: an error, not a panic.
+	p := rawProgram([]bytecode.Instr{{Op: bytecode.HALT}}, nil)
+	p.Classes = append(p.Classes, rawProgram([]bytecode.Instr{{Op: bytecode.HALT}}, nil).Classes[0])
+	if _, err := Link(p); err == nil || !strings.Contains(err.Error(), "duplicate class M") {
+		t.Fatalf("err = %v", err)
+	}
+}
+
 func TestStepsMatchesMethodInstrsSum(t *testing.T) {
 	ln := compile(t, chainProgram())
 	m, err := ln.Run(Options{})
