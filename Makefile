@@ -60,6 +60,13 @@ lint:
 	@# numbers them a second time, and the two can drift apart.
 	@if grep -rn --include='*.go' 'map\[classfile\.Ref\]classfile\.MethodID' . | grep -v '^\./internal/classfile/'; then \
 		echo "a Ref→MethodID map outside internal/classfile; look methods up through classfile.Index" >&2; exit 1; fi
+	@# A corrupt unit is repaired or it ends the stream, and the session's
+	@# degradation to demand fetching finishes the program: the client
+	@# keeps no second recovery state for a unit its repair lost. (The
+	@# disk store's record quarantine in internal/server is another
+	@# mechanism and is not scanned.)
+	@if grep -rni --include='*.go' --exclude='*_test.go' 'quarantin' internal/stream internal/live; then \
+		echo "quarantine in internal/stream or internal/live; end the stream and let the session degrade instead" >&2; exit 1; fi
 	@if [ -n "$$CI" ] && ! command -v staticcheck >/dev/null 2>&1; then \
 		$(GO) install $(STATICCHECK); fi
 	@if command -v staticcheck >/dev/null 2>&1; then \

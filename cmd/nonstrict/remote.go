@@ -109,9 +109,8 @@ func cmdRunRemote(ctx context.Context, args []string, out io.Writer) error {
 		st.DemandFetches, st.Mispredicts, st.DemandBytes, st.StreamBytes)
 	fmt.Fprintf(out, "transfer: %d bytes in %d requests (%d retries, %d resumes)\n",
 		st.Transfer.BytesTransferred, st.Transfer.Requests, st.Transfer.Retries, st.Transfer.Resumes)
-	fmt.Fprintf(out, "integrity: %d corrupt units, %d repaired, %d quarantined, %d re-fetches; stream digest verified: %v\n",
-		st.Integrity.CorruptUnits, st.Integrity.Repaired, st.Integrity.Outstanding,
-		st.Refetches, st.Integrity.DigestVerified)
+	fmt.Fprintf(out, "integrity: %d corrupt units, %d repaired, %d re-fetches; stream digest verified: %v\n",
+		st.Integrity.CorruptUnits, st.Integrity.Repaired, st.Refetches, st.Integrity.DigestVerified)
 	if st.Degraded != "" {
 		fmt.Fprintf(out, "degraded: %s (finished by demand-fetching every remaining unit)\n", st.Degraded)
 	}

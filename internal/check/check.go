@@ -1,7 +1,7 @@
 // Package check is the executable specification and interleaving
 // checker for the repo's hand-rolled shared-state fast paths: the
 // artifact cache's singleflight build/LRU machinery (internal/server)
-// and the stream loader's feed/demand/quarantine/repair machinery
+// and the stream loader's feed/demand/repair machinery
 // (internal/stream).
 //
 // The discipline is the memalloy one: write the state machine twice.
@@ -26,8 +26,9 @@
 //   - no pooled payload buffer is reused while an installed unit
 //     retains a slice of it (installed bytes stay immutable);
 //   - loader events are exactly-once per unit however the main stream,
-//     demand fetches, and repair replies interleave, and a healed or
-//     demand-covered unit never leaves a stale quarantine entry;
+//     demand fetches, and repair replies interleave, and a unit whose
+//     repair fails ends Load with ErrStreamIntegrity, leaving installed
+//     what came before it or by demand;
 //   - the disk store's Put is atomic at every crash point: a process
 //     death before the rename leaves the previous generation (or a
 //     clean miss) byte-intact, a death at or after it leaves the new

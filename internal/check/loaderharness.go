@@ -2,6 +2,7 @@ package check
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"strings"
@@ -40,7 +41,7 @@ type loaderReport struct {
 // scenario — stepped main-stream delivery, at most one corrupt unit
 // with a scripted repair, and concurrent demand fetches landing at
 // every possible point — and replays each against a real stream.Loader,
-// diffing events, counters, quarantine state, and the assembled program
+// diffing events, counters, Load's result, and the assembled program
 // against the executable spec.
 func checkLoader(opts loaderOptions) (*loaderReport, error) {
 	if opts.MaxSchedules <= 0 {
@@ -109,8 +110,8 @@ func demandSet(fx *loaderFixture, corrupt int) []int {
 	// The tail unit races the drain step.
 	cand = append(cand, len(fx.toc)-1)
 	if corrupt >= 0 {
-		// The corrupt unit's own demand copy races its repair window —
-		// the stale-quarantine scenario.
+		// The corrupt unit's own demand copy races its repair window: it
+		// installs exactly once, whether the repair succeeds or fails.
 		cand = append(cand, corrupt)
 	} else {
 		for i, u := range fx.toc {
@@ -346,7 +347,7 @@ func runLoaderSchedule(fx *loaderFixture, sc *LoaderScenario, sched schedule[loa
 				u := fx.toc[st.unit]
 				select {
 				case req := <-repairReq:
-					if req.Class != u.Class || req.Kind != u.Kind || req.Body != qbody(u) || req.Len != u.Len || req.CRC != u.CRC {
+					if req.Class != u.Class || req.Kind != u.Kind || req.Body != unitBody(u) || req.Len != u.Len || req.CRC != u.CRC {
 						return sfail("repair request %+v does not describe unit %d %+v", req, st.unit, u)
 					}
 				case <-idle:
@@ -377,7 +378,19 @@ func runLoaderSchedule(fx *loaderFixture, sc *LoaderScenario, sched schedule[loa
 			case <-time.After(watchdog):
 				return sfail("no repair hook waiting for a reply")
 			}
-			if err := awaitIdle("the repair outcome"); err != nil {
+			if st.endsLoad {
+				select {
+				case err := <-loadDone:
+					if !errors.Is(err, stream.ErrStreamIntegrity) || errors.Is(err, stream.ErrBadStream) {
+						return sfail("Load returned %v, spec says ErrStreamIntegrity", err)
+					}
+					loadReturned = true
+				case <-idle:
+					return sfail("loader read on past the unrepaired unit, spec says Load returns")
+				case <-time.After(watchdog):
+					return sfail("Load never returned after the failed repair")
+				}
+			} else if err := awaitIdle("the repair outcome"); err != nil {
 				return err
 			}
 			if err := diffEvents(takeEvents(), st.events); err != nil {
@@ -418,7 +431,7 @@ func runLoaderSchedule(fx *loaderFixture, sc *LoaderScenario, sched schedule[loa
 		}
 	}
 	if !loadReturned {
-		return fail("schedule ended without a drain step (enumerator bug)")
+		return fail("schedule ended before Load returned (enumerator bug)")
 	}
 
 	// Final state against the spec.
@@ -442,28 +455,8 @@ func runLoaderSchedule(fx *loaderFixture, sc *LoaderScenario, sched schedule[loa
 	if integ.Repaired != int64(final.repaired) {
 		return diff("repaired", integ.Repaired, final.repaired)
 	}
-	if integ.Quarantined != int64(final.quarHits) {
-		return diff("quarantined (cumulative)", integ.Quarantined, final.quarHits)
-	}
-	if integ.Outstanding != len(final.quar) {
-		return diff("quarantine outstanding", integ.Outstanding, len(final.quar))
-	}
 	if integ.DigestVerified != final.digestVerified() {
 		return diff("digest verified", integ.DigestVerified, final.digestVerified())
-	}
-	gotQ := make(map[lqkey]bool)
-	for _, q := range l.Quarantined() {
-		gotQ[lqkey{q.Class, q.Kind, q.Body}] = true
-	}
-	for k := range gotQ {
-		if !final.quar[k] {
-			return diff("quarantine set", fmt.Sprintf("stale entry %+v", k), "absent")
-		}
-	}
-	for k := range final.quar {
-		if !gotQ[k] {
-			return diff("quarantine set", fmt.Sprintf("missing entry %+v", k), "present")
-		}
 	}
 	for ci, name := range fx.className {
 		if got, want := l.LoadedClass(name) != nil, final.classes[ci]; got != want {

@@ -22,7 +22,7 @@ type LoaderScenario struct {
 	// within the stepped prefix.
 	Corrupt int
 	// RepairOK scripts the repair hook's reply for the corrupt unit: a
-	// clean copy, or garbage that forces quarantine.
+	// clean copy, or garbage, which ends Load with ErrStreamIntegrity.
 	RepairOK bool
 	// Demands are TOC indices delivered via FeedDemand, as the live
 	// runtime's out-of-order fetches would; the enumerator permutes
@@ -50,7 +50,7 @@ const (
 	// repair request and park).
 	lstepMain loaderStepKind = iota
 	// lstepRepair answers the outstanding repair request with the
-	// scripted reply and waits for the install-or-quarantine to settle.
+	// scripted reply and waits for the install, or for Load to return.
 	lstepRepair
 	// lstepDemand calls FeedDemand for one TOC unit.
 	lstepDemand
@@ -89,6 +89,7 @@ type loaderStep struct {
 	events      []specEvent
 	errc        errClass // demand steps only
 	awaitRepair bool     // main step that must park in the repair hook
+	endsLoad    bool     // repair step whose failure ends Load
 }
 
 func (s loaderStep) String() string {
@@ -99,6 +100,9 @@ func (s loaderStep) String() string {
 		}
 		return fmt.Sprintf("main(%d)", s.unit)
 	case lstepRepair:
+		if s.endsLoad {
+			return "repair=fail"
+		}
 		return "repair"
 	case lstepDemand:
 		return fmt.Sprintf("demand(%d)", s.unit)
@@ -108,15 +112,9 @@ func (s loaderStep) String() string {
 	return fmt.Sprintf("lstep-%d", int(s.kind))
 }
 
-type lqkey struct {
-	ci   int
-	kind byte
-	body int
-}
-
 // loaderSpec is the executable model of stream.Loader's observable
-// state machine: installed classes and bodies, the demand/quarantine
-// bookkeeping, and the integrity counters. Pure single-threaded code.
+// state machine: installed classes and bodies, the demand bookkeeping,
+// and the integrity counters. Pure single-threaded code.
 type loaderSpec struct {
 	fx *loaderFixture
 	sc *LoaderScenario
@@ -124,10 +122,7 @@ type loaderSpec struct {
 	classes    map[int]bool
 	present    map[int]map[int]bool
 	ready      map[int]int
-	mainNext   map[int]int
 	fromDemand map[int]bool
-	quarGlobal map[int]bool
-	quar       map[lqkey]bool
 
 	consumed  int64
 	mainUnits int
@@ -135,12 +130,12 @@ type loaderSpec struct {
 
 	corrupt  int
 	repaired int
-	quarHits int // cumulative Quarantined counter
 
 	// scheduling state
 	mainPos       int
 	awaitRepair   bool
 	drained       bool
+	failed        bool // Load returned at the unrepaired unit
 	demandPending []int
 }
 
@@ -151,10 +146,7 @@ func newLoaderSpec(fx *loaderFixture, sc *LoaderScenario) *loaderSpec {
 		classes:       make(map[int]bool),
 		present:       make(map[int]map[int]bool),
 		ready:         make(map[int]int),
-		mainNext:      make(map[int]int),
 		fromDemand:    make(map[int]bool),
-		quarGlobal:    make(map[int]bool),
-		quar:          make(map[lqkey]bool),
 		consumed:      fx.streamHdr, // the harness feeds the stream header during setup
 		demandPending: append([]int(nil), sc.Demands...),
 	}
@@ -166,19 +158,16 @@ func (s *loaderSpec) clone() *loaderSpec {
 		classes:       cloneMap(s.classes),
 		present:       make(map[int]map[int]bool, len(s.present)),
 		ready:         cloneMap(s.ready),
-		mainNext:      cloneMap(s.mainNext),
 		fromDemand:    cloneMap(s.fromDemand),
-		quarGlobal:    cloneMap(s.quarGlobal),
-		quar:          cloneMap(s.quar),
 		consumed:      s.consumed,
 		mainUnits:     s.mainUnits,
 		demanded:      s.demanded,
 		corrupt:       s.corrupt,
 		repaired:      s.repaired,
-		quarHits:      s.quarHits,
 		mainPos:       s.mainPos,
 		awaitRepair:   s.awaitRepair,
 		drained:       s.drained,
+		failed:        s.failed,
 		demandPending: append([]int(nil), s.demandPending...),
 	}
 	for ci, m := range s.present {
@@ -196,19 +185,22 @@ func cloneMap[K comparable, V any](m map[K]V) map[K]V {
 }
 
 func (s *loaderSpec) done() bool {
-	return s.drained && !s.awaitRepair && len(s.demandPending) == 0
+	return (s.drained || s.failed) && !s.awaitRepair && len(s.demandPending) == 0
 }
 
 // enabled returns the next possible scheduler actions. While a repair
 // is outstanding the main stream is parked inside the hook, but demand
 // deliveries remain enabled — that concurrency is the point. Demands
-// also stay enabled after drain: FeedDemand after Load returns is part
-// of the contract (the live runtime's degraded mode relies on it).
+// also stay enabled after Load returns, at EOF or at a failed repair:
+// FeedDemand then is part of the contract (the live runtime's degraded
+// mode relies on it).
 func (s *loaderSpec) enabled() []loaderStep {
 	var steps []loaderStep
 	switch {
 	case s.awaitRepair:
 		steps = append(steps, loaderStep{kind: lstepRepair})
+	case s.failed:
+		// Load returned at the unrepaired unit: no main step is left.
 	case s.mainPos < s.sc.Stepped:
 		steps = append(steps, loaderStep{kind: lstepMain, unit: s.mainPos})
 	case !s.drained:
@@ -246,29 +238,11 @@ func (s *loaderSpec) apply(st *loaderStep) {
 			st.events = s.feedClean(u)
 			return
 		}
-		// Repair failed: quarantine — unless a demand delivery already
-		// installed the unit during the repair window, in which case
-		// nothing is recorded (the stale-quarantine fix).
-		s.consumed += s.fx.unitHdr + int64(u.Len)
-		s.mainUnits++
-		installed := false
-		if u.Kind == stream.KindBody {
-			s.mainNext[u.Class] = u.Body + 1
-			installed = s.present[u.Class][u.Body]
-		} else {
-			installed = s.classes[u.Class]
-		}
-		if installed {
-			if u.Kind == stream.KindGlobal {
-				delete(s.fromDemand, u.Class)
-			}
-			return
-		}
-		if u.Kind == stream.KindGlobal {
-			s.quarGlobal[u.Class] = true
-		}
-		s.quar[lqkey{u.Class, u.Kind, qbody(u)}] = true
-		s.quarHits++
+		// Repair failed: Load returns ErrStreamIntegrity. The corrupt
+		// unit is not consumed, and what installed before it — or by
+		// demand during the repair window — stays installed.
+		s.failed = true
+		st.endsLoad = true
 
 	case lstepDemand:
 		for di, d := range s.demandPending {
@@ -287,7 +261,9 @@ func (s *loaderSpec) apply(st *loaderStep) {
 	}
 }
 
-func qbody(u stream.UnitInfo) int {
+// unitBody is u's body index, or -1 for a global unit, as a
+// RepairRequest names it.
+func unitBody(u stream.UnitInfo) int {
 	if u.Kind == stream.KindBody {
 		return u.Body
 	}
@@ -295,8 +271,7 @@ func qbody(u stream.UnitInfo) int {
 }
 
 // feedClean models feed() for a verified main-stream unit: the mirror
-// of the implementation's duplicate-skip, quarantine-shadowing, and
-// install transitions.
+// of the implementation's duplicate-skip and install transitions.
 func (s *loaderSpec) feedClean(u stream.UnitInfo) []specEvent {
 	s.consumed += s.fx.unitHdr + int64(u.Len)
 	s.mainUnits++
@@ -312,17 +287,8 @@ func (s *loaderSpec) feedClean(u stream.UnitInfo) []specEvent {
 		return s.installGlobal(ci)
 	}
 	if !s.classes[ci] {
-		if !s.quarGlobal[ci] {
-			panic("check: spec fed a body with no global and no quarantine")
-		}
-		// Quarantine-shadowed body: its own checksum passed but there is
-		// no layout to verify it against.
-		s.mainNext[ci] = u.Body + 1
-		s.quar[lqkey{ci, stream.KindBody, u.Body}] = true
-		s.quarHits++
-		return nil
+		panic("check: spec fed a body before its global")
 	}
-	s.mainNext[ci] = u.Body + 1
 	if s.present[ci][u.Body] {
 		return nil // demand got here first
 	}
@@ -339,11 +305,6 @@ func (s *loaderSpec) feedDemand(u stream.UnitInfo) ([]specEvent, errClass) {
 		}
 		ev := s.installGlobal(ci)
 		s.fromDemand[ci] = true
-		if s.quarGlobal[ci] {
-			delete(s.quarGlobal, ci)
-			delete(s.quar, lqkey{ci, stream.KindGlobal, -1})
-			s.fromDemand[ci] = false
-		}
 		return ev, errNone
 	}
 	if !s.classes[ci] {
@@ -353,9 +314,7 @@ func (s *loaderSpec) feedDemand(u stream.UnitInfo) ([]specEvent, errClass) {
 	if s.present[ci][u.Body] {
 		return nil, errNone
 	}
-	ev := s.installBody(ci, u.Body, u)
-	delete(s.quar, lqkey{ci, stream.KindBody, u.Body})
-	return ev, errNone
+	return s.installBody(ci, u.Body, u), errNone
 }
 
 func (s *loaderSpec) installGlobal(ci int) []specEvent {
@@ -385,8 +344,8 @@ func (s *loaderSpec) complete() bool {
 }
 
 // digestVerified predicts the end-of-stream digest outcome: a clean or
-// fully repaired stream verifies; any quarantined unit leaves the true
-// byte stream unknown, so the check is skipped.
+// fully repaired stream reaches EOF and verifies; a failed repair ends
+// Load before EOF, so the digest is never checked.
 func (s *loaderSpec) digestVerified() bool {
 	return s.sc.Corrupt < 0 || s.sc.RepairOK
 }

@@ -184,9 +184,10 @@ func cacheStress(seed uint64) error {
 // with a seed-chosen subset of units corrupted (repair succeeding or
 // failing per unit), while demand goroutines concurrently re-deliver
 // random units. It asserts loader events fire exactly once per unit
-// however the deliveries race, integrity counters land where the seed's
-// corruption plan says, and — after a final demand sweep heals every
-// quarantine — the program assembles, runs, and passes the app's own
+// however the deliveries race, Load ends at the first unit whose repair
+// fails (or at EOF) with integrity counters where the seed's corruption
+// plan says, and — after a final demand sweep delivers what the stream
+// did not — the program assembles, runs, and passes the app's own
 // output check (any post-install byte mutation would fail it).
 func loaderStress(seed uint64) error {
 	fx, err := fixture()
@@ -207,16 +208,25 @@ func loaderStress(seed uint64) error {
 			data[fx.toc[i].Off] ^= 0x5a
 		}
 	}
-	byUnit := make(map[lqkey]int, len(fx.toc))
+	// stop is the unit whose failed repair ends Load: the first
+	// corrupted one the plan does not repair, or len(toc) for EOF.
+	stop := len(fx.toc)
+	for i := range fx.toc {
+		if corrupted[i] && !repairOK[i] {
+			stop = i
+			break
+		}
+	}
+	byRequest := make(map[stream.RepairRequest]int, len(fx.toc))
 	for i, u := range fx.toc {
-		byUnit[lqkey{u.Class, u.Kind, qbody(u)}] = i
+		byRequest[stream.RepairRequest{Class: u.Class, Kind: u.Kind, Body: unitBody(u), Len: u.Len, CRC: u.CRC}] = i
 	}
 
 	l := stream.NewLoader(fx.rp.Name, fx.rp.MainClass, nil)
 	var asked atomic.Int64
 	l.Repair = func(req stream.RepairRequest) ([]byte, error) {
 		asked.Add(1)
-		i, ok := byUnit[lqkey{req.Class, req.Kind, req.Body}]
+		i, ok := byRequest[req]
 		if !ok {
 			return nil, fmt.Errorf("repair request for a unit not in the TOC: %+v", req)
 		}
@@ -286,8 +296,11 @@ func loaderStress(seed uint64) error {
 
 	select {
 	case err := <-loadDone:
-		if err != nil {
-			return fmt.Errorf("Load returned %v; corruption with a repair path must never be terminal", err)
+		if stop == len(fx.toc) && err != nil {
+			return fmt.Errorf("Load returned %v; every corrupt unit was repaired", err)
+		}
+		if stop < len(fx.toc) && !errors.Is(err, stream.ErrStreamIntegrity) {
+			return fmt.Errorf("Load returned %v; unit %d's repair failed, so it must end with ErrStreamIntegrity", err, stop)
 		}
 	case <-time.After(watchdog):
 		return fmt.Errorf("Load hung — lost wakeup in the stream path")
@@ -303,44 +316,47 @@ func loaderStress(seed uint64) error {
 		return firstErr
 	}
 
-	if got := l.UnitsConsumed(); got != len(fx.toc) {
-		return fmt.Errorf("main stream consumed %d of %d units", got, len(fx.toc))
+	if got := l.UnitsConsumed(); got != stop {
+		return fmt.Errorf("main stream consumed %d units, plan says %d", got, stop)
 	}
-	if got := l.Consumed(); got != int64(len(data)) {
-		return fmt.Errorf("consumed %d of %d stream bytes", got, len(data))
+	wantBytes := int64(len(data))
+	if stop < len(fx.toc) {
+		wantBytes = fx.toc[stop].Off - fx.unitHdr
+	}
+	if got := l.Consumed(); got != wantBytes {
+		return fmt.Errorf("consumed %d stream bytes, plan says %d", got, wantBytes)
 	}
 	integ := l.Integrity()
-	if integ.CorruptUnits != int64(len(corrupted)) {
-		return fmt.Errorf("integrity counted %d corrupt units; the plan corrupted %d", integ.CorruptUnits, len(corrupted))
-	}
-	wantRepaired, badRepairs := int64(0), 0
+	wantCorrupt, wantRepaired := int64(0), int64(0)
 	for i := range corrupted {
-		if repairOK[i] {
-			wantRepaired++
-		} else {
-			badRepairs++
+		if i <= stop {
+			wantCorrupt++
 		}
+		if i < stop {
+			wantRepaired++
+		}
+	}
+	if integ.CorruptUnits != wantCorrupt {
+		return fmt.Errorf("integrity counted %d corrupt units; the plan reaches %d", integ.CorruptUnits, wantCorrupt)
 	}
 	if asked.Load() != integ.CorruptUnits || integ.Repaired != wantRepaired {
 		return fmt.Errorf("repair hook asked %d times / %d repaired, plan says once per corrupt unit (%d) / %d",
 			asked.Load(), integ.Repaired, integ.CorruptUnits, wantRepaired)
 	}
-	if wantDigest := badRepairs == 0; integ.DigestVerified != wantDigest {
-		return fmt.Errorf("digest verified = %v, plan says %v (%d unrepairable units)",
-			integ.DigestVerified, wantDigest, badRepairs)
+	if wantDigest := stop == len(fx.toc); integ.DigestVerified != wantDigest {
+		return fmt.Errorf("digest verified = %v, plan says %v (Load ends at unit %d)",
+			integ.DigestVerified, wantDigest, stop)
 	}
 
 	// Final demand sweep: redeliver everything (globals precede their
-	// bodies in TOC order), healing any quarantine the races left.
+	// bodies in TOC order), as a degraded session demand-fetches what
+	// the stream did not deliver.
 	for i, u := range fx.toc {
 		ev, err := l.FeedDemand(u.Class, u.Kind, u.Body, fx.cleanPayload(i), u.CRC)
 		if err != nil {
 			return fmt.Errorf("sweep demand for unit %d: %v", i, err)
 		}
 		count(ev)
-	}
-	if out := l.Integrity().Outstanding; out != 0 {
-		return fmt.Errorf("%d quarantined units still outstanding after a full clean sweep (stale quarantine)", out)
 	}
 
 	for ci, name := range fx.className {

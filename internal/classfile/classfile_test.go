@@ -1,6 +1,8 @@
 package classfile
 
 import (
+	"encoding/binary"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -175,6 +177,37 @@ func TestParseErrors(t *testing.T) {
 	for _, cut := range []int{3, 9, 20, len(data) / 2, len(data) - 1} {
 		if _, l, err := ParseGlobal(data[:cut]); err == nil && l.FileSize <= cut {
 			t.Errorf("truncation at %d accepted", cut)
+		}
+	}
+}
+
+// TestParseGlobalBoundsConstantPool: the constant-pool count is read
+// from the wire, so a short global unit that claims 65 535 constants
+// must not reserve room for them (it reserved 2.6 MB), and one that
+// claims none must not panic (it asked for a pool of capacity 0 and
+// length 1). Either way the parse fails, having allocated a small
+// multiple of the unit's own length.
+func TestParseGlobalBoundsConstantPool(t *testing.T) {
+	data := make([]byte, 64)
+	binary.BigEndian.PutUint32(data, Magic)
+	binary.BigEndian.PutUint16(data[4:], Version)
+	for i := 12; i < len(data); i++ {
+		data[i] = 0xEE // no constant has this tag
+	}
+	for _, count := range []uint16{0, 65535} {
+		binary.BigEndian.PutUint16(data[10:], count)
+		if _, _, err := ParseGlobal(data); err == nil {
+			t.Fatalf("count %d: a unit of garbage parsed", count)
+		}
+		const runs = 100
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			ParseGlobal(data)
+		}
+		runtime.ReadMemStats(&after)
+		if got := (after.TotalAlloc - before.TotalAlloc) / runs; got > 32*uint64(len(data)) {
+			t.Errorf("count %d: parsing a %d-byte unit allocated %d B", count, len(data), got)
 		}
 	}
 }

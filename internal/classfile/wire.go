@@ -317,7 +317,10 @@ func ParseGlobal(data []byte) (*Class, Layout, error) {
 	if err != nil {
 		return nil, Layout{}, err
 	}
-	c.CP = make([]Constant, 1, cpCount)
+	// The count is untrusted, like the ones below. No entry is shorter
+	// than 3 bytes (a Class or String reference, an empty Utf8), so the
+	// bytes left bound how many can follow the reserved slot 0.
+	c.CP = make([]Constant, 1, 1+min(max(int(cpCount)-1, 0), r.left()/3))
 	cpStart := r.off
 	for i := 1; i < int(cpCount); i++ {
 		tagb, err := r.bytes(1)

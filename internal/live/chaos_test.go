@@ -178,8 +178,63 @@ func TestChaosCorruptionCounters(t *testing.T) {
 	if st.Integrity.Repaired == 0 {
 		t.Error("no unit recorded as repaired")
 	}
-	if st.Integrity.Outstanding != 0 {
-		t.Errorf("%d units still quarantined after a successful run", st.Integrity.Outstanding)
+	if st.Integrity.Repaired != st.Integrity.CorruptUnits && st.Degraded == "" {
+		t.Errorf("%d corrupt units, %d repaired, and the session did not degrade",
+			st.Integrity.CorruptUnits, st.Integrity.Repaired)
+	}
+}
+
+// TestUnrepairedUnitDegradesToDemand corrupts one main-stream unit the
+// program runs and refuses that unit's Range requests until the repair
+// has spent its MaxRetries+1 attempts. The failed repair ends the
+// stream, and the session degrades: the gate demand-fetches the unit,
+// now served, and everything after it. The run must match the
+// fault-free run exactly and report the degradation, not an error.
+func TestUnrepairedUnitDegradesToDemand(t *testing.T) {
+	p := plan(t, "Hanoi")
+	want := reference(t, p)
+	period := corruptTarget(t, p, needTrace(t, p))
+	var bad stream.UnitInfo
+	for _, u := range parseTOC(t, p) {
+		if u.Off < period && period <= u.Off+int64(u.Len) {
+			bad = u
+		}
+	}
+	client := fastClient()
+	client.MaxRetries = 3
+	attempts := int64(client.MaxRetries + 1) // the repair's whole budget
+	var requests atomic.Int64                // Range requests for the corrupt unit
+	faulty := stream.Fault{CorruptEvery: period, Seed: 21}.Wrap(appMux(p))
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if strings.HasPrefix(r.Header.Get("Range"), fmt.Sprintf("bytes=%d-", bad.Off)) && requests.Add(1) <= attempts {
+			w.WriteHeader(http.StatusServiceUnavailable)
+			return
+		}
+		faulty.ServeHTTP(w, r)
+	}))
+	defer srv.Close()
+
+	m, st, err := Run(context.Background(), Options{
+		URL:         srv.URL + "/app",
+		TOCURL:      srv.URL + "/app.toc",
+		Name:        p.app.Name,
+		MainClass:   p.rp.MainClass,
+		Client:      client,
+		GateTimeout: 10 * time.Second,
+		Run:         vm.Options{Args: p.app.TestArgs, MaxSteps: 5e8},
+	})
+	if err != nil {
+		t.Fatalf("an unrepaired unit should degrade, not fail the run: %v", err)
+	}
+	checkRun(t, p, m, want)
+	if st.Degraded == "" || !strings.Contains(st.Degraded, "integrity") {
+		t.Errorf("Degraded = %q, want the stream's integrity failure", st.Degraded)
+	}
+	if st.Integrity.CorruptUnits != 1 || st.Integrity.Repaired != 0 || st.Integrity.DigestVerified {
+		t.Errorf("integrity %+v, want one corrupt unit, not repaired, digest unverified", st.Integrity)
+	}
+	if n := requests.Load(); n <= attempts {
+		t.Errorf("%d Range requests for the corrupt unit; want the repair's %d refused, then a demand fetch served", n, attempts)
 	}
 }
 

@@ -105,7 +105,8 @@ type Stats struct {
 	// Classes and Methods count what actually arrived and linked.
 	Classes, Methods int
 	// Integrity snapshots the loader's verification counters: corrupt
-	// units detected, repaired, quarantined. Its DigestVerified is true
+	// units detected and repaired. A corrupt unit that was not repaired
+	// ends the stream, which degrades the session. DigestVerified is true
 	// exactly when the stream completed (and its whole-stream digest
 	// matched) before execution finished.
 	Integrity stream.IntegrityStats

@@ -70,6 +70,13 @@ func plan(t *testing.T, name string) planned {
 // and optional fault injection.
 func serve(t *testing.T, p planned, f stream.Fault) *httptest.Server {
 	t.Helper()
+	srv := httptest.NewServer(f.Wrap(appMux(p)))
+	t.Cleanup(srv.Close)
+	return srv
+}
+
+// appMux is serve's handler: the stream at /app, the table at /app.toc.
+func appMux(p planned) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/app", func(w http.ResponseWriter, r *http.Request) {
 		http.ServeContent(w, r, "app.bin", time.Time{}, bytes.NewReader(p.data))
@@ -77,9 +84,7 @@ func serve(t *testing.T, p planned, f stream.Fault) *httptest.Server {
 	mux.HandleFunc("/app.toc", func(w http.ResponseWriter, r *http.Request) {
 		http.ServeContent(w, r, "app.toc.json", time.Time{}, bytes.NewReader(p.toc))
 	})
-	srv := httptest.NewServer(f.Wrap(mux))
-	t.Cleanup(srv.Close)
-	return srv
+	return mux
 }
 
 // fastClient retries without real sleeps.

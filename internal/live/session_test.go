@@ -103,7 +103,7 @@ func TestSessionReplayWithoutVM(t *testing.T) {
 		if st.Mispredicts != demanded {
 			t.Errorf("Mispredicts = %d, but %d crossings were demand-fetched", st.Mispredicts, demanded)
 		}
-		if st.Integrity.Repaired == 0 || st.Integrity.Outstanding != 0 {
+		if st.Integrity.Repaired == 0 || st.Integrity.Repaired != st.Integrity.CorruptUnits {
 			t.Errorf("corrupt unit not healed: %+v", st.Integrity)
 		}
 		// The crawling stream is cut wherever it stands when the trace

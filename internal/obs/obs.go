@@ -2,7 +2,7 @@
 // low-overhead, concurrency-safe event recorder shared by the fetch
 // client, the stream loader, the availability gate, and the VM. Every
 // stage emits typed events — unit arrivals, checksum failures,
-// quarantine and repair, demand-fetch issue and completion, gate blocks
+// repairs, demand-fetch issue and completion, gate blocks
 // and unblocks naming the method, first invocations, transfer retries,
 // stream degradation — into a fixed-capacity ring buffer with monotonic
 // timestamps, so one overlapped run can be decomposed event by event
@@ -32,9 +32,6 @@ const (
 	UnitArrived
 	// CRCFail is a unit payload that failed its checksum on arrival.
 	CRCFail
-	// Quarantined is a corrupt unit parked after its repair failed,
-	// awaiting the demand path.
-	Quarantined
 	// Repaired is a corrupt unit healed by a byte-range re-fetch; Dur
 	// carries the repair round-trip.
 	Repaired
@@ -60,7 +57,6 @@ var kindNames = [...]string{
 	Resume:          "resume",
 	UnitArrived:     "unit-arrived",
 	CRCFail:         "crc-fail",
-	Quarantined:     "quarantined",
 	Repaired:        "repaired",
 	DemandIssue:     "demand-issue",
 	DemandDone:      "demand-done",

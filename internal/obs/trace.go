@@ -10,7 +10,7 @@ import (
 // grouped into pipeline stages rather than OS threads.
 const (
 	laneTransfer = 1 + iota // fetch client: retries, resumes
-	laneLoader              // stream loader: arrivals, CRC, quarantine/repair
+	laneLoader              // stream loader: arrivals, CRC, repair
 	laneDemand              // demand fetches
 	laneGate                // availability gate + VM first invocations
 )
@@ -20,7 +20,7 @@ func lane(k Kind) int {
 	switch k {
 	case Retry, Resume, Degraded:
 		return laneTransfer
-	case UnitArrived, CRCFail, Quarantined, Repaired:
+	case UnitArrived, CRCFail, Repaired:
 		return laneLoader
 	case DemandIssue, DemandDone:
 		return laneDemand

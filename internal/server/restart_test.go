@@ -207,8 +207,8 @@ func TestRestartResume(t *testing.T) {
 			if st := fc.Stats(); st.Resumes < 2 {
 				t.Fatalf("client resumed %d times, want >= 2", st.Resumes)
 			}
-			if n := loader.Integrity().Outstanding; n != 0 {
-				t.Fatalf("%d units quarantined forever", n)
+			if st := loader.Integrity(); !st.DigestVerified || st.CorruptUnits != 0 {
+				t.Fatalf("integrity %+v, want a clean stream with its digest verified", st)
 			}
 			if _, err := loader.Program(); err != nil {
 				t.Fatalf("loaded program incomplete: %v", err)

@@ -719,7 +719,7 @@ func TestFetchHonorsRetryAfterDate(t *testing.T) {
 // TestUnrepairableUnitCostsOneBudget pins the worst case of the repair
 // path: a corrupt unit behind a loader whose hook is FetchRangeVerified,
 // against a server that only sheds, costs MaxRetries+1 requests and
-// MaxRetries sleeps, and is then quarantined. The hook owns retrying, so
+// MaxRetries sleeps, and then ends the load. The hook owns retrying, so
 // the loader asks it once; the loader that re-asked made three times
 // the requests and slept longer than the gate's deadline.
 func TestUnrepairableUnitCostsOneBudget(t *testing.T) {
@@ -748,14 +748,14 @@ func TestUnrepairableUnitCostsOneBudget(t *testing.T) {
 		p, _, err := c.FetchRangeVerified(context.Background(), specURL, 0, int64(req.Len), req.CRC)
 		return p, err
 	}
-	if err := l.Load(bytes.NewReader(corruptUnit(t, buf.Bytes(), 1)), nil); err != nil {
-		t.Fatal(err)
+	if err := l.Load(bytes.NewReader(corruptUnit(t, buf.Bytes(), 1)), nil); !errors.Is(err, ErrStreamIntegrity) || !errors.Is(err, ErrFetchFailed) {
+		t.Fatalf("Load = %v, want ErrStreamIntegrity wrapping the fetch failure", err)
 	}
 	if calls != 1 || len(tr.reqs) != defaultMaxRetries+1 || len(slept) != defaultMaxRetries {
 		t.Fatalf("%d hook calls, %d requests, %d sleeps; want 1, %d, %d",
 			calls, len(tr.reqs), len(slept), defaultMaxRetries+1, defaultMaxRetries)
 	}
-	if st := l.Integrity(); st.Quarantined != 1 || st.Repaired != 0 {
-		t.Fatalf("integrity %+v, want the unit quarantined", st)
+	if st := l.Integrity(); st.CorruptUnits != 1 || st.Repaired != 0 {
+		t.Fatalf("integrity %+v, want one corrupt unit, not repaired", st)
 	}
 }

@@ -65,7 +65,7 @@ func FuzzLoaderLoad(f *testing.F) {
 		l := NewLoader(name, mainClass, nil)
 		// Must never panic; errors are the expected outcome for almost
 		// every input. A repair hook that always fails exercises the
-		// quarantine paths under fuzzed framing too.
+		// failed-repair exit under fuzzed framing too.
 		l.Repair = func(RepairRequest) ([]byte, error) { return nil, ErrBadStream }
 		if err := l.Load(bytes.NewReader(data), nil); err != nil {
 			return

@@ -13,10 +13,10 @@ import (
 // the VM. Every unit therefore carries a CRC32C of its payload plus a
 // 16-bit check over its own header, and the stream opens with a fixed
 // header naming the unit count and a whole-stream digest. The loader
-// verifies each unit on arrival, quarantines what fails, and (when a
-// Repair hook is installed) asks it once for the damaged bytes, which
-// the hook re-fetches by range under its own retry policy, instead of
-// installing garbage.
+// verifies each unit on arrival and, when a Repair hook is installed,
+// asks it once for the bytes of a unit that fails, which the hook
+// re-fetches by range under its own retry policy. A unit that is not
+// repaired ends the stream instead of installing garbage.
 
 // crcTable is the Castagnoli polynomial table shared by every checksum
 // in the format (CRC32C, the same polynomial iSCSI and ext4 use).
@@ -100,25 +100,6 @@ type RepairRequest struct {
 	CRC uint32
 }
 
-// QuarantinedUnit records a unit whose payload failed its checksum and
-// could not be repaired. The unit is skipped — never installed — and the
-// stream continues; a demand-fetching client can still deliver a clean
-// copy later through FeedDemand.
-type QuarantinedUnit struct {
-	Class int
-	Kind  byte
-	Body  int // body index; -1 for globals
-	Len   int
-	CRC   uint32
-}
-
-// quarKey identifies a quarantined unit for exactly-once bookkeeping.
-type quarKey struct {
-	class int
-	kind  byte
-	body  int
-}
-
 // IntegrityStats is a snapshot of the loader's verification counters.
 type IntegrityStats struct {
 	// CorruptUnits counts main-stream units whose payload failed its
@@ -126,14 +107,8 @@ type IntegrityStats struct {
 	CorruptUnits int64
 	// Repaired counts the units a repair delivered with a valid checksum.
 	Repaired int64
-	// Quarantined counts units abandoned after repair failed (or no
-	// repair hook was available in degraded mode); Outstanding is how
-	// many remain uninstalled right now (a later demand fetch clears
-	// them).
-	Quarantined int64
-	Outstanding int
-	// DigestVerified reports that the whole-stream digest was checked at
-	// EOF and matched. It stays false while the stream is in flight and
-	// when quarantined units made the canonical digest unreconstructable.
+	// DigestVerified reports that Load reached EOF and the whole-stream
+	// digest matched. It stays false while the stream is in flight, and
+	// for a stream that was cut or ended at a unit that was not repaired.
 	DigestVerified bool
 }

@@ -61,8 +61,8 @@ func TestRepairHealsCorruptUnit(t *testing.T) {
 				t.Errorf("repair request %+v does not match unit table entry %+v", reqs[0], toc[i])
 			}
 			st := l.Integrity()
-			if st.CorruptUnits != 1 || st.Repaired != 1 || st.Quarantined != 0 {
-				t.Errorf("counters = %+v, want 1 corrupt / 1 repaired / 0 quarantined", st)
+			if st.CorruptUnits != 1 || st.Repaired != 1 {
+				t.Errorf("counters = %+v, want 1 corrupt / 1 repaired", st)
 			}
 			if !st.DigestVerified {
 				t.Error("whole-stream digest not verified after successful repair")
@@ -86,53 +86,59 @@ func TestRepairHealsCorruptUnit(t *testing.T) {
 	}
 }
 
-// TestRepairAskedOnceThenQuarantined feeds the hook garbage: the hook
-// owns retrying, so the loader must ask it exactly once, re-verify the
-// reply (it is outside input), quarantine the unit, keep going, and
-// report the incomplete program from Program().
-func TestRepairAskedOnceThenQuarantined(t *testing.T) {
+// TestRepairAskedOnceThenLoadFails feeds the hook garbage, and then an
+// error: the hook owns retrying, so the loader must ask it exactly
+// once, re-verify the reply (it is outside input), install nothing, and
+// end the load with an ErrStreamIntegrity that wraps what the hook said.
+// The units before the corrupt one stay installed, and the program is
+// reported incomplete.
+func TestRepairAskedOnceThenLoadFails(t *testing.T) {
 	_, rp, _, w := plan(t, "Hanoi")
 	var buf bytes.Buffer
 	if _, err := w.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	good := buf.Bytes()
-
 	// Corrupt a body unit (unit 1: the main class's first body).
-	mut := corruptUnit(t, good, 1)
-	l := NewLoader(rp.Name, rp.MainClass, nil)
-	calls := 0
-	l.Repair = func(req RepairRequest) ([]byte, error) {
-		calls++
-		return []byte("still garbage"), nil
-	}
-	if err := l.Load(bytes.NewReader(mut), nil); err != nil {
-		t.Fatalf("quarantine should not fail the stream: %v", err)
-	}
-	if calls != 1 {
-		t.Errorf("repair hook called %d times, want 1", calls)
-	}
-	st := l.Integrity()
-	if st.Quarantined != 1 || st.Outstanding != 1 || st.Repaired != 0 {
-		t.Errorf("counters = %+v, want 1 quarantined outstanding", st)
-	}
-	if st.DigestVerified {
-		t.Error("digest claimed verified with a quarantined unit")
-	}
-	q := l.Quarantined()
-	if len(q) != 1 || q[0].Kind != KindBody {
-		t.Fatalf("quarantine list = %+v, want the one corrupt body", q)
-	}
-	if _, err := l.Program(); err == nil {
-		t.Fatal("assembled a program with a quarantined body")
-	} else if want := "quarantined"; !bytes.Contains([]byte(err.Error()), []byte(want)) {
-		t.Errorf("Program() error %q does not mention quarantine", err)
+	mut := corruptUnit(t, buf.Bytes(), 1)
+	linkDown := errors.New("link down")
+	for name, reply := range map[string]struct {
+		p   []byte
+		err error
+	}{"garbage": {p: []byte("still garbage")}, "error": {err: linkDown}} {
+		t.Run(name, func(t *testing.T) {
+			l := NewLoader(rp.Name, rp.MainClass, nil)
+			calls := 0
+			l.Repair = func(req RepairRequest) ([]byte, error) {
+				calls++
+				return reply.p, reply.err
+			}
+			err := l.Load(bytes.NewReader(mut), nil)
+			if !errors.Is(err, ErrStreamIntegrity) {
+				t.Fatalf("Load = %v, want ErrStreamIntegrity", err)
+			}
+			if reply.err != nil && !errors.Is(err, reply.err) {
+				t.Errorf("Load = %v, does not wrap the hook's error", err)
+			}
+			if calls != 1 {
+				t.Errorf("repair hook called %d times, want 1", calls)
+			}
+			st := l.Integrity()
+			if st.CorruptUnits != 1 || st.Repaired != 0 || st.DigestVerified {
+				t.Errorf("counters = %+v, want 1 corrupt, 0 repaired, digest unverified", st)
+			}
+			if got := l.UnitsConsumed(); got != 1 {
+				t.Errorf("%d units consumed, want the one before the corrupt unit", got)
+			}
+			if _, err := l.Program(); err == nil {
+				t.Fatal("assembled a program without the corrupt body")
+			}
+		})
 	}
 }
 
 // TestCanceledRepairEndsLoad: a repair the hook's caller canceled — a
 // client session cut when its program finished — ends the load with
-// the cancellation instead of quarantining a unit nobody will run.
+// the cancellation itself, not an integrity failure.
 func TestCanceledRepairEndsLoad(t *testing.T) {
 	_, rp, _, w := plan(t, "Hanoi")
 	var buf bytes.Buffer
@@ -143,20 +149,20 @@ func TestCanceledRepairEndsLoad(t *testing.T) {
 	l.Repair = func(RepairRequest) ([]byte, error) {
 		return nil, fmt.Errorf("repair fetch: %w", context.Canceled)
 	}
-	if err := l.Load(bytes.NewReader(corruptUnit(t, buf.Bytes(), 1)), nil); !errors.Is(err, context.Canceled) {
+	err := l.Load(bytes.NewReader(corruptUnit(t, buf.Bytes(), 1)), nil)
+	if !errors.Is(err, context.Canceled) || errors.Is(err, ErrStreamIntegrity) {
 		t.Fatalf("Load = %v, want the repair's cancellation", err)
 	}
-	if st := l.Integrity(); st.CorruptUnits != 1 || st.Quarantined != 0 || st.Outstanding != 0 || st.DigestVerified {
-		t.Errorf("counters = %+v, want 1 corrupt unit and nothing quarantined", st)
+	if st := l.Integrity(); st.CorruptUnits != 1 || st.Repaired != 0 || st.DigestVerified {
+		t.Errorf("counters = %+v, want 1 corrupt unit and nothing repaired", st)
 	}
 }
 
-// TestDemandHealsQuarantine quarantines a corrupt global (no repair
-// hook would fire — Repair re-fetches garbage), then delivers clean
-// copies through FeedDemand, as the live runtime's demand path would.
-// The bodies that followed the corrupt global must have been quarantined
-// with it, and the program must assemble completely afterwards.
-func TestDemandHealsQuarantine(t *testing.T) {
+// TestDemandFinishesAfterUnrepairedGlobal corrupts a later class's
+// global unit and fails its repair, so Load ends there; then it delivers
+// that unit and every one after it through FeedDemand, as a degraded
+// client session does. The program must assemble and run.
+func TestDemandFinishesAfterUnrepairedGlobal(t *testing.T) {
 	app, rp, _, w := plan(t, "Hanoi")
 	var buf bytes.Buffer
 	if _, err := w.WriteTo(&buf); err != nil {
@@ -164,34 +170,26 @@ func TestDemandHealsQuarantine(t *testing.T) {
 	}
 	good := buf.Bytes()
 	toc := w.TOC()
+	bad := 1
+	for toc[bad].Kind != KindGlobal {
+		bad++
+	}
 
-	mut := corruptUnit(t, good, 0) // the first global
 	l := NewLoader(rp.Name, rp.MainClass, nil)
 	l.Repair = func(RepairRequest) ([]byte, error) { return nil, errors.New("link down") }
-	if err := l.Load(bytes.NewReader(mut), nil); err != nil {
-		t.Fatal(err)
+	if err := l.Load(bytes.NewReader(corruptUnit(t, good, bad)), nil); !errors.Is(err, ErrStreamIntegrity) {
+		t.Fatalf("Load = %v, want ErrStreamIntegrity", err)
 	}
-	outstanding := l.Integrity().Outstanding
-	if outstanding < 2 {
-		t.Fatalf("%d units quarantined; the global's bodies should be quarantined with it", outstanding)
+	if got := l.UnitsConsumed(); got != bad {
+		t.Fatalf("%d units consumed, want the %d before the corrupt global", got, bad)
 	}
-
-	// Demand-deliver every quarantined unit from the pristine copy,
-	// global first.
-	for pass := 0; pass < 2; pass++ {
-		for _, q := range l.Quarantined() {
-			if (pass == 0) != (q.Kind == KindGlobal) {
-				continue
-			}
-			u := toc[unitIndex(t, toc, q)]
-			payload := good[u.Off : u.Off+int64(u.Len)]
-			if _, err := l.FeedDemand(u.Class, u.Kind, u.Body, payload, u.CRC); err != nil {
-				t.Fatal(err)
-			}
+	if l.LoadedClass(toc[bad].ClassName) != nil {
+		t.Fatal("the corrupt global installed")
+	}
+	for _, u := range toc[bad:] {
+		if _, err := l.FeedDemand(u.Class, u.Kind, u.Body, good[u.Off:u.Off+int64(u.Len)], u.CRC); err != nil {
+			t.Fatal(err)
 		}
-	}
-	if got := l.Integrity().Outstanding; got != 0 {
-		t.Fatalf("%d units still quarantined after demand heal", got)
 	}
 	got, err := l.Program()
 	if err != nil {
@@ -208,79 +206,6 @@ func TestDemandHealsQuarantine(t *testing.T) {
 	if err := app.Check(m, false); err != nil {
 		t.Fatal(err)
 	}
-}
-
-// TestDemandDuringFailedRepairLeavesNoStaleQuarantine pins the
-// demand-races-repair interleaving: while a corrupt unit's repair is
-// failing, the demand path delivers a clean copy of the same unit (the
-// live runtime does exactly this when the gate's out-of-order fetch
-// wins the race). The quarantine that follows must
-// notice the unit is already installed and record nothing — a stale
-// entry here is unhealable (FeedDemand skips present units) and would
-// pin Integrity().Outstanding above zero forever; for a global unit it
-// would also shadow-quarantine every later clean body of the class.
-func TestDemandDuringFailedRepairLeavesNoStaleQuarantine(t *testing.T) {
-	app, rp, _, w := plan(t, "Hanoi")
-	var buf bytes.Buffer
-	if _, err := w.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	good := buf.Bytes()
-	toc := w.TOC()
-
-	for i, name := range map[int]string{0: "global", 1: "body"} {
-		t.Run(name, func(t *testing.T) {
-			mut := corruptUnit(t, good, i)
-			l := NewLoader(rp.Name, rp.MainClass, nil)
-			l.Repair = func(req RepairRequest) ([]byte, error) {
-				// The demand fetch lands a clean copy mid-repair…
-				u := toc[i]
-				payload := good[u.Off : u.Off+int64(u.Len)]
-				if _, err := l.FeedDemand(u.Class, u.Kind, u.Body, payload, u.CRC); err != nil {
-					t.Errorf("demand during repair: %v", err)
-				}
-				// …and the repair itself still fails.
-				return []byte("garbage"), nil
-			}
-			if err := l.Load(bytes.NewReader(mut), nil); err != nil {
-				t.Fatal(err)
-			}
-			st := l.Integrity()
-			if st.CorruptUnits != 1 || st.Repaired != 0 {
-				t.Errorf("counters = %+v, want 1 corrupt / 0 repaired", st)
-			}
-			if st.Quarantined != 0 || st.Outstanding != 0 {
-				t.Errorf("stale quarantine left behind: %+v (list %+v)", st, l.Quarantined())
-			}
-			got, err := l.Program()
-			if err != nil {
-				t.Fatal(err)
-			}
-			ln, err := vm.Link(got)
-			if err != nil {
-				t.Fatal(err)
-			}
-			m, err := ln.Run(vm.Options{Args: app.TestArgs, MaxSteps: 1e8})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := app.Check(m, false); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-}
-
-// unitIndex finds q's entry in the unit table.
-func unitIndex(t *testing.T, toc []UnitInfo, q QuarantinedUnit) int {
-	t.Helper()
-	for i, u := range toc {
-		if u.Class == q.Class && u.Kind == q.Kind && (q.Kind == KindGlobal || u.Body == q.Body) {
-			return i
-		}
-	}
-	t.Fatalf("quarantined unit %+v not in the unit table", q)
-	return -1
 }
 
 // TestFeedDemandRejectsCorruptPayload: the demand path is just as
@@ -344,7 +269,7 @@ func TestCleanStreamDigestVerified(t *testing.T) {
 	if !st.DigestVerified {
 		t.Error("clean stream ended without digest verification")
 	}
-	if st.CorruptUnits != 0 || st.Repaired != 0 || st.Quarantined != 0 {
+	if st.CorruptUnits != 0 || st.Repaired != 0 {
 		t.Errorf("clean stream ticked integrity counters: %+v", st)
 	}
 }
@@ -450,7 +375,7 @@ func TestInstallRoutesShareVerifierScratch(t *testing.T) {
 		t.Errorf("%d MethodReady and %d ClassLinked events for %d bodies and %d globals: a unit installed twice or never",
 			ready.Load(), linked.Load(), bodies, globals)
 	}
-	if st := l.Integrity(); st.CorruptUnits != 1 || st.Repaired != 1 || repairs.Load() != 1 || st.Outstanding != 0 {
+	if st := l.Integrity(); st.CorruptUnits != 1 || st.Repaired != 1 || repairs.Load() != 1 {
 		t.Errorf("integrity counters = %+v after %d repair calls, want one corrupt unit repaired once", st, repairs.Load())
 	}
 	got, err := l.Program()

@@ -256,7 +256,7 @@ func TestParsedNamesOutlivePoolReuse(t *testing.T) {
 	if err := l.Load(bytes.NewReader(mut), nil); err != nil {
 		t.Fatal(err)
 	}
-	if st := l.Integrity(); st.Repaired != 1 || st.Outstanding != 0 {
+	if st := l.Integrity(); st.CorruptUnits != 1 || st.Repaired != 1 {
 		t.Fatalf("integrity %+v, want the one corrupt unit repaired", st)
 	}
 	recycled := drainPayloadPools(func(b []byte) {

@@ -252,9 +252,9 @@ var ErrBadStream = errors.New("stream: malformed stream")
 // written again or handed back to the payload pool, whether the loader
 // read it from the main stream into a pooled buffer or was given it by
 // FeedDemand or the Repair hook. Only the buffers of units that did not
-// install — duplicates, corrupt copies, quarantine-shadowed bodies — go
-// back to the pool. The verifier's scratch is the loader's only while the
-// main stream runs: it comes from a pool and goes back when Load returns.
+// install — duplicates and corrupt copies — go back to the pool. The
+// verifier's scratch is the loader's only while the main stream runs: it
+// comes from a pool and goes back when Load returns.
 type Loader struct {
 	mainClass string
 	name      string
@@ -266,20 +266,18 @@ type Loader struct {
 	// retrying (typically a byte-range re-fetch against the writer's unit
 	// table through FetchClient.FetchRangeVerified, which retries and
 	// verifies under the client's one retry budget). The loader still
-	// re-verifies the reply, since it is outside input, and a unit whose
-	// repair fails either way is quarantined and skipped rather than
-	// installed — the stream continues, and the demand path can heal the
-	// unit later through FeedDemand. A hook error that wraps
-	// context.Canceled ends Load with that error instead: whoever canceled
-	// the repair is abandoning the stream, and there is nothing left for a
-	// quarantine record to wait for. With Repair nil, a corrupt unit is a
-	// terminal ErrStreamIntegrity error instead — the strict behaviour
-	// for clients with no demand path to heal through. Set it before
-	// calling Load; it must not change during it.
+	// re-verifies the reply, since it is outside input. A unit whose
+	// repair fails either way ends Load with an ErrStreamIntegrity that
+	// wraps the hook's error: the units before it stay installed, and a
+	// client with a unit table finishes the program through FeedDemand. A
+	// hook error that wraps context.Canceled ends Load with that error
+	// instead: whoever canceled the repair is abandoning the stream. With
+	// Repair nil, a corrupt unit ends Load with ErrStreamIntegrity at
+	// once. Set it before calling Load; it must not change during it.
 	Repair func(RepairRequest) ([]byte, error)
 	// Obs, when non-nil, receives integrity events: unit arrivals,
-	// checksum failures, repairs, quarantines. Set before Load; must not
-	// change while loading.
+	// checksum failures, repairs. Set before Load; must not change while
+	// loading.
 	Obs *obs.Recorder
 
 	mu        sync.Mutex
@@ -291,8 +289,7 @@ type Loader struct {
 	consumed  int64          // main-stream bytes, headers included
 	demanded  int64          // demand-fetched payload bytes
 
-	quarantined map[quarKey]QuarantinedUnit // corrupt units awaiting a clean copy
-	integ       IntegrityStats
+	integ IntegrityStats
 
 	// verifier is the method verifier's working memory, reused from one
 	// body to the next: taken from scratchPool by the first install that
@@ -310,7 +307,6 @@ type classState struct {
 	ready      int                      // count of arrived bodies
 	mainNext   int                      // next body index in the main stream
 	fromDemand bool                     // the global unit arrived via FeedDemand
-	quarGlobal bool                     // the global unit is quarantined
 }
 
 // class returns class index ci's state, growing the table to hold it.
@@ -328,11 +324,10 @@ func (l *Loader) class(ci int) *classState {
 // analysis); use Resolver() to verify against the classes loaded so far.
 func NewLoader(name, mainClass string, resolver verify.Resolver) *Loader {
 	return &Loader{
-		name:        name,
-		mainClass:   mainClass,
-		resolver:    resolver,
-		byName:      make(map[string]int),
-		quarantined: make(map[quarKey]QuarantinedUnit),
+		name:      name,
+		mainClass: mainClass,
+		resolver:  resolver,
+		byName:    make(map[string]int),
 	}
 }
 
@@ -341,12 +336,12 @@ func NewLoader(name, mainClass string, resolver verify.Resolver) *Loader {
 // lock, so the callback may call back into the loader.
 //
 // Every unit's payload is verified against its header checksum before
-// installation; corrupt payloads go through the Repair hook (see the
-// field docs) or, without one, fail the load. At EOF the unit count and
-// the whole-stream digest from the stream header are checked, so a
-// truncated-at-a-unit-boundary stream or a corruption that slipped the
-// per-unit checks still surfaces as an error rather than a silently
-// incomplete program.
+// installation; a corrupt payload goes through the Repair hook (see the
+// field docs), and one that is not repaired ends the load. At EOF the
+// unit count and the whole-stream digest from the stream header are
+// checked, so a truncated-at-a-unit-boundary stream or a corruption
+// that slipped the per-unit checks still surfaces as an error rather
+// than a silently incomplete program.
 func (l *Loader) Load(r io.Reader, onEvent func(Event)) error {
 	defer l.releaseVerifier()
 	shdr := make([]byte, streamHeaderSize)
@@ -362,7 +357,6 @@ func (l *Loader) Load(r io.Reader, onEvent func(Event)) error {
 	l.units = unitCount
 	l.mu.Unlock()
 	var digest uint32
-	digestKnown := true // false once a quarantined unit's true bytes are unknown
 	units := 0
 	hdr := make([]byte, headerSize)
 	for {
@@ -371,14 +365,11 @@ func (l *Loader) Load(r io.Reader, onEvent func(Event)) error {
 				return fmt.Errorf("%w: stream ended after %d of %d units (truncated at a unit boundary)",
 					ErrBadStream, units, unitCount)
 			}
-			l.mu.Lock()
-			if digestKnown && len(l.quarantined) == 0 {
-				if digest != wantDigest {
-					l.mu.Unlock()
-					return fmt.Errorf("%w: whole-stream digest %08x, header promised %08x", ErrStreamIntegrity, digest, wantDigest)
-				}
-				l.integ.DigestVerified = true
+			if digest != wantDigest {
+				return fmt.Errorf("%w: whole-stream digest %08x, header promised %08x", ErrStreamIntegrity, digest, wantDigest)
 			}
+			l.mu.Lock()
+			l.integ.DigestVerified = true
 			l.mu.Unlock()
 			return nil
 		} else if err != nil {
@@ -397,8 +388,8 @@ func (l *Loader) Load(r io.Reader, onEvent func(Event)) error {
 		}
 		// Payload buffers are pooled: a unit that installs retains its
 		// buffer forever, but duplicates (demand fetches racing the main
-		// stream), corrupt copies, and quarantine-skipped bodies discard
-		// theirs, and those are recycled instead of re-allocated.
+		// stream) and corrupt copies discard theirs, and those are
+		// recycled instead of re-allocated.
 		payload, box := getPayloadBuf(n)
 		if _, err := io.ReadFull(r, payload); err != nil {
 			return fmt.Errorf("%w: reading %d-byte unit: %v", ErrBadStream, n, err)
@@ -407,16 +398,9 @@ func (l *Loader) Load(r io.Reader, onEvent func(Event)) error {
 		if ChecksumPayload(payload) != crc {
 			putPayloadBuf(payload, box) // the corrupt copy is dead either way
 			box = nil
-			repaired, err := l.repairUnit(ci, kind, n, crc)
-			if err != nil {
+			if payload, err = l.repairUnit(ci, kind, n, crc); err != nil {
 				return err
 			}
-			payload = repaired // nil = quarantined
-		}
-		if payload == nil {
-			digestKnown = false
-			l.quarantine(ci, kind, n, crc)
-			continue
 		}
 		digest = crc32.Update(digest, crcTable, hdr)
 		digest = crc32.Update(digest, crcTable, payload)
@@ -442,10 +426,9 @@ func (l *Loader) Load(r io.Reader, onEvent func(Event)) error {
 
 // repairUnit handles one corrupt main-stream unit: it asks the Repair
 // hook once for a clean copy and verifies the reply. It returns the
-// repaired payload, or (nil, nil) when the unit must be quarantined, or
-// a terminal error when no Repair hook is installed (strict mode) or the
-// hook's repair was canceled.
-// Called with no locks held.
+// repaired payload, or the error that ends the load: the hook's
+// cancellation, or ErrStreamIntegrity when there is no hook or it
+// delivered no verified copy. Called with no locks held.
 func (l *Loader) repairUnit(ci int, kind byte, n int, crc uint32) ([]byte, error) {
 	began := time.Now()
 	l.mu.Lock()
@@ -465,57 +448,18 @@ func (l *Loader) repairUnit(ci int, kind byte, n int, crc uint32) ([]byte, error
 	if errors.Is(err, context.Canceled) {
 		return nil, err
 	}
-	if err != nil || len(p) != n || ChecksumPayload(p) != crc {
-		return nil, nil
+	if err == nil && (len(p) != n || ChecksumPayload(p) != crc) {
+		err = errors.New("the repaired copy failed its checksum")
+	}
+	if err != nil {
+		return nil, fmt.Errorf("%w: class %d %s unit: payload checksum mismatch, repair failed: %w",
+			ErrStreamIntegrity, ci, kindName(kind), err)
 	}
 	l.mu.Lock()
 	l.integ.Repaired++
 	l.mu.Unlock()
 	l.emit(obs.Repaired, ci, kind, n, time.Since(began))
 	return p, nil
-}
-
-// quarantine records a unit that arrived corrupt and could not be
-// repaired. The stream cursor still advances past it — the unit is
-// skipped, not installed — so a later demand fetch can deliver a clean
-// copy through FeedDemand.
-func (l *Loader) quarantine(ci int, kind byte, n int, crc uint32) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	cs := l.class(ci)
-	body := -1
-	installed := false
-	if kind == KindBody {
-		body = cs.mainNext
-		cs.mainNext++
-		installed = body < len(cs.present) && cs.present[body]
-	} else {
-		installed = cs.c != nil
-	}
-	l.consumed += headerSize + int64(n)
-	l.mainUnits++
-	if installed {
-		// A clean demand copy landed while this unit's repair was
-		// failing, so there is nothing left to heal: the cursor has
-		// advanced past the corrupt copy and the unit is installed.
-		// Recording a quarantine here would leave a permanently stale
-		// entry — FeedDemand skips already-present units, so nothing
-		// would ever clear it — pinning Outstanding above zero and, for a
-		// global unit, shadow-quarantining every later clean body of the
-		// class.
-		if kind == KindGlobal {
-			// The main stream's only copy of this global is spent; the
-			// usual duplicate-global redelivery cannot happen.
-			cs.fromDemand = false
-		}
-		return
-	}
-	if kind != KindBody {
-		cs.quarGlobal = true
-	}
-	l.quarantined[quarKey{ci, kind, body}] = QuarantinedUnit{Class: ci, Kind: kind, Body: body, Len: n, CRC: crc}
-	l.integ.Quarantined++
-	l.emit(obs.Quarantined, ci, kind, n, 0)
 }
 
 // emit records one integrity event about a unit. The event's name is
@@ -538,9 +482,8 @@ func kindName(kind byte) string {
 
 // feed processes one main-stream unit and returns the events it
 // produced. retained reports whether the payload buffer was installed
-// (and so must never be recycled); skipped duplicates and
-// quarantine-shadowed bodies leave it free for the pool. Callers hold
-// l.mu.
+// (and so must never be recycled); skipped duplicates leave it free
+// for the pool. Callers hold l.mu.
 func (l *Loader) feed(ci int, kind byte, payload []byte) (ev events, retained bool, err error) {
 	cs := l.class(ci)
 	switch kind {
@@ -560,19 +503,6 @@ func (l *Loader) feed(ci int, kind byte, payload []byte) (ev events, retained bo
 	case KindBody:
 		c := cs.c
 		if c == nil {
-			if cs.quarGlobal {
-				// The class's global unit is quarantined, so this body —
-				// even though its own checksum passed — cannot be
-				// verified or installed: there is no layout to check it
-				// against. Quarantine it alongside the global; the
-				// demand path redelivers both.
-				bi := cs.mainNext
-				cs.mainNext++
-				l.quarantined[quarKey{ci, KindBody, bi}] = QuarantinedUnit{
-					Class: ci, Kind: KindBody, Body: bi, Len: len(payload), CRC: ChecksumPayload(payload)}
-				l.integ.Quarantined++
-				return events{}, false, nil
-			}
 			return events{}, false, fmt.Errorf("%w: body before global data for class %d", ErrBadStream, ci)
 		}
 		bi := cs.mainNext
@@ -599,9 +529,9 @@ func (l *Loader) feed(ci int, kind byte, payload []byte) (ev events, retained bo
 // units require the class's global unit first (fetch it through
 // FeedDemand too if the main stream has not delivered it). Units that
 // already arrived are skipped without error, so the demand path may race
-// the main stream freely, and a clean demand copy clears any quarantine
-// the main stream left behind for the unit. An installed payload is the
-// loader's from then on: the caller must not write it again.
+// the main stream freely, before and after Load returns. An installed
+// payload is the loader's from then on: the caller must not write it
+// again.
 func (l *Loader) FeedDemand(ci int, kind byte, body int, payload []byte, crc uint32) ([]Event, error) {
 	if ChecksumPayload(payload) != crc {
 		return nil, fmt.Errorf("%w: demand-fetched %s unit for class %d failed its checksum",
@@ -620,15 +550,7 @@ func (l *Loader) FeedDemand(ci int, kind byte, body int, payload []byte, crc uin
 		}
 		ev, err := l.installGlobal(ci, payload)
 		if err == nil {
-			cs := &l.classes[ci]
-			cs.fromDemand = true
-			if cs.quarGlobal {
-				cs.quarGlobal = false
-				l.unquarantine(quarKey{ci, KindGlobal, -1})
-				// The main stream consumed its corrupt copy already; the
-				// usual duplicate-global redelivery cannot happen.
-				cs.fromDemand = false
-			}
+			l.classes[ci].fromDemand = true
 		}
 		return ev.list(), err
 	case KindBody:
@@ -644,40 +566,17 @@ func (l *Loader) FeedDemand(ci int, kind byte, body int, payload []byte, crc uin
 			return nil, nil
 		}
 		ev, err := l.installBody(ci, body, payload)
-		if err == nil {
-			l.unquarantine(quarKey{ci, KindBody, body})
-		}
 		return ev.list(), err
 	default:
 		return nil, fmt.Errorf("stream: demand unit of unknown kind %d", kind)
 	}
 }
 
-// unquarantine clears a unit's quarantine record once a clean copy has
-// been installed. Callers hold l.mu.
-func (l *Loader) unquarantine(k quarKey) {
-	delete(l.quarantined, k)
-}
-
 // Integrity returns a snapshot of the loader's verification counters.
 func (l *Loader) Integrity() IntegrityStats {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	st := l.integ
-	st.Outstanding = len(l.quarantined)
-	return st
-}
-
-// Quarantined lists the units that arrived corrupt and have not yet been
-// replaced by a clean copy.
-func (l *Loader) Quarantined() []QuarantinedUnit {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make([]QuarantinedUnit, 0, len(l.quarantined))
-	for _, q := range l.quarantined {
-		out = append(out, q)
-	}
-	return out
+	return l.integ
 }
 
 // installGlobal parses, verifies, and registers a class's global data.
@@ -768,10 +667,6 @@ func (l *Loader) Program() (*classfile.Program, error) {
 			break
 		}
 		if cs.ready != len(c.Methods) {
-			if n := len(l.quarantined); n > 0 {
-				return nil, fmt.Errorf("stream: class %s has %d of %d method bodies (%d corrupt units quarantined and never repaired)",
-					c.Name, cs.ready, len(c.Methods), n)
-			}
 			return nil, fmt.Errorf("stream: class %s has %d of %d method bodies",
 				c.Name, cs.ready, len(c.Methods))
 		}
