@@ -55,6 +55,11 @@ lint:
 	@# (reorder.StaticLazy). cfg.BuildAll is for the paper tables.
 	@if grep -rn --include='*.go' --exclude='*_test.go' 'cfg\.BuildAll(' internal/pipeline internal/server internal/cluster; then \
 		echo "cfg.BuildAll on the serving build path; use reorder.StaticLazy" >&2; exit 1; fi
+	@# The stream writer encodes each class's global data once and reads
+	@# every body unit from its method: a whole serialized class file in
+	@# the writer copies every body a second time.
+	@if grep -rn --include='*.go' --exclude='*_test.go' '\.Serialize()' internal/stream; then \
+		echo "Serialize in internal/stream; write units from AppendGlobal and the methods' bytes instead" >&2; exit 1; fi
 	@# One method index: classfile.Index numbers methods for the build and
 	@# for the client's linker alike. A Ref→MethodID map anywhere else
 	@# numbers them a second time, and the two can drift apart.

@@ -133,7 +133,18 @@ func appendU32(b []byte, v uint32) []byte {
 // section followed by each method body (local data, code, delimiter) in
 // Methods order. The result is allocated once, at its exact size.
 func (c *Class) Serialize() []byte {
-	b := make([]byte, 0, c.WireSize())
+	b := c.AppendGlobal(make([]byte, 0, c.WireSize()))
+	for _, m := range c.Methods {
+		b = append(b, m.LocalData...)
+		b = append(b, m.Code...)
+		b = append(b, Delim[:]...)
+	}
+	return b
+}
+
+// AppendGlobal appends the class's global-data section, the first
+// GlobalSize bytes of Serialize's encoding, to b.
+func (c *Class) AppendGlobal(b []byte) []byte {
 	b = appendU32(b, Magic)
 	b = appendU16(b, Version)
 	b = appendU16(b, c.ThisClass)
@@ -201,12 +212,6 @@ func (c *Class) Serialize() []byte {
 		b = appendU16(b, m.MaxStack)
 		b = appendU32(b, uint32(len(m.LocalData)))
 		b = appendU32(b, uint32(len(m.Code)))
-	}
-
-	for _, m := range c.Methods {
-		b = append(b, m.LocalData...)
-		b = append(b, m.Code...)
-		b = append(b, Delim[:]...)
 	}
 	return b
 }

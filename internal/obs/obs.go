@@ -30,7 +30,8 @@ const (
 	// UnitArrived is one verified unit installed from the main stream;
 	// Bytes carries the payload length.
 	UnitArrived
-	// CRCFail is a unit payload that failed its checksum on arrival.
+	// CRCFail is a unit payload or header that failed its checksum on
+	// arrival.
 	CRCFail
 	// Repaired is a corrupt unit healed by a byte-range re-fetch; Dur
 	// carries the repair round-trip.

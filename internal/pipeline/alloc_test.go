@@ -12,34 +12,38 @@ import (
 // buildBudget is what Build may allocate, in bytes, for the six paper
 // apps under each order policy, and buildObjects how many heap objects.
 // Twenty runs of each binary (go1.24, linux/amd64) read, plain:
-// scg 4 161 272–4 161 352 B in 11 359–11 362 objects, train
-// 6 474 976–6 480 432 B in 16 703–16 708, test 7 666 424–7 667 848 B in
-// 16 965–16 969; under -race: scg 5 082 248–5 082 488 B in
-// 11 842–11 846, train 7 429 616–7 435 136 B in 17 221–17 228, test
-// 8 621 256–8 622 648 B in 17 483–17 489. The budgets are each maximum
+// scg 3 355 472–3 355 632 B in 11 155–11 159 objects, train
+// 5 286 552–5 289 096 B in 13 824–13 832, test 6 487 088–6 494 352 B in
+// 14 126–14 139; under -race: scg 4 276 400–4 276 544 B in
+// 11 636–11 639, train 6 238 984–6 245 848 B in 14 346–14 357, test
+// 7 439 744–7 442 240 B in 14 649–14 656. The budgets are each maximum
 // plus about 0.5 %, so an allocation per method, block or unit trips
 // them long before it shows in bytes. A profile-guided order adds the
-// link and the profiled run, and the goroutine and channel that run the
-// static stage beside it.
+// link, which registers classes and links no body, the profiled run,
+// which links the bodies it invokes, and the goroutine and channel that
+// run the static stage beside it.
 var buildBudget = map[string]struct{ plain, race uint64 }{
-	OrderStatic: {plain: 4_182_000, race: 5_108_000},
-	OrderTrain:  {plain: 6_513_000, race: 7_473_000},
-	OrderTest:   {plain: 7_707_000, race: 8_666_000},
+	OrderStatic: {plain: 3_372_000, race: 4_298_000},
+	OrderTrain:  {plain: 5_316_000, race: 6_277_000},
+	OrderTest:   {plain: 6_527_000, race: 7_479_000},
 }
 
 var buildObjects = map[string]struct{ plain, race uint64 }{
-	OrderStatic: {plain: 11_420, race: 11_910},
-	OrderTrain:  {plain: 16_795, race: 17_315},
-	OrderTest:   {plain: 17_055, race: 17_580},
+	OrderStatic: {plain: 11_215, race: 11_700},
+	OrderTrain:  {plain: 13_900, race: 14_430},
+	OrderTest:   {plain: 14_210, race: 14_730},
 }
 
 // TestBuildAllocBudget: a build allocates what it returns, not a copy
 // of every instruction, block and unit along the way. The compiler, the
 // CFG builder and the stream writer each run out of scratch their own
-// call owns, and the static order holds one method's CFG per call depth,
-// never the whole program's; a stage that goes back to allocating per
-// instruction, block or unit, or a static stage that builds every graph
-// up front, blows the byte or the object budget.
+// call owns, the writer copies a body only into the stream, the linker
+// links only the bodies the profiled run invokes, and the static order
+// holds one method's CFG per call depth, never the whole program's; a
+// stage that goes back to allocating per instruction, block or unit, a
+// writer that serializes whole class files, a linker that links every
+// body, or a static stage that builds every graph up front, blows the
+// byte or the object budget.
 func TestBuildAllocBudget(t *testing.T) {
 	all := apps.All()
 	for _, order := range []string{OrderStatic, OrderTrain, OrderTest} {

@@ -102,8 +102,8 @@ type RepairRequest struct {
 
 // IntegrityStats is a snapshot of the loader's verification counters.
 type IntegrityStats struct {
-	// CorruptUnits counts main-stream units whose payload failed its
-	// checksum on arrival.
+	// CorruptUnits counts main-stream units whose payload or header
+	// failed its checksum on arrival.
 	CorruptUnits int64
 	// Repaired counts the units a repair delivered with a valid checksum.
 	Repaired int64

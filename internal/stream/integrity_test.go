@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"nonstrict/internal/obs"
 	"nonstrict/internal/vm"
 )
 
@@ -155,6 +156,45 @@ func TestCanceledRepairEndsLoad(t *testing.T) {
 	}
 	if st := l.Integrity(); st.CorruptUnits != 1 || st.Repaired != 0 || st.DigestVerified {
 		t.Errorf("counters = %+v, want 1 corrupt unit and nothing repaired", st)
+	}
+}
+
+// TestCorruptHeaderCounted flips one byte of the third unit's header:
+// the framing after it is lost, so Load ends there without asking the
+// Repair hook, and the unit counts as corrupt beside a CRC-fail event,
+// so a degraded session's counters name the unit that ended its stream.
+func TestCorruptHeaderCounted(t *testing.T) {
+	_, rp, _, w := plan(t, "Hanoi")
+	var buf bytes.Buffer
+	if _, err := w.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	mut := append([]byte(nil), buf.Bytes()...)
+	off, _, _ := unitAt(t, mut, 2)
+	mut[off+3] ^= 0x01 // the payload length's high byte
+	l := NewLoader(rp.Name, rp.MainClass, nil)
+	l.Obs = obs.NewRecorder(64)
+	l.Repair = func(RepairRequest) ([]byte, error) {
+		t.Error("repair asked for a unit whose header failed")
+		return nil, errors.New("unexpected")
+	}
+	if err := l.Load(bytes.NewReader(mut), nil); !errors.Is(err, ErrStreamIntegrity) {
+		t.Fatalf("Load = %v, want ErrStreamIntegrity", err)
+	}
+	if st := l.Integrity(); st.CorruptUnits != 1 || st.Repaired != 0 || st.DigestVerified {
+		t.Errorf("counters = %+v, want 1 corrupt, 0 repaired, digest unverified", st)
+	}
+	if got := l.UnitsConsumed(); got != 2 {
+		t.Errorf("%d units consumed, want the two before the corrupt header", got)
+	}
+	fails := 0
+	for _, e := range l.Obs.Events() {
+		if e.Kind == obs.CRCFail {
+			fails++
+		}
+	}
+	if fails != 1 {
+		t.Errorf("%d CRC-fail events, want 1", fails)
 	}
 }
 

@@ -87,12 +87,15 @@ type Event struct {
 	Bytes int64
 }
 
-// Writer emits the interleaved stream for a restructured program.
+// Writer emits the interleaved stream for a restructured program. It
+// encodes each class's global-data section once and reads every body
+// unit straight from its method, so a body's bytes are copied only into
+// the stream.
 type Writer struct {
-	prog  *classfile.Program
-	units []restructure.Unit // restructure.Plan's, unpartitioned
-	files [][]byte           // each class's serialized file
-	crcs  []uint32           // ChecksumPayload of each unit's payload
+	prog    *classfile.Program
+	units   []restructure.Unit // restructure.Plan's, unpartitioned
+	globals [][]byte           // each class's global-data section, by class
+	crcs    []uint32           // ChecksumPayload of each unit's payload
 }
 
 // NewWriter plans the stream with restructure.Plan: each class's global
@@ -109,20 +112,34 @@ func NewWriter(p *classfile.Program, ix *classfile.Index, o *reorder.Order) (*Wr
 	if err != nil {
 		return nil, err
 	}
-	w := &Writer{prog: p, units: units, files: make([][]byte, len(p.Classes)), crcs: make([]uint32, len(units))}
-	for i, c := range p.Classes {
-		w.files[i] = c.Serialize()
-	}
-	for i := range units {
-		w.crcs[i] = ChecksumPayload(w.payload(i))
+	w := &Writer{prog: p, units: units, globals: make([][]byte, len(p.Classes)), crcs: make([]uint32, len(units))}
+	for i, u := range units {
+		if u.Kind == restructure.Global {
+			w.globals[u.Class] = p.Classes[u.Class].AppendGlobal(make([]byte, 0, u.Len))
+		}
+		w.crcs[i] = w.checksum(i, 0)
 	}
 	return w, nil
 }
 
-// payload returns unit i's bytes: its planned range of its class file.
-func (w *Writer) payload(i int) []byte {
+// payload returns unit i's bytes in at most three pieces, which together
+// are its planned range of its class file: a global unit's section, or a
+// body's local data, code and delimiter.
+func (w *Writer) payload(i int) [3][]byte {
 	u := &w.units[i]
-	return w.files[u.Class][u.Off : u.Off+u.Len]
+	if u.Kind == restructure.Global {
+		return [3][]byte{w.globals[u.Class]}
+	}
+	m := w.prog.Classes[u.Class].Methods[u.Body]
+	return [3][]byte{m.LocalData, m.Code, classfile.Delim[:]}
+}
+
+// checksum continues the CRC32C crc over unit i's payload.
+func (w *Writer) checksum(i int, crc uint32) uint32 {
+	for _, b := range w.payload(i) {
+		crc = crc32.Update(crc, crcTable, b)
+	}
+	return crc
 }
 
 // kind returns unit i's wire kind.
@@ -147,18 +164,19 @@ func (w *Writer) WriteTo(out io.Writer) (int64, error) {
 		return n, err
 	}
 	hdr = hdr[:headerSize]
-	for i := range w.units {
-		data := w.payload(i)
-		putUnitHeader(hdr, w.units[i].Class, w.kind(i), len(data), w.crcs[i])
+	for i, u := range w.units {
+		putUnitHeader(hdr, u.Class, w.kind(i), u.Len, w.crcs[i])
 		k, err := out.Write(hdr)
 		n += int64(k)
 		if err != nil {
 			return n, err
 		}
-		k, err = out.Write(data)
-		n += int64(k)
-		if err != nil {
-			return n, err
+		for _, b := range w.payload(i) {
+			k, err = out.Write(b)
+			n += int64(k)
+			if err != nil {
+				return n, err
+			}
 		}
 	}
 	return n, nil
@@ -170,11 +188,10 @@ func (w *Writer) WriteTo(out io.Writer) (int64, error) {
 func (w *Writer) digest() uint32 {
 	var d uint32
 	var hdr [headerSize]byte
-	for i := range w.units {
-		data := w.payload(i)
-		putUnitHeader(hdr[:], w.units[i].Class, w.kind(i), len(data), w.crcs[i])
+	for i, u := range w.units {
+		putUnitHeader(hdr[:], u.Class, w.kind(i), u.Len, w.crcs[i])
 		d = crc32.Update(d, crcTable, hdr[:])
-		d = crc32.Update(d, crcTable, data)
+		d = w.checksum(i, d)
 	}
 	return d
 }
@@ -380,7 +397,14 @@ func (l *Loader) Load(r io.Reader, onEvent func(Event)) error {
 			// A corrupted header means the framing of everything after
 			// it is unreliable; there is no way to resync from within
 			// the stream, so this is terminal. (A demand-fetching client
-			// degrades to pulling the remaining units by range.)
+			// degrades to pulling the remaining units by range.) Its
+			// fields cannot be trusted, so the event names no class.
+			l.mu.Lock()
+			l.integ.CorruptUnits++
+			l.mu.Unlock()
+			if l.Obs != nil {
+				l.Obs.Emit(obs.CRCFail, "unit header", headerSize, 0)
+			}
 			return err
 		}
 		if n > maxUnitSize {

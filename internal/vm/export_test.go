@@ -21,9 +21,10 @@ func (ln *Linked) BlockMarks(id classfile.MethodID) []int {
 	return marks
 }
 
-// Relink runs linkCode over every method of a linked program again,
-// through one fresh link state — what the external allocation pin
-// measures, since the workloads it needs import this package.
+// Relink runs linkCode over every method of a linked program, through
+// one fresh link state: it links the bodies no run has invoked for the
+// tests that inspect every body, and it is what the external allocation
+// pin measures, since the workloads it needs import this package.
 func (ln *Linked) Relink() error {
 	ls := newLinkState(ln)
 	for _, lm := range ln.methods {
@@ -32,6 +33,19 @@ func (ln *Linked) Relink() error {
 		}
 	}
 	return nil
+}
+
+// LinkedBodies reports how many method bodies have been linked.
+func (ln *Linked) LinkedBodies() int {
+	ln.mu.Lock()
+	defer ln.mu.Unlock()
+	n := 0
+	for _, lm := range ln.methods {
+		if lm.code != nil {
+			n++
+		}
+	}
+	return n
 }
 
 // FusedRuns returns the first index and the length of every fused run in

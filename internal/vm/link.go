@@ -11,7 +11,8 @@
 // It has one linker, Linked, which links a program as a stream delivers
 // it (NewLive, AddClass) and runs it behind a Gate, so a method runs once
 // its own bytes are in. Link is the same linker given the whole program
-// and a gate that never waits.
+// and a gate that never waits; on both, a body links at its first
+// invocation.
 package vm
 
 import (
@@ -146,8 +147,8 @@ type pendingRef struct {
 type Linked struct {
 	// mu guards what AddClass writes: the index, methods, globals and
 	// the program's classes. The executing goroutine alone links bodies,
-	// under mu, and appends to consts, strs and pending; Link, which has
-	// the program to itself until it returns, links without it.
+	// under mu, and appends to consts, strs and pending, so a Linked
+	// runs one machine at a time.
 	mu   sync.Mutex
 	gate Gate
 	prog *classfile.Program
@@ -175,12 +176,13 @@ func NewLive(name, mainClass string, gate Gate) *Linked {
 	return newLinked(&classfile.Program{Name: name, MainClass: mainClass}, gate)
 }
 
-// Link resolves a whole program for execution: it adds every class
-// behind a gate that never waits and links every body, so every
-// constant-pool reference is checked here. Link fails on a class,
-// method or field declared twice, dangling references, bad descriptors,
-// malformed code or a missing entry point, mirroring the JVM's
-// resolution phase. Its IDs are IndexMethods's.
+// Link resolves a whole program for execution: it is the live linker
+// given every class up front, behind a gate that never waits. Link fails
+// on a class, method or field declared twice or a missing entry point,
+// and it links no body: as on the live path, each body links at its
+// first invocation, so a malformed body, a dangling reference or a bad
+// descriptor is Run's error at that invocation. Its IDs are
+// IndexMethods's.
 func Link(p *classfile.Program) (*Linked, error) {
 	ln := newLinked(p, openGate{})
 	n := p.NumMethods()
@@ -190,17 +192,6 @@ func Link(p *classfile.Program) (*Linked, error) {
 		}
 		if ln.index.ClassIndex(c.Name) != i {
 			return nil, fmt.Errorf("vm: duplicate class %s", c.Name)
-		}
-	}
-	for _, lm := range ln.methods {
-		if err := linkCode(lm, ln.ls); err != nil {
-			return nil, err
-		}
-		// Every class is in, so a reference left pending names a class
-		// the program lacks.
-		if len(ln.pending) > 0 {
-			_, err := ln.resolve(ln.pending[0])
-			return nil, fmt.Errorf("vm: %v: %w", lm.ref, err)
 		}
 	}
 	if ln.entry() == classfile.NoMethod {
@@ -302,9 +293,11 @@ func (ln *Linked) resolve(r pendingRef) (linkedInstr, error) {
 
 // link resolves r for a body being linked: a reference into a class that
 // has not arrived becomes an unresolved pseudo-op, which blocks at the
-// gate when it first runs and patches itself. Caller holds ln.mu.
+// gate when it first runs and patches itself. Behind the open gate every
+// class is in, so a class that is not names one the program lacks.
+// Caller holds ln.mu.
 func (ln *Linked) link(r pendingRef) (linkedInstr, error) {
-	if ln.index.ClassIndex(r.class) >= 0 {
+	if _, whole := ln.gate.(openGate); whole || ln.index.ClassIndex(r.class) >= 0 {
 		return ln.resolve(r)
 	}
 	u := xInvokeU

@@ -4,6 +4,7 @@ package vm_test
 // internal/apps, which imports vm.
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"testing"
@@ -16,6 +17,22 @@ import (
 	"nonstrict/internal/verify"
 	"nonstrict/internal/vm"
 )
+
+// linkAtFirstUse links p and runs it until its first invocation has
+// linked main: the linker's verdict on main's body, which Link leaves to
+// that invocation. A branch the linker accepts may loop, so the run is
+// cut after a few steps and that cut is acceptance.
+func linkAtFirstUse(p *classfile.Program) error {
+	ln, err := vm.Link(p)
+	if err != nil {
+		return err
+	}
+	_, err = ln.Run(vm.Options{MaxSteps: 16})
+	if errors.Is(err, vm.ErrMaxSteps) {
+		return nil
+	}
+	return err
+}
 
 // TestBranchBoundaryAgreement walks one branch's landing offset across
 // every edge of the shared boundary index (bytecode.Index): the verifier,
@@ -57,7 +74,7 @@ func TestBranchBoundaryAgreement(t *testing.T) {
 			p := &classfile.Program{Name: "edge", Classes: []*classfile.Class{c}, MainClass: "M"}
 
 			verr := verify.VerifyMethod(c, m, nil)
-			_, lerr := vm.Link(p)
+			lerr := linkAtFirstUse(p)
 			_, gerr := cfg.Build(c, m)
 			for _, e := range []struct {
 				layer string
@@ -76,6 +93,36 @@ func TestBranchBoundaryAgreement(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestLinkLinksOnlyWhatRuns checks that Link links no body and a run
+// links exactly the bodies it invokes, on all six apps' train and test
+// inputs: a method no run executes costs the build nothing.
+func TestLinkLinksOnlyWhatRuns(t *testing.T) {
+	for _, app := range apps.All() {
+		p, err := jir.Compile(app.IR)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, train := range []bool{true, false} {
+			ln, err := vm.Link(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := ln.LinkedBodies(); n != 0 {
+				t.Errorf("%s: Link linked %d bodies, want none", app.Name, n)
+			}
+			m, err := ln.Run(vm.Options{Args: app.Args(train)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			linked, ran := ln.LinkedBodies(), m.Profile().Executed()
+			t.Logf("%s train=%v: %d of %d bodies linked", app.Name, train, linked, ln.Index().Len())
+			if linked != ran {
+				t.Errorf("%s train=%v: %d bodies linked, %d methods ran", app.Name, train, linked, ran)
+			}
+		}
 	}
 }
 
@@ -126,6 +173,9 @@ func TestBlockLeadersAgreeWithCFG(t *testing.T) {
 		}
 		ln, err := vm.Link(p)
 		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ln.Relink(); err != nil {
 			t.Fatal(err)
 		}
 		ix := ln.Index()
@@ -189,7 +239,7 @@ func (g *demandGate) AwaitClass(name string) error {
 func (g *demandGate) AwaitMethod(ref classfile.Ref) error { return g.AwaitClass(ref.Class) }
 
 // TestFusionStaysInBlock checks the superinstructions of all six apps,
-// linked eagerly and live with classes arriving on demand: no fused run
+// every body linked and live with classes arriving on demand: no fused run
 // reaches past its block's leader or holds an unresolved reference, and
 // the live run computes what the app should.
 func TestFusionStaysInBlock(t *testing.T) {
@@ -226,6 +276,9 @@ func TestFusionStaysInBlock(t *testing.T) {
 		}
 		ln, err := vm.Link(p)
 		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ln.Relink(); err != nil {
 			t.Fatal(err)
 		}
 		fused, total := check(app.Name, ln, ln.Index().Len())

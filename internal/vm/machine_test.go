@@ -398,7 +398,9 @@ func TestGlobalArrayRoundTrip(t *testing.T) {
 	}
 }
 
-// Link-level validation of hand-assembled (hostile) class files.
+// Link-level validation of hand-assembled (hostile) class files. Link
+// rejects a program whose shape is wrong (a duplicate, no entry point);
+// a fault inside a body is Run's error at the body's first invocation.
 
 func rawProgram(code []bytecode.Instr, setup func(b *classfile.Builder)) *classfile.Program {
 	b := classfile.NewBuilder("M", "")
@@ -409,10 +411,22 @@ func rawProgram(code []bytecode.Instr, setup func(b *classfile.Builder)) *classf
 	return &classfile.Program{Name: "raw", Classes: []*classfile.Class{b.Build()}, MainClass: "M"}
 }
 
+// runLinked links p, which must link, and returns the error of running
+// it.
+func runLinked(t *testing.T, p *classfile.Program) error {
+	t.Helper()
+	ln, err := Link(p)
+	if err != nil {
+		t.Fatalf("Link: %v; a fault in a body must wait for its first invocation", err)
+	}
+	_, err = ln.Run(Options{})
+	return err
+}
+
 func TestLinkRejectsBranchIntoInstruction(t *testing.T) {
 	// GOTO +1 lands inside the GOTO's own operand bytes.
 	p := rawProgram([]bytecode.Instr{{Op: bytecode.GOTO, Arg: 1}}, nil)
-	if _, err := Link(p); err == nil || !strings.Contains(err.Error(), "middle of instruction") {
+	if err := runLinked(t, p); err == nil || !strings.Contains(err.Error(), "middle of instruction") {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -430,7 +444,7 @@ func TestLinkRejectsUndefinedCall(t *testing.T) {
 		{Op: bytecode.INVOKE, Arg: cpIdx},
 		{Op: bytecode.HALT},
 	})
-	if _, err := Link(p); err == nil || !strings.Contains(err.Error(), "undefined") {
+	if err := runLinked(t, p); err == nil || !strings.Contains(err.Error(), "undefined") {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -445,7 +459,7 @@ func TestLinkRejectsUndefinedField(t *testing.T) {
 		{Op: bytecode.GETSTATIC, Arg: cpIdx},
 		{Op: bytecode.HALT},
 	})
-	if _, err := Link(p); err == nil || !strings.Contains(err.Error(), "undefined field") {
+	if err := runLinked(t, p); err == nil || !strings.Contains(err.Error(), "undefined field") {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -468,7 +482,7 @@ func TestLinkRejectsLDCOfWrongKind(t *testing.T) {
 		{Op: bytecode.LDC, Arg: cpIdx},
 		{Op: bytecode.HALT},
 	})
-	if _, err := Link(p); err == nil || !strings.Contains(err.Error(), "LDC of") {
+	if err := runLinked(t, p); err == nil || !strings.Contains(err.Error(), "LDC of") {
 		t.Fatalf("err = %v", err)
 	}
 }

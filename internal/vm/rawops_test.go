@@ -558,8 +558,13 @@ func fusedLink(t *testing.T, main func(b *classfile.Builder) []bytecode.Instr, h
 	return ln
 }
 
-// linkedOps returns every op in ln's linked code.
-func linkedOps(ln *Linked) map[bytecode.Op]bool {
+// linkedOps links every body of ln and returns every op in its linked
+// code.
+func linkedOps(t *testing.T, ln *Linked) map[bytecode.Op]bool {
+	t.Helper()
+	if err := ln.Relink(); err != nil {
+		t.Fatal(err)
+	}
 	ops := make(map[bytecode.Op]bool)
 	for _, lm := range ln.methods {
 		for _, in := range lm.code {
@@ -596,7 +601,7 @@ func TestFusedRuns(t *testing.T) {
 			ln := fusedLink(t, func(b *classfile.Builder) []bytecode.Instr {
 				return append(c.code(b, "f"), ins(bytecode.HALT))
 			}, map[string][]bytecode.Instr{"f": c.helper})
-			if !linkedOps(ln)[c.op] {
+			if !linkedOps(t, ln)[c.op] {
 				t.Fatalf("the code does not link to superinstruction %d", c.op)
 			}
 			tested[c.op] = true
@@ -609,7 +614,7 @@ func TestFusedRuns(t *testing.T) {
 			}
 		})
 	}
-	all := linkedOps(allFused(t))
+	all := linkedOps(t, allFused(t))
 	for op := xEnd + 1; op <= xLast; op++ {
 		if !tested[op] {
 			t.Errorf("superinstruction %d has no case", op)
@@ -621,7 +626,7 @@ func TestFusedRuns(t *testing.T) {
 	// rawTraps holds a trap at each trapping member.
 	trapped := make(map[bytecode.Op]bool)
 	for _, tc := range rawTraps {
-		for op := range linkedOps(rawLink(t, tc.methods...)) {
+		for op := range linkedOps(t, rawLink(t, tc.methods...)) {
 			trapped[op] = true
 		}
 	}
