@@ -22,6 +22,16 @@ lint:
 	@# cold build once ran the whole evaluation because it did.
 	@if $(GO) list -deps ./internal/server ./internal/cluster ./internal/live | grep -qx nonstrict/internal/experiments; then \
 		echo "internal/server, internal/cluster or internal/live depends on internal/experiments" >&2; exit 1; fi
+	@# Shipped code is what ships: every package under internal/ with
+	@# non-test files is a dependency of the CLI or of the benchmark. A
+	@# harness that neither reaches (the fleet, the concurrency checkers)
+	@# is test code, in _test.go files.
+	@shipped="$$($(GO) list -deps ./cmd/nonstrict && $(GO) -C benchmark list -deps .)" && \
+	pkgs="$$($(GO) list -f '{{if .GoFiles}}{{.ImportPath}}{{end}}' ./internal/...)" || exit 1; \
+	stray="$$(printf '%s\n' "$$pkgs" | grep -vxF "$$shipped")"; \
+	if [ -n "$$stray" ]; then \
+		echo "packages under internal/ that neither cmd/nonstrict nor benchmark uses; move them into _test.go files:" >&2; \
+		echo "$$stray" >&2; exit 1; fi
 	@# /metrics is the one export of the server's counters: expvar's
 	@# process-global registry cannot tell two servers in a process apart.
 	@if $(GO) list -deps ./... | grep -qx expvar; then \
@@ -83,7 +93,8 @@ lint:
 # execution end to end, the chaos schedules and seeded fuzz corpora, the
 # interleaving enumerators of internal/check, crash-restart, overload,
 # the fleet and the cluster scenarios all run here, and again under the
-# race detector below.
+# race detector below. internal/check and internal/fleet hold only
+# _test.go files: only go test and go vet compile them.
 test:
 	$(GO) test ./...
 

@@ -19,6 +19,20 @@ import (
 	"nonstrict/internal/stream"
 )
 
+// newServer builds the HTTP server the tests drive: a multi-tenant
+// code server with name prebuilt and aliased at /app.
+func newServer(name string, rate int, fault stream.Fault) (*http.Server, int64, error) {
+	srv, err := server.New(server.Config{DefaultApp: name, Rate: rate, Fault: fault})
+	if err != nil {
+		return nil, 0, err
+	}
+	size, err := srv.Warm(context.Background(), name)
+	if err != nil {
+		return nil, 0, err
+	}
+	return &http.Server{Handler: srv.Handler()}, size, nil
+}
+
 // capture runs one subcommand and returns its output.
 func capture(t *testing.T, cmd string, args ...string) string {
 	t.Helper()

@@ -153,20 +153,6 @@ func cmdServe(ctx context.Context, args []string, out io.Writer) error {
 	}
 }
 
-// newServer builds the HTTP server for tests: a multi-tenant code
-// server with name prebuilt and aliased at /app.
-func newServer(name string, rate int, fault stream.Fault) (*http.Server, int64, error) {
-	srv, err := server.New(server.Config{DefaultApp: name, Rate: rate, Fault: fault})
-	if err != nil {
-		return nil, 0, err
-	}
-	size, err := srv.Warm(context.Background(), name)
-	if err != nil {
-		return nil, 0, err
-	}
-	return &http.Server{Handler: srv.Handler()}, size, nil
-}
-
 // cmdFetch downloads a served benchmark through the fault-tolerant
 // fetch client, loads it non-strictly with incremental verification,
 // executes it, and runs the workload self-check.

@@ -381,25 +381,6 @@ func (g *Graph) body(li int) []uint64 { return g.loopBits[li*g.words : (li+1)*g.
 func setBit(set []uint64, b int)      { set[b/64] |= 1 << (b % 64) }
 func hasBit(set []uint64, b int) bool { return set[b/64]&(1<<(b%64)) != 0 }
 
-// NumLoops returns the number of distinct loop headers in the method.
-func (g *Graph) NumLoops() int { return len(g.headers) }
-
-// LoopHeaders returns loop-header block IDs in ascending order.
-func (g *Graph) LoopHeaders() []int { return slices.Clone(g.headers) }
-
-// LoopBody returns the block IDs of the natural loop body of header h in
-// ascending order (nil if h is not a loop header). The header itself is
-// included.
-func (g *Graph) LoopBody(h int) []int {
-	var out []int
-	for b := range g.Blocks {
-		if g.InLoop(b, h) {
-			out = append(out, b)
-		}
-	}
-	return out
-}
-
 // InLoop reports whether block b belongs to the loop headed by block h.
 func (g *Graph) InLoop(b, h int) bool {
 	li := g.loopIndex[h]
@@ -418,9 +399,6 @@ func (g *Graph) LoopsReachable(b int) int { return g.loopsReach[b] }
 
 // StaticInstrs returns the number of instructions in block b.
 func (g *Graph) StaticInstrs(b int) int { return g.Blocks[b].End - g.Blocks[b].Start }
-
-// BlockOf returns the block containing instruction index i.
-func (g *Graph) BlockOf(i int) int { return g.blockOf[i] }
 
 // Calls returns every call site in the method in instruction order.
 func (g *Graph) Calls() []CallSite {

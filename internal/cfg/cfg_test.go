@@ -10,6 +10,28 @@ import (
 	"nonstrict/internal/jir"
 )
 
+// NumLoops returns the number of distinct loop headers in the method.
+func (g *Graph) NumLoops() int { return len(g.headers) }
+
+// LoopHeaders returns loop-header block IDs in ascending order.
+func (g *Graph) LoopHeaders() []int { return slices.Clone(g.headers) }
+
+// LoopBody returns the block IDs of the natural loop body of header h in
+// ascending order (nil if h is not a loop header). The header itself is
+// included.
+func (g *Graph) LoopBody(h int) []int {
+	var out []int
+	for b := range g.Blocks {
+		if g.InLoop(b, h) {
+			out = append(out, b)
+		}
+	}
+	return out
+}
+
+// BlockOf returns the block containing instruction index i.
+func (g *Graph) BlockOf(i int) int { return g.blockOf[i] }
+
 // graphFor compiles a one-function program and returns its CFG.
 func graphFor(t *testing.T, f *jir.Func, extra ...*jir.Func) *Graph {
 	t.Helper()

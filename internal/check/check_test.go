@@ -65,7 +65,7 @@ func TestCacheInterleavings(t *testing.T) {
 // exactly at the old or new generation — never torn, never quarantined,
 // never with a live temp file — and a retry must recover.
 func TestStoreCrashInterleavings(t *testing.T) {
-	rep, err := CheckStoreCrashes(t.TempDir())
+	rep, err := checkStoreCrashes(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestBreakerInterleavings(t *testing.T) {
 	if testing.Short() {
 		depth = 5
 	}
-	rep, err := CheckBreaker(BreakerCheckOptions{Depth: depth})
+	rep, err := checkBreaker(breakerOptions{Depth: depth})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -304,19 +304,6 @@ func (p *Program) Class(name string) *Class {
 	return nil
 }
 
-// Lookup resolves a Ref to its class and method.
-func (p *Program) Lookup(r Ref) (*Class, *Method, error) {
-	c := p.Class(r.Class)
-	if c == nil {
-		return nil, nil, fmt.Errorf("classfile: no class %q", r.Class)
-	}
-	m := c.MethodByName(r.Name)
-	if m == nil {
-		return nil, nil, fmt.Errorf("classfile: no method %q in class %q", r.Name, r.Class)
-	}
-	return c, m, nil
-}
-
 // Main returns the entry-point Ref.
 func (p *Program) Main() Ref { return Ref{Class: p.MainClass, Name: "main"} }
 

@@ -2,6 +2,7 @@ package classfile
 
 import (
 	"encoding/binary"
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
@@ -9,6 +10,19 @@ import (
 
 	"nonstrict/internal/bytecode"
 )
+
+// Lookup resolves a Ref to its class and method.
+func (p *Program) Lookup(r Ref) (*Class, *Method, error) {
+	c := p.Class(r.Class)
+	if c == nil {
+		return nil, nil, fmt.Errorf("classfile: no class %q", r.Class)
+	}
+	m := c.MethodByName(r.Name)
+	if m == nil {
+		return nil, nil, fmt.Errorf("classfile: no method %q in class %q", r.Name, r.Class)
+	}
+	return c, m, nil
+}
 
 // buildSample constructs a two-method class exercising every constant
 // kind and structure the wire format carries.

@@ -5,13 +5,10 @@ import (
 	"reflect"
 	"sync"
 	"testing"
-	"time"
 
 	"nonstrict/internal/apps"
-	"nonstrict/internal/fleet"
 	"nonstrict/internal/jir"
 	"nonstrict/internal/pipeline"
-	"nonstrict/internal/stream"
 )
 
 // classImages compiles ir and returns each class's serialized bytes.
@@ -31,11 +28,12 @@ func classImages(t *testing.T, ir *jir.Program) []string {
 // TestAppsAreBuiltOnceAndNeverWritten: the registry owns each app, every
 // caller reads the one IR it built, and a variant is a new program. The
 // readers that used to need a private copy — the split study, which
-// wrote it, beside all 18 builds and the fleet's model build — run at
-// once over the shared IR; afterwards the registry still hands out the
-// same pointer, it still compiles to the same bytes, and what a caller
-// did to its App struct stayed with that caller. Under -race this is
-// also the proof that none of them writes.
+// wrote it, beside all 18 builds and each app's model build (compile,
+// link and the test-input profile run: how the fleet measures a need
+// trace) — run at once over the shared IR; afterwards the registry
+// still hands out the same pointer, it still compiles to the same
+// bytes, and what a caller did to its App struct stayed with that
+// caller. Under -race this is also the proof that none of them writes.
 func TestAppsAreBuiltOnceAndNeverWritten(t *testing.T) {
 	before := apps.All()
 	images := make([][]string, len(before))
@@ -69,19 +67,22 @@ func TestAppsAreBuiltOnceAndNeverWritten(t *testing.T) {
 				return err
 			})
 		}
-	}
-	run("fleet", func() error {
-		_, err := fleet.Run(ctx, fleet.Config{
-			Apps:      apps.Names(),
-			Clients:   6,
-			Links:     []stream.LinkClass{stream.LinkLTE},
-			Seed:      1,
-			Duration:  10 * time.Millisecond,
-			TimeScale: 2000,
-			ThinkMean: time.Millisecond,
+		run("model build "+name, func() error {
+			app, err := apps.ByName(name)
+			if err != nil {
+				return err
+			}
+			r, err := pipeline.Compile(ctx, app)
+			if err != nil {
+				return err
+			}
+			if err := r.Link(ctx); err != nil {
+				return err
+			}
+			_, err = r.Profile(ctx, false, false)
+			return err
 		})
-		return err
-	})
+	}
 	wg.Wait()
 
 	for i, a := range before {

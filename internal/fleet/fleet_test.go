@@ -31,18 +31,29 @@ var benchApps = sync.OnceValues(func() ([]string, error) {
 	return names, err
 })
 
+// The link classes the fleet sweeps beside stream.LinkModem and
+// stream.LinkT1: an LTE-class link (fast, wide jitter) and a
+// satellite-class one (long first-byte latency), regimes the paper's
+// model predicts but could not measure.
+var (
+	linkLTE = stream.LinkClass{Name: "lte", RTT: 50 * time.Millisecond,
+		Jitter: 30 * time.Millisecond, Bandwidth: 1_500_000}
+	linkSatellite = stream.LinkClass{Name: "satellite", RTT: 600 * time.Millisecond,
+		Jitter: 40 * time.Millisecond, Bandwidth: 250_000}
+)
+
 // fastConfig is a small fleet that completes quickly: simulated modem
 // and LTE schedules at 2000x wall speed.
-func fastConfig(t *testing.T, clients int) Config {
+func fastConfig(t *testing.T, clients int) config {
 	t.Helper()
 	names, err := testApps()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return Config{
+	return config{
 		Apps:      names[:2],
 		Clients:   clients,
-		Links:     []stream.LinkClass{stream.LinkModem, stream.LinkLTE},
+		Links:     []stream.LinkClass{stream.LinkModem, linkLTE},
 		Seed:      99,
 		Order:     server.OrderTrain,
 		Duration:  100 * time.Millisecond,
@@ -57,7 +68,7 @@ func fastConfig(t *testing.T, clients int) Config {
 // decomposes exactly (Transfer + Repair + Gate == Wait); mispredicts are
 // a subset of the crossings and were served by demand fetches; the
 // overlap is a fraction; and the first method became runnable.
-func checkClient(cr ClientResult, needs []classfile.Ref) error {
+func checkClient(cr clientResult, needs []classfile.Ref) error {
 	if cr.Err != nil {
 		return cr.Err
 	}
@@ -93,7 +104,7 @@ func checkClient(cr ClientResult, needs []classfile.Ref) error {
 // cfg, and that the clients are the configured ones: striped across the
 // links, round-robin over the apps, every one of them consuming stream
 // bytes.
-func checkClients(t *testing.T, cfg Config, res *Result) {
+func checkClients(t *testing.T, cfg config, res *result) {
 	t.Helper()
 	models, err := buildModels(context.Background(), cfg.Apps)
 	if err != nil {
@@ -120,7 +131,7 @@ func checkClients(t *testing.T, cfg Config, res *Result) {
 // client's session.
 func TestFleetRuns(t *testing.T) {
 	cfg := fastConfig(t, 24)
-	res, err := Run(context.Background(), cfg)
+	res, err := runFleet(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,11 +159,11 @@ func TestFleetRuns(t *testing.T) {
 // fetches, bytes, latency — is what its link did in that run.)
 func TestFleetDeterministic(t *testing.T) {
 	cfg := fastConfig(t, 16)
-	r1, err := Run(context.Background(), cfg)
+	r1, err := runFleet(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Run(context.Background(), cfg)
+	r2, err := runFleet(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,15 +181,15 @@ func TestFleetDeterministic(t *testing.T) {
 }
 
 // TestFleetSeedChangesSchedule guards against the seed being ignored.
-// What a seed decides — arrivals, think time, link jitter and loss,
-// fetch backoff — is drawn from each client's derived seed, so another
+// What a seed decides — arrivals, think time, link jitter, fetch
+// backoff — is drawn from each client's derived seed, so another
 // fleet seed must give every client another one; its fleet still runs
 // clean over the same needs, which depend on the app alone.
 func TestFleetSeedChangesSchedule(t *testing.T) {
 	cfg := fastConfig(t, 16)
 	other := cfg
 	other.Seed = cfg.Seed + 1
-	res, err := Run(context.Background(), other)
+	res, err := runFleet(context.Background(), other)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +229,7 @@ func TestFleetServerChaos(t *testing.T) {
 		t.Fatalf("no period larger than every unit (%d) fits the stream (%d bytes)", period, len(art.Data))
 	}
 	cfg.Fault = stream.Fault{CorruptEvery: period, Seed: 7}
-	res, err := Run(context.Background(), cfg)
+	res, err := runFleet(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +313,7 @@ func TestFleetClientDegrades(t *testing.T) {
 
 // scenarioLinks are the link classes the restart and node-kill
 // scenarios spread their clients over.
-var scenarioLinks = []stream.LinkClass{stream.LinkModem, stream.LinkT1, stream.LinkLTE}
+var scenarioLinks = []stream.LinkClass{stream.LinkModem, stream.LinkT1, linkLTE}
 
 // TestFleetRestart is the fleet-scale crash-restart scenario: 8 apps ×
 // 200 clients × 3 link classes, and once half the clients have
@@ -318,8 +329,8 @@ func TestFleetRestart(t *testing.T) {
 	}
 	cfg := fastConfig(t, 200)
 	cfg.Apps, cfg.Links = names, scenarioLinks
-	cfg.Restart = RestartConfig{Enabled: true, AfterFraction: 0.5, StoreDir: t.TempDir()}
-	res, err := Run(context.Background(), cfg)
+	cfg.Restart = restartConfig{Enabled: true, AfterFraction: 0.5, StoreDir: t.TempDir()}
+	res, err := runFleet(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +359,7 @@ func TestFleetClusterKill(t *testing.T) {
 	}
 	cfg := fastConfig(t, 120)
 	cfg.Apps, cfg.Links = names, scenarioLinks
-	cfg.Cluster = ClusterFleetConfig{
+	cfg.Cluster = clusterConfig{
 		Enabled:  true,
 		Nodes:    3,
 		RingSeed: 0xC7B3,
@@ -357,7 +368,7 @@ func TestFleetClusterKill(t *testing.T) {
 		KillAfterFraction: 0.25,
 		StoreRoot:         t.TempDir(),
 	}
-	res, err := Run(context.Background(), cfg)
+	res, err := runFleet(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -50,11 +50,11 @@ func TestFleetChaosStress(t *testing.T) {
 	}
 	rng := xrand.New(root)
 	orders := []string{server.OrderStatic, server.OrderTrain, server.OrderTest}
-	allLinks := []stream.LinkClass{stream.LinkModem, stream.LinkT1, stream.LinkLTE, stream.LinkSatellite}
+	allLinks := []stream.LinkClass{stream.LinkModem, stream.LinkT1, linkLTE, linkSatellite}
 
 	for round := 0; round < rounds; round++ {
 		seed := rng.Uint64()
-		cfg := Config{
+		cfg := config{
 			Apps:      names[:1+rng.Intn(len(names))],
 			Clients:   8 + rng.Intn(32),
 			Links:     []stream.LinkClass{allLinks[rng.Intn(len(allLinks))]},
@@ -107,7 +107,7 @@ func TestFleetChaosStress(t *testing.T) {
 			round, seed, cfg.Clients, len(cfg.Apps), linkNames(cfg.Links), cfg.Order, cfg.Fault)
 		t.Log(desc)
 
-		res, err := Run(context.Background(), cfg)
+		res, err := runFleet(context.Background(), cfg)
 		if err != nil {
 			t.Fatalf("FAILING SEED %#x (root %#x): %s: %v", seed, root, desc, err)
 		}

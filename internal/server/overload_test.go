@@ -372,8 +372,8 @@ func TestDrainLifecycle(t *testing.T) {
 	}
 
 	s.BeginDrain()
-	if !s.Draining() {
-		t.Fatal("Draining() false after BeginDrain")
+	if !s.draining.Load() {
+		t.Fatal("not draining after BeginDrain")
 	}
 	if code, _ := get("/healthz"); code != 200 {
 		t.Fatalf("healthz = %d while draining, want 200 (alive, not ready)", code)

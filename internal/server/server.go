@@ -352,9 +352,6 @@ func shedResponse(w http.ResponseWriter, after time.Duration) {
 // once.
 func (s *Server) BeginDrain() { s.draining.Store(true) }
 
-// Draining reports whether BeginDrain has been called.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // ActiveStreams reports app-request bodies currently being written —
 // the streams a drain is waiting on.
 func (s *Server) ActiveStreams() int64 { return s.metrics.activeStreams.Load() }

@@ -43,32 +43,10 @@ func shapedRead(t *testing.T, link LinkClass, seed uint64, total int) (int, erro
 	}
 }
 
-// TestShapeLossDeterministic: the injected reset position is a pure
-// function of (link, seed) — the per-connection schedule contract the
-// fleet's determinism rests on.
-func TestShapeLossDeterministic(t *testing.T) {
-	lossy := LinkClass{Name: "lossy", RTT: 1, Bandwidth: 1 << 30, LossEvery: 4 << 10}
-	n1, err1 := shapedRead(t, lossy, 5, 64<<10)
-	if err1 == nil {
-		t.Fatalf("no loss injected across %d bytes (mean %d)", 64<<10, lossy.LossEvery)
-	}
-	n2, err2 := shapedRead(t, lossy, 5, 64<<10)
-	if err2 == nil || n1 != n2 {
-		t.Fatalf("same seed: loss at %d then %d bytes", n1, n2)
-	}
-	if n1 < lossy.LossEvery/2 || n1 >= 2*lossy.LossEvery {
-		t.Fatalf("loss at %d bytes, outside the drawn range for mean %d", n1, lossy.LossEvery)
-	}
-	n3, _ := shapedRead(t, lossy, 6, 64<<10)
-	if n3 == n1 {
-		t.Fatalf("different seeds injected loss at the same byte %d", n1)
-	}
-}
-
-// TestShapeLossless: a lossless link delivers everything intact.
+// TestShapeLossless: a shaped link delivers every byte intact.
 func TestShapeLossless(t *testing.T) {
 	got, err := shapedRead(t, LinkT1, 9, 32<<10)
 	if err != nil || got != 32<<10 {
-		t.Fatalf("lossless link delivered %d of %d bytes, err %v", got, 32<<10, err)
+		t.Fatalf("shaped link delivered %d of %d bytes, err %v", got, 32<<10, err)
 	}
 }
