@@ -82,6 +82,11 @@ lint:
 	@# mechanism and is not scanned.)
 	@if grep -rni --include='*.go' --exclude='*_test.go' 'quarantin' internal/stream internal/live; then \
 		echo "quarantine in internal/stream or internal/live; end the stream and let the session degrade instead" >&2; exit 1; fi
+	@# A slow link has one home: LinkClass.Shape paces the client's side
+	@# of a connection in internal/stream/link.go. Every other wait is a
+	@# timer that its request's or caller's context can cut short.
+	@if grep -rn --include='*.go' --exclude='*_test.go' 'time\.Sleep(' . | grep -v '^\./internal/stream/link\.go:'; then \
+		echo "time.Sleep outside internal/stream/link.go; shape the client's connection with a stream.LinkClass, or wait on a timer and a context" >&2; exit 1; fi
 	@if [ -n "$$CI" ] && ! command -v staticcheck >/dev/null 2>&1; then \
 		$(GO) install $(STATICCHECK); fi
 	@if command -v staticcheck >/dev/null 2>&1; then \

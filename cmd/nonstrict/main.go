@@ -51,11 +51,13 @@ var commands = []struct {
                        -cluster nodes by consistent hash of the
                        (app, order) key (-peers name=url,...,
                        -ring-seed N, -vnodes N, -order P, -cooldown D)`, cmdRouter},
-	{"fetch", `fetch <url> -name N  load a served benchmark non-strictly and run it`, cmdFetch},
+	{"fetch", `fetch <url> -name N  load a served benchmark non-strictly and run it
+                       (-link t1|modem shapes the client's connections)`, cmdFetch},
 	{"run-remote", `run-remote <url> -name N
                        execute a served benchmark WHILE it streams in,
                        measuring first-invocation latency and overlap
-                       (-stats compares against simulator predictions,
+                       (-link t1|modem shapes the client's connections,
+                       -stats compares against simulator predictions,
                        -trace FILE exports a Chrome trace of the run,
                        -trace-summary prints the measured stall
                        attribution beside the simulator's predictions)`, cmdRunRemote},

@@ -21,8 +21,8 @@ import (
 
 // newServer builds the HTTP server the tests drive: a multi-tenant
 // code server with name prebuilt and aliased at /app.
-func newServer(name string, rate int, fault stream.Fault) (*http.Server, int64, error) {
-	srv, err := server.New(server.Config{DefaultApp: name, Rate: rate, Fault: fault})
+func newServer(name string, fault stream.Fault) (*http.Server, int64, error) {
+	srv, err := server.New(server.Config{DefaultApp: name, Fault: fault})
 	if err != nil {
 		return nil, 0, err
 	}
@@ -185,7 +185,7 @@ func TestUnknownCommand(t *testing.T) {
 }
 
 func TestServeAndFetch(t *testing.T) {
-	srv, size, err := newServer("Hanoi", 0, stream.Fault{})
+	srv, size, err := newServer("Hanoi", stream.Fault{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,12 +223,47 @@ func TestServeAndFetch(t *testing.T) {
 	}
 }
 
+// TestClientCommandsOverT1: fetch and run-remote read a real server
+// through a T1-shaped connection (-link t1), the link the benchmark's
+// live-t1 workload uses, and still pass their self-checks. Every
+// connection pays the link's round trip before its first byte, so
+// neither command can finish sooner; an unknown link name is refused.
+func TestClientCommandsOverT1(t *testing.T) {
+	srv, _, err := newServer("Hanoi", stream.Fault{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
+	defer srv.Close()
+
+	url := "http://" + ln.Addr().String() + "/app"
+	rtt := stream.LinkT1.RTT - stream.LinkT1.Jitter
+	for _, cmd := range []string{"fetch", "run-remote"} {
+		start := time.Now()
+		out := capture(t, cmd, url, "-name", "Hanoi", "-link", "t1")
+		if d := time.Since(start); d < rtt {
+			t.Errorf("%s -link t1 finished in %v, under the link's %v round trip", cmd, d, rtt)
+		}
+		if !strings.Contains(out, "self-check: ok") {
+			t.Errorf("%s -link t1 output:\n%s", cmd, out)
+		}
+		err := captureErr(t, cmd, url, "-name", "Hanoi", "-link", "lan")
+		if err == nil || !strings.Contains(err.Error(), "t1, modem") {
+			t.Errorf("%s -link lan: err = %v, want one naming t1, modem", cmd, err)
+		}
+	}
+}
+
 // TestServeAndFetchWithFaults: the full CLI round trip over a server
 // that drops the connection every 600 body bytes. The fetch client must
 // resume transparently and the loaded program must still pass its
 // self-check.
 func TestServeAndFetchWithFaults(t *testing.T) {
-	srv, size, err := newServer("Hanoi", 0, stream.Fault{DropEvery: 600})
+	srv, size, err := newServer("Hanoi", stream.Fault{DropEvery: 600})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +288,7 @@ func TestServeAndFetchWithFaults(t *testing.T) {
 // and reports first-invocation latencies and overlap next to the
 // simulator's predictions.
 func TestServeAndRunRemote(t *testing.T) {
-	srv, _, err := newServer("Hanoi", 0, stream.Fault{})
+	srv, _, err := newServer("Hanoi", stream.Fault{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,7 +387,7 @@ func chaosPeriod(t *testing.T, base string) int64 {
 func TestServeAndRunRemoteChaos(t *testing.T) {
 	// A clean server first, to measure the stream and pick the
 	// deterministic corruption target.
-	clean, _, err := newServer("Hanoi", 0, stream.Fault{})
+	clean, _, err := newServer("Hanoi", stream.Fault{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,7 +399,7 @@ func TestServeAndRunRemoteChaos(t *testing.T) {
 	period := chaosPeriod(t, "http://"+cln.Addr().String())
 	clean.Close()
 
-	srv, _, err := newServer("Hanoi", 0, stream.Fault{
+	srv, _, err := newServer("Hanoi", stream.Fault{
 		CorruptEvery:      period,
 		GarbageRangeEvery: 3,
 		FlakyTOC:          1,
@@ -401,7 +436,7 @@ func TestServeAndRunRemoteChaos(t *testing.T) {
 // link — the acceptance scenario. Completion must survive the drops
 // (resumes > 0) with the self-check still passing.
 func TestServeAndRunRemoteWithFaults(t *testing.T) {
-	srv, size, err := newServer("Hanoi", 0, stream.Fault{DropEvery: 600})
+	srv, size, err := newServer("Hanoi", stream.Fault{DropEvery: 600})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -467,7 +502,7 @@ func metricValue(t *testing.T, metrics, name string) int64 {
 // through a retrying client, which takes the one injected 503 and then
 // the table, and run-remote runs after it against a healthy table.
 func TestServeMetricsDuringChaos(t *testing.T) {
-	srv, _, err := newServer("Hanoi", 0, stream.Fault{FlakyTOC: 1, Seed: 7})
+	srv, _, err := newServer("Hanoi", stream.Fault{FlakyTOC: 1, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -526,7 +561,7 @@ func TestServeMetricsDuringChaos(t *testing.T) {
 // attribution whose components sum to each measured latency, beside the
 // simulator's predicted stalls.
 func TestRunRemoteTraceAndSummary(t *testing.T) {
-	srv, _, err := newServer("Hanoi", 0, stream.Fault{})
+	srv, _, err := newServer("Hanoi", stream.Fault{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,10 +5,12 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"os"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"nonstrict/internal/apps"
@@ -41,8 +43,9 @@ func cmdRunRemote(ctx context.Context, args []string, out io.Writer) error {
 	gate := fs.Duration("gate-timeout", 0, "availability-gate deadline per first invocation (0 = default 30s, negative = no deadline)")
 	traceOut := fs.String("trace", "", "write a Chrome trace-event JSON of the run to this file")
 	traceSummary := fs.Bool("trace-summary", false, "print the per-method stall attribution beside the simulator's predicted stalls")
+	link := linkFlag(fs)
 	if len(args) == 0 || strings.HasPrefix(args[0], "-") {
-		return fmt.Errorf("run-remote: usage: nonstrict run-remote <url> -name <benchmark> [-train] [-stats] [-latencies N] [-timeout D] [-retries N] [-backoff D] [-gate-timeout D] [-trace FILE] [-trace-summary]")
+		return fmt.Errorf("run-remote: usage: nonstrict run-remote <url> -name <benchmark> [-train] [-link t1|modem] [-stats] [-latencies N] [-timeout D] [-retries N] [-backoff D] [-gate-timeout D] [-trace FILE] [-trace-summary]")
 	}
 	url := args[0]
 	if err := fs.Parse(args[1:]); err != nil {
@@ -55,8 +58,13 @@ func cmdRunRemote(ctx context.Context, args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
+	hc, err := link()
+	if err != nil {
+		return fmt.Errorf("run-remote: %w", err)
+	}
 
 	client := &stream.FetchClient{
+		HTTP:           hc,
 		RequestTimeout: *timeout,
 		MaxRetries:     *retries,
 		BackoffBase:    *backoff,
@@ -151,6 +159,40 @@ func cmdRunRemote(ctx context.Context, args []string, out io.Writer) error {
 		}
 	}
 	return nil
+}
+
+// linkFlag registers -link on a client command. After the flags are
+// parsed, the returned function gives the HTTP client for the command's
+// FetchClient: nil (the default client) without -link, or else one whose
+// every connection is shaped by the named LinkClass, as the benchmark's
+// live sessions shape theirs. Each connection draws its jitter from its
+// own seed, the count of connections dialled so far.
+func linkFlag(fs *flag.FlagSet) func() (*http.Client, error) {
+	name := fs.String("link", "", "shape the client's connections like this link: t1, modem (empty = unshaped)")
+	return func() (*http.Client, error) {
+		var link stream.LinkClass
+		switch *name {
+		case "":
+			return nil, nil
+		case stream.LinkT1.Name:
+			link = stream.LinkT1
+		case stream.LinkModem.Name:
+			link = stream.LinkModem
+		default:
+			return nil, fmt.Errorf("unknown link %q (want t1, modem)", *name)
+		}
+		var conns atomic.Uint64
+		tr := http.DefaultTransport.(*http.Transport).Clone()
+		dial := tr.DialContext
+		tr.DialContext = func(ctx context.Context, network, addr string) (net.Conn, error) {
+			conn, err := dial(ctx, network, addr)
+			if err != nil {
+				return nil, err
+			}
+			return link.Shape(conn, conns.Add(1), 1), nil
+		}
+		return &http.Client{Transport: tr}, nil
+	}
 }
 
 // writeTraceFile exports the run's recorded events as Chrome

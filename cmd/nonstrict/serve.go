@@ -30,7 +30,6 @@ import (
 func cmdServe(ctx context.Context, args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
 	addr := fs.String("addr", "127.0.0.1:0", "listen address")
-	rate := fs.Int("rate", 0, "throttle to N bytes/second (0 = unthrottled)")
 	order := fs.String("order", server.OrderStatic, "restructuring policy: scg, train, test")
 	cacheBytes := fs.Int64("cache-bytes", 0, "artifact cache byte budget (0 = 64 MiB)")
 	storeDir := fs.String("store-dir", "", "persistent artifact store directory (empty = memory only; restarts rebuild)")
@@ -39,7 +38,6 @@ func cmdServe(ctx context.Context, args []string, out io.Writer) error {
 	maxBuilds := fs.Int("max-builds", 0, "concurrent build limit when -admit (0 = 2)")
 	maxQueue := fs.Int("max-queue", 0, "queued-build limit when -admit (0 = 64, negative = unbounded)")
 	dropEvery := fs.Int64("drop-every", 0, "drop the connection after every N body bytes (0 = never)")
-	latency := fs.Duration("latency", 0, "added latency before each body write")
 	corruptEvery := fs.Int64("corrupt-every", 0, "flip a seeded bit in every Nth body byte (0 = never)")
 	stallAfter := fs.Int64("stall-after", 0, "stall the response after N body bytes (0 = never)")
 	stallFor := fs.Duration("stall-for", 0, "bound each stall (0 = stall until the client gives up)")
@@ -53,7 +51,7 @@ func cmdServe(ctx context.Context, args []string, out io.Writer) error {
 	ringSeed := fs.Uint64("ring-seed", 0, "consistent-hash ring seed (must match every member and the router)")
 	vnodes := fs.Int("vnodes", 0, "virtual nodes per member (0 = default; must match every member)")
 	if len(args) == 0 || strings.HasPrefix(args[0], "-") {
-		return fmt.Errorf("serve: usage: nonstrict serve <name> [-addr host:port] [-rate N] [-order P] [-cache-bytes N] [-store-dir DIR] [-drain-timeout D] [-admit] [-max-builds N] [-max-queue N] [-cluster -node-name N -peers name=url,... [-ring-seed N] [-vnodes N]] [-drop-every N] [-latency D] [-corrupt-every N] [-stall-after N] [-stall-for D] [-truncate-after N] [-garbage-range-every N] [-flaky-toc N] [-seed N]")
+		return fmt.Errorf("serve: usage: nonstrict serve <name> [-addr host:port] [-order P] [-cache-bytes N] [-store-dir DIR] [-drain-timeout D] [-admit] [-max-builds N] [-max-queue N] [-cluster -node-name N -peers name=url,... [-ring-seed N] [-vnodes N]] [-drop-every N] [-corrupt-every N] [-stall-after N] [-stall-for D] [-truncate-after N] [-garbage-range-every N] [-flaky-toc N] [-seed N]")
 	}
 	name := args[0]
 	if err := fs.Parse(args[1:]); err != nil {
@@ -65,7 +63,6 @@ func cmdServe(ctx context.Context, args []string, out io.Writer) error {
 	}
 	fault := stream.Fault{
 		DropEvery:         *dropEvery,
-		Latency:           *latency,
 		CorruptEvery:      *corruptEvery,
 		StallAfter:        *stallAfter,
 		StallFor:          *stallFor,
@@ -78,7 +75,6 @@ func cmdServe(ctx context.Context, args []string, out io.Writer) error {
 		DefaultApp: name,
 		Order:      *order,
 		CacheBytes: *cacheBytes,
-		Rate:       *rate,
 		Fault:      fault,
 		StoreDir:   *storeDir,
 		Admit: server.AdmitConfig{
@@ -122,9 +118,9 @@ func cmdServe(ctx context.Context, args []string, out io.Writer) error {
 		strings.Join(srv.Apps(), " "), ln.Addr(), srv.Order())
 	fmt.Fprintf(out, "metrics at http://%s/metrics\n", ln.Addr())
 	if fault.Enabled() {
-		fmt.Fprintf(out, "fault injection: drop-every=%d corrupt-every=%d stall-after=%d/%v truncate-after=%d garbage-range-every=%d flaky-toc=%d latency=%v seed=%#x\n",
+		fmt.Fprintf(out, "fault injection: drop-every=%d corrupt-every=%d stall-after=%d/%v truncate-after=%d garbage-range-every=%d flaky-toc=%d seed=%#x\n",
 			fault.DropEvery, fault.CorruptEvery, fault.StallAfter, fault.StallFor,
-			fault.TruncateAfter, fault.GarbageRangeEvery, fault.FlakyTOC, fault.Latency, fault.Seed)
+			fault.TruncateAfter, fault.GarbageRangeEvery, fault.FlakyTOC, fault.Seed)
 	}
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
@@ -163,8 +159,9 @@ func cmdFetch(ctx context.Context, args []string, out io.Writer) error {
 	timeout := fs.Duration("timeout", 10*time.Second, "per-request idle timeout")
 	retries := fs.Int("retries", 8, "retries of a failed attempt before giving up (a connection gets N+1 zero-progress attempts)")
 	backoff := fs.Duration("backoff", 100*time.Millisecond, "base retry backoff (doubles per failure, capped)")
+	link := linkFlag(fs)
 	if len(args) == 0 || strings.HasPrefix(args[0], "-") {
-		return fmt.Errorf("fetch: usage: nonstrict fetch <url> -name <benchmark> [-train] [-timeout D] [-retries N] [-backoff D]")
+		return fmt.Errorf("fetch: usage: nonstrict fetch <url> -name <benchmark> [-train] [-link t1|modem] [-timeout D] [-retries N] [-backoff D]")
 	}
 	url := args[0]
 	if err := fs.Parse(args[1:]); err != nil {
@@ -177,8 +174,13 @@ func cmdFetch(ctx context.Context, args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
+	hc, err := link()
+	if err != nil {
+		return fmt.Errorf("fetch: %w", err)
+	}
 
 	client := &stream.FetchClient{
+		HTTP:           hc,
 		RequestTimeout: *timeout,
 		MaxRetries:     *retries,
 		BackoffBase:    *backoff,

@@ -55,8 +55,8 @@ func NewHarness(c HarnessConfig) (*Harness, error) {
 	if c.Nodes <= 0 {
 		c.Nodes = 3
 	}
-	if c.Server.Build != nil || c.Server.Store != nil {
-		return nil, fmt.Errorf("cluster: harness template must leave Build and Store unset")
+	if c.Server.Build != nil {
+		return nil, fmt.Errorf("cluster: harness template must leave Build unset")
 	}
 	names := make([]string, c.Nodes)
 	for i := range names {

@@ -226,14 +226,16 @@ func TestRouterFailoverResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Pace the stream so the kill lands mid-body: the whole artifact
-	// takes ~500ms to serve, and the client reads it through a byte-rate
-	// that keeps the connection live when the owner dies.
-	rate := len(art.Data) * 2
+	// Stall every full stream 512 bytes short of its end, so the kill
+	// lands mid-body: the client has read its 1024-byte prefix, and the
+	// owner still holds the tail. A resume asks for at most the last
+	// len-1024 bytes and never reaches the stall. The stall is bounded
+	// because the fillers' prewarm GETs meet it too.
+	stall := stream.Fault{StallAfter: int64(len(art.Data)) - 512, StallFor: time.Second}
 	h, err := NewHarness(HarnessConfig{
 		Nodes:          3,
 		Seed:           0xFA11,
-		Server:         server.Config{Apps: []string{app}, Order: server.OrderStatic, Rate: rate},
+		Server:         server.Config{Apps: []string{app}, Order: server.OrderStatic, Fault: stall},
 		RouterCooldown: 100 * time.Millisecond,
 	})
 	if err != nil {
@@ -297,7 +299,10 @@ func TestRouterRefusesCrossGenerationSplice(t *testing.T) {
 	}
 	key := server.Key{App: app, Order: server.OrderStatic}
 
-	realSrv, err := server.New(server.Config{Apps: []string{app}, Order: server.OrderStatic, Rate: len(art.Data) * 2})
+	// The real owner stalls its stream, connection open, 512 bytes short
+	// of its end, so the kill below lands mid-body.
+	realSrv, err := server.New(server.Config{Apps: []string{app}, Order: server.OrderStatic,
+		Fault: stream.Fault{StallAfter: int64(len(art.Data)) - 512}})
 	if err != nil {
 		t.Fatal(err)
 	}

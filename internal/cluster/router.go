@@ -31,8 +31,6 @@ type RouterConfig struct {
 	// Cooldown is how long a node that failed to answer is skipped
 	// before being retried (default 2s).
 	Cooldown time.Duration
-	// Now is the health clock; tests override it. nil means time.Now.
-	Now func() time.Time
 }
 
 // Router fronts the cluster: it derives the (app, order) key from the
@@ -55,7 +53,6 @@ type Router struct {
 	order    string
 	client   *http.Client
 	cooldown time.Duration
-	now      func() time.Time
 
 	mu        sync.Mutex
 	downUntil map[string]time.Time
@@ -106,16 +103,12 @@ func NewRouter(c RouterConfig) (*Router, error) {
 	if c.Cooldown <= 0 {
 		c.Cooldown = 2 * time.Second
 	}
-	if c.Now == nil {
-		c.Now = time.Now
-	}
 	return &Router{
 		ring:      c.Ring,
 		nodes:     c.Nodes,
 		order:     c.Order,
 		client:    c.Client,
 		cooldown:  c.Cooldown,
-		now:       c.Now,
 		downUntil: make(map[string]time.Time),
 	}, nil
 }
@@ -292,12 +285,12 @@ func (rt *Router) stream(w http.ResponseWriter, r *http.Request, resp *http.Resp
 func (rt *Router) isDown(name string) bool {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	return rt.now().Before(rt.downUntil[name])
+	return time.Now().Before(rt.downUntil[name])
 }
 
 // markDown starts name's cooldown.
 func (rt *Router) markDown(name string) {
 	rt.mu.Lock()
-	rt.downUntil[name] = rt.now().Add(rt.cooldown)
+	rt.downUntil[name] = time.Now().Add(rt.cooldown)
 	rt.mu.Unlock()
 }

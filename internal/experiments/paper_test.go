@@ -150,7 +150,7 @@ func TestInvocationLatencyClaim(t *testing.T) {
 func TestOrderingQuality(t *testing.T) {
 	s := suite(t)
 	for _, link := range Links {
-		rows, err := s.TableParallel(link)
+		rows, err := s.TableParallelCtx(context.Background(), link)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -180,13 +180,13 @@ func TestOrderingQuality(t *testing.T) {
 // profile-guided orders only.
 func TestInterleavedBeatsParallel(t *testing.T) {
 	s := suite(t)
-	t7, err := s.Table7()
+	t7, err := s.Table7Ctx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	ilvAvg := t7[len(t7)-1]
 	for li, link := range Links {
-		par, err := s.TableParallel(link)
+		par, err := s.TableParallelCtx(context.Background(), link)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -207,7 +207,7 @@ func TestInterleavedBeatsParallel(t *testing.T) {
 // least as good as whole-pool transfer, per benchmark, interleaved.
 func TestDataPartitioningHelps(t *testing.T) {
 	s := suite(t)
-	whole, err := s.Table7()
+	whole, err := s.Table7Ctx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +335,7 @@ func TestTable8Shape(t *testing.T) {
 }
 
 func TestFigure6Shape(t *testing.T) {
-	f, err := suite(t).Figure6()
+	f, err := suite(t).Figure6Ctx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,17 +369,17 @@ func TestRenderersProduceTables(t *testing.T) {
 	outs = append(outs, RenderTable3(t3))
 	t4, _ := s.Table4()
 	outs = append(outs, RenderTable4(t4))
-	p5, _ := s.TableParallel(transfer.T1)
+	p5, _ := s.TableParallelCtx(context.Background(), transfer.T1)
 	outs = append(outs, RenderParallel("Table 5", p5))
-	t7, _ := s.Table7()
+	t7, _ := s.Table7Ctx(context.Background())
 	outs = append(outs, RenderTable7(t7))
 	t8, _ := s.Table8()
 	outs = append(outs, RenderTable8(t8))
 	t9, _ := s.Table9()
 	outs = append(outs, RenderTable9(t9))
-	t10, _ := s.Table10()
+	t10, _ := s.Table10Ctx(context.Background())
 	outs = append(outs, RenderTable10(t10))
-	f6, _ := s.Figure6()
+	f6, _ := s.Figure6Ctx(context.Background())
 	outs = append(outs, RenderFigure6(f6))
 	for i, out := range outs {
 		if len(out) < 100 {
@@ -413,11 +413,11 @@ func TestSuiteDeterminism(t *testing.T) {
 	if _, err := s2.Benches(); err != nil {
 		t.Fatal(err)
 	}
-	a, err := suite(t).TableParallel(transfer.T1)
+	a, err := suite(t).TableParallelCtx(context.Background(), transfer.T1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := s2.TableParallel(transfer.T1)
+	b, err := s2.TableParallelCtx(context.Background(), transfer.T1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,26 +29,26 @@ func TestPaperTables(t *testing.T) {
 	}
 	gens := []gen{
 		{"Table5", func(s *Suite) (string, error) {
-			r, err := s.TableParallel(transfer.T1)
+			r, err := s.TableParallelCtx(context.Background(), transfer.T1)
 			return RenderParallel("Table 5", r), err
 		}},
 		{"Table7", func(s *Suite) (string, error) {
-			r, err := s.Table7()
+			r, err := s.Table7Ctx(context.Background())
 			return RenderTable7(r), err
 		}},
 	}
 	if !testing.Short() {
 		gens = append(gens,
 			gen{"Table6", func(s *Suite) (string, error) {
-				r, err := s.TableParallel(transfer.Modem)
+				r, err := s.TableParallelCtx(context.Background(), transfer.Modem)
 				return RenderParallel("Table 6", r), err
 			}},
 			gen{"Table10", func(s *Suite) (string, error) {
-				r, err := s.Table10()
+				r, err := s.Table10Ctx(context.Background())
 				return RenderTable10(r), err
 			}},
 			gen{"Figure6", func(s *Suite) (string, error) {
-				r, err := s.Figure6()
+				r, err := s.Figure6Ctx(context.Background())
 				return RenderFigure6(r), err
 			}},
 		)

@@ -157,14 +157,9 @@ type ParallelRow struct {
 	Pct  [3][4]float64 // [SCG,Train,Test][limit 1,2,4,∞]
 }
 
-// TableParallel reproduces Table 5 (T1) or Table 6 (modem), selected by
-// link, plus the AVG row the paper prints.
-func (s *Suite) TableParallel(link transfer.Link) ([]ParallelRow, error) {
-	return s.TableParallelCtx(context.Background(), link)
-}
-
-// TableParallelCtx is TableParallel with cancellation; the benchmark ×
-// order × limit grid fans out across the suite's worker pool.
+// TableParallelCtx reproduces Table 5 (T1) or Table 6 (modem), selected
+// by link, plus the AVG row the paper prints. The benchmark × order ×
+// limit grid fans out across the suite's worker pool.
 func (s *Suite) TableParallelCtx(ctx context.Context, link transfer.Link) ([]ParallelRow, error) {
 	bs, err := s.BenchesCtx(ctx)
 	if err != nil {
@@ -221,12 +216,7 @@ type InterleavedRow struct {
 	Pct  [2][3]float64
 }
 
-// Table7 reproduces the interleaved-transfer results for both links.
-func (s *Suite) Table7() ([]InterleavedRow, error) {
-	return s.Table7Ctx(context.Background())
-}
-
-// Table7Ctx is Table7 with cancellation.
+// Table7Ctx reproduces the interleaved-transfer results for both links.
 func (s *Suite) Table7Ctx(ctx context.Context) ([]InterleavedRow, error) {
 	return s.interleaved(ctx, transfer.NonStrict)
 }
@@ -375,12 +365,7 @@ type Table10Row struct {
 	Interleaved [2][3]float64
 }
 
-// Table10 reproduces the partitioned-global-data results.
-func (s *Suite) Table10() ([]Table10Row, error) {
-	return s.Table10Ctx(context.Background())
-}
-
-// Table10Ctx is Table10 with cancellation.
+// Table10Ctx reproduces the partitioned-global-data results.
 func (s *Suite) Table10Ctx(ctx context.Context) ([]Table10Row, error) {
 	bs, err := s.BenchesCtx(ctx)
 	if err != nil {
@@ -448,12 +433,7 @@ type Figure6Bars struct {
 // Figure6Techniques names the bars.
 var Figure6Techniques = []string{"Parallel File Transfer", "PFT Data Partitioned", "Interleaved File Transfer", "IFT Data Partitioned"}
 
-// Figure6 reproduces the summary figure.
-func (s *Suite) Figure6() (*Figure6Bars, error) {
-	return s.Figure6Ctx(context.Background())
-}
-
-// Figure6Ctx is Figure6 with cancellation.
+// Figure6Ctx reproduces the summary figure.
 func (s *Suite) Figure6Ctx(ctx context.Context) (*Figure6Bars, error) {
 	bs, err := s.BenchesCtx(ctx)
 	if err != nil {

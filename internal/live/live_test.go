@@ -87,12 +87,12 @@ func appMux(p planned) *http.ServeMux {
 	return mux
 }
 
-// fastClient retries without real sleeps.
+// fastClient retries after microseconds: from a 1µs base, its eight
+// retries back off 128µs at most.
 func fastClient() *stream.FetchClient {
 	return &stream.FetchClient{
 		RequestTimeout: 5 * time.Second,
 		BackoffBase:    time.Microsecond,
-		BackoffMax:     time.Millisecond,
 	}
 }
 

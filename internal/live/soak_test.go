@@ -2,6 +2,9 @@ package live
 
 import (
 	"context"
+	"net"
+	"net/http"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -11,12 +14,13 @@ import (
 
 // TestGateSoakSeeded is the availability gate's randomized soak — the
 // internal/live arm of the internal/check stress discipline: seeded
-// fault cocktails (disconnects, corruption, latency) against overlapped
-// runs, asserting the gate invariants the checker pins. Every gate wait
-// must eventually unblock (a context deadline converts a lost wakeup
-// into a failure instead of a hung suite), each recorded wait's
-// Transfer/Repair/Gate decomposition must sum exactly, and the run must
-// be bit-identical to the strict reference. Failures name the seed.
+// fault cocktails (disconnects and corruption, read through a T1-shaped
+// connection on even seeds) against overlapped runs, asserting the gate
+// invariants the checker pins. Every gate wait must eventually unblock
+// (a context deadline converts a lost wakeup into a failure instead of
+// a hung suite), each recorded wait's Transfer/Repair/Gate
+// decomposition must sum exactly, and the run must be bit-identical to
+// the strict reference. Failures name the seed.
 func TestGateSoakSeeded(t *testing.T) {
 	p := plan(t, "Hanoi")
 	want := reference(t, p)
@@ -30,8 +34,9 @@ func TestGateSoakSeeded(t *testing.T) {
 			DropEvery:    400 + 300*seed,
 			CorruptEvery: 900 + 500*seed,
 		}
+		client := fastClient()
 		if seed%2 == 0 {
-			fault.Latency = time.Duration(seed) * 100 * time.Microsecond
+			client.HTTP = shapedHTTP(stream.LinkT1, uint64(seed))
 		}
 		srv := serve(t, p, fault)
 		// The watchdog: a lost wakeup at the gate surfaces as this
@@ -42,7 +47,7 @@ func TestGateSoakSeeded(t *testing.T) {
 			TOCURL:    srv.URL + "/app.toc",
 			Name:      p.app.Name,
 			MainClass: p.rp.MainClass,
-			Client:    fastClient(),
+			Client:    client,
 			Run:       vm.Options{Args: p.app.TestArgs, MaxSteps: 5e8},
 		})
 		cancel()
@@ -65,4 +70,21 @@ func TestGateSoakSeeded(t *testing.T) {
 				seed, st.Integrity.CorruptUnits, st.Integrity.Repaired)
 		}
 	}
+}
+
+// shapedHTTP is an HTTP client whose every connection reads through
+// link's schedule, each drawing its jitter from the next seed after
+// seed<<32.
+func shapedHTTP(link stream.LinkClass, seed uint64) *http.Client {
+	var conns atomic.Uint64
+	dialer := &net.Dialer{}
+	return &http.Client{Transport: &http.Transport{
+		DialContext: func(ctx context.Context, network, addr string) (net.Conn, error) {
+			conn, err := dialer.DialContext(ctx, network, addr)
+			if err != nil {
+				return nil, err
+			}
+			return link.Shape(conn, seed<<32+conns.Add(1), 1), nil
+		},
+	}}
 }

@@ -163,7 +163,7 @@ type Cache struct {
 	// before it is persisted: the write-back runs on a goroutine of its
 	// own after the flight resolves, and the artifact's durable signal
 	// says when it has returned. Set it before the cache sees traffic.
-	Store Store
+	Store *DiskStore
 
 	// Admit is the overload policy; the zero value disables admission
 	// control and preserves the pre-admission semantics the

@@ -4,20 +4,28 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
-// DiskStore is the crash-safe Store: one file per artifact under a
-// single directory, written with the classic temp-file + fsync + atomic
-// rename + directory-fsync discipline, so a crash at ANY instant leaves
+// DiskStore is the persistent artifact tier under the in-memory cache.
+// A cache miss consults it before running the build pipeline, and a
+// successful build is written back. The contract that makes restarts
+// warm: a Get after process death returns exactly the bytes Put before
+// it — same Data, same TOC, same ETags — or ErrStoreMiss, never a torn
+// or stale mixture. It is safe for concurrent use.
+//
+// It is crash-safe: one file per artifact under a single directory,
+// written with the classic temp-file + fsync + atomic rename +
+// directory-fsync discipline, so a crash at ANY instant leaves
 // either the previous intact entry or the new intact entry — never a
 // torn one. internal/check enumerates a crash at every step of Put and
 // proves exactly that against a reopened store.
@@ -44,6 +52,39 @@ type DiskStore struct {
 	lastSeq int64
 
 	storeCounters
+}
+
+// ErrStoreMiss reports that the store has no intact entry for a key.
+var ErrStoreMiss = errors.New("server: artifact not in store")
+
+// StoreStats counts one DiskStore's traffic. Quarantined is the number of
+// entries that failed verification on load and were moved aside — each
+// one turns into a rebuild, never into served garbage.
+type StoreStats struct {
+	Gets        int64 `json:"gets"`
+	Hits        int64 `json:"hits"`
+	Misses      int64 `json:"misses"`
+	Puts        int64 `json:"puts"`
+	PutErrors   int64 `json:"put_errors"`
+	Quarantined int64 `json:"quarantined"`
+	Entries     int   `json:"entries"`
+	Bytes       int64 `json:"bytes"`
+}
+
+// storeCounters is the atomic half of StoreStats, embedded by DiskStore.
+type storeCounters struct {
+	gets, hits, misses, puts, putErrors, quarantined atomic.Int64
+}
+
+func (c *storeCounters) snapshot() StoreStats {
+	return StoreStats{
+		Gets:        c.gets.Load(),
+		Hits:        c.hits.Load(),
+		Misses:      c.misses.Load(),
+		Puts:        c.puts.Load(),
+		PutErrors:   c.putErrors.Load(),
+		Quarantined: c.quarantined.Load(),
+	}
 }
 
 // diskEntry is the in-memory index record for one intact file.
@@ -335,18 +376,6 @@ func (s *DiskStore) put(a *Artifact) error {
 		return err
 	}
 	return nil
-}
-
-// List returns the intact keys, sorted for determinism.
-func (s *DiskStore) List() ([]Key, error) {
-	s.mu.Lock()
-	keys := make([]Key, 0, len(s.index))
-	for k := range s.index {
-		keys = append(keys, k)
-	}
-	s.mu.Unlock()
-	sort.Slice(keys, func(i, j int) bool { return keys[i].String() < keys[j].String() })
-	return keys, nil
 }
 
 // Delete removes k's entry and file.

@@ -25,7 +25,7 @@ type Metrics struct {
 	activeStreams atomic.Int64
 	faults        *stream.FaultStats
 	cache         *Cache
-	store         Store        // nil without a persistent tier
+	store         *DiskStore   // nil without a persistent tier
 	draining      *atomic.Bool // nil in bare test metrics
 }
 
@@ -125,8 +125,8 @@ func (m *Metrics) handler() http.Handler {
 }
 
 // countingWriter tallies body bytes into n and remembers the status
-// code. It forwards Flush so the paced writer and the fault layer keep
-// their streaming behaviour.
+// code. It forwards Flush so the fault layer and heldTail keep their
+// streaming behaviour.
 type countingWriter struct {
 	rw     http.ResponseWriter
 	n      *atomic.Int64

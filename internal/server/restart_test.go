@@ -35,6 +35,10 @@ type crashableServer struct {
 	hs       *http.Server
 	cur      atomic.Pointer[Server]
 	restarts atomic.Int64
+	// stalls holds, in boot order, the body byte at which each next
+	// boot's responses stall (stream.Fault.StallAfter); a boot past its
+	// end stalls nowhere.
+	stalls []int64
 }
 
 type trackingListener struct {
@@ -100,11 +104,16 @@ func newCrashableServer(t *testing.T, storeDir string) *crashableServer {
 }
 
 // boot constructs a fresh Server over the store directory — the state a
-// newly exec'd process would build. Responses are paced so a kill lands
-// while bytes are genuinely in flight instead of already sitting in
-// socket buffers.
+// newly exec'd process would build. While the stall schedule lasts, its
+// responses stall, connection open, at the scheduled byte, so a kill
+// there lands with the rest of the body unsent instead of already
+// sitting in socket buffers.
 func (cs *crashableServer) boot() *Server {
-	s, err := New(Config{Apps: []string{benchApp}, StoreDir: cs.storeDir, Rate: 96 << 10})
+	var f stream.Fault
+	if len(cs.stalls) > 0 {
+		f.StallAfter, cs.stalls = cs.stalls[0], cs.stalls[1:]
+	}
+	s, err := New(Config{Apps: []string{benchApp}, StoreDir: cs.storeDir, Fault: f})
 	if err != nil {
 		cs.t.Fatal(err)
 	}
@@ -176,6 +185,12 @@ func TestRestartResume(t *testing.T) {
 			if kills[1] >= size {
 				kills[1] = size - 1
 			}
+			// The server the client meets, and each one that replaces
+			// it, stalls its response at the next kill offset (a
+			// resume's body starts at the previous one), so every kill
+			// severs a connection mid-body.
+			cs.stalls = []int64{kills[0], kills[1] - kills[0]}
+			cs.boot()
 
 			fc := &stream.FetchClient{JitterSeed: seed, BackoffBase: 5 * time.Millisecond}
 			body, err := fc.Open(ctx, cs.url()+"/apps/"+benchApp+"/app")
@@ -355,7 +370,7 @@ func TestRestartOverStoreFromBeforeBinaryTable(t *testing.T) {
 	if !bytes.Equal(body, want.TOC) {
 		t.Error("table after upgrade differs from a fresh build's")
 	}
-	if st, cs := s.Store().Stats(), s.CacheStats(); st.Quarantined != 1 || cs.Builds != 1 || cs.StoreHits != 0 || st.Puts != 1 {
+	if st, cs := s.store.Stats(), s.CacheStats(); st.Quarantined != 1 || cs.Builds != 1 || cs.StoreHits != 0 || st.Puts != 1 {
 		t.Fatalf("upgrade boot: store %+v, cache builds=%d store_hits=%d; want 1 quarantine, 1 build, 1 put, 0 store hits",
 			st, cs.Builds, cs.StoreHits)
 	}
@@ -364,7 +379,7 @@ func TestRestartOverStoreFromBeforeBinaryTable(t *testing.T) {
 	if resp, _ := get(s, "/apps/"+benchApp+"/app"); resp.Header.Get("ETag") != want.ETag {
 		t.Fatalf("second boot: ETag %s, want %s", resp.Header.Get("ETag"), want.ETag)
 	}
-	if st, cs := s.Store().Stats(), s.CacheStats(); st.Quarantined != 0 || cs.Builds != 0 || cs.StoreHits != 1 {
+	if st, cs := s.store.Stats(), s.CacheStats(); st.Quarantined != 0 || cs.Builds != 0 || cs.StoreHits != 1 {
 		t.Fatalf("second boot: store %+v, cache builds=%d store_hits=%d; want 0 quarantines, 0 builds, 1 store hit",
 			st, cs.Builds, cs.StoreHits)
 	}

@@ -61,8 +61,6 @@ type Config struct {
 	Order string
 	// CacheBytes bounds the artifact cache (0 = DefaultCacheBytes).
 	CacheBytes int64
-	// Rate throttles stream bodies to N bytes/second (0 = unthrottled).
-	Rate int
 	// Fault is the chaos layer wrapped around every app request —
 	// including cache hits. The zero value injects nothing.
 	Fault stream.Fault
@@ -71,9 +69,6 @@ type Config struct {
 	// a restarted server on the same directory serves byte-identical
 	// artifacts without rebuilding.
 	StoreDir string
-	// Store, when non-nil, backs the cache directly (overrides
-	// StoreDir). Tests use it to inject crash hooks.
-	Store Store
 	// Admit is the overload policy (see AdmitConfig); the zero value
 	// disables admission control.
 	Admit AdmitConfig
@@ -89,11 +84,10 @@ type Config struct {
 // artifact cache.
 type Server struct {
 	order    string
-	rate     int
 	apps     []string
 	mounted  map[string]bool
 	cache    *Cache
-	store    Store
+	store    *DiskStore // nil without StoreDir
 	metrics  *Metrics
 	handler  http.Handler
 	draining atomic.Bool
@@ -115,7 +109,6 @@ func New(c Config) (*Server, error) {
 	}
 	s := &Server{
 		order:   c.Order,
-		rate:    c.Rate,
 		apps:    names,
 		mounted: make(map[string]bool, len(names)),
 	}
@@ -138,10 +131,7 @@ func New(c Config) (*Server, error) {
 	}
 	s.cache = NewCache(c.CacheBytes, build)
 	s.cache.Admit = c.Admit
-	switch {
-	case c.Store != nil:
-		s.store = c.Store
-	case c.StoreDir != "":
+	if c.StoreDir != "" {
 		ds, err := OpenDiskStore(c.StoreDir)
 		if err != nil {
 			return nil, err
@@ -277,13 +267,9 @@ func (s *Server) serveArtifact(w http.ResponseWriter, r *http.Request, name stri
 	h.Set("ETag", etag)
 	h.Set("Cache-Control", "public, max-age=31536000, immutable")
 	h.Set("Content-Type", "application/octet-stream")
-	rw := w
-	if s.rate > 0 {
-		rw = &pacedWriter{rw: w, rate: s.rate, ctx: r.Context()}
-	}
-	var body http.ResponseWriter = pooledCopy{rw}
+	var body http.ResponseWriter = pooledCopy{w}
 	if art.persisting() {
-		body = heldTail{rw, art, r.Context()}
+		body = heldTail{w, art, r.Context()}
 	}
 	http.ServeContent(body, r, "", time.Time{}, bytes.NewReader(data))
 }
@@ -358,9 +344,6 @@ func (s *Server) ActiveStreams() int64 { return s.metrics.activeStreams.Load() }
 
 // Requests reports the total requests counted so far.
 func (s *Server) Requests() int64 { return s.metrics.Requests() }
-
-// Store returns the persistent artifact store backing the cache, or nil.
-func (s *Server) Store() Store { return s.store }
 
 // appStatus is one row of the /apps index.
 type appStatus struct {
@@ -454,56 +437,4 @@ func NewArtifact(k Key, data, toc []byte) (*Artifact, error) {
 		TOCETag: digestOf(toc).etag(),
 		Units:   len(units),
 	}, nil
-}
-
-// pacedWriter throttles the response body to simulate a slow link,
-// flushing each chunk so the client sees steady progress. Its sleeps
-// watch the request context: at fleet scale a slow pace outlives many
-// clients, and a sleep that ignores cancellation pins one server
-// goroutine (plus the response buffers it references) per dead client
-// for however long the remaining pace schedule runs. One timer paces
-// the whole response, re-armed per chunk, so a paced body costs no more
-// garbage than an unpaced one.
-type pacedWriter struct {
-	rw    http.ResponseWriter
-	rate  int
-	ctx   context.Context
-	timer *time.Timer
-}
-
-func (p *pacedWriter) Header() http.Header { return p.rw.Header() }
-
-func (p *pacedWriter) WriteHeader(code int) { p.rw.WriteHeader(code) }
-
-func (p *pacedWriter) Write(b []byte) (int, error) {
-	const chunk = 512
-	fl, _ := p.rw.(http.Flusher)
-	written := 0
-	for off := 0; off < len(b); off += chunk {
-		end := off + chunk
-		if end > len(b) {
-			end = len(b)
-		}
-		n, err := p.rw.Write(b[off:end])
-		written += n
-		if err != nil {
-			return written, err
-		}
-		if fl != nil {
-			fl.Flush()
-		}
-		d := time.Duration(n) * time.Second / time.Duration(p.rate)
-		if p.timer == nil {
-			p.timer = time.NewTimer(d)
-		} else {
-			p.timer.Reset(d)
-		}
-		select {
-		case <-p.timer.C:
-		case <-p.ctx.Done():
-			p.timer.Stop()
-			return written, p.ctx.Err()
-		}
-	}
-	return written, nil
 }

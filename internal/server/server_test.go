@@ -447,30 +447,27 @@ func allocsPerRun(runs int, f func()) (allocs, bytes float64) {
 
 // TestWarmResponseAllocsFlatInBodySize pins the serving half of the
 // allocation budget: a warm response costs the same garbage whatever it
-// sends. The smallest and the largest app's whole streams, resume-style
-// ranges and paced streams each cost what the smallest app's do, give or
-// take a constant, and an unpaced response allocates less than half a
-// copy buffer. http.ServeContent's io.CopyN alone would allocate
-// min(32 KiB, body) per response, and a pacer that started a timer per
-// chunk would allocate one per 512 bytes.
+// sends. The smallest and the largest app's whole streams and
+// resume-style ranges each cost what the smallest app's do, give or take
+// a constant, and allocate less than half a copy buffer.
+// http.ServeContent's io.CopyN alone would allocate min(32 KiB, body)
+// per response.
 func TestWarmResponseAllocsFlatInBodySize(t *testing.T) {
 	apps := []string{"Hanoi", "Jess"} // smallest and largest stream
 	for _, tc := range []struct {
 		name  string
-		rate  int
 		rng   string
 		runs  int
-		bytes float64 // bound on the largest response's allocated bytes, 0 = none
+		bytes float64 // bound on the largest response's allocated bytes
 	}{
 		// Under -race sync.Pool drops a quarter of its Puts, so every
-		// unpaced response pays 8 KiB of refills on average; a thousand
-		// runs hold that mean well under the bound.
+		// response pays 8 KiB of refills on average; a thousand runs
+		// hold that mean well under the bound.
 		{name: "stream", runs: 1000, bytes: 16 << 10},
 		{name: "range", rng: "bytes=1-", runs: 1000, bytes: 16 << 10},
-		{name: "paced", rate: 1 << 30, runs: 5},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			s, err := New(Config{Apps: apps, Rate: tc.rate})
+			s, err := New(Config{Apps: apps})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -505,7 +502,7 @@ func TestWarmResponseAllocsFlatInBodySize(t *testing.T) {
 				t.Errorf("allocations grow with the body: %.0f for %.0f bytes against %.0f for %.0f bytes",
 					allocs[1], size[1], allocs[0], size[0])
 			}
-			if tc.bytes > 0 && bytes[1] > tc.bytes {
+			if bytes[1] > tc.bytes {
 				t.Errorf("a %.0f-byte response allocates %.0f bytes, budget %.0f", size[1], bytes[1], tc.bytes)
 			}
 		})

@@ -66,12 +66,8 @@ func TestDiskStoreRoundTrip(t *testing.T) {
 	}
 	check(s2, "after reopen")
 
-	keys, err := s2.List()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(keys) != 1 || keys[0] != want.Key {
-		t.Fatalf("List = %v, want [%v]", keys, want.Key)
+	if _, ok := s2.index[want.Key]; !ok || len(s2.index) != 1 {
+		t.Fatalf("reopened index holds %d keys, want only %v", len(s2.index), want.Key)
 	}
 	if st := s2.Stats(); st.Entries != 1 || st.Bytes != int64(len(want.Data)+len(want.TOC)) {
 		t.Fatalf("stats = %+v", st)

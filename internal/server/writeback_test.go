@@ -101,10 +101,8 @@ func TestPublishedBeforePersisted(t *testing.T) {
 	client := &http.Client{Timeout: 10 * time.Second}
 
 	dir := t.TempDir()
-	ds, err := OpenDiskStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s, ts := testServer(t, Config{Apps: []string{k.App}, Order: k.Order, StoreDir: dir, Build: copies(built)})
+	ds := s.store
 	var steps []string // DiskStore.Put's steps, in order
 	parked, release := make(chan struct{}), make(chan struct{})
 	ds.CrashHook = func(step string) error {
@@ -115,7 +113,6 @@ func TestPublishedBeforePersisted(t *testing.T) {
 		}
 		return nil
 	}
-	s, ts := testServer(t, Config{Apps: []string{k.App}, Order: k.Order, Store: ds, Build: copies(built)})
 	unpark := sync.OnceFunc(func() { close(release) })
 	t.Cleanup(unpark) // before the server's Close, which waits for its handlers
 
@@ -197,17 +194,14 @@ func TestPublishedBeforePersisted(t *testing.T) {
 	injected := errors.New("injected put failure")
 	for _, step := range steps {
 		dir := t.TempDir()
-		ds, err := OpenDiskStore(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
+		s, ts := testServer(t, Config{Apps: []string{k.App}, Order: k.Order, StoreDir: dir, Build: copies(built)})
+		ds := s.store
 		ds.CrashHook = func(s string) error {
 			if s == step {
 				return injected
 			}
 			return nil
 		}
-		_, ts := testServer(t, Config{Apps: []string{k.App}, Order: k.Order, Store: ds, Build: copies(built)})
 		resp, body := get(t, ts.URL+"/apps/Hanoi/app", nil)
 		if resp.StatusCode != http.StatusOK || !bytes.Equal(body, built.Data) || resp.Header.Get("ETag") != built.ETag {
 			t.Fatalf("put failing at %s: GET %s, ETag %s, bytes equal %v", step, resp.Status, resp.Header.Get("ETag"), bytes.Equal(body, built.Data))

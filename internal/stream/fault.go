@@ -27,16 +27,14 @@ import (
 //     misbehaving proxy or origin).
 //   - FlakyTOC fails the first requests for the unit table with a 503.
 //
-// Every sleep and stall honours the request context, so a disconnected
-// client never pins a server goroutine.
+// Every stall honours the request context, so a disconnected client
+// never pins a server goroutine. A slow link is not a fault: the client
+// shapes its own connection with a LinkClass.
 type Fault struct {
 	// DropEvery kills the connection after N response-body bytes on each
 	// request (0 = never). The partial payload is flushed first, so the
 	// client sees real progress followed by a mid-stream disconnect.
 	DropEvery int64
-	// Latency is added before each body write. The sleep aborts as soon
-	// as the request context is canceled.
-	Latency time.Duration
 	// CorruptEvery XORs a seeded, nonzero mask into every Nth body byte
 	// of each request (0 = never). The corrupted positions and masks are
 	// functions of (Seed, byte position), so identical requests corrupt
@@ -123,7 +121,7 @@ func count(c *FaultStats, f func(*FaultStats) *atomic.Int64) {
 
 // Enabled reports whether the fault injects anything.
 func (f Fault) Enabled() bool {
-	return f.DropEvery > 0 || f.Latency > 0 || f.CorruptEvery > 0 ||
+	return f.DropEvery > 0 || f.CorruptEvery > 0 ||
 		f.StallAfter > 0 || f.TruncateAfter > 0 || f.GarbageRangeEvery > 0 || f.FlakyTOC > 0
 }
 
@@ -200,8 +198,8 @@ func (f Fault) Wrap(h http.Handler) http.Handler {
 	})
 }
 
-// faultWriter applies the per-request, byte-positional faults: latency,
-// stall, truncation, corruption, and the drop budget.
+// faultWriter applies the per-request, byte-positional faults: stall,
+// truncation, corruption, and the drop budget.
 type faultWriter struct {
 	rw  http.ResponseWriter
 	f   Fault
@@ -225,27 +223,7 @@ func (w *faultWriter) Flush() {
 	}
 }
 
-// sleepCtx waits for d, aborting early when the request is gone.
-func (w *faultWriter) sleepCtx(d time.Duration) error {
-	if d <= 0 {
-		return nil
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-w.ctx.Done():
-		return w.ctx.Err()
-	case <-t.C:
-		return nil
-	}
-}
-
 func (w *faultWriter) Write(p []byte) (int, error) {
-	if err := w.sleepCtx(w.f.Latency); err != nil {
-		// The client is gone; stop the handler instead of writing into
-		// a dead connection.
-		return 0, err
-	}
 	if w.truncated {
 		return 0, http.ErrHandlerTimeout // any error: just abort the copy loop
 	}
@@ -291,19 +269,31 @@ func (w *faultWriter) Write(p []byte) (int, error) {
 			count(w.f.Counters, func(s *FaultStats) *atomic.Int64 { return &s.stalls })
 			w.stallRemaining = -1 // one stall per request
 			w.Flush()
-			d := w.f.StallFor
-			if d <= 0 {
-				// Hang until the client disconnects: the pathological
-				// link that never recovers and never errors.
-				<-w.ctx.Done()
-				return written, w.ctx.Err()
-			}
-			if err := w.sleepCtx(d); err != nil {
+			if err := w.stall(); err != nil {
 				return written, err
 			}
 		}
 	}
 	return written, nil
+}
+
+// stall holds the response for StallFor, or until the client
+// disconnects when StallFor is 0: the pathological link that never
+// recovers and never errors. It returns early, with the request's
+// error, when the client is gone.
+func (w *faultWriter) stall() error {
+	var resume <-chan time.Time
+	if w.f.StallFor > 0 {
+		t := time.NewTimer(w.f.StallFor)
+		defer t.Stop()
+		resume = t.C
+	}
+	select {
+	case <-w.ctx.Done():
+		return w.ctx.Err()
+	case <-resume:
+		return nil
+	}
 }
 
 // writeChunk applies corruption and the drop budget to one chunk that

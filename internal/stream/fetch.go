@@ -52,9 +52,9 @@ type FetchClient struct {
 	// attempts that deliver no new bytes, and a verified range
 	// MaxRetries+1 whole-range attempts. 0 means 8.
 	MaxRetries int
-	// BackoffBase and BackoffMax shape the capped exponential backoff
-	// between retries. 0 means 100ms and 5s.
-	BackoffBase, BackoffMax time.Duration
+	// BackoffBase is the first retry's backoff; each failure doubles it
+	// up to a cap of 5s. 0 means 100ms.
+	BackoffBase time.Duration
 	// JitterSeed seeds the deterministic jitter source, so a seeded
 	// client retries on a reproducible schedule. 0 uses a fixed seed.
 	JitterSeed uint64
@@ -67,6 +67,8 @@ type FetchClient struct {
 	// backoff schedule without real delays. nil sleeps on a timer,
 	// honouring ctx.
 	sleep func(ctx context.Context, d time.Duration) error
+	// backoffMax caps the backoff; tests lower it. 0 means 5s.
+	backoffMax time.Duration
 
 	rngMu sync.Mutex
 	rng   *xrand.Rand
@@ -130,7 +132,7 @@ func (c *FetchClient) backoff(fails int) time.Duration {
 	if base <= 0 {
 		base = defaultBackoffBase
 	}
-	max := c.BackoffMax
+	max := c.backoffMax
 	if max <= 0 {
 		max = defaultBackoffMax
 	}

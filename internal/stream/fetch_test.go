@@ -164,7 +164,7 @@ func TestFetchDeterministicUnderSeed(t *testing.T) {
 	}
 
 	seq := func(seed uint64) []time.Duration {
-		c := &FetchClient{JitterSeed: seed, BackoffBase: 100 * time.Millisecond, BackoffMax: 2 * time.Second}
+		c := &FetchClient{JitterSeed: seed, BackoffBase: 100 * time.Millisecond, backoffMax: 2 * time.Second}
 		var out []time.Duration
 		for fails := 1; fails <= 8; fails++ {
 			out = append(out, c.backoff(fails))
